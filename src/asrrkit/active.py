@@ -11,9 +11,9 @@ none of this applies; every operation guards that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .resonator import SrrParams, TransmissionLineSection
+from .resonator import SrrParams, TransmissionLineSection, check_positive, optimum_k_for_q
 
 
 @dataclass(frozen=True)
@@ -31,11 +31,9 @@ class GmBlockParams:
     lam: float = 0.0  # channel-length modulation [1/V]
 
     def __post_init__(self):
-        for name in ("gm0", "kn_wl", "kp_wl", "vdd", "vth", "c_gm", "kf", "gamma"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.lam < 0:
-            raise ValueError("lam must be non-negative")
+        check_positive(self, "gm0", "kn_wl", "kp_wl", "vdd", "vth", "c_gm", "kf", "gamma")
+        if not (self.lam >= 0 and math.isfinite(self.lam)):
+            raise ValueError("lam must be non-negative and finite")
 
     def block_gm(self) -> float:
         """Total small-signal transconductance of the block, (gm_n + gm_p)/2
@@ -49,6 +47,12 @@ def gm_parasitic_capacitance(cgs_n, cgs_p, cdb_n, cdb_p, cgd_n, cgd_p) -> float:
     return (cgs_n + cgs_p + cdb_n + cdb_p) / 2.0 + 2.0 * (cgd_n + cgd_p)
 
 
+def gm_for_boost(q_off: float, q_on_target: float, r_parallel: float) -> float:
+    """Block transconductance that boosts q_off to q_on_target across the
+    parallel ring loss r_parallel: (1 - Q_off/Q_on)/R [S]."""
+    return (1.0 - q_off / q_on_target) / r_parallel
+
+
 @dataclass(frozen=True)
 class AsrrState:
     """A ring resonator plus its enabled negative-gm block."""
@@ -59,6 +63,45 @@ class AsrrState:
     def __post_init__(self):
         if self.gm.block_gm() * self.r_srr_parallel() >= 1.0:
             raise ValueError("oscillation: loop gain >= 1 (gm * R >= 1)")
+
+    @classmethod
+    def from_targets(cls, f0, lsrr, q_off, *, q_on=None, gm0=None, k=None,
+                     line: TransmissionLineSection | None = None, c_asrr=None, c_gm=None,
+                     vdd=1.0, vth=0.3, kn_wl=None, kp_wl=None, **device) -> AsrrState:
+        """The operating point of an active pixel at f0 [Hz].
+
+        Give the boost either as a target q_on or as the block's gm0.  The
+        total capacitance defaults to resonance with lsrr at f0 and the block
+        takes 0.3 of it (c_gm); the device slopes default to
+        gm0/(vdd/2 - vth), or 1e-3 A/V^2 without overdrive.  k defaults to
+        the matched coupling beta_l*k^2*Q_on = 1 for the realized Q_on,
+        which needs the line.  Extra keywords (kf, gamma, lam) go to
+        GmBlockParams.
+        """
+        if (q_on is None) == (gm0 is None):
+            raise ValueError("give exactly one of q_on and gm0")
+        if k is None and line is None:
+            raise ValueError("the matched coupling needs the line")
+        w0 = 2.0 * math.pi * f0
+        if c_asrr is None:
+            c_asrr = 1.0 / (w0 * w0 * lsrr)
+        if c_gm is None:
+            c_gm = 0.3 * c_asrr
+        csrr = c_asrr - c_gm
+        if not csrr > 0:
+            raise ValueError("c_gm must stay below the total resonating capacitance")
+        if gm0 is None:
+            gm0 = gm_for_boost(q_off, q_on, w0 * lsrr * q_off)
+        kwl = gm0 / (vdd / 2.0 - vth) if vdd / 2.0 > vth else 1e-3
+        gm = GmBlockParams(gm0=gm0, kn_wl=kwl if kn_wl is None else kn_wl,
+                           kp_wl=kwl if kp_wl is None else kp_wl,
+                           vdd=vdd, vth=vth, c_gm=c_gm, **device)
+        srr = SrrParams(lsrr=lsrr, csrr=csrr, q_off=q_off, k=0.0 if k is None else k)
+        state = cls(srr=srr, gm=gm)
+        if k is None:  # the boost does not depend on k; effective_srr() carries Q_on
+            k = optimum_k_for_q(state.effective_srr().q_off, line, state.w0)
+            state = cls(srr=replace(srr, k=k), gm=gm)
+        return state
 
     @property
     def c_asrr(self) -> float:

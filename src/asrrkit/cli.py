@@ -18,9 +18,9 @@ import sys
 import numpy as np
 
 from . import __version__, active, noise, resonator, validate
-from .active import AsrrState, GmBlockParams
+from .active import AsrrState
 from .config import ConfigError, optional, parse_config_file, require
-from .design import DesignSpec, InfeasibleDesignError, synthesize, power_estimate
+from .design import DesignSpec, InfeasibleDesignError, synthesize
 from .resonator import SrrParams, TransmissionLineSection
 from .sweepio import (
     fmt,
@@ -36,6 +36,13 @@ EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 
 GRID_POINTS_PER_BANDWIDTH = 100  # keeps spacing <= w0/(100*Q)
+
+# optional config keys -> AsrrState.from_targets keywords; absent keys take
+# its defaults
+STATE_KEYS = {"k": "k", "c_asrr": "c_asrr", "c_gm": "c_gm", "vdd": "vdd", "vth": "vth",
+              "kn_wl": "kn_wl", "kp_wl": "kp_wl", "kf": "kf", "gamma": "gamma",
+              "lambda": "lam"}
+MATCH_TOL = 1e-6  # largest |beta_l*k^2*Q_on - 1| the matched closed forms accept
 
 
 def _say(args, msg):
@@ -79,52 +86,31 @@ def _build_srr(cfg, line) -> tuple[SrrParams, float]:
     return srr, w0
 
 
-def _build_state(cfg) -> tuple[AsrrState, TransmissionLineSection, float]:
-    """Active pixel from config: q_off plus either gm0 or q_on."""
+def _matched_state(cfg) -> tuple[AsrrState, TransmissionLineSection]:
+    """Active pixel from config: q_off plus either gm0 or q_on.  nonlin,
+    noise and snr use the matched-coupling closed forms, so a k off the
+    locus beta_l*k^2*Q_on = 1 is refused."""
     f0 = require(cfg, "f0")
-    w0 = 2.0 * math.pi * f0
-    line = _build_line(cfg, w0)
-    lsrr = require(cfg, "lsrr")
-    c_gm = optional(cfg, "c_gm", None)
-    c_asrr = optional(cfg, "c_asrr", None)
-    if c_asrr is None:
-        c_asrr = 1.0 / (w0 * w0 * lsrr)
-    if c_gm is None:
-        c_gm = 0.3 * c_asrr
-    csrr = c_asrr - c_gm
-    if csrr <= 0:
-        raise ConfigError("c_gm must stay below the total resonating capacitance")
-    q_off = require(cfg, "q_off")
-    r_par = w0 * lsrr * q_off
-    gm0 = optional(cfg, "gm0", None)
-    if gm0 is None:
-        q_on_target = require(cfg, "q_on")
-        gm0 = (1.0 - q_off / q_on_target) / r_par
-    vdd = optional(cfg, "vdd", 1.0)
-    vth = optional(cfg, "vth", 0.3)
-    kwl_default = gm0 / (vdd / 2.0 - vth) if vdd / 2.0 > vth else 1e-3
-    gm = GmBlockParams(
-        gm0=gm0,
-        kn_wl=optional(cfg, "kn_wl", kwl_default),
-        kp_wl=optional(cfg, "kp_wl", kwl_default),
-        vdd=vdd,
-        vth=vth,
-        c_gm=c_gm,
-        kf=optional(cfg, "kf", 1e-10),
-        gamma=optional(cfg, "gamma", 1.0),
-        lam=optional(cfg, "lambda", 0.0),
-    )
-    k = optional(cfg, "k", None)
-    srr = SrrParams(lsrr=lsrr, csrr=csrr, q_off=q_off, k=k if k is not None else 0.1)
-    state = AsrrState(srr=srr, gm=gm)
-    if k is None:
-        k = resonator.optimum_k_for_q(active.q_on(state), line, state.w0)
-        srr = SrrParams(lsrr=lsrr, csrr=csrr, q_off=q_off, k=k)
-        state = AsrrState(srr=srr, gm=gm)
-    return state, line, w0
+    line = _build_line(cfg, 2.0 * math.pi * f0)
+    lsrr, q_off = require(cfg, "lsrr"), require(cfg, "q_off")
+    boost = {"gm0": require(cfg, "gm0")} if "gm0" in cfg else {"q_on": require(cfg, "q_on")}
+    extra = {arg: require(cfg, key) for key, arg in STATE_KEYS.items() if key in cfg}
+    state = AsrrState.from_targets(f0, lsrr, q_off, line=line, **boost, **extra)
+    residual = abs(line.beta_l(state.w0) * state.srr.k**2 * active.q_on(state) - 1.0)
+    if not residual <= MATCH_TOL:
+        raise ConfigError(
+            f"k = {state.srr.k:g} is off the matched locus: |beta_l*k^2*q_on - 1| = "
+            f"{residual:.3g} > {MATCH_TOL:g}; nonlin, noise and snr assume matched coupling"
+        )
+    return state, line
 
 
-def _grid(args, cfg, w0, q) -> np.ndarray:
+def _flicker_band(cfg) -> tuple[float, float]:
+    return (optional(cfg, "f_lo", noise.FLICKER_BAND[0]),
+            optional(cfg, "f_hi", noise.FLICKER_BAND[1]))
+
+
+def _grid(args, w0, q) -> np.ndarray:
     if args.grid:
         try:
             start, stop, count = args.grid.split(":")
@@ -134,16 +120,13 @@ def _grid(args, cfg, w0, q) -> np.ndarray:
         if not (0 < f_lo < f_hi and n >= 2):
             raise ConfigError("grid needs 0 < START < STOP and N >= 2")
         return 2.0 * np.pi * np.linspace(f_lo, f_hi, n)
-    span = 3.0 * w0 / q
-    step = w0 / (GRID_POINTS_PER_BANDWIDTH * q)
-    n = (2 * int(span / step)) | 1
-    return np.linspace(w0 - span, w0 + span, n)
+    return resonator.auto_grid(w0, q, 3.0, GRID_POINTS_PER_BANDWIDTH)
 
 
 def cmd_sweep(args, cfg):
     line = _build_line(cfg, 2.0 * math.pi * require(cfg, "f0"))
     srr, w0 = _build_srr(cfg, line)
-    grid = _grid(args, cfg, w0, srr.q_off)
+    grid = _grid(args, w0, srr.q_off)
     sweep = resonator.s_parameters(srr, line, grid, z0_ref=optional(cfg, "z0", line.z0))
     out = _outdir(args)
     paths = []
@@ -192,7 +175,7 @@ def cmd_match(args, cfg):
 
 
 def cmd_nonlin(args, cfg):
-    state, line, w0 = _build_state(cfg)
+    state, _ = _matched_state(cfg)
     p_lin = active.linear_power_limit(state)
     p_lo = optional(cfg, "p_in_min", 0.01 * p_lin)
     p_hi = optional(cfg, "p_in_max", 30.0 * p_lin)
@@ -215,7 +198,7 @@ def cmd_nonlin(args, cfg):
 
 
 def cmd_noise(args, cfg):
-    state, line, w0 = _build_state(cfg)
+    state, line = _matched_state(cfg)
     z0 = optional(cfg, "z0", line.z0)
     ctx = noise.NoiseContext(
         state=state,
@@ -223,7 +206,7 @@ def cmd_noise(args, cfg):
         p_in=optional(cfg, "p_in", 10e-6),
         temperature=optional(cfg, "temperature", 290.0),
         delta_omega_s=2.0 * math.pi * optional(cfg, "delta_f_s", 20e6),
-        flicker_band=(optional(cfg, "f_lo", 1.0), optional(cfg, "f_hi", 1e3)),
+        flicker_band=_flicker_band(cfg),
     )
     q = active.q_on(state)
     results = []
@@ -245,10 +228,7 @@ def cmd_noise(args, cfg):
     write_noise_csv(noise_path, results)
 
     # PM-to-AM conversion vs carrier detuning
-    span = 2.0 * state.w0 / q
-    step = state.w0 / (200.0 * q)
-    n = (2 * int(span / step)) | 1
-    grid = np.linspace(state.w0 - span, state.w0 + span, n)
+    grid = resonator.auto_grid(state.w0, q, 2.0, 200.0)
     sweep = resonator.s_parameters(state.effective_srr(), line, grid, z0_ref=z0)
     rows = []
     offset = 2.0 * math.pi * optional(cfg, "pm_am_offset", 1e6)
@@ -265,8 +245,8 @@ def cmd_noise(args, cfg):
 
 
 def cmd_snr(args, cfg):
-    state, line, w0 = _build_state(cfg)
-    band = (optional(cfg, "f_lo", 1.0), optional(cfg, "f_hi", 1e3))
+    state, _ = _matched_state(cfg)
+    band = _flicker_band(cfg)
     kf = state.gm.kf
     snr_c = noise.snr_delta_c(state, kf, band)
     snr_r = noise.snr_delta_r(state, kf, band, optional(cfg, "delta_r_ref", 1.0))
@@ -305,7 +285,7 @@ def cmd_design(args, cfg):
         l_srr_max=require(cfg, "l_srr_max"),
         q_off=optional(cfg, "q_off", 10.0),
         cap_weight=optional(cfg, "cap_weight", 1.0),
-        flicker_band=(optional(cfg, "f_lo", 1.0), optional(cfg, "f_hi", 1e3)),
+        flicker_band=_flicker_band(cfg),
     )
     try:
         result = synthesize(spec)
@@ -336,7 +316,7 @@ def cmd_design(args, cfg):
         f"  achieved SNR dC     : {result.snr_dc:.1f}",
         f"  achieved SNR dR     : {result.snr_dr:.1f}",
         f"  linear input power  : {result.p_in_lin * 1e6:.2f} uW",
-        f"  supply power        : {power_estimate(result) * 1e6:.2f} uW",
+        f"  supply power        : {result.power_estimate * 1e6:.2f} uW",
     ]
     for note in result.notes:
         lines.append(f"  note: {note}")

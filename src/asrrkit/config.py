@@ -7,6 +7,7 @@ as already-SI.
 
 from __future__ import annotations
 
+import math
 import re
 
 
@@ -36,15 +37,20 @@ def _unit_multiplier(token: str) -> float:
 
 
 def parse_quantity(text: str) -> float:
-    """`"200 GHz"` -> 2e11; `"54.1pH"` -> 5.41e-11; bare numbers pass through."""
+    """`"200 GHz"` -> 2e11; `"54.1pH"` -> 5.41e-11; bare numbers pass through.
+    A value that overflows to infinity is refused."""
     text = text.strip()
     if _NUMBER.match(text):
-        return float(text)
-    m = re.match(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*(.+)$", text)
-    if not m:
-        raise ConfigError(f"cannot parse quantity {text!r}")
-    value, unit = m.groups()
-    return float(value) * _unit_multiplier(unit.strip())
+        value = float(text)
+    else:
+        m = re.match(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*(.+)$", text)
+        if not m:
+            raise ConfigError(f"cannot parse quantity {text!r}")
+        number, unit = m.groups()
+        value = float(number) * _unit_multiplier(unit.strip())
+    if not math.isfinite(value):
+        raise ConfigError(f"quantity {text!r} is not finite")
+    return value
 
 
 def parse_config_text(text: str) -> dict:

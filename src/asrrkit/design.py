@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 
 from .resonator import (
     K_GEOMETRIC_LIMIT,
-    SrrParams,
     TransmissionLineSection,
+    check_positive,
     k_max_for_il,
+    optimum_k_for_q,
     q_on_min,
 )
-from .active import AsrrState, GmBlockParams
-from .noise import flicker_rms
+from .active import gm_for_boost
+from .noise import FLICKER_BAND, flicker_rms
 
 # relative tolerance of the loss-resistance search
 _SEARCH_RTOL = 1e-6
@@ -61,16 +62,14 @@ class DesignSpec:
     l_srr_max: float  # resolution-driven inductance ceiling [H]
     q_off: float = 10.0  # technology-given unloaded quality factor
     cap_weight: float = 1.0  # effective weighting of gate area into ring loading
-    flicker_band: tuple = (1.0, 1e3)  # [Hz]
+    flicker_band: tuple = FLICKER_BAND  # [Hz]
     gamma: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.il_budget < 1.0:
             raise ValueError("il_budget must lie in (0, 1)")
-        for name in ("f0", "snr_dc_target", "snr_dr_target", "delta_r_ref", "z0",
-                     "kn", "kp", "vth", "vdd", "kf_area", "c_per_area", "l_srr_max", "q_off"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        check_positive(self, "f0", "snr_dc_target", "snr_dr_target", "delta_r_ref", "z0",
+                       "kn", "kp", "vth", "vdd", "kf_area", "c_per_area", "l_srr_max", "q_off")
         if self.n_pixels < 1:
             raise ValueError("n_pixels must be at least 1")
 
@@ -95,34 +94,11 @@ class DesignResult:
     alpha_1_over_f: float
     kf_device: float  # [V^2]
     v_fn_rms: float  # [V]
-    vdd: float  # [V], bias the estimates assume
-    vth: float  # [V]
     snr_dc: float
     snr_dr: float
     p_in_lin: float  # [W]
-    power_estimate: float  # [W]
-    feasible: bool = True
+    power_estimate: float  # [W], square-law supply power
     notes: tuple = field(default_factory=tuple)
-
-    def as_state(self) -> AsrrState:
-        """Rebuild the analysis-side state this design describes.  Needs an
-        actively boosted design (gm_required > 0)."""
-        srr = SrrParams(lsrr=self.l_srr, csrr=self.c_srr, q_off=self._q_off, k=self.k)
-        gm = GmBlockParams(
-            gm0=self.gm_required,
-            kn_wl=self.gm_required / (self.vdd / 2.0 - self.vth),
-            kp_wl=self.gm_required / (self.vdd / 2.0 - self.vth),
-            vdd=self.vdd,
-            vth=self.vth,
-            c_gm=self.c_gm,
-            kf=self.kf_device,
-        )
-        return AsrrState(srr=srr, gm=gm)
-
-    @property
-    def _q_off(self) -> float:
-        # q_off is recoverable from the boost relation
-        return self.q_on * (1.0 - self.gm_required * self.r_srr)
 
 
 def _evaluate_chain(spec: DesignSpec, r_srr: float, q_on: float, w0: float):
@@ -132,7 +108,7 @@ def _evaluate_chain(spec: DesignSpec, r_srr: float, q_on: float, w0: float):
     c_gm = (1.0 - _RING_CAP_SHARE) * c_asrr
     # two devices of each flavor load the ring; one effective area coefficient
     gate_area = c_gm / (2.0 * spec.cap_weight * spec.c_per_area)
-    gm = (1.0 - spec.q_off / q_on) / r_srr if q_on > spec.q_off else 0.0
+    gm = gm_for_boost(spec.q_off, q_on, r_srr) if q_on > spec.q_off else 0.0
     overdrive = spec.vdd / 2.0 - spec.vth
     if overdrive <= 0:
         raise InfeasibleDesignError(
@@ -194,7 +170,7 @@ def synthesize(spec: DesignSpec) -> DesignResult:
     else:
         # budget so loose that no boosting is needed; stay on the matched locus
         q_on = spec.q_off
-        k = 1.0 / math.sqrt(spec.line.beta_l(w0) * q_on)
+        k = optimum_k_for_q(q_on, spec.line, w0)  # below k_max < 1 here, so it never raises
         notes.append("loss budget loose: matched at the unboosted quality factor")
     if k > K_GEOMETRIC_LIMIT:
         raise InfeasibleDesignError(
@@ -265,8 +241,6 @@ def synthesize(spec: DesignSpec) -> DesignResult:
         alpha_1_over_f=ch["alpha"],
         kf_device=ch["kf_dev"],
         v_fn_rms=ch["v_rms"],
-        vdd=spec.vdd,
-        vth=spec.vth,
         snr_dc=ch["snr_dc"],
         snr_dr=ch["snr_dr"],
         p_in_lin=(9.0 / 8.0) * spec.vth**2 / (w0 * ch["l_srr"] * q_on),
@@ -287,22 +261,3 @@ def power_from_gm_slope(gm: float, vdd: float, vth: float) -> float:
         return 0.0
     return vdd * gm * overdrive
 
-
-def power_estimate(result: DesignResult, vdd: float | None = None) -> float:
-    """Supply power of a synthesized block [W], square-law estimate.
-
-    Re-evaluates the bias current from the design's device slope
-    K*(W/L) = gm/(vdd_design/2 - vth) at the requested supply, so doubling
-    vdd more than doubles the power (quadratic overdrive).
-    """
-    if vdd is None:
-        vdd = result.vdd
-    kn_wl = (
-        result.gm_required / (result.vdd / 2.0 - result.vth)
-        if result.gm_required > 0
-        else 0.0
-    )
-    overdrive = vdd / 2.0 - result.vth
-    if overdrive <= 0 or kn_wl == 0.0:
-        return 0.0
-    return vdd * kn_wl * overdrive**2

@@ -19,9 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .active import AsrrState, boosted_resistance, q_on
-from .resonator import TwoPortSweep
+from .resonator import TwoPortSweep, check_positive
 
 BOLTZMANN = 1.380649e-23  # [J/K]
+
+FLICKER_BAND = (1.0, 1e3)  # default flicker RMS integration band [Hz]
 
 
 def five_point_derivative(y, x):
@@ -51,16 +53,15 @@ class NoiseContext:
     p_in: float  # incident carrier power [W]
     temperature: float = 290.0  # [K]
     delta_omega_s: float = 0.0  # sample-induced resonance offset [rad/s]
-    flicker_band: tuple = (1.0, 1e3)  # RMS integration band [Hz]
+    flicker_band: tuple = FLICKER_BAND  # RMS integration band [Hz]
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        check_positive(self, "temperature", "p_in", "z0")
+        if not math.isfinite(self.delta_omega_s):
+            raise ValueError("delta_omega_s must be finite")
         f_lo, f_hi = self.flicker_band
-        if not 0 < f_lo < f_hi:
-            raise ValueError("flicker band needs f_hi > f_lo > 0")
-        if self.p_in <= 0 or self.z0 <= 0:
-            raise ValueError("p_in and z0 must be positive")
+        if not 0 < f_lo < f_hi < math.inf:
+            raise ValueError("flicker band needs finite f_hi > f_lo > 0")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ functions are pure; frequency arguments accept scalars or numpy arrays.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -26,6 +27,15 @@ Q_CAP = 1e9
 K_GEOMETRIC_LIMIT = 0.25
 
 
+def check_positive(obj, *names):
+    """Raise ValueError unless each named attribute of obj is positive and
+    finite; written so that NaN fails too."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TransmissionLineSection:
     """Lumped model of the line segment a single resonator couples to."""
@@ -35,8 +45,7 @@ class TransmissionLineSection:
     length: float  # physical segment length [m]
 
     def __post_init__(self):
-        if self.ltl <= 0 or self.ctl <= 0 or self.length <= 0:
-            raise ValueError("transmission line parameters must be positive")
+        check_positive(self, "ltl", "ctl", "length")
 
     @property
     def z0(self) -> float:
@@ -77,8 +86,7 @@ class SrrParams:
     k: float  # magnetic coupling coefficient to the line
 
     def __post_init__(self):
-        if self.lsrr <= 0 or self.csrr <= 0 or self.q_off <= 0:
-            raise ValueError("lsrr, csrr and q_off must be positive")
+        check_positive(self, "lsrr", "csrr", "q_off")
         if not 0.0 <= self.k < 1.0:
             raise ValueError("coupling coefficient k must satisfy 0 <= k < 1")
 
@@ -118,8 +126,7 @@ class EquivalentResonator:
     c_eq: float  # [F]
 
     def __post_init__(self):
-        if self.r_eq <= 0 or self.l_eq <= 0 or self.c_eq <= 0:
-            raise ValueError("equivalent resonator values must be positive")
+        check_positive(self, "r_eq", "l_eq", "c_eq")
 
     @property
     def w0(self) -> float:
@@ -248,6 +255,15 @@ def s_parameters(
         z = z + 1j * freqs * line.ltl
     denom = z + 2.0 * z0_ref
     return TwoPortSweep(freqs=freqs, s11=z / denom, s21=2.0 * z0_ref / denom, z0_ref=z0_ref)
+
+
+def auto_grid(w0: float, q: float, half_span: float, points_per_bandwidth: float) -> np.ndarray:
+    """Odd-count grid symmetric about w0: half_span bandwidths w0/q either
+    side, spacing at most w0/(points_per_bandwidth * q)."""
+    span = half_span * w0 / q
+    step = w0 / (points_per_bandwidth * q)
+    n = (2 * int(span / step)) | 1
+    return np.linspace(w0 - span, w0 + span, n)
 
 
 def optimum_q_for_k(k: float, line: TransmissionLineSection, w0: float) -> float:

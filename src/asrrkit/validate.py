@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import active, noise, oracle, resonator
-from .active import AsrrState, GmBlockParams
+from .active import AsrrState
 from .design import DesignSpec, InfeasibleDesignError, synthesize
 from .resonator import SrrParams, TransmissionLineSection
 
@@ -44,7 +44,6 @@ class Fixture:
     q_on: float = 54.0
     z0: float = 50.0
     beta_l: float = 0.35
-    c_gm_share: float = 0.3  # fraction of c_asrr contributed by the devices
     vdd: float = 1.0
     vth: float = 0.3
     kf: float = 1e-10
@@ -62,32 +61,20 @@ class Fixture:
     def k_value(self) -> float:
         if self.k is not None:
             return self.k
-        return 1.0 / math.sqrt(self.beta_l * self.q_on)
+        return resonator.optimum_k_for_q(self.q_on, self.line(), self.w0)
 
     def line(self) -> TransmissionLineSection:
         return TransmissionLineSection.from_electrical(self.z0, self.beta_l, self.w0, length=30e-6)
 
-    def gm_params(self, q_on=None, kwl=None) -> GmBlockParams:
-        """Block sized for the boost target; pass kwl to pin the device
-        slopes while the bias (gm0) tunes the quality factor."""
-        q = self.q_on if q_on is None else q_on
-        r_par = self.w0 * self.lsrr * self.q_off
-        gm0 = (1.0 - self.q_off / q) / r_par
-        if kwl is None:
-            kwl = gm0 / (self.vdd / 2.0 - self.vth)
-        return GmBlockParams(
-            gm0=gm0, kn_wl=kwl, kp_wl=kwl, vdd=self.vdd, vth=self.vth,
-            c_gm=self.c_gm_share * self.c_asrr, kf=self.kf, gamma=self.gamma,
-        )
-
     def state(self, q_on=None, kwl=None) -> AsrrState:
-        srr = SrrParams(
-            lsrr=self.lsrr,
-            csrr=(1.0 - self.c_gm_share) * self.c_asrr,
-            q_off=self.q_off,
-            k=self.k_value(),
+        """Active pixel boosted to q_on (default the fixture's own), coupling
+        kept matched at the fixture's q_on; pass kwl to pin the device slopes
+        while the bias (gm0) tunes the quality factor."""
+        return AsrrState.from_targets(
+            self.f0, self.lsrr, self.q_off, q_on=self.q_on if q_on is None else q_on,
+            k=self.k_value(), c_asrr=self.c_asrr, vdd=self.vdd, vth=self.vth,
+            kn_wl=kwl, kp_wl=kwl, kf=self.kf, gamma=self.gamma,
         )
-        return AsrrState(srr=srr, gm=self.gm_params(q_on=q_on, kwl=kwl))
 
     def boosted_srr(self) -> SrrParams:
         """The resonator as the line sees it with the block on."""
@@ -128,10 +115,10 @@ def _random_matched(rng):
     z0 = rng.uniform(40.0, 75.0)
     q = rng.uniform(20.0, 300.0)
     beta_l = rng.uniform(max(0.08, 2.8 / q), 0.5)
-    k = 1.0 / math.sqrt(beta_l * q)
-    lsrr = rng.uniform(20e-12, 200e-12)
-    srr = SrrParams(lsrr=lsrr, csrr=1.0 / (w0**2 * lsrr), q_off=q, k=k)
     line = TransmissionLineSection.from_electrical(z0, beta_l, w0, length=30e-6)
+    lsrr = rng.uniform(20e-12, 200e-12)
+    srr = SrrParams(lsrr=lsrr, csrr=1.0 / (w0**2 * lsrr), q_off=q,
+                    k=resonator.optimum_k_for_q(q, line, w0))
     return srr, line, w0, z0
 
 
@@ -361,7 +348,7 @@ def check_detection_band(rng, fx: Fixture) -> CheckResult:
 def check_nonlinear_gm(rng, fx: Fixture) -> CheckResult:
     """Cycle-averaged transconductance against the time-domain quadrature,
     the large-swing shortcut, and the compressed quality factor."""
-    p = fx.gm_params()
+    p = fx.state().gm
     worst = 0.0
     for v in np.linspace(0.0, 3.0 * p.vth, 50):
         exact = active.gm_avg_exact(v, p)
@@ -394,7 +381,7 @@ def check_nonlinear_gm(rng, fx: Fixture) -> CheckResult:
 def check_noise_laws(rng, fx: Fixture) -> CheckResult:
     """Quadratic Q scaling of the slope sensitivities and the dB laws of
     the phase-noise transfers."""
-    kwl = fx.gm_params().kn_wl  # device geometry fixed, bias tunes the boost
+    kwl = fx.state().gm.kn_wl  # device geometry fixed, bias tunes the boost
     st1 = fx.state(q_on=50.0, kwl=kwl)
     st2 = fx.state(q_on=100.0, kwl=kwl)
     q1, q2 = active.q_on(st1), active.q_on(st2)
@@ -438,10 +425,8 @@ def check_pm_to_am(rng, fx: Fixture) -> CheckResult:
     inflection."""
     srr, line = fx.boosted_srr(), fx.line()
     w0, q = fx.w0, fx.q_on
-    span = 3.0 * w0 / q
     step = w0 / (200.0 * q)
-    n = int(2 * span / step) | 1  # odd count, grid symmetric about w0
-    grid = np.linspace(w0 - span, w0 + span, n)
+    grid = resonator.auto_grid(w0, q, 3.0, 200.0)
     sweep = resonator.s_parameters(srr, line, grid, z0_ref=fx.z0)
     gain_at_res = noise.pm_to_am_gain(sweep, w0, 2.0 * math.pi * 1e6)
 
@@ -473,7 +458,7 @@ def check_snr_invariance(rng, fx: Fixture) -> CheckResult:
     """SNR formulas ignore the sample detuning (bit-exact) and agree with
     the constituent-operation chain."""
     state = fx.state()
-    band = (1.0, 1e3)
+    band = noise.FLICKER_BAND
     kf = fx.kf
     snrs_c = []
     snrs_r = []
@@ -534,7 +519,10 @@ def check_design_roundtrip(rng, fx: Fixture) -> CheckResult:
     own SNRs, the matched locus holds, and infeasible specs fail by name."""
     spec = reference_design_spec()
     result = synthesize(spec)
-    state = result.as_state()
+    state = AsrrState.from_targets(
+        spec.f0, result.l_srr, spec.q_off, q_on=result.q_on, k=result.k, c_asrr=result.c_asrr,
+        c_gm=result.c_gm, vdd=spec.vdd, vth=spec.vth, kf=result.kf_device,
+    )
     band = spec.flicker_band
     err_c = abs(noise.snr_delta_c(state, result.kf_device, band) / result.snr_dc - 1.0)
     err_r = abs(

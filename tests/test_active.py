@@ -196,7 +196,7 @@ class TestConductionAngle:
 
 class TestGmAverage:
     def test_linear_region_exact(self, fx):
-        p = fx.gm_params()
+        p = fx.state().gm
         for v in (0.0, 0.1, p.vth):
             assert active.gm_avg_exact(v, p) == p.gm0
             assert active.gm_avg_approx(v, p) == p.gm0
@@ -204,7 +204,7 @@ class TestGmAverage:
     def test_continuity_at_threshold(self, fx):
         # the average has a sqrt-shaped onset at vth, so the one-sided limit
         # is checked by extrapolating in sqrt(step); both limits are gm0
-        p = fx.gm_params()
+        p = fx.state().gm
         assert active.gm_avg_exact(p.vth, p) == p.gm0
         assert active.gm_avg_exact(p.vth * (1 - 1e-15), p) == p.gm0
         e1, e2 = 1e-9, 1e-11
@@ -215,18 +215,18 @@ class TestGmAverage:
         assert abs(right_limit - p.gm0) < 1e-12 * p.gm0
 
     def test_monotone_above_threshold(self, fx):
-        p = fx.gm_params()
+        p = fx.state().gm
         vals = [active.gm_avg_exact(v, p) for v in np.linspace(p.vth, 4 * p.vth, 200)]
         assert all(b <= a + 1e-18 for a, b in zip(vals, vals[1:]))
 
     def test_matches_time_domain_average(self, fx):
-        p = fx.gm_params()
+        p = fx.state().gm
         for v in np.linspace(0.0, 3 * p.vth, 25):
             quad = time_avg_gm(v, p, samples=100_000)
             assert active.gm_avg_exact(v, p) == pytest.approx(quad, rel=5e-3)
 
     def test_approx_within_5pct_at_4vth(self, fx):
-        p = fx.gm_params()
+        p = fx.state().gm
         v = 4 * p.vth
         exact = active.gm_avg_exact(v, p)
         assert abs(exact - active.gm_avg_approx(v, p)) / abs(exact) < 0.05
@@ -312,6 +312,47 @@ class TestArgumentGuards:
         with pytest.raises(ValueError, match="lam"):
             GmBlockParams(gm0=1e-3, kn_wl=1e-3, kp_wl=1e-3, vdd=1.0, vth=0.3,
                           c_gm=1e-15, lam=-0.1)
+
+    @pytest.mark.parametrize("name", ["gm0", "kn_wl", "vdd", "vth", "c_gm", "kf", "lam"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_gm_params_reject_non_finite(self, name, bad):
+        good = dict(gm0=1e-3, kn_wl=1e-3, kp_wl=1e-3, vdd=1.0, vth=0.3, c_gm=1e-15)
+        with pytest.raises(ValueError, match=name):
+            GmBlockParams(**{**good, name: bad})
+
+
+class TestFromTargets:
+    def test_gm0_and_q_on_targets_agree(self, fx):
+        by_q = fx.state()
+        by_gm = AsrrState.from_targets(fx.f0, fx.lsrr, fx.q_off, gm0=by_q.gm.gm0,
+                                       line=fx.line(), c_asrr=fx.c_asrr)
+        assert by_gm.gm == by_q.gm
+        assert by_gm.srr.k == pytest.approx(by_q.srr.k, rel=1e-12)
+
+    def test_exactly_one_boost_target(self, fx):
+        for kw in ({}, {"q_on": 54.0, "gm0": 1e-3}):
+            with pytest.raises(ValueError, match="exactly one"):
+                AsrrState.from_targets(fx.f0, fx.lsrr, fx.q_off, line=fx.line(), **kw)
+
+    def test_default_k_is_matched_at_the_realized_boost(self, fx):
+        st = AsrrState.from_targets(fx.f0, fx.lsrr, fx.q_off, q_on=80.0, line=fx.line())
+        locus = fx.line().beta_l(st.w0) * st.srr.k**2 * active.q_on(st)
+        assert locus == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError, match="line"):
+            AsrrState.from_targets(fx.f0, fx.lsrr, fx.q_off, q_on=80.0)
+
+    def test_capacitance_split_and_slope_fallback(self, fx):
+        st = AsrrState.from_targets(fx.f0, fx.lsrr, fx.q_off, q_on=54.0, k=0.2, vdd=0.5)
+        c_total = 1.0 / ((2 * math.pi * fx.f0) ** 2 * fx.lsrr)
+        assert st.gm.c_gm == 0.3 * c_total
+        assert st.srr.csrr == c_total - st.gm.c_gm
+        # no overdrive (vdd/2 <= vth): the device slopes fall back to 1e-3
+        assert st.gm.kn_wl == st.gm.kp_wl == 1e-3
+        with pytest.raises(ValueError, match="c_gm"):
+            AsrrState.from_targets(fx.f0, fx.lsrr, fx.q_off, q_on=54.0, k=0.2, c_gm=2 * c_total)
+
+    def test_fixture_keeps_k_matched_at_its_own_q_on(self, fx):
+        assert fx.state(q_on=100.0).srr.k == fx.state().srr.k == fx.k_value()
 
 
 class TestParasiticCapacitance:

@@ -203,6 +203,26 @@ class TestDesignCmd:
         assert "coupling limit" in capsys.readouterr().err
 
 
+class TestMatchedCommands:
+    @pytest.mark.parametrize("command", ["nonlin", "noise", "snr"])
+    def test_off_locus_k_refused(self, tmp_path, capsys, command):
+        # matched k is 1/sqrt(0.35*54) = 0.230; these commands use the
+        # matched split, so an explicit off-locus k is a config error
+        cfg = write_config(tmp_path, REFERENCE_CONFIG + "k = 0.05\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "matched locus" in err and "0.953" in err
+        assert not list(tmp_path.glob("*.csv")) and not (tmp_path / "snr.txt").exists()
+
+    def test_explicit_matched_k_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, REFERENCE_CONFIG + f"k = {1 / math.sqrt(0.35 * 54)!r}\n")
+        assert main(["snr", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+
+    def test_non_finite_value_is_config_error(self, tmp_path):
+        cfg = write_config(tmp_path, REFERENCE_CONFIG.replace("200 GHz", "1e999 GHz"))
+        assert main(["snr", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
+
+
 class TestValidateCmd:
     def test_default_fixture_passes(self, tmp_path, capsys):
         assert main(["validate", "--quiet"]) == 0

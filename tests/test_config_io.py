@@ -39,6 +39,11 @@ class TestQuantities:
         with pytest.raises(ConfigError):
             parse_quantity("fast")
 
+    @pytest.mark.parametrize("text", ["1e999 GHz", "1e999", "1e300 TF", "-1e400 ohm"])
+    def test_non_finite_rejected(self, text):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_quantity(text)
+
 
 class TestConfigText:
     def test_basic_file(self):

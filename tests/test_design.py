@@ -4,13 +4,9 @@ import math
 import pytest
 
 from asrrkit import noise
-from asrrkit.design import (
-    InfeasibleDesignError,
-    power_estimate,
-    power_from_gm_slope,
-    synthesize,
-)
-from asrrkit.resonator import k_max_for_il, q_on_min
+from asrrkit.active import AsrrState
+from asrrkit.design import InfeasibleDesignError, power_from_gm_slope, synthesize
+from asrrkit.resonator import TransmissionLineSection, k_max_for_il, q_on_min
 from asrrkit.validate import reference_design_spec
 
 
@@ -34,7 +30,12 @@ class TestSynthesize:
 
     def test_roundtrip_through_analysis(self, spec):
         result = synthesize(spec)
-        state = result.as_state()
+        state = AsrrState.from_targets(
+            spec.f0, result.l_srr, spec.q_off, q_on=result.q_on, k=result.k,
+            c_asrr=result.c_asrr, c_gm=result.c_gm, vdd=spec.vdd, vth=spec.vth,
+            kf=result.kf_device,
+        )
+        assert state.gm.gm0 == pytest.approx(result.gm_required, rel=1e-12)
         snr_c = noise.snr_delta_c(state, result.kf_device, spec.flicker_band)
         snr_r = noise.snr_delta_r(state, result.kf_device, spec.flicker_band, spec.delta_r_ref)
         assert snr_c == pytest.approx(result.snr_dc, rel=1e-6)
@@ -99,8 +100,6 @@ class TestSynthesize:
         # a quality-factor floor below q_off needs no negative resistance;
         # matching an unboosted ring within the coupling cap takes a long
         # segment (beta*l*q_off >= 16)
-        from asrrkit.resonator import TransmissionLineSection
-
         w0 = 2 * math.pi * spec.f0
         long_line = TransmissionLineSection.from_electrical(spec.z0, 2.0, w0, length=120e-6)
         quiet = dataclasses.replace(
@@ -118,6 +117,17 @@ class TestSynthesize:
         assert result.k == pytest.approx(1 / math.sqrt(2.0 * 15.0), rel=1e-9)
         assert "loose" in " ".join(result.notes)
 
+    def test_loose_budget_over_geometric_limit_named(self, spec):
+        # loose branch (q floor 4 < q_off 10) whose matched k = 1/sqrt(0.5*10)
+        # exceeds the geometric limit: named, not a bare ValueError
+        w0 = 2 * math.pi * spec.f0
+        short = TransmissionLineSection.from_electrical(spec.z0, 0.5, w0, length=30e-6)
+        bad = dataclasses.replace(spec, line=short, il_budget=0.5556)
+        with pytest.raises(InfeasibleDesignError) as err:
+            synthesize(bad)
+        assert err.value.constraint == "coupling limit"
+        assert "k = 0.447" in err.value.detail
+
 
 class TestPowerEstimate:
     def test_zero_gm_zero_power(self):
@@ -127,17 +137,10 @@ class TestPowerEstimate:
         p1 = power_from_gm_slope(1e-3, 1.0, 0.3)
         assert power_from_gm_slope(2e-3, 1.0, 0.3) == pytest.approx(2 * p1, rel=1e-12)
 
-    def test_doubling_vdd_more_than_doubles(self, spec):
-        result = synthesize(spec)
-        p1 = power_estimate(result)
-        p2 = power_estimate(result, vdd=2 * result.vdd)
-        assert p2 > 2 * p1
-
     def test_result_power_matches_slope_form(self, spec):
         result = synthesize(spec)
         assert result.power_estimate == pytest.approx(
             power_from_gm_slope(result.gm_required, spec.vdd, spec.vth), rel=1e-12)
-        assert power_estimate(result) == pytest.approx(result.power_estimate, rel=1e-12)
 
 
 class TestSpecValidation:
@@ -148,3 +151,10 @@ class TestSpecValidation:
     def test_bad_pixel_count_rejected(self, spec):
         with pytest.raises(ValueError):
             dataclasses.replace(spec, n_pixels=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["f0", "il_budget", "snr_dc_target", "kn", "vdd",
+                                      "l_srr_max", "q_off"])
+    def test_non_finite_rejected(self, spec, name, bad):
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(spec, **{name: bad})

@@ -19,7 +19,7 @@ def make_ctx(fx, **kw):
 class TestWhiteNoise:
     def test_scales_linearly_with_q(self, fx):
         # fixed device (gm0, gamma), quality factor moved by the ring loss
-        kwl = fx.gm_params().kn_wl
+        kwl = fx.state().gm.kn_wl
         st1 = fx.state(q_on=30.0, kwl=kwl)
         gm_fixed = st1.gm
         st2_srr = SrrParams(st1.srr.lsrr, st1.srr.csrr, st1.srr.q_off / 2, st1.srr.k)
@@ -36,7 +36,7 @@ class TestWhiteNoise:
         ctx_hot = make_ctx(fx)
         import dataclasses
 
-        cold_gm = dataclasses.replace(fx.gm_params(), gamma=1e-20)
+        cold_gm = dataclasses.replace(fx.state().gm, gamma=1e-20)
         ctx_cold = make_ctx(fx, state=active.AsrrState(srr=fx.state().srr, gm=cold_gm))
         assert noise.white_output_noise_density(ctx_cold) \
             == pytest.approx(noise.white_output_noise_density(ctx_hot) * 1e-20, rel=1e-9)
@@ -80,7 +80,7 @@ class TestWhiteNoise:
         assert noise.detected_power(ctx) / ctx.p_in == pytest.approx(4 / 9, rel=1e-12)
 
     def test_ssb_rises_with_q(self, fx):
-        kwl = fx.gm_params().kn_wl
+        kwl = fx.state().gm.kn_wl
         vals = [noise.white_ssb_phase_noise(make_ctx(fx, state=fx.state(q_on=q, kwl=kwl)))
                 for q in (20.0, 54.0, 150.0)]
         assert vals[0] < vals[1] < vals[2]
@@ -96,7 +96,7 @@ class TestFlickerDecomposition:
         assert v2 == v3 == v4 == pytest.approx(-1e-3, rel=1e-12)
 
     def test_kcl_residual(self, fx):
-        gm = fx.gm_params().gm0
+        gm = fx.state().gm.gm0
         v_fn = 4e-3
         v1, v2, v3, v4 = noise.flicker_gate_decomposition(v_fn)
         v_x = v2
@@ -106,13 +106,13 @@ class TestFlickerDecomposition:
 
 class TestSlopeSensitivities:
     def test_flicker_quadratic_in_q(self, fx):
-        kwl = fx.gm_params().kn_wl
+        kwl = fx.state().gm.kn_wl
         s50 = noise.flicker_sres_sensitivity(fx.state(q_on=50.0, kwl=kwl))
         s100 = noise.flicker_sres_sensitivity(fx.state(q_on=100.0, kwl=kwl))
         assert s100 / s50 == pytest.approx(4.0, abs=1e-9)
 
     def test_supply_quadratic_in_q(self, fx):
-        kwl = fx.gm_params().kn_wl
+        kwl = fx.state().gm.kn_wl
         s50 = noise.supply_sres_sensitivity(fx.state(q_on=50.0, kwl=kwl))
         s100 = noise.supply_sres_sensitivity(fx.state(q_on=100.0, kwl=kwl))
         assert s100 / s50 == pytest.approx(4.0, abs=1e-9)
@@ -366,6 +366,14 @@ class TestContextGuards:
             make_ctx(fx, flicker_band=(1e3, 1.0))
         with pytest.raises(ValueError, match="p_in"):
             make_ctx(fx, p_in=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["temperature", "p_in", "z0", "delta_omega_s",
+                                       "flicker_band"])
+    def test_context_rejects_non_finite(self, fx, field, bad):
+        value = (1.0, bad) if field == "flicker_band" else bad
+        with pytest.raises(ValueError, match="band" if field == "flicker_band" else field):
+            make_ctx(fx, **{field: value})
 
     def test_bad_offsets_rejected(self, fx):
         ctx = make_ctx(fx)

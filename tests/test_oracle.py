@@ -193,22 +193,22 @@ class TestPhaseExtrema:
 
 class TestTimeAvgGm:
     def test_small_swing_is_gm0(self, fx):
-        p = fx.gm_params()
+        p = fx.state().gm
         assert time_avg_gm(0.5 * p.vth, p) == pytest.approx(p.gm0, rel=1e-9)
 
     def test_sample_count_guard(self, fx):
         with pytest.raises(ValueError, match="samples"):
-            time_avg_gm(0.1, fx.gm_params(), samples=100)
+            time_avg_gm(0.1, fx.state().gm, samples=100)
 
     def test_convergence_on_doubling(self, fx):
-        p = fx.gm_params()
+        p = fx.state().gm
         v = 2.5 * p.vth
         a = time_avg_gm(v, p, samples=100_000)
         b = time_avg_gm(v, p, samples=200_000)
         assert abs(b - a) / abs(a) < 1e-6
 
     def test_deterministic(self, fx):
-        p = fx.gm_params()
+        p = fx.state().gm
         assert time_avg_gm(0.7, p) == time_avg_gm(0.7, p)
 
 

@@ -51,6 +51,21 @@ class TestTypes:
             (srr.w0 * srr.lsrr) ** 2, rel=1e-12
         )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("cls,good,name", [
+        (SrrParams, dict(lsrr=54e-12, csrr=11.7e-15, q_off=10.0, k=0.2), "lsrr"),
+        (SrrParams, dict(lsrr=54e-12, csrr=11.7e-15, q_off=10.0, k=0.2), "csrr"),
+        (SrrParams, dict(lsrr=54e-12, csrr=11.7e-15, q_off=10.0, k=0.2), "q_off"),
+        (SrrParams, dict(lsrr=54e-12, csrr=11.7e-15, q_off=10.0, k=0.2), "k"),
+        (TransmissionLineSection, dict(ltl=1.4e-11, ctl=5.6e-15, length=30e-6), "ltl"),
+        (TransmissionLineSection, dict(ltl=1.4e-11, ctl=5.6e-15, length=30e-6), "length"),
+        (EquivalentResonator, dict(r_eq=50.0, l_eq=1e-12, c_eq=1e-12), "r_eq"),
+        (EquivalentResonator, dict(r_eq=50.0, l_eq=1e-12, c_eq=1e-12), "c_eq"),
+    ])
+    def test_non_finite_rejected(self, cls, good, name, bad):
+        with pytest.raises(ValueError):
+            cls(**{**good, name: bad})
+
     def test_sweep_requires_increasing_grid(self):
         with pytest.raises(ValueError):
             TwoPortSweep(
