@@ -163,14 +163,18 @@ def synthesize(spec: DesignSpec) -> DesignResult:
         warnings.simplefilter("ignore")  # infeasibility is reported below instead
         k_max = k_max_for_il(spec.il_budget, spec.n_pixels, spec.line, spec.q_off, w0)
     notes = []
-    q_floor = q_on_min(k_max, spec.line, w0)
+    # a cap at k_max >= 1 cannot bind: no realizable coupling reaches it
+    q_floor = q_on_min(k_max, spec.line, w0) if k_max < 1.0 else 0.0
     if q_floor >= spec.q_off:
         k = k_max
         q_on = q_floor
     else:
         # budget so loose that no boosting is needed; stay on the matched locus
         q_on = spec.q_off
-        k = optimum_k_for_q(q_on, spec.line, w0)  # below k_max < 1 here, so it never raises
+        try:
+            k = optimum_k_for_q(q_on, spec.line, w0)
+        except ValueError as exc:  # matching q_off needs k >= 1
+            raise InfeasibleDesignError("coupling limit", str(exc)) from None
         notes.append("loss budget loose: matched at the unboosted quality factor")
     if k > K_GEOMETRIC_LIMIT:
         raise InfeasibleDesignError(

@@ -1,10 +1,11 @@
 """Independent numerical verifiers for the analytic models.
 
 A direct frequency-domain solve of the coupled circuit (no closed-form
-transforms), a Brent root finder, finite-difference helpers, and a
-time-domain average of the segmented large-signal transconductance.
-Everything here exists to check the analytic modules from a second route;
-the analytic modules never call into this one.
+transforms; one stacked numpy solve per frequency grid), a Brent root
+finder, finite-difference helpers, and a time-domain average of the
+segmented large-signal transconductance.  Everything here exists to
+check the analytic modules from a second route; the analytic modules never
+call into this one.
 
 All solvers are deterministic for fixed inputs.
 """
@@ -55,84 +56,66 @@ class MeshCircuit:
 
 
 def solve_linear(a, b):
-    """Solve a small dense complex system by Gaussian elimination with
-    partial pivoting.  b may hold multiple right-hand sides as columns."""
-    a = np.array(a, dtype=complex)
-    b = np.array(b, dtype=complex)
-    n = a.shape[0]
-    if b.ndim == 1:
-        b = b[:, None]
-    aug = np.hstack([a, b])
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(aug[col:, col])))
-        if np.abs(aug[piv, col]) < 1e-300:
-            raise ValueError("singular system at the active-instability boundary")
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        aug[col + 1 :] -= np.outer(aug[col + 1 :, col] / aug[col, col], aug[col])
-    x = np.zeros((n, b.shape[1]), dtype=complex)
-    for row in range(n - 1, -1, -1):
-        x[row] = (aug[row, n:] - aug[row, row + 1 : n] @ x[row + 1 :]) / aug[row, row]
-    return x if b.shape[1] > 1 else x[:, 0]
+    """Solve a dense complex system, or a stack of them, with numpy's LU
+    solver.
 
-
-def solve_two_port(circ: MeshCircuit, w: float) -> np.ndarray:
-    """Full 2x2 S-matrix at angular frequency w from the nodal/mesh system.
-
-    Unknowns are the port node voltages, the branch current through the
-    coupled segment, and the ring loop current; each port is driven in turn
-    behind z0 with the other port terminated, so reciprocity is an outcome
-    rather than an assumption.
+    a has shape (..., n, n).  b has shape (..., n) for one right-hand side
+    per system, or (..., n, m) for m of them as columns.  A singular system
+    -- one that LAPACK refuses or whose solution is not finite -- raises
+    ValueError: that is where the negative conductance cancels the ring
+    loss exactly.
     """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    vector = b.ndim == a.ndim - 1
+    try:
+        x = np.linalg.solve(a, b[..., None] if vector else b)
+        if not np.all(np.isfinite(x)):
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        raise ValueError("singular system at the active-instability boundary") from None
+    return x[..., 0] if vector else x
+
+
+def solve_two_port(circ: MeshCircuit, w) -> np.ndarray:
+    """Full S-matrices from the nodal/mesh system at angular frequency w.
+
+    w may be a scalar, giving one (2, 2) matrix, or an array, giving a stack
+    of shape w.shape + (2, 2) from one stacked solve.  Unknowns are the port
+    node voltages, the branch current through the coupled segment, and the
+    ring loop current; each port is driven in turn behind z0 with the other
+    port terminated, so reciprocity is an outcome rather than an assumption.
+    """
+    w = np.asarray(w, dtype=float)
     z0 = circ.z0
-    y_shunt = 1j * w * circ.ctl / 2.0
     yc = 1j * w * circ.csrr - circ.gm_neg
-    if yc == 0:
+    if np.any(yc == 0):
         raise ValueError("singular system at the active-instability boundary")
-    z_ring = circ.r_srr + 1j * w * circ.lsrr + 1.0 / yc
+    jw = 1j * w
 
     # rows: KCL at node 1, KCL at node 2, coupled-branch voltage, ring loop
-    a = np.array(
-        [
-            [1.0 / z0 + y_shunt, 0.0, 1.0, 0.0],
-            [0.0, 1.0 / z0 + y_shunt, -1.0, 0.0],
-            [1.0, -1.0, -1j * w * circ.ltl, -1j * w * circ.m],
-            [0.0, 0.0, 1j * w * circ.m, z_ring],
-        ],
-        dtype=complex,
-    )
+    a = np.zeros(w.shape + (4, 4), dtype=complex)
+    a[..., 0, 0] = a[..., 1, 1] = 1.0 / z0 + jw * circ.ctl / 2.0
+    a[..., 0, 2] = a[..., 2, 0] = 1.0
+    a[..., 1, 2] = a[..., 2, 1] = -1.0
+    a[..., 2, 2] = -jw * circ.ltl
+    a[..., 2, 3] = -jw * circ.m
+    a[..., 3, 2] = jw * circ.m
+    a[..., 3, 3] = circ.r_srr + jw * circ.lsrr + 1.0 / yc
     # drive port 1, then port 2, with unit source voltage
-    b = np.array(
-        [
-            [1.0 / z0, 0.0],
-            [0.0, 1.0 / z0],
-            [0.0, 0.0],
-            [0.0, 0.0],
-        ],
-        dtype=complex,
-    )
+    b = np.zeros(w.shape + (4, 2), dtype=complex)
+    b[..., 0, 0] = b[..., 1, 1] = 1.0 / z0
     x = solve_linear(a, b)
-    v1_d1, v2_d1 = x[0, 0], x[1, 0]
-    v1_d2, v2_d2 = x[0, 1], x[1, 1]
-    return np.array(
-        [
-            [2.0 * v1_d1 - 1.0, 2.0 * v1_d2],
-            [2.0 * v2_d1, 2.0 * v2_d2 - 1.0],
-        ],
-        dtype=complex,
-    )
+    # S_ij = 2*V_i(drive j) - delta_ij
+    return 2.0 * x[..., :2, :] - np.eye(2)
 
 
 def sweep_two_port(circ: MeshCircuit, freqs) -> TwoPortSweep:
-    """Run solve_two_port across a grid and collect (S11, S21)."""
+    """Solve the mesh across a grid in one stacked solve and collect
+    (S11, S21)."""
     freqs = np.asarray(freqs, dtype=float)
-    s11 = np.empty(len(freqs), dtype=complex)
-    s21 = np.empty(len(freqs), dtype=complex)
-    for i, w in enumerate(freqs):
-        s = solve_two_port(circ, w)
-        s11[i] = s[0, 0]
-        s21[i] = s[1, 0]
-    return TwoPortSweep(freqs=freqs, s11=s11, s21=s21, z0_ref=circ.z0)
+    s = solve_two_port(circ, freqs)
+    return TwoPortSweep(freqs=freqs, s11=s[:, 0, 0], s21=s[:, 1, 0], z0_ref=circ.z0)
 
 
 def brent(f, a, b, xtol=1e-12, max_iter=200):
@@ -189,46 +172,40 @@ def brent(f, a, b, xtol=1e-12, max_iter=200):
     return b
 
 
-def derivative_sign_roots(x, y, xtol):
+def derivative_sign_roots(x, y):
     """Roots of dy/dx located from gridded samples: finite-difference the
-    samples, then Brent on the linear interpolant of the derivative across
-    each sign change."""
+    samples, then take the root of the linear interpolant of the derivative
+    across each sign change."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     dy = np.gradient(y, x)
     roots = []
     for i in range(len(x) - 1):
-        if dy[i] == 0.0:
-            roots.append(float(x[i]))
-        elif dy[i] * dy[i + 1] < 0:
-            lo, hi = x[i], x[i + 1]
-            dlo, dhi = dy[i], dy[i + 1]
-
-            def lin(t, lo=lo, hi=hi, dlo=dlo, dhi=dhi):
-                return dlo + (dhi - dlo) * (t - lo) / (hi - lo)
-
-            roots.append(brent(lin, lo, hi, xtol=xtol))
+        lo, hi = x[i], x[i + 1]
+        dlo, dhi = dy[i], dy[i + 1]
+        if dlo == 0.0:
+            roots.append(float(lo))
+        elif dlo * dhi < 0:
+            roots.append(float(lo - dlo * (hi - lo) / (dhi - dlo)))
     return roots
 
 
-def find_phase_extrema(sweep: TwoPortSweep, xtol=None):
+def find_phase_extrema(sweep: TwoPortSweep):
     """Frequencies where the transmission phase slope changes sign.
 
     Works on the unwrapped angle of S21; the sweep must bracket both
     extrema.  Returns (w_lo, w_hi).
     """
-    if xtol is None:
-        xtol = 1e-6 * float(np.median(sweep.freqs))
-    roots = derivative_sign_roots(sweep.freqs, sweep.s21_phase(), xtol)
+    roots = derivative_sign_roots(sweep.freqs, sweep.s21_phase())
     if len(roots) < 2:
         raise ValueError("sweep does not bracket both phase extrema")
     return min(roots), max(roots)
 
 
-def find_curve_extrema(freqs, values, xtol):
+def find_curve_extrema(freqs, values):
     """Generic slope-sign-change locator for any sampled curve; returns the
     sorted root list."""
-    return sorted(derivative_sign_roots(freqs, values, xtol))
+    return sorted(derivative_sign_roots(freqs, values))
 
 
 def central_difference(f, x, rel_step=1e-6):

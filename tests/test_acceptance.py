@@ -36,8 +36,8 @@ def test_criterion_01_matched_coupling_anchor():
 
 
 def test_criterion_02_oracle_equivalence():
-    # analytic vs mesh S-parameters within 1e-3 across +/-3 bandwidths,
-    # 100 passive + 100 stable active instances, under 20 s
+    # analytic vs mesh complex S11 and S21 within 1e-12 across +/-3
+    # bandwidths, 100 passive + 100 stable active instances, under 20 s
     report(2, run_check(validate.check_oracle_equivalence), budget=20.0)
 
 
@@ -80,8 +80,9 @@ def test_criterion_08_pm_to_am():
 
 
 def test_criterion_09_snr_detuning_invariance():
-    # SNR formulas bit-exact across detunings of 1/10/100 MHz and
-    # consistent with the constituent-operation chain to 1e-6
+    # signal (phase slope x detuning) over flicker noise (slope wobble x
+    # detuning) equals both SNR formulas at 1/10/100 MHz to 1e-12, and the
+    # flicker PSD scales with the same squared detuning
     report(9, run_check(validate.check_snr_invariance))
 
 

@@ -202,6 +202,15 @@ class TestDesignCmd:
         assert main(["design", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
         assert "coupling limit" in capsys.readouterr().err
 
+    def test_budget_allowing_unit_coupling_exits_2(self, tmp_path, capsys):
+        # the budget allows k >= 1, so it cannot bind: infeasible by name,
+        # not a config error
+        cfg = write_config(tmp_path, DESIGN_CONFIG.replace("il_budget = 0.08474576",
+                                                           "il_budget = 0.9"),
+                           name="loose.cfg")
+        assert main(["design", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
+        assert "coupling limit" in capsys.readouterr().err
+
 
 class TestMatchedCommands:
     @pytest.mark.parametrize("command", ["nonlin", "noise", "snr"])

@@ -128,6 +128,33 @@ class TestSynthesize:
         assert err.value.constraint == "coupling limit"
         assert "k = 0.447" in err.value.detail
 
+    def test_budget_allowing_unit_coupling_cannot_bind(self, spec):
+        # il_budget 0.9 caps k at 2.3: no floor on Q, so the loose branch
+        # matches at q_off and names the coupling it needs (k = 0.535)
+        with pytest.raises(InfeasibleDesignError) as err:
+            synthesize(dataclasses.replace(spec, il_budget=0.9))
+        assert err.value.constraint == "coupling limit"
+        assert "k = 0.535" in err.value.detail
+        # on a long segment the same branch succeeds below the cap (k_max 2.6)
+        w0 = 2 * math.pi * spec.f0
+        long_line = TransmissionLineSection.from_electrical(spec.z0, 2.0, w0, length=120e-6)
+        loose = dataclasses.replace(
+            spec, line=long_line, q_off=15.0, il_budget=0.99, snr_dc_target=1e-6,
+            snr_dr_target=1e-9, l_srr_max=spec.l_srr_max / 40.0,
+        )
+        result = synthesize(loose)
+        assert result.q_on == 15.0
+        assert result.k == pytest.approx(1 / math.sqrt(2.0 * 15.0), rel=1e-9)
+
+    def test_unrealizable_matched_coupling_named(self, spec):
+        # beta_l * q_off = 0.5: matching the unboosted ring needs k = 1.41
+        w0 = 2 * math.pi * spec.f0
+        short = TransmissionLineSection.from_electrical(spec.z0, 0.05, w0, length=30e-6)
+        with pytest.raises(InfeasibleDesignError) as err:
+            synthesize(dataclasses.replace(spec, line=short, il_budget=0.9))
+        assert err.value.constraint == "coupling limit"
+        assert "k=1.414" in err.value.detail
+
 
 class TestPowerEstimate:
     def test_zero_gm_zero_power(self):

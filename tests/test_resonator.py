@@ -349,6 +349,6 @@ class TestDetectionBand:
         res = rz.equivalent_resonator(srr, line)
         w_lo, w_hi, _ = rz.detection_band(w0, 100.0)
         grid = np.linspace(w0 * 0.97, w0 * 1.03, 1201)
-        roots = find_curve_extrema(grid, rz.detection_phase(res, z0, grid), xtol=1e-8 * w0)
+        roots = find_curve_extrema(grid, rz.detection_phase(res, z0, grid))
         assert abs(roots[0] - w_lo) < 1e-4 * w0
         assert abs(roots[-1] - w_hi) < 1e-4 * w0
