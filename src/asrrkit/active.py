@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .resonator import SrrParams, TransmissionLineSection, check_positive, optimum_k_for_q
+from .resonator import (SrrParams, TransmissionLineSection, check_positive, optimum_k_for_q,
+                        require_positive)
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,9 @@ class AsrrState:
             raise ValueError("give exactly one of q_on and gm0")
         if k is None and line is None:
             raise ValueError("the matched coupling needs the line")
+        require_positive(f0=f0, lsrr=lsrr, q_off=q_off)
+        if q_on is not None:
+            require_positive(q_on=q_on)
         w0 = 2.0 * math.pi * f0
         if c_asrr is None:
             c_asrr = 1.0 / (w0 * w0 * lsrr)

@@ -5,7 +5,8 @@ come from a flat key-value config (see config.py); outputs are CSV,
 Touchstone and key-value report files written into --out (or $ASRRKIT_OUT,
 or the working directory).
 
-Exit codes: 0 success, 1 config error, 2 numerical or validation failure.
+Exit codes: 0 success, 1 config or usage error, 2 numerical or validation
+failure.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .resonator import SrrParams, TransmissionLineSection
 from .sweepio import (
     fmt,
     write_keyvalues,
+    write_lines,
     write_noise_csv,
     write_sweep_csv,
     write_table_csv,
@@ -320,8 +322,7 @@ def cmd_design(args, cfg):
     ]
     for note in result.notes:
         lines.append(f"  note: {note}")
-    with open(report, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(report, lines)
     _say(args, f"wrote {machine}, {report}")
     return EXIT_OK
 
@@ -352,8 +353,17 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_CONFIG; argparse's own 2 would read as
+    a numerical failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="asrrkit",
         description="Analytic models and design tools for actively boosted "
                     "split-ring sensing pixels.",
@@ -372,9 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", help="flat key-value config file")
         p.add_argument("--out", help="output directory (default $ASRRKIT_OUT or '.')")
-        p.add_argument("--format", choices=("csv", "s2p", "both"), default="csv")
-        p.add_argument("--grid", help="frequency grid START:STOP:N in Hz")
         p.add_argument("--quiet", action="store_true")
+        if name == "sweep":
+            p.add_argument("--format", choices=("csv", "s2p", "both"), default="csv")
+            p.add_argument("--grid", help="frequency grid START:STOP:N in Hz")
     return parser
 
 
@@ -384,7 +395,7 @@ def main(argv=None) -> int:
     try:
         if args.config:
             cfg = parse_config_file(args.config)
-        elif args.command not in ("validate", "match"):
+        elif args.command != "validate":
             raise ConfigError(f"'{args.command}' needs --config")
         return COMMANDS[args.command](args, cfg)
     except (ConfigError, ValueError) as exc:

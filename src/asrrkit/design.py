@@ -22,7 +22,7 @@ from .resonator import (
     q_on_min,
 )
 from .active import gm_for_boost
-from .noise import FLICKER_BAND, flicker_rms
+from .noise import FLICKER_BAND, check_flicker_band, flicker_rms
 
 # relative tolerance of the loss-resistance search
 _SEARCH_RTOL = 1e-6
@@ -69,8 +69,10 @@ class DesignSpec:
         if not 0.0 < self.il_budget < 1.0:
             raise ValueError("il_budget must lie in (0, 1)")
         check_positive(self, "f0", "snr_dc_target", "snr_dr_target", "delta_r_ref", "z0",
-                       "kn", "kp", "vth", "vdd", "kf_area", "c_per_area", "l_srr_max", "q_off")
-        if self.n_pixels < 1:
+                       "kn", "kp", "vth", "vdd", "kf_area", "c_per_area", "l_srr_max", "q_off",
+                       "cap_weight")
+        check_flicker_band(self.flicker_band)
+        if not self.n_pixels >= 1:  # NaN fails too
             raise ValueError("n_pixels must be at least 1")
 
 

@@ -26,6 +26,13 @@ BOLTZMANN = 1.380649e-23  # [J/K]
 FLICKER_BAND = (1.0, 1e3)  # default flicker RMS integration band [Hz]
 
 
+def check_flicker_band(band):
+    """Raise ValueError unless band = (f_lo, f_hi) [Hz] is finite and ordered."""
+    f_lo, f_hi = band
+    if not 0 < f_lo < f_hi < math.inf:
+        raise ValueError("flicker band needs finite f_hi > f_lo > 0")
+
+
 def five_point_derivative(y, x):
     """Five-point-stencil dy/dx on a uniform grid.
 
@@ -59,9 +66,7 @@ class NoiseContext:
         check_positive(self, "temperature", "p_in", "z0")
         if not math.isfinite(self.delta_omega_s):
             raise ValueError("delta_omega_s must be finite")
-        f_lo, f_hi = self.flicker_band
-        if not 0 < f_lo < f_hi < math.inf:
-            raise ValueError("flicker band needs finite f_hi > f_lo > 0")
+        check_flicker_band(self.flicker_band)
 
 
 @dataclass(frozen=True)

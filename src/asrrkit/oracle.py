@@ -2,10 +2,10 @@
 
 A direct frequency-domain solve of the coupled circuit (no closed-form
 transforms; one stacked numpy solve per frequency grid), a Brent root
-finder, finite-difference helpers, and a time-domain average of the
-segmented large-signal transconductance.  Everything here exists to
-check the analytic modules from a second route; the analytic modules never
-call into this one.
+finder, a central difference, derivative sign roots of sampled curves, and
+a Gauss-Legendre cycle average of the segmented large-signal
+transconductance.  Everything here exists to check the analytic modules
+from a second route; the analytic modules never call into this one.
 
 All solvers are deterministic for fixed inputs.
 """
@@ -173,39 +173,15 @@ def brent(f, a, b, xtol=1e-12, max_iter=200):
 
 
 def derivative_sign_roots(x, y):
-    """Roots of dy/dx located from gridded samples: finite-difference the
-    samples, then take the root of the linear interpolant of the derivative
-    across each sign change."""
+    """Roots of dy/dx located from gridded samples, in increasing x:
+    finite-difference the samples, then take the root of the linear
+    interpolant of the derivative across each sign change.  A sample other
+    than the last where the derivative is exactly zero is a root itself."""
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    dy = np.gradient(y, x)
-    roots = []
-    for i in range(len(x) - 1):
-        lo, hi = x[i], x[i + 1]
-        dlo, dhi = dy[i], dy[i + 1]
-        if dlo == 0.0:
-            roots.append(float(lo))
-        elif dlo * dhi < 0:
-            roots.append(float(lo - dlo * (hi - lo) / (dhi - dlo)))
-    return roots
-
-
-def find_phase_extrema(sweep: TwoPortSweep):
-    """Frequencies where the transmission phase slope changes sign.
-
-    Works on the unwrapped angle of S21; the sweep must bracket both
-    extrema.  Returns (w_lo, w_hi).
-    """
-    roots = derivative_sign_roots(sweep.freqs, sweep.s21_phase())
-    if len(roots) < 2:
-        raise ValueError("sweep does not bracket both phase extrema")
-    return min(roots), max(roots)
-
-
-def find_curve_extrema(freqs, values):
-    """Generic slope-sign-change locator for any sampled curve; returns the
-    sorted root list."""
-    return sorted(derivative_sign_roots(freqs, values))
+    dy = np.gradient(np.asarray(y, dtype=float), x)
+    pick = (dy[:-1] == 0.0) | (dy[:-1] * dy[1:] < 0)
+    lo, hi, dlo, dhi = x[:-1][pick], x[1:][pick], dy[:-1][pick], dy[1:][pick]
+    return (lo - dlo * (hi - lo) / np.where(dlo == 0.0, 1.0, dhi - dlo)).tolist()
 
 
 def central_difference(f, x, rel_step=1e-6):
@@ -230,21 +206,22 @@ def segmented_gm(theta, v_asrr, p: GmBlockParams):
     return gm
 
 
-def time_avg_gm(v_asrr: float, p: GmBlockParams, samples: int = 100_000) -> float:
-    """Cycle average of the segmented transconductance by trapezoidal
-    quadrature, with panels split at the region boundaries so the kinks do
-    not slow convergence.  Verifies the closed-form average from a second
-    route."""
-    if samples < 10_000:
-        raise ValueError("need at least 1e4 samples for the quadrature")
+def time_avg_gm(v_asrr: float, p: GmBlockParams, samples: int = 16) -> float:
+    """Cycle average of the segmented transconductance by Gauss-Legendre
+    quadrature with `samples` nodes per panel, the panels split at the
+    region boundaries.  On each panel the integrand is a + b*sin(theta),
+    which 16 nodes integrate to rounding.  Verifies the closed-form average
+    from a second route."""
+    # numpy.polynomial is imported here, not at module level: the CLI
+    # imports this module and never integrates
+    from numpy.polynomial.legendre import leggauss
+
     edges = [0.0, 2.0 * np.pi]
     if v_asrr > p.vth:
         thc = np.arccos(p.vth / v_asrr)
         edges += [np.pi / 2 - thc, np.pi / 2 + thc, 3 * np.pi / 2 - thc, 3 * np.pi / 2 + thc]
-    edges = sorted(edges)
-    total = 0.0
-    for lo, hi in zip(edges, edges[1:]):
-        n = max(16, int(samples * (hi - lo) / (2.0 * np.pi)))
-        theta = np.linspace(lo, hi, n + 1)
-        total += float(np.trapezoid(segmented_gm(theta, v_asrr, p), theta))
-    return total / (2.0 * np.pi)
+    edges = np.sort(edges)
+    nodes, weights = leggauss(samples)
+    half = 0.5 * np.diff(edges)[:, None]
+    theta = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes
+    return float(np.sum(half * weights * segmented_gm(theta, v_asrr, p))) / (2.0 * np.pi)

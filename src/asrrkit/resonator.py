@@ -27,13 +27,17 @@ Q_CAP = 1e9
 K_GEOMETRIC_LIMIT = 0.25
 
 
-def check_positive(obj, *names):
-    """Raise ValueError unless each named attribute of obj is positive and
-    finite; written so that NaN fails too."""
-    for name in names:
-        value = getattr(obj, name)
+def require_positive(**values):
+    """Raise ValueError unless each keyword value is positive and finite;
+    written so that NaN fails too."""
+    for name, value in values.items():
         if not (value > 0 and math.isfinite(value)):
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def check_positive(obj, *names):
+    """require_positive for the named attributes of obj."""
+    require_positive(**{name: getattr(obj, name) for name in names})
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,14 @@ def fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _atomic_write(path, text):
+def write_lines(path, lines):
+    """Text lines, each ended by a newline, written through a temp file
+    that is renamed into place."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.write("\n".join(lines) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -54,7 +56,7 @@ def write_sweep_csv(path, sweep: TwoPortSweep):
                 )
             )
         )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def write_touchstone(path, sweep: TwoPortSweep):
@@ -75,7 +77,7 @@ def write_touchstone(path, sweep: TwoPortSweep):
                 )
             )
         )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def write_noise_csv(path, results):
@@ -84,7 +86,7 @@ def write_noise_csv(path, results):
     lines = [NOISE_COLUMNS]
     for r in results:
         lines.append(f"{fmt(r.offset_freq)},{r.contributor},{fmt(r.ssb_dbchz)}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def write_table_csv(path, header, rows, comments=()):
@@ -93,11 +95,11 @@ def write_table_csv(path, header, rows, comments=()):
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(v if isinstance(v, str) else fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def write_keyvalues(path, pairs, comments=()):
     lines = [f"# {c}" for c in comments]
     for key, val in pairs:
         lines.append(f"{key} = {val if isinstance(val, str) else fmt(val)}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    write_lines(path, lines)

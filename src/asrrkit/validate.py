@@ -98,11 +98,6 @@ def _phase_at(srr, line, w, z0):
     return -np.angle(z + 2.0 * z0)
 
 
-def _numeric_phase_slope(srr, line, w0, z0, rel=1e-6):
-    h = rel * w0
-    return (_phase_at(srr, line, w0 + h, z0) - _phase_at(srr, line, w0 - h, z0)) / (2.0 * h)
-
-
 def _numeric_resonance(srr, line, z0, w_guess):
     """Frequency where the transmission phase crosses zero."""
     lo, hi = w_guess * 0.99, w_guess * 1.01
@@ -228,14 +223,14 @@ def check_transform_identity(rng, fx: Fixture) -> CheckResult:
     for _ in range(50):
         srr, line, w0, z0 = _random_matched(rng)
         m2 = resonator.mutual_inductance(srr, line) ** 2
-        for w in np.linspace(0.9 * w0, 1.1 * w0, 41):
-            direct = resonator.series_loading_impedance(srr, line, w)
-            w2m2 = w * w * m2
-            y = (srr.r_series() / w2m2
-                 + 1j * w * srr.lsrr / w2m2
-                 + 1.0 / (1j * w * (w2m2 * srr.csrr)))
-            other = 1j * w * line.ltl + 1.0 / y
-            worst = max(worst, abs(direct - other) / abs(direct))
+        w = np.linspace(0.9 * w0, 1.1 * w0, 41)
+        direct = resonator.series_loading_impedance(srr, line, w)
+        w2m2 = w * w * m2
+        y = (srr.r_series() / w2m2
+             + 1j * w * srr.lsrr / w2m2
+             + 1.0 / (1j * w * (w2m2 * srr.csrr)))
+        other = 1j * w * line.ltl + 1.0 / y
+        worst = max(worst, float(np.max(np.abs(direct - other) / np.abs(direct))))
         res = resonator.equivalent_resonator(srr, line)
         worst_w0 = max(worst_w0, abs(res.w0 / srr.w0 - 1.0))
     passed = worst <= 1e-6 and worst_w0 <= 1e-9
@@ -271,14 +266,10 @@ def check_sensitivity_anchors(rng, fx: Fixture) -> CheckResult:
 
     # phase-slope sensitivity to the ring loss: passive (Q=54) and boosted
     def fd_slope_vs_r(srr_q, q_on_of):
-        r0 = srr_q.w0 * srr_q.lsrr * srr_q.q_off
-        dr = 1e-4 * r0
-        out = []
-        for sgn in (+1, -1):
-            q_eff = q_on_of(r0 + sgn * dr)
-            srr_eff = SrrParams(srr_q.lsrr, srr_q.csrr, q_eff, srr_q.k)
-            out.append(_numeric_phase_slope(srr_eff, line, w0, z0))
-        return (out[0] - out[1]) / (2.0 * dr)
+        def slope_at(r):
+            srr_eff = SrrParams(srr_q.lsrr, srr_q.csrr, q_on_of(r), srr_q.k)
+            return oracle.central_difference(lambda w: _phase_at(srr_eff, line, w, z0), w0)
+        return oracle.central_difference(slope_at, srr_q.w0 * srr_q.lsrr * srr_q.q_off, 1e-4)
 
     passive_srr = fx.boosted_srr()  # Q = 54 resonator taken as-is
     anal_passive = resonator.phase_slope_vs_resistance(passive_srr, line, z0)
@@ -311,7 +302,7 @@ def check_phase_slope_law(rng, fx: Fixture) -> CheckResult:
         srr, line = fxq.boosted_srr(), fxq.line()
         res = resonator.equivalent_resonator(srr, line)
         expect = (2.0 / 3.0) * q / fxq.w0
-        fd = _numeric_phase_slope(srr, line, fxq.w0, fxq.z0)
+        fd = oracle.central_difference(lambda w: _phase_at(srr, line, w, fxq.z0), fxq.w0)
         worst_fd = max(worst_fd, abs(fd - expect) / expect)
         worst_q = max(worst_q, abs(resonator.effective_q_out(res, fxq.z0) / (q / 3.0) - 1.0))
     passed = worst_fd <= 0.01 and worst_q <= 1e-6
@@ -334,7 +325,7 @@ def check_detection_band(rng, fx: Fixture) -> CheckResult:
         span = 3.0 * w0 / q
         grid = np.linspace(w0 - span, w0 + span, 601)
         phase = resonator.detection_phase(res, fxq.z0, grid)
-        roots = oracle.find_curve_extrema(grid, phase)
+        roots = oracle.derivative_sign_roots(grid, phase)
         if len(roots) < 2:
             return CheckResult("detection-band", False, f"extrema not bracketed at Q={q}")
         worst_edge = max(worst_edge, abs(roots[0] - w_lo) / w0, abs(roots[-1] - w_hi) / w0)
@@ -347,13 +338,14 @@ def check_detection_band(rng, fx: Fixture) -> CheckResult:
 
 
 def check_nonlinear_gm(rng, fx: Fixture) -> CheckResult:
-    """Cycle-averaged transconductance against the time-domain quadrature,
-    the large-swing shortcut, and the compressed quality factor."""
+    """Cycle-averaged transconductance against the oracle's Gauss-Legendre
+    cycle average, the large-swing shortcut, and the compressed quality
+    factor."""
     p = fx.state().gm
     worst = 0.0
     for v in np.linspace(0.0, 3.0 * p.vth, 50):
         exact = active.gm_avg_exact(v, p)
-        quad = oracle.time_avg_gm(v, p, samples=100_000)
+        quad = oracle.time_avg_gm(v, p)
         worst = max(worst, abs(exact - quad) / abs(exact))
     v4 = 4.0 * p.vth
     approx_rel = abs(active.gm_avg_exact(v4, p) - active.gm_avg_approx(v4, p)) / abs(
@@ -371,10 +363,10 @@ def check_nonlinear_gm(rng, fx: Fixture) -> CheckResult:
         if p_in <= p_lin:
             worst_lin = max(worst_lin, abs(q_nl - q_lin) / q_lin)
     monotone = all(b <= a * (1.0 + 1e-12) for a, b in zip(qs, qs[1:]))
-    passed = worst <= 0.005 and approx_rel <= 0.05 and worst_lin <= 1e-6 and monotone
+    passed = worst <= 1e-12 and approx_rel <= 0.05 and worst_lin <= 1e-6 and monotone
     return CheckResult(
         "nonlinear-gm", passed,
-        f"exact vs quadrature {worst:.1e} (tol 5e-3), approx@4vth {approx_rel:.3f} (tol 0.05), "
+        f"exact vs quadrature {worst:.1e} (tol 1e-12), approx@4vth {approx_rel:.3f} (tol 0.05), "
         f"linear regime dev {worst_lin:.1e} (tol 1e-6), monotone={monotone}",
     )
 
@@ -436,16 +428,9 @@ def check_pm_to_am(rng, fx: Fixture) -> CheckResult:
     upper = grid > w0 + 2 * step
     i_peak = np.argmax(np.abs(dmag[upper]))
     w_peak = grid[upper][i_peak]
-    # inflection = zero of the second derivative on the upper skirt
-    d2 = np.gradient(dmag, grid)
-    d2u = d2[upper]
-    gu = grid[upper]
-    w_inflect = None
-    for i in range(len(gu) - 1):
-        if d2u[i] == 0.0 or d2u[i] * d2u[i + 1] < 0:
-            frac = d2u[i] / (d2u[i] - d2u[i + 1]) if d2u[i] != d2u[i + 1] else 0.0
-            w_inflect = gu[i] + frac * (gu[i + 1] - gu[i])
-            break
+    # inflection = first zero of the second derivative on the upper skirt
+    w_inflect = next((w for w in oracle.derivative_sign_roots(grid, dmag)
+                      if w >= grid[upper][0]), None)
     ok_null = gain_at_res < -60.0
     ok_peak = w_inflect is not None and abs(w_peak - w_inflect) <= (grid[1] - grid[0]) * 1.000001
     return CheckResult(

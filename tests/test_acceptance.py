@@ -60,9 +60,9 @@ def test_criterion_05_detection_band():
 
 
 def test_criterion_06_nonlinear_gm():
-    # cycle-average vs quadrature within 0.5% on [0, 3vth]; segmented
-    # shortcut within 5% at 4vth; compressed Q monotone and linear below
-    # the compression power within 1e-6
+    # cycle-average vs Gauss-Legendre quadrature within 1e-12 on
+    # [0, 3vth]; segmented shortcut within 5% at 4vth; compressed Q
+    # monotone and linear below the compression power within 1e-6
     report(6, run_check(validate.check_nonlinear_gm))
 
 

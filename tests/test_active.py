@@ -222,8 +222,8 @@ class TestGmAverage:
     def test_matches_time_domain_average(self, fx):
         p = fx.state().gm
         for v in np.linspace(0.0, 3 * p.vth, 25):
-            quad = time_avg_gm(v, p, samples=100_000)
-            assert active.gm_avg_exact(v, p) == pytest.approx(quad, rel=5e-3)
+            quad = time_avg_gm(v, p)
+            assert active.gm_avg_exact(v, p) == pytest.approx(quad, rel=1e-12)
 
     def test_approx_within_5pct_at_4vth(self, fx):
         p = fx.state().gm

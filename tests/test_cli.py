@@ -195,6 +195,22 @@ class TestDesignCmd:
             1 - 10 / 54, rel=1e-4)
         assert "pixel design report" in (tmp_path / "design_report.txt").read_text()
 
+    def test_report_written_by_atomic_rename(self, tmp_path, monkeypatch):
+        # every output, the human-readable report included, goes through a
+        # temp file renamed into place
+        renamed = []
+        real_replace = os.replace
+
+        def recording_replace(src, dst):
+            renamed.append(os.path.basename(dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        cfg = write_config(tmp_path, DESIGN_CONFIG, name="design.cfg")
+        assert main(["design", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        assert sorted(renamed) == ["design.txt", "design_report.txt"]
+        assert not list(tmp_path.glob("*.tmp"))
+
     def test_infeasible_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, DESIGN_CONFIG.replace("il_budget = 0.08474576",
                                                            "il_budget = 0.5"),
@@ -243,3 +259,38 @@ class TestValidateCmd:
         assert main(["validate", "--config", cfg, "--quiet"]) == 2
         err = capsys.readouterr().err
         assert "matched-anchor" in err
+
+
+def exit_code(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--format", "xyz"],
+        ["sweep", "--no-such-option"],
+        ["no-such-command"],
+        [],
+    ])
+    def test_usage_error_is_config_error(self, argv, capsys):
+        # exit 2 is reserved for numerical and validation failures
+        assert exit_code(argv) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["sweep", "--help"]])
+    def test_help_and_version_exit_0(self, argv, capsys):
+        assert exit_code(argv) == 0
+
+    @pytest.mark.parametrize("command", ["match", "nonlin", "noise", "snr", "design", "validate"])
+    @pytest.mark.parametrize("option", [["--format", "s2p"], ["--grid", "1:2:3"]])
+    def test_sweep_options_refused_elsewhere(self, tmp_path, capsys, command, option):
+        cfg = write_config(tmp_path)
+        assert exit_code([command, "--config", cfg, "--out", str(tmp_path), *option]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_match_needs_config(self, tmp_path, capsys):
+        assert main(["match", "--out", str(tmp_path), "--quiet"]) == 1
+        assert "'match' needs --config" in capsys.readouterr().err

@@ -163,9 +163,13 @@ class TestPhaseExtrema:
         return res, TwoPortSweep(freqs=grid, s11=z / (z + 2 * z0),
                                  s21=2 * z0 / (z + 2 * z0), z0_ref=z0)
 
+    @staticmethod
+    def _phase_extrema(sweep):
+        return oracle.derivative_sign_roots(sweep.freqs, sweep.s21_phase())
+
     def test_extrema_straddle_resonance(self, fx):
         _, sweep = self._frozen_sweep(fx, 100.0)
-        w_lo, w_hi = oracle.find_phase_extrema(sweep)
+        w_lo, w_hi = self._phase_extrema(sweep)
         assert w_lo < fx.w0 < w_hi
 
     def test_matched_full_phase_extrema_closed_form(self, fx):
@@ -174,7 +178,7 @@ class TestPhaseExtrema:
         # matched case that is sqrt(3/2), outside the reactive-slope edges
         for q in (50.0, 100.0, 250.0):
             res, sweep = self._frozen_sweep(fx, q)
-            w_lo, w_hi = oracle.find_phase_extrema(sweep)
+            w_lo, w_hi = self._phase_extrema(sweep)
             v_star = math.sqrt((res.r_eq + 2 * fx.z0) / (2 * fx.z0))
             for w_edge, sign in ((w_lo, +1), (w_hi, -1)):
                 u = (w_edge / fx.w0) ** 2
@@ -188,7 +192,7 @@ class TestPhaseExtrema:
             res = resonator.equivalent_resonator(srr, line)
             w0 = fx.w0
             grid = np.linspace(w0 * (1 - 3 / q), w0 * (1 + 3 / q), 1201)
-            roots = oracle.find_curve_extrema(
+            roots = oracle.derivative_sign_roots(
                 grid, resonator.detection_phase(res, fx.z0, grid))
             w_lo, w_hi, _ = resonator.detection_band(w0, q)
             assert abs(roots[0] - w_lo) < 1e-4 * w0
@@ -202,19 +206,18 @@ class TestPhaseExtrema:
             res = resonator.equivalent_resonator(srr, line)
             w0 = fx.w0
             grid = np.linspace(w0 * (1 - 3 / q), w0 * (1 + 3 / q), 1201)
-            roots = oracle.find_curve_extrema(
+            roots = oracle.derivative_sign_roots(
                 grid, resonator.detection_phase(res, fx.z0, grid))
             vals.append((roots[-1] - roots[0]) * q / w0)
         assert abs(vals[-1] - 1.0) < 1e-3
         assert abs(vals[-1] - 1.0) < abs(vals[0] - 1.0)
 
-    def test_unbracketed_sweep_raises(self, fx):
+    def test_unbracketed_sweep_has_no_extrema(self, fx):
         srr, line = matched_parts(fx, q=100.0)
         w0 = fx.w0
         grid = np.linspace(w0 * (1 + 0.02), w0 * (1 + 0.03), 101)  # beyond both edges
         sweep = resonator.s_parameters(srr, line, grid, z0_ref=fx.z0)
-        with pytest.raises(ValueError, match="bracket"):
-            oracle.find_phase_extrema(sweep)
+        assert self._phase_extrema(sweep) == []
 
 
 class TestTimeAvgGm:
@@ -222,16 +225,12 @@ class TestTimeAvgGm:
         p = fx.state().gm
         assert time_avg_gm(0.5 * p.vth, p) == pytest.approx(p.gm0, rel=1e-9)
 
-    def test_sample_count_guard(self, fx):
-        with pytest.raises(ValueError, match="samples"):
-            time_avg_gm(0.1, fx.state().gm, samples=100)
-
-    def test_convergence_on_doubling(self, fx):
+    def test_node_count_does_not_matter(self, fx):
+        # the integrand is a + b*sin on every panel, so the rule is exact
+        # to rounding well before its default 16 nodes
         p = fx.state().gm
         v = 2.5 * p.vth
-        a = time_avg_gm(v, p, samples=100_000)
-        b = time_avg_gm(v, p, samples=200_000)
-        assert abs(b - a) / abs(a) < 1e-6
+        assert time_avg_gm(v, p, samples=10) == pytest.approx(time_avg_gm(v, p), rel=1e-14)
 
     def test_deterministic(self, fx):
         p = fx.state().gm

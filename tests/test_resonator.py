@@ -343,12 +343,12 @@ class TestDetectionBand:
             assert abs(bw * q / w0 - 1.0) < 1.0 / (8 * q * q)
 
     def test_numeric_extrema_of_detection_phase(self):
-        from asrrkit.oracle import find_curve_extrema
+        from asrrkit.oracle import derivative_sign_roots
 
         srr, line, w0, z0 = matched_instance(q=100.0)
         res = rz.equivalent_resonator(srr, line)
         w_lo, w_hi, _ = rz.detection_band(w0, 100.0)
         grid = np.linspace(w0 * 0.97, w0 * 1.03, 1201)
-        roots = find_curve_extrema(grid, rz.detection_phase(res, z0, grid))
+        roots = derivative_sign_roots(grid, rz.detection_phase(res, z0, grid))
         assert abs(roots[0] - w_lo) < 1e-4 * w0
         assert abs(roots[-1] - w_hi) < 1e-4 * w0
