@@ -48,6 +48,10 @@ def gm_parasitic_capacitance(cgs_n, cgs_p, cdb_n, cdb_p, cgd_n, cgd_p) -> float:
     return (cgs_n + cgs_p + cdb_n + cdb_p) / 2.0 + 2.0 * (cgd_n + cgd_p)
 
 
+class OscillationError(ValueError):
+    """The block's loop gain reaches one (gm*R >= 1): the pixel oscillates."""
+
+
 def gm_for_boost(q_off: float, q_on_target: float, r_parallel: float) -> float:
     """Block transconductance that boosts q_off to q_on_target across the
     parallel ring loss r_parallel: (1 - Q_off/Q_on)/R [S]."""
@@ -63,7 +67,7 @@ class AsrrState:
 
     def __post_init__(self):
         if self.gm.block_gm() * self.r_srr_parallel() >= 1.0:
-            raise ValueError("oscillation: loop gain >= 1 (gm * R >= 1)")
+            raise OscillationError("oscillation: loop gain >= 1 (gm * R >= 1)")
 
     @classmethod
     def from_targets(cls, f0, lsrr, q_off, *, q_on=None, gm0=None, k=None,
@@ -139,7 +143,7 @@ def boosted_resistance(state: AsrrState, gm_total=None) -> float:
     g = state.gm.block_gm() if gm_total is None else gm_total
     loop_gain = g * r
     if loop_gain >= 1.0:
-        raise ValueError("oscillation: loop gain >= 1 (gm * R >= 1)")
+        raise OscillationError("oscillation: loop gain >= 1 (gm * R >= 1)")
     return r / (1.0 - loop_gain)
 
 
@@ -148,7 +152,7 @@ def q_on(state: AsrrState, gm_total=None) -> float:
     r = state.r_srr_parallel()
     g = state.gm.block_gm() if gm_total is None else gm_total
     if g * r >= 1.0:
-        raise ValueError("oscillation: loop gain >= 1 (gm * R >= 1)")
+        raise OscillationError("oscillation: loop gain >= 1 (gm * R >= 1)")
     return state.srr.q_off / (1.0 - g * r)
 
 

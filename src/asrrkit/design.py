@@ -21,11 +21,12 @@ from .resonator import (
     optimum_k_for_q,
     q_on_min,
 )
-from .active import gm_for_boost
-from .noise import FLICKER_BAND, check_flicker_band, flicker_rms
+from .active import AsrrState, OscillationError, gm_for_boost, linear_power_limit
+from .noise import (FLICKER_BAND, alpha_flicker, check_flicker_band, flicker_rms, snr_delta_c,
+                    snr_delta_r)
 
-# relative tolerance of the loss-resistance search
-_SEARCH_RTOL = 1e-6
+# the deepest accepted loss reduction: 200 quarterings of the ceiling value
+_SHRINK_FLOOR = 4.0**-200
 
 # vanishing intrinsic share kept so downstream models see a finite ring
 # capacitance; the device loading is assumed to dominate
@@ -63,7 +64,6 @@ class DesignSpec:
     q_off: float = 10.0  # technology-given unloaded quality factor
     cap_weight: float = 1.0  # effective weighting of gate area into ring loading
     flicker_band: tuple = FLICKER_BAND  # [Hz]
-    gamma: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.il_budget < 1.0:
@@ -103,42 +103,66 @@ class DesignResult:
     notes: tuple = field(default_factory=tuple)
 
 
-def _evaluate_chain(spec: DesignSpec, r_srr: float, q_on: float, w0: float):
-    """Derive every downstream quantity from a candidate ring loss."""
+def _design_at(spec: DesignSpec, r_srr: float, q_on: float, k: float, w0: float,
+               notes) -> DesignResult:
+    """The pixel at ring loss r_srr, analysed through AsrrState and the noise
+    laws; the devices take all but a vanishing share of the capacitance that
+    resonates the ring at f0.  Without boost (q_on = q_off) there is no block:
+    no flicker noise (both SNRs infinite) and nothing to compress."""
     l_srr = r_srr / (w0 * spec.q_off)
     c_asrr = 1.0 / (w0 * w0 * l_srr)
     c_gm = (1.0 - _RING_CAP_SHARE) * c_asrr
     # two devices of each flavor load the ring; one effective area coefficient
     gate_area = c_gm / (2.0 * spec.cap_weight * spec.c_per_area)
-    gm = gm_for_boost(spec.q_off, q_on, r_srr) if q_on > spec.q_off else 0.0
+    kf_dev = spec.kf_area / gate_area
+    band = spec.flicker_band
+    if q_on > spec.q_off:
+        gm = gm_for_boost(spec.q_off, q_on, r_srr)
+        try:
+            if not gm * r_srr < 1.0:  # the loop gain may round to 1 here or in the state
+                raise OscillationError
+            state = AsrrState.from_targets(
+                spec.f0, l_srr, spec.q_off, gm0=gm, k=k, c_asrr=c_asrr, c_gm=c_gm,
+                vdd=spec.vdd, vth=spec.vth, kf=kf_dev,
+            )
+        except OscillationError:
+            raise InfeasibleDesignError(
+                "stability", f"required gm*R = {gm * r_srr:.3f} >= 1 would oscillate"
+            ) from None
+        alpha = alpha_flicker(state)
+        snr_dc = snr_delta_c(state, kf_dev, band)
+        snr_dr = snr_delta_r(state, kf_dev, band, spec.delta_r_ref)
+        p_in_lin = linear_power_limit(state)
+    else:
+        gm, alpha, snr_dc, snr_dr, p_in_lin = 0.0, 0.0, math.inf, math.inf, math.inf
     overdrive = spec.vdd / 2.0 - spec.vth
-    if overdrive <= 0:
-        raise InfeasibleDesignError(
-            "bias headroom", f"vdd/2 - vth = {overdrive:.3g} V leaves no overdrive"
-        )
     wl_n = gm / (spec.kn * overdrive)
     wl_p = gm / (spec.kp * overdrive)
-    alpha = (5.0 / 36.0) * (spec.kn * wl_n + spec.kp * wl_p)
-    kf_dev = spec.kf_area / gate_area
-    v_rms = flicker_rms(kf_dev, spec.flicker_band)
-    r_asrr = r_srr * q_on / spec.q_off
-    snr_dc = 1.0 / (6.0 * alpha * v_rms * r_asrr) if alpha > 0 else math.inf
-    snr_dr = 5.0 * spec.delta_r_ref / (18.0 * alpha * v_rms * r_srr**2) if alpha > 0 else math.inf
-    return {
-        "l_srr": l_srr,
-        "c_asrr": c_asrr,
-        "c_gm": c_gm,
-        "gate_area": gate_area,
-        "gm": gm,
-        "wl_n": wl_n,
-        "wl_p": wl_p,
-        "alpha": alpha,
-        "kf_dev": kf_dev,
-        "v_rms": v_rms,
-        "r_asrr": r_asrr,
-        "snr_dc": snr_dc,
-        "snr_dr": snr_dr,
-    }
+    return DesignResult(
+        k=k,
+        q_on=q_on,
+        r_srr=r_srr,
+        l_srr=l_srr,
+        c_asrr=c_asrr,
+        c_gm=c_gm,
+        c_srr=c_asrr - c_gm,
+        gm_required=gm,
+        wl_ratio_n=wl_n,
+        wl_ratio_p=wl_p,
+        w_n=math.sqrt(wl_n * gate_area),
+        l_n=math.sqrt(gate_area / wl_n) if wl_n > 0 else 0.0,
+        w_p=math.sqrt(wl_p * gate_area),
+        l_p=math.sqrt(gate_area / wl_p) if wl_p > 0 else 0.0,
+        gate_area=gate_area,
+        alpha_1_over_f=alpha,
+        kf_device=kf_dev,
+        v_fn_rms=flicker_rms(kf_dev, band),
+        snr_dc=snr_dc,
+        snr_dr=snr_dr,
+        p_in_lin=p_in_lin,
+        power_estimate=power_from_gm_slope(gm, spec.vdd, spec.vth),
+        notes=tuple(notes),
+    )
 
 
 def synthesize(spec: DesignSpec) -> DesignResult:
@@ -146,17 +170,13 @@ def synthesize(spec: DesignSpec) -> DesignResult:
 
     1. cap the coupling from the array insertion-loss budget;
     2. floor the boosted quality factor from that coupling (matched input);
-    3. search the ring loss down from its inductance-ceiling value until the
-       loss-shift SNR target is met (smaller loss costs bias power, so the
-       largest passing value is kept);
+    3. lower the ring loss from its inductance-ceiling value just as far as
+       the SNR targets need (smaller loss costs bias power), in closed form;
     4. required block transconductance from the boost ratio;
     5. device aspect ratio from that transconductance;
     6. gate area from the resonance condition with the device capacitance
        dominating the ring loading;
-    7. W and L from the two;
-    8. if the capacitive-shift SNR is still short, push the search further --
-       equivalent to growing the devices and shrinking the ring inductance to
-       restore resonance.
+    7. W and L from the two.
 
     Raises InfeasibleDesignError naming the binding constraint.
     """
@@ -183,76 +203,28 @@ def synthesize(spec: DesignSpec) -> DesignResult:
             "coupling limit",
             f"matched coupling needs k = {k:.3f} > {K_GEOMETRIC_LIMIT} achievable",
         )
+    overdrive = spec.vdd / 2.0 - spec.vth
+    if overdrive <= 0:
+        raise InfeasibleDesignError(
+            "bias headroom", f"vdd/2 - vth = {overdrive:.3g} V leaves no overdrive"
+        )
 
     r_cap = w0 * spec.q_off * spec.l_srr_max  # inductance ceiling in loss terms
-
-    def deficit(r):
-        ch = _evaluate_chain(spec, r, q_on, w0)
-        return max(spec.snr_dr_target / ch["snr_dr"], spec.snr_dc_target / ch["snr_dc"])
-
-    if deficit(r_cap) > 1.0:
-        # walk the loss down until both SNR targets clear, then bisect back
-        r_lo = r_cap
-        for _ in range(200):
-            r_lo /= 4.0
-            if deficit(r_lo) <= 1.0:
-                break
-        else:
-            raise InfeasibleDesignError(
-                "snr targets", "SNR targets unreachable within the search range"
-            )
-        lo, hi = r_lo, r_cap
-        while (hi - lo) > _SEARCH_RTOL * hi:
-            mid = 0.5 * (lo + hi)
-            if deficit(mid) > 1.0:
-                hi = mid
-            else:
-                lo = mid
-        r_srr = lo
-        notes.append("ring loss lowered to meet the SNR targets")
-    else:
-        r_srr = r_cap  # ceiling design already meets the targets at least power
-
-    ch = _evaluate_chain(spec, r_srr, q_on, w0)
-    if ch["gm"] * r_srr >= 1.0:
+    ceiling = _design_at(spec, r_cap, q_on, k, w0, notes)
+    # At fixed Q_on and k the gate area scales as 1/r, kf as r, alpha as 1/r
+    # and R_boost as r, so SNR_dC ~ r^-1/2 and SNR_dR ~ r^-3/2: the loss
+    # that puts the short SNR on its target follows from the ceiling design.
+    shrink = min(min(1.0, ceiling.snr_dc / spec.snr_dc_target) ** 2,
+                 min(1.0, ceiling.snr_dr / spec.snr_dr_target) ** (2.0 / 3.0))
+    if shrink < _SHRINK_FLOOR:
         raise InfeasibleDesignError(
-            "stability", f"required gm*R = {ch['gm'] * r_srr:.3f} >= 1 would oscillate"
+            "snr targets", f"SNR targets need the ring loss scaled by {shrink:.3g}, "
+            f"below the reach {_SHRINK_FLOOR:.3g}"
         )
-    if ch["l_srr"] > spec.l_srr_max * (1.0 + 1e-9):
-        raise InfeasibleDesignError(
-            "inductance ceiling", f"l_srr = {ch['l_srr']:.3e} H exceeds {spec.l_srr_max:.3e} H"
-        )
-
-    w_n = math.sqrt(ch["wl_n"] * ch["gate_area"])
-    l_n = math.sqrt(ch["gate_area"] / ch["wl_n"]) if ch["wl_n"] > 0 else 0.0
-    w_p = math.sqrt(ch["wl_p"] * ch["gate_area"])
-    l_p = math.sqrt(ch["gate_area"] / ch["wl_p"]) if ch["wl_p"] > 0 else 0.0
-
-    return DesignResult(
-        k=k,
-        q_on=q_on,
-        r_srr=r_srr,
-        l_srr=ch["l_srr"],
-        c_asrr=ch["c_asrr"],
-        c_gm=ch["c_gm"],
-        c_srr=ch["c_asrr"] - ch["c_gm"],
-        gm_required=ch["gm"],
-        wl_ratio_n=ch["wl_n"],
-        wl_ratio_p=ch["wl_p"],
-        w_n=w_n,
-        l_n=l_n,
-        w_p=w_p,
-        l_p=l_p,
-        gate_area=ch["gate_area"],
-        alpha_1_over_f=ch["alpha"],
-        kf_device=ch["kf_dev"],
-        v_fn_rms=ch["v_rms"],
-        snr_dc=ch["snr_dc"],
-        snr_dr=ch["snr_dr"],
-        p_in_lin=(9.0 / 8.0) * spec.vth**2 / (w0 * ch["l_srr"] * q_on),
-        power_estimate=power_from_gm_slope(ch["gm"], spec.vdd, spec.vth),
-        notes=tuple(notes),
-    )
+    if shrink == 1.0:
+        return ceiling  # the ceiling design meets the targets at least power
+    notes.append("ring loss lowered to meet the SNR targets")
+    return _design_at(spec, r_cap * shrink, q_on, k, w0, notes)
 
 
 def power_from_gm_slope(gm: float, vdd: float, vth: float) -> float:

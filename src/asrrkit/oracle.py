@@ -12,6 +12,7 @@ All solvers are deterministic for fixed inputs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,22 +207,31 @@ def segmented_gm(theta, v_asrr, p: GmBlockParams):
     return gm
 
 
+@functools.cache
+def _gauss_legendre(n: int):
+    """Read-only n-point Gauss-Legendre (nodes, weights), built once per n:
+    the eigenvalue solve behind them costs more than a cycle average."""
+    # numpy.polynomial is imported here, not at module level: the CLI
+    # imports this module and never integrates
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def time_avg_gm(v_asrr: float, p: GmBlockParams, samples: int = 16) -> float:
     """Cycle average of the segmented transconductance by Gauss-Legendre
     quadrature with `samples` nodes per panel, the panels split at the
     region boundaries.  On each panel the integrand is a + b*sin(theta),
     which 16 nodes integrate to rounding.  Verifies the closed-form average
     from a second route."""
-    # numpy.polynomial is imported here, not at module level: the CLI
-    # imports this module and never integrates
-    from numpy.polynomial.legendre import leggauss
-
     edges = [0.0, 2.0 * np.pi]
     if v_asrr > p.vth:
         thc = np.arccos(p.vth / v_asrr)
         edges += [np.pi / 2 - thc, np.pi / 2 + thc, 3 * np.pi / 2 - thc, 3 * np.pi / 2 + thc]
     edges = np.sort(edges)
-    nodes, weights = leggauss(samples)
+    nodes, weights = _gauss_legendre(samples)
     half = 0.5 * np.diff(edges)[:, None]
     theta = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes
     return float(np.sum(half * weights * segmented_gm(theta, v_asrr, p))) / (2.0 * np.pi)

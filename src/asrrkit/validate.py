@@ -16,8 +16,9 @@ import numpy as np
 
 from . import active, noise, oracle, resonator
 from .active import AsrrState
+from .config import ConfigError, require
 from .design import DesignSpec, InfeasibleDesignError, synthesize
-from .resonator import SrrParams, TransmissionLineSection
+from .resonator import SrrParams, TransmissionLineSection, require_positive
 
 TWO_THIRDS_DB = 20.0 * math.log10(2.0 / 3.0)  # -3.5218 dB matched transmission
 
@@ -82,14 +83,16 @@ class Fixture:
 
 
 def fixture_from_config(cfg: dict | None) -> Fixture:
-    fx = Fixture()
-    if not cfg:
-        return fx
-    fields = {}
-    for key in ("f0", "c_asrr", "q_off", "q_on", "z0", "beta_l", "vdd", "vth", "kf", "gamma", "k"):
-        if key in cfg:
-            fields[key] = float(cfg[key])
-    return replace(fx, **fields)
+    """The reference fixture with cfg's values, each positive and finite."""
+    cfg = cfg or {}
+    fields = {key: require(cfg, key) for key in (
+        "f0", "c_asrr", "q_off", "q_on", "z0", "beta_l", "vdd", "vth", "kf", "gamma", "k",
+    ) if key in cfg}
+    try:
+        require_positive(**fields)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return replace(Fixture(), **fields)
 
 
 def _phase_at(srr, line, w, z0):
@@ -215,7 +218,7 @@ def check_mesh_properties(rng, fx: Fixture) -> CheckResult:
     )
 
 
-def check_transform_identity(rng, fx: Fixture) -> CheckResult:
+def check_impedance_transform(rng, fx: Fixture) -> CheckResult:
     """Direct rational impedance versus the transformed-admittance sum, and
     resonance preservation by the parallel-RLC transform."""
     worst = 0.0
@@ -487,15 +490,12 @@ def check_snr_invariance(rng, fx: Fixture) -> CheckResult:
 def reference_design_spec() -> DesignSpec:
     """A spec whose synthesis lands on the reference pixel (Q 10 -> 54)."""
     fx = Fixture()
-    w0 = fx.w0
     line = fx.line()
-    k = fx.k_value()
-    r_off = w0 * k * k * fx.q_off * line.ltl
-    il = r_off / (r_off + 2.0 * fx.z0)
+    unboosted = SrrParams(lsrr=fx.lsrr, csrr=fx.c_asrr, q_off=fx.q_off, k=fx.k_value())
     return DesignSpec(
         f0=fx.f0,
         n_pixels=1,
-        il_budget=il,
+        il_budget=resonator.array_insertion_loss(1, unboosted, line),
         snr_dc_target=500.0,
         snr_dr_target=10.0,
         delta_r_ref=1.0,
@@ -514,18 +514,28 @@ def reference_design_spec() -> DesignSpec:
 
 def check_design_roundtrip(rng, fx: Fixture) -> CheckResult:
     """Synthesis lands on the reference pixel, re-analysis reproduces its
-    own SNRs, the matched locus holds, and infeasible specs fail by name."""
+    own SNRs, a spec whose targets lower the ring loss lands its binding SNR
+    on target, the matched locus holds, and infeasible specs fail by name."""
+
+    def reanalysed_snrs(spec, result):
+        state = AsrrState.from_targets(
+            spec.f0, result.l_srr, spec.q_off, q_on=result.q_on, k=result.k,
+            c_asrr=result.c_asrr, c_gm=result.c_gm, vdd=spec.vdd, vth=spec.vth,
+            kf=result.kf_device,
+        )
+        band = spec.flicker_band
+        return (noise.snr_delta_c(state, result.kf_device, band),
+                noise.snr_delta_r(state, result.kf_device, band, spec.delta_r_ref))
+
     spec = reference_design_spec()
     result = synthesize(spec)
-    state = AsrrState.from_targets(
-        spec.f0, result.l_srr, spec.q_off, q_on=result.q_on, k=result.k, c_asrr=result.c_asrr,
-        c_gm=result.c_gm, vdd=spec.vdd, vth=spec.vth, kf=result.kf_device,
-    )
-    band = spec.flicker_band
-    err_c = abs(noise.snr_delta_c(state, result.kf_device, band) / result.snr_dc - 1.0)
-    err_r = abs(
-        noise.snr_delta_r(state, result.kf_device, band, spec.delta_r_ref) / result.snr_dr - 1.0
-    )
+    snr_c, snr_r = reanalysed_snrs(spec, result)
+    err_c = abs(snr_c / result.snr_dc - 1.0)
+    err_r = abs(snr_r / result.snr_dr - 1.0)
+    hungry = replace(spec, snr_dc_target=3.0 * spec.snr_dc_target,
+                     snr_dr_target=4.0 * spec.snr_dr_target)
+    snr_c, snr_r = reanalysed_snrs(hungry, synthesize(hungry))
+    err_bind = abs(min(snr_c / hungry.snr_dc_target, snr_r / hungry.snr_dr_target) - 1.0)
     w0 = 2.0 * math.pi * spec.f0
     locus = abs(spec.line.beta_l(w0) * result.k**2 * result.q_on - 1.0)
     gm_r = result.gm_required * result.r_srr
@@ -536,10 +546,12 @@ def check_design_roundtrip(rng, fx: Fixture) -> CheckResult:
         named = False
     except InfeasibleDesignError as exc:
         named = exc.constraint == "coupling limit"
-    passed = err_c <= 1e-6 and err_r <= 1e-6 and locus <= 1e-9 and err_gm <= 1e-6 and named
+    passed = (err_c <= 1e-12 and err_r <= 1e-12 and err_bind <= 1e-12 and locus <= 1e-9
+              and err_gm <= 1e-6 and named)
     return CheckResult(
         "design-roundtrip", bool(passed),
-        f"snr roundtrip {max(err_c, err_r):.1e} (tol 1e-6), locus {locus:.1e} (tol 1e-9), "
+        f"snr roundtrip {max(err_c, err_r):.1e} (tol 1e-12), binding snr on target "
+        f"{err_bind:.1e} (tol 1e-12), locus {locus:.1e} (tol 1e-9), "
         f"gm*R vs 1-10/54 {err_gm:.1e} (tol 1e-6), infeasible-named={named}",
     )
 
@@ -548,7 +560,7 @@ ALL_CHECKS = [
     check_matched_anchor,
     check_oracle_equivalence,
     check_mesh_properties,
-    check_transform_identity,
+    check_impedance_transform,
     check_sensitivity_anchors,
     check_phase_slope_law,
     check_detection_band,
@@ -569,7 +581,8 @@ def run_all(config: dict | None = None, seed: int = 20260808) -> list[CheckResul
         try:
             res = fn(rng, fx)
         except Exception as exc:  # a crash is a failure, not an abort
-            res = CheckResult(fn.__name__.removeprefix("check_"), False, f"raised {exc!r}")
+            name = fn.__name__.removeprefix("check_").replace("_", "-")
+            res = CheckResult(name, False, f"raised {exc!r}")
         res.elapsed = time.perf_counter() - t0
         results.append(res)
     return results

@@ -87,8 +87,10 @@ def test_criterion_09_snr_detuning_invariance():
 
 
 def test_criterion_10_design_roundtrip():
-    # synthesize -> re-analyze reproduces SNRs to 1e-6; matched locus to
-    # 1e-9; infeasible coupling produces a named structured failure
+    # synthesize -> re-analyze reproduces SNRs to 1e-12, and a spec whose
+    # targets lower the ring loss lands its binding SNR on target to 1e-12;
+    # matched locus to 1e-9; infeasible coupling produces a named
+    # structured failure
     report(10, run_check(validate.check_design_roundtrip))
 
 

@@ -1,9 +1,11 @@
+import hashlib
 import math
 import os
 
 import numpy as np
 import pytest
 
+from asrrkit import validate
 from asrrkit.cli import main
 
 REFERENCE_CONFIG = """
@@ -218,6 +220,15 @@ class TestDesignCmd:
         assert main(["design", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
         assert "coupling limit" in capsys.readouterr().err
 
+    def test_loop_gain_rounding_to_one_exits_2(self, tmp_path, capsys):
+        # gm*R = 1 - 2e-20 rounds to 1: the pixel would oscillate, which is
+        # an infeasible design, not a config error
+        cfg = write_config(tmp_path, DESIGN_CONFIG.replace("il_budget = 0.08474576",
+                                                           "il_budget = 1e-20"),
+                           name="tight.cfg")
+        assert main(["design", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
+        assert "stability" in capsys.readouterr().err
+
     def test_budget_allowing_unit_coupling_exits_2(self, tmp_path, capsys):
         # the budget allows k >= 1, so it cannot bind: infeasible by name,
         # not a config error
@@ -259,6 +270,70 @@ class TestValidateCmd:
         assert main(["validate", "--config", cfg, "--quiet"]) == 2
         err = capsys.readouterr().err
         assert "matched-anchor" in err
+
+    @pytest.mark.parametrize("line, message", [
+        ("q_on = -5", "q_on must be positive"),
+        ("f0 = 0", "f0 must be positive"),
+        ("q_on = abc", "config key 'q_on' must be numeric"),
+    ])
+    def test_bad_fixture_value_is_config_error(self, tmp_path, capsys, line, message):
+        cfg = write_config(tmp_path, line + "\n", name="bad.cfg")
+        assert main(["validate", "--config", cfg, "--quiet"]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_crashed_check_keeps_its_name(self, monkeypatch):
+        names = [r.name for r in validate.run_all()]
+
+        def crashing(check):
+            def crash(rng, fx):
+                raise RuntimeError("crash")
+            crash.__name__ = check.__name__
+            return crash
+
+        monkeypatch.setattr(validate, "ALL_CHECKS", [crashing(c) for c in validate.ALL_CHECKS])
+        results = validate.run_all()
+        assert [r.name for r in results] == names
+        assert not any(r.passed for r in results)
+
+
+# sha256 of the CLI outputs for REFERENCE_CONFIG (DESIGN_CONFIG for
+# design), as listed with the "reference" and "design" rows in CHANGES.md
+GOLDEN_DIGESTS = {
+    "sweep": {
+        "sweep.csv": "ff271b5ee28e600d839f01fbf95c70792ad753cf9e30f68df1e6810623375e92",
+        "sweep.s2p": "a408a7c07f9f434b3ce0be644d0df67de465861d634f5ca89dbf38e2bb174932",
+    },
+    "match": {
+        "match_locus.csv": "3470237056a870f78d1b265bd0e2010b9244c6a7ba0f6232439561740b4218d1",
+        "s11_contours.csv": "53d71579e8f043b8e1e7350703450d681e6be3f9201377d02fe859fa2ccef8f5",
+    },
+    "nonlin": {
+        "nonlin.csv": "191bb76d275e1b2f9c5b7d789f286e956a4b23a7abe1c3d268cf5a43660df6aa",
+    },
+    "noise": {
+        "phase_noise.csv": "843bedddbcb4fc87afae185e687658d0adfdb29cdb1338d25e131d4b13f24916",
+        "pm_to_am.csv": "e590eb928c35538fa0ba2210b2d8cb6553b95078dc313a615729c0fc0b39da28",
+    },
+    "snr": {
+        "snr.txt": "24c6d231dd2ec968f724a9464b011a9ce877e8c0785c2c49814f9ca44c89d79f",
+    },
+    "design": {
+        "design.txt": "1ceef7efa6732e13690f6ed955ab708aa25fbafa2489979ccf911398fff09270",
+        "design_report.txt": "c36f382d68365e023ba55c0fb4e4f0a8ad868d5bb3935f45f88229a6a050ae0a",
+    },
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_DIGESTS)
+def test_golden_digests(tmp_path, command):
+    config = DESIGN_CONFIG if command == "design" else REFERENCE_CONFIG
+    extra = ["--format", "both"] if command == "sweep" else []
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet", *extra]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in out.iterdir()}
+    assert digests == GOLDEN_DIGESTS[command]
 
 
 def exit_code(argv):

@@ -66,15 +66,33 @@ class TestSynthesize:
         hungry = dataclasses.replace(spec, snr_dr_target=synthesize(spec).snr_dr * 4)
         result = synthesize(hungry)
         assert result.l_srr < spec.l_srr_max
-        assert result.snr_dr == pytest.approx(hungry.snr_dr_target, rel=1e-4)
+        assert result.snr_dr == pytest.approx(hungry.snr_dr_target, rel=1e-12)
         assert "lowered" in " ".join(result.notes)
 
     def test_snr_dc_target_can_bind(self, spec):
         base = synthesize(spec)
         hungry = dataclasses.replace(spec, snr_dc_target=base.snr_dc * 3)
         result = synthesize(hungry)
-        assert result.snr_dc >= hungry.snr_dc_target * (1 - 1e-4)
+        assert result.snr_dc >= hungry.snr_dc_target * (1 - 1e-12)
         assert result.power_estimate > base.power_estimate
+
+    def test_snr_targets_reach(self, spec):
+        # SNR_dC ~ r^-1/2, so a target 2^200 times the ceiling value needs
+        # the ring loss lowered 4^200-fold: the deepest accepted
+        reach = synthesize(spec).snr_dc * 2.0**200
+        met = synthesize(dataclasses.replace(spec, snr_dc_target=0.999 * reach))
+        assert met.snr_dc == pytest.approx(0.999 * reach, rel=1e-12)
+        # past the reach, down to a factor that underflows to zero
+        for target in (1.001 * reach, 1e300):
+            with pytest.raises(InfeasibleDesignError) as err:
+                synthesize(dataclasses.replace(spec, snr_dc_target=target))
+            assert err.value.constraint == "snr targets"
+
+    def test_loop_gain_rounding_to_one_named(self, spec):
+        # a budget this tight floors Q_on at 5e20: gm*R = 1 - 2e-20 rounds to 1
+        with pytest.raises(InfeasibleDesignError) as err:
+            synthesize(dataclasses.replace(spec, il_budget=1e-20))
+        assert err.value.constraint == "stability"
 
     def test_relaxed_il_budget_lowers_q_floor_and_helps_snr(self, spec):
         tight = synthesize(spec)
