@@ -42,12 +42,6 @@ class GmBlockParams:
         return self.gm0
 
 
-def gm_parasitic_capacitance(cgs_n, cgs_p, cdb_n, cdb_p, cgd_n, cgd_p) -> float:
-    """Capacitance the block hangs on the ring, from per-device values:
-    (Cgs + Cdb sums)/2 plus twice the gate-drain sums."""
-    return (cgs_n + cgs_p + cdb_n + cdb_p) / 2.0 + 2.0 * (cgd_n + cgd_p)
-
-
 class OscillationError(ValueError):
     """The block's loop gain reaches one (gm*R >= 1): the pixel oscillates."""
 
@@ -191,11 +185,11 @@ def sample_response(state: AsrrState, delta: SampleDelta) -> SampleResponse:
     """
     c = state.c_asrr
     w0 = state.w0
-    boost2 = (q_on(state) / state.srr.q_off) ** 2
+    d_r_boosted = loss_amplification(state, delta.delta_r)
     d_w0 = -delta.delta_c / (2.0 * c) * w0
-    d_slope = (10.0 / 9.0) * c * boost2 * delta.delta_r
+    d_slope = (10.0 / 9.0) * c * d_r_boosted
     d_phase_freq = (q_on(state) / 3.0) * (delta.delta_c / c)
-    d_phase_slope_term = (5.0 / 9.0) * boost2 * w0 * delta.delta_r * delta.delta_c
+    d_phase_slope_term = (5.0 / 9.0) * w0 * d_r_boosted * delta.delta_c
     return SampleResponse(d_w0, d_slope, d_phase_freq, d_phase_slope_term)
 
 

@@ -356,11 +356,6 @@ class TestFromTargets:
 
 
 class TestParasiticCapacitance:
-    def test_per_device_combination(self):
-        # (sum of gate-source and drain-bulk)/2 plus twice the gate-drain sum
-        got = active.gm_parasitic_capacitance(1e-15, 2e-15, 3e-15, 4e-15, 0.5e-15, 0.25e-15)
-        assert got == pytest.approx((1 + 2 + 3 + 4) / 2 * 1e-15 + 2 * 0.75e-15, rel=1e-12)
-
     def test_state_total_capacitance(self, fx):
         st = fx.state()
         assert st.c_asrr == pytest.approx(st.srr.csrr + st.gm.c_gm, rel=1e-15)

@@ -275,6 +275,9 @@ class TestValidateCmd:
         ("q_on = -5", "q_on must be positive"),
         ("f0 = 0", "f0 must be positive"),
         ("q_on = abc", "config key 'q_on' must be numeric"),
+        ("k = 1.5", "coupling coefficient k must satisfy 0 <= k < 1"),
+        ("q_on = 8", "q_on (8) must exceed q_off (10)"),
+        ("beta_l = 0.001", "matching Q=54 needs k=4.303 >= 1"),
     ])
     def test_bad_fixture_value_is_config_error(self, tmp_path, capsys, line, message):
         cfg = write_config(tmp_path, line + "\n", name="bad.cfg")

@@ -1,0 +1,85 @@
+"""The record contract of the validate suite: each check returns
+(metric, value, tol) records, and CheckResult derives pass/fail and text."""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from asrrkit import validate
+from asrrkit.validate import CheckResult, Fixture
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+
+
+@pytest.fixture(scope="module")
+def results():
+    return validate.run_all()
+
+
+class TestRecordRule:
+    def test_value_at_tol_passes(self):
+        assert CheckResult("x", [("m", 1e-9, 1e-9)]).passed
+
+    def test_value_just_over_tol_fails(self):
+        over = math.nextafter(1e-9, math.inf)
+        res = CheckResult("x", [("a", 0.0, 1.0), ("m", over, 1e-9)])
+        assert not res.passed
+
+    def test_nan_fails(self):
+        assert not CheckResult("x", [("m", math.nan, 1e-9)]).passed
+
+    def test_no_records_fails(self):
+        assert not CheckResult("x", []).passed
+
+    def test_detail_lists_each_record(self):
+        res = CheckResult("x", [("a", 2.5e-16, 1e-12), ("b", math.inf, 1.000001)])
+        assert res.detail == "a 2.50e-16 (tol 1e-12), b inf (tol 1.000001)"
+        assert res.line() == f"[FAIL] x: {res.detail}"
+
+
+class TestRunCheck:
+    def test_crash_fails_and_keeps_its_name(self):
+        def check_crashing_probe(rng, fx):
+            raise RuntimeError("boom")
+
+        res = validate.run_check(check_crashing_probe, Fixture())
+        assert res.name == "crashing-probe"
+        assert res.passed is False
+        assert res.detail == "raised RuntimeError('boom')"
+        assert res.elapsed >= 0.0
+
+    def test_seeded(self):
+        def check_draw(rng, fx):
+            return [("draw", rng.uniform(), 1.0)]
+
+        first = validate.run_check(check_draw, Fixture(), seed=5)
+        again = validate.run_check(check_draw, Fixture(), seed=5)
+        assert first.measurements == again.measurements
+
+
+class TestSuite:
+    def test_every_check_has_a_finite_tol(self, results):
+        assert len(results) == len(validate.ALL_CHECKS)
+        for res in results:
+            assert res.error is None, res.line()
+            assert res.measurements, res.name
+            assert all(math.isfinite(tol) for _, _, tol in res.measurements), res.line()
+
+    def test_passed_is_a_plain_bool(self, results):
+        # the bench writes it with json.dump
+        assert all(type(res.passed) is bool for res in results)
+
+    def test_pm_to_am_null_gate_is_strict(self, results):
+        (res,) = [r for r in results if r.name == "pm-to-am"]
+        tol = dict((metric, t) for metric, _, t in res.measurements)["gain at resonance dB"]
+        assert not CheckResult("pm-to-am", [("gain", -60.0, tol)]).passed
+        assert CheckResult("pm-to-am", [("gain", math.nextafter(-60.0, -math.inf), tol)]).passed
+
+    def test_names_match_the_bench_timings(self, results):
+        per_layer = json.loads(BENCHMARK.read_text())["per_layer"]
+        timed = [m["name"].removeprefix("validate.").removesuffix("_s") for m in per_layer
+                 if m["name"].startswith("validate.") and m["name"].endswith("_s")
+                 and m["name"] != "validate.run_all_s"]
+        assert [res.name for res in results] == timed
