@@ -5,7 +5,8 @@ quality factor.
 The cross-coupled block partially cancels the ring loss: the parallel loss
 R becomes R/(1 - gm*R), boosting the quality factor by the same ratio.
 The block must stay below unity loop gain (gm*R < 1) or it oscillates and
-none of this applies; every operation guards that.
+none of this applies; AsrrState refuses such a block, and a boost beyond
+MAX_BOOST, so every operation on a state can rely on both.
 """
 
 from __future__ import annotations
@@ -13,15 +14,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .resonator import (SrrParams, TransmissionLineSection, check_positive, optimum_k_for_q,
+from .resonator import (MATCHED_RHO, SrrParams, TransmissionLineSection, absorbed_power_fraction,
+                        check_positive, loss_slope_factor, optimum_k_for_q, phase_slope_factor,
                         require_positive)
+
+# Largest boost Q_on/Q_off a state accepts: the boost is carried as
+# 1 - gm*R, which keeps too few digits beyond this.
+MAX_BOOST = 1e8
 
 
 @dataclass(frozen=True)
 class GmBlockParams:
     """Cross-coupled negative-gm block, symmetric NMOS/PMOS design."""
 
-    gm0: float  # small-signal transconductance per device [S]
+    gm0: float  # small-signal transconductance per device, and the block's (gm_n + gm_p)/2 [S]
     kn_wl: float  # NMOS gain factor K*(W/L) [A/V^2]
     kp_wl: float  # PMOS gain factor K*(W/L) [A/V^2]
     vdd: float  # supply voltage [V]
@@ -35,11 +41,6 @@ class GmBlockParams:
         check_positive(self, "gm0", "kn_wl", "kp_wl", "vdd", "vth", "c_gm", "kf", "gamma")
         if not (self.lam >= 0 and math.isfinite(self.lam)):
             raise ValueError("lam must be non-negative and finite")
-
-    def block_gm(self) -> float:
-        """Total small-signal transconductance of the block, (gm_n + gm_p)/2
-        with the symmetric design giving gm_n = gm_p = gm0."""
-        return self.gm0
 
 
 class OscillationError(ValueError):
@@ -60,8 +61,12 @@ class AsrrState:
     gm: GmBlockParams
 
     def __post_init__(self):
-        if self.gm.block_gm() * self.r_srr_parallel() >= 1.0:
+        loop_gain = self.gm.gm0 * self.r_srr_parallel()
+        if loop_gain >= 1.0:
             raise OscillationError("oscillation: loop gain >= 1 (gm * R >= 1)")
+        boost = 1.0 / (1.0 - loop_gain)
+        if boost > MAX_BOOST:
+            raise ValueError(f"boost Q_on/Q_off = {boost:.3g} exceeds {MAX_BOOST:g}")
 
     @classmethod
     def from_targets(cls, f0, lsrr, q_off, *, q_on=None, gm0=None, k=None,
@@ -131,23 +136,15 @@ class AsrrState:
         )
 
 
-def boosted_resistance(state: AsrrState, gm_total=None) -> float:
+def boosted_resistance(state: AsrrState) -> float:
     """Boosted parallel resistance R/(1 - gm*R) [ohm]."""
     r = state.r_srr_parallel()
-    g = state.gm.block_gm() if gm_total is None else gm_total
-    loop_gain = g * r
-    if loop_gain >= 1.0:
-        raise OscillationError("oscillation: loop gain >= 1 (gm * R >= 1)")
-    return r / (1.0 - loop_gain)
+    return r / (1.0 - state.gm.gm0 * r)
 
 
-def q_on(state: AsrrState, gm_total=None) -> float:
+def q_on(state: AsrrState) -> float:
     """Boosted quality factor Q_off/(1 - gm*R)."""
-    r = state.r_srr_parallel()
-    g = state.gm.block_gm() if gm_total is None else gm_total
-    if g * r >= 1.0:
-        raise OscillationError("oscillation: loop gain >= 1 (gm * R >= 1)")
-    return state.srr.q_off / (1.0 - g * r)
+    return state.srr.q_off / (1.0 - state.gm.gm0 * state.r_srr_parallel())
 
 
 def loss_amplification(state: AsrrState, delta_r: float) -> float:
@@ -179,53 +176,42 @@ class SampleResponse:
 def sample_response(state: AsrrState, delta: SampleDelta) -> SampleResponse:
     """First-order pixel response to a sample under matched coupling.
 
-    d_w0 = -dC/(2C) * w0; the slope shift is (10/9)*C*(Q_on/Q_off)^2*dR;
-    the two output-phase terms are (Q_on/3)*(dC/C) and
-    (5/9)*(Q_on/Q_off)^2*w0*dR*dC.  Valid for |dC| << C.
+    d_w0 = -dC/(2C) * w0; the slope shift is LS*C*(Q_on/Q_off)^2*dR; the
+    output-phase terms are (Q_on/3)*(dC/C), with 1/3 = P/2, and
+    (LS/2)*(Q_on/Q_off)^2*w0*dR*dC; LS = 10/9 and P = 2/3 are the loss- and
+    phase-slope factors at MATCHED_RHO.  Valid for |dC| << C.
     """
     c = state.c_asrr
     w0 = state.w0
+    loss_slope = loss_slope_factor(MATCHED_RHO)
     d_r_boosted = loss_amplification(state, delta.delta_r)
     d_w0 = -delta.delta_c / (2.0 * c) * w0
-    d_slope = (10.0 / 9.0) * c * d_r_boosted
-    d_phase_freq = (q_on(state) / 3.0) * (delta.delta_c / c)
-    d_phase_slope_term = (5.0 / 9.0) * w0 * d_r_boosted * delta.delta_c
+    d_slope = loss_slope * c * d_r_boosted
+    d_phase_freq = (q_on(state) / (2.0 / phase_slope_factor(MATCHED_RHO))) * (delta.delta_c / c)
+    d_phase_slope_term = (loss_slope / 2.0) * w0 * d_r_boosted * delta.delta_c
     return SampleResponse(d_w0, d_slope, d_phase_freq, d_phase_slope_term)
 
 
-def absorbed_power_fraction(r_eq: float, z0: float) -> float:
-    """Fraction of incident power the inserted resonator dissipates:
-    4*R'*z0/(R' + 2*z0)^2, equal to 4/9 at the matched point."""
-    return 4.0 * r_eq * z0 / (r_eq + 2.0 * z0) ** 2
-
-
-def asrr_voltage_swing(state: AsrrState, p_in: float, q=None,
-                       line: TransmissionLineSection | None = None, z0=None) -> float:
+def asrr_voltage_swing(state: AsrrState, p_in: float, q=None) -> float:
     """Peak differential swing across the resonator for input power p_in [V].
 
-    Matched coupling by default: the resonator takes 4/9 of the incident
-    power, so V = sqrt((8/9) * w0 * L * Q * p_in).  Pass line and z0 for the
-    general-coupling form, which uses the reflected resistance to split the
-    power.  q overrides the boosted quality factor (compressed operation).
+    Matched, the resonator absorbs absorbed_power_fraction(MATCHED_RHO) =
+    4/9 of the incident power, so V = sqrt((8/9) * w0 * L * Q * p_in).  q
+    overrides the boosted quality factor (compressed operation).
     """
     if p_in < 0:
         raise ValueError("p_in must be non-negative")
     q_val = q_on(state) if q is None else q
     r_asrr = state.w0 * state.srr.lsrr * q_val
-    if line is None:
-        p_srr = (4.0 / 9.0) * p_in
-    else:
-        if z0 is None:
-            z0 = line.z0
-        r_eq = state.w0 * state.srr.k**2 * line.ltl * q_val
-        p_srr = absorbed_power_fraction(r_eq, z0) * p_in
+    p_srr = absorbed_power_fraction(MATCHED_RHO) * p_in
     return math.sqrt(2.0 * r_asrr * p_srr)
 
 
 def linear_power_limit(state: AsrrState) -> float:
     """Input power at which the swing reaches vth and compression starts:
-    (9/8) * vth^2 / (w0 * L * Q_on) [W]."""
-    return (9.0 / 8.0) * state.gm.vth**2 / (state.w0 * state.srr.lsrr * q_on(state))
+    (1/(2A)) * vth^2 / (w0 * L * Q_on) [W], A = absorbed fraction, 9/8."""
+    return ((1.0 / (2.0 * absorbed_power_fraction(MATCHED_RHO))) * state.gm.vth**2
+            / (state.w0 * state.srr.lsrr * q_on(state)))
 
 
 def conduction_angle(v_asrr: float, vth: float) -> float:
@@ -274,15 +260,13 @@ def block_gm_avg(v_asrr: float, p: GmBlockParams) -> float:
     return 0.5 * (gm_avg_exact(v_asrr, p, p.kn_wl) + gm_avg_exact(v_asrr, p, p.kp_wl))
 
 
-def q_on_nonlinear(state: AsrrState, p_in: float, rtol=1e-9, max_iter=200,
-                   line: TransmissionLineSection | None = None, z0=None):
+def q_on_nonlinear(state: AsrrState, p_in: float, rtol=1e-9, max_iter=200):
     """Self-consistent (quality factor, swing) under gm compression.
 
     Solves V = swing(Q(V), p_in) with Q(V) = Q_off/(1 - gm_avg(V)*R) by a
     damped fixed point (damping 0.5); if the iteration fails to settle it
     falls back to bisection on V - swing(Q(V)), which brackets the unique
-    fixed point because the swing is non-increasing in V.  Power split uses
-    the matched-coupling fraction unless line/z0 are given.
+    fixed point because the swing is non-increasing in V.
 
     Returns (q_nonlin, v_asrr).  Raises RuntimeError with the last iterate
     if neither scheme converges.
@@ -295,9 +279,9 @@ def q_on_nonlinear(state: AsrrState, p_in: float, rtol=1e-9, max_iter=200,
         return state.srr.q_off / (1.0 - block_gm_avg(v, state.gm) * r)
 
     def swing(v):
-        return asrr_voltage_swing(state, p_in, q=q_of_v(v), line=line, z0=z0)
+        return asrr_voltage_swing(state, p_in, q=q_of_v(v))
 
-    v = asrr_voltage_swing(state, p_in, line=line, z0=z0)  # linear-theory start
+    v = asrr_voltage_swing(state, p_in)  # linear-theory start
     damping = 0.5
     for _ in range(max_iter):
         v_next = (1.0 - damping) * v + damping * swing(v)

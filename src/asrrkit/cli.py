@@ -46,6 +46,19 @@ STATE_KEYS = {"k": "k", "c_asrr": "c_asrr", "c_gm": "c_gm", "vdd": "vdd", "vth":
               "lambda": "lam"}
 MATCH_TOL = 1e-6  # largest |beta_l*k^2*Q_on - 1| the matched closed forms accept
 
+# every key some command reads, so that one config can serve all of them;
+# any other key is refused as a likely typo
+CONFIG_KEYS = frozenset({
+    "f0", "lsrr", "csrr", "q_off", "q_on", "gm0", "k",  # pixel
+    "z0", "beta_l", "ltl", "ctl", "length",  # line
+    *STATE_KEYS,  # active block
+    "p_in_min", "p_in_max", "p_in_points",  # nonlin
+    "p_in", "temperature", "delta_f_s", "offset_min", "offset_max", "supply_psd",
+    "pm_am_offset", "f_lo", "f_hi",  # noise; the flicker band also for snr and design
+    "delta_r_ref", "n_pixels", "il_budget", "snr_dc_target", "snr_dr_target", "kn", "kp",
+    "kf_area", "c_per_area", "l_srr_max", "cap_weight",  # snr and design
+})
+
 
 def _say(args, msg):
     if not args.quiet:
@@ -395,6 +408,9 @@ def main(argv=None) -> int:
     try:
         if args.config:
             cfg = parse_config_file(args.config)
+            unknown = sorted(set(cfg) - CONFIG_KEYS)
+            if unknown:
+                raise ConfigError(f"unknown config key {', '.join(map(repr, unknown))}")
         elif args.command != "validate":
             raise ConfigError(f"'{args.command}' needs --config")
         return COMMANDS[args.command](args, cfg)

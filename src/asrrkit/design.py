@@ -21,7 +21,7 @@ from .resonator import (
     optimum_k_for_q,
     q_on_min,
 )
-from .active import AsrrState, OscillationError, gm_for_boost, linear_power_limit
+from .active import MAX_BOOST, AsrrState, gm_for_boost, linear_power_limit
 from .noise import (FLICKER_BAND, alpha_flicker, check_flicker_band, flicker_rms, snr_delta_c,
                     snr_delta_r)
 
@@ -118,17 +118,10 @@ def _design_at(spec: DesignSpec, r_srr: float, q_on: float, k: float, w0: float,
     band = spec.flicker_band
     if q_on > spec.q_off:
         gm = gm_for_boost(spec.q_off, q_on, r_srr)
-        try:
-            if not gm * r_srr < 1.0:  # the loop gain may round to 1 here or in the state
-                raise OscillationError
-            state = AsrrState.from_targets(
-                spec.f0, l_srr, spec.q_off, gm0=gm, k=k, c_asrr=c_asrr, c_gm=c_gm,
-                vdd=spec.vdd, vth=spec.vth, kf=kf_dev,
-            )
-        except OscillationError:
-            raise InfeasibleDesignError(
-                "stability", f"required gm*R = {gm * r_srr:.3f} >= 1 would oscillate"
-            ) from None
+        state = AsrrState.from_targets(
+            spec.f0, l_srr, spec.q_off, gm0=gm, k=k, c_asrr=c_asrr, c_gm=c_gm,
+            vdd=spec.vdd, vth=spec.vth, kf=kf_dev,
+        )
         alpha = alpha_flicker(state)
         snr_dc = snr_delta_c(state, kf_dev, band)
         snr_dr = snr_delta_r(state, kf_dev, band, spec.delta_r_ref)
@@ -207,6 +200,12 @@ def synthesize(spec: DesignSpec) -> DesignResult:
     if overdrive <= 0:
         raise InfeasibleDesignError(
             "bias headroom", f"vdd/2 - vth = {overdrive:.3g} V leaves no overdrive"
+        )
+    # below the state's boost bound the loop gain gm*R = 1 - Q_off/Q_on
+    # stays clear of 1, so the pixel cannot oscillate
+    if q_on / spec.q_off > MAX_BOOST:
+        raise InfeasibleDesignError(
+            "boost limit", f"Q_on/Q_off = {q_on / spec.q_off:.3g} exceeds {MAX_BOOST:g}"
         )
 
     r_cap = w0 * spec.q_off * spec.l_srr_max  # inductance ceiling in loss terms

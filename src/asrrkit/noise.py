@@ -8,7 +8,9 @@ that slope wobble turns into phase noise.  Source phase noise passes
 through essentially unchanged inside the resonator bandwidth, with a
 side-effect of PM-to-AM conversion that nulls at resonance.
 
-SSB quantities are in dBc/Hz; sensitivities are plain derivatives.
+SSB quantities are in dBc/Hz; sensitivities are plain derivatives.  The
+matched closed forms take A, T, P and LS (absorbed and transmitted power
+fractions, phase- and loss-slope factors) from resonator at MATCHED_RHO.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .active import AsrrState, boosted_resistance, q_on
-from .resonator import TwoPortSweep, check_positive
+from .resonator import (MATCHED_RHO, TwoPortSweep, absorbed_power_fraction, check_positive,
+                        loss_slope_factor, phase_slope_factor, transmitted_power_fraction)
 
 BOLTZMANN = 1.380649e-23  # [J/K]
 
@@ -88,17 +91,18 @@ def white_output_noise_density(ctx: NoiseContext) -> float:
     The four devices' differential noise acts like a single device's
     current density 4kT*gamma*gm across the resonator; referring it into
     the line and taking the one-third circulating split at resonance gives
-    (1/9) * Q_on * w0 * L * z0 * (4kT*gamma*gm).
+    (A/4) * Q_on * w0 * L * z0 * (4kT*gamma*gm), A/4 = 1/9.
     """
     st = ctx.state
     i2 = 4.0 * BOLTZMANN * ctx.temperature * st.gm.gamma * st.gm.gm0
-    return (1.0 / 9.0) * q_on(st) * st.w0 * st.srr.lsrr * ctx.z0 * i2
+    return ((absorbed_power_fraction(MATCHED_RHO) / 4.0) * q_on(st) * st.w0 * st.srr.lsrr
+            * ctx.z0 * i2)
 
 
 def detected_power(ctx: NoiseContext) -> float:
-    """Carrier power reaching the detector, |S21(w0)|^2 * p_in; 4/9 of the
-    input (-3.52 dB) for a matched pixel."""
-    return (4.0 / 9.0) * ctx.p_in
+    """Carrier power reaching the detector, |S21(w0)|^2 * p_in = T * p_in;
+    4/9 of the input (-3.52 dB) for a matched pixel."""
+    return transmitted_power_fraction(MATCHED_RHO) * ctx.p_in
 
 
 def white_ssb_phase_noise(ctx: NoiseContext) -> float:
@@ -106,15 +110,6 @@ def white_ssb_phase_noise(ctx: NoiseContext) -> float:
     power (the PM share) over the detected carrier power in z0."""
     v2 = white_output_noise_density(ctx)
     return 10.0 * math.log10(0.5 * v2 / (ctx.z0 * detected_power(ctx)))
-
-
-def flicker_gate_decomposition(v_fn: float):
-    """Gate-source voltages the four devices see when one device carries a
-    low-frequency noise voltage v_fn: at low frequency the resonator shorts
-    the block into four diode-connected devices, so the internal node takes
-    -v_fn/4 and the split is (3/4, -1/4, -1/4, -1/4)*v_fn."""
-    v_x = -v_fn / 4.0
-    return (v_fn + v_x, v_x, v_x, v_x)
 
 
 def gm_slope_vgs(state: AsrrState, which: str) -> float:
@@ -136,14 +131,15 @@ def gm_slope_vdd(state: AsrrState, which: str) -> float:
 
 def flicker_sres_sensitivity(state: AsrrState) -> float:
     """Phase-slope sensitivity to one device's gate noise voltage
-    [s/(rad*V)], matched coupling: (5/36) * L * Q_on^2 * (slope_n + slope_p).
+    [s/(rad*V)], matched coupling: (LS/8) * L * Q_on^2 * (slope_n + slope_p).
 
-    Chain: gate noise redistributes the block gm by (slope_n + slope_p)/8,
-    the boosted loss responds as R^2/(1 - gm*R)^2, and the phase slope
-    responds to the boosted loss as (10/9)*C.
+    Chain: the resonator shorts the block at low frequency, so the four
+    devices split one's gate noise v as (3/4, -1/4, -1/4, -1/4)*v, which
+    redistributes the block gm by (slope_n + slope_p)/8; the boosted loss
+    responds as R^2/(1 - gm*R)^2, and the phase slope to it as LS*C.
     """
     return (
-        (5.0 / 36.0)
+        (loss_slope_factor(MATCHED_RHO) / 8.0)
         * state.srr.lsrr
         * q_on(state) ** 2
         * (gm_slope_vgs(state, "n") + gm_slope_vgs(state, "p"))
@@ -152,10 +148,10 @@ def flicker_sres_sensitivity(state: AsrrState) -> float:
 
 def supply_sres_sensitivity(state: AsrrState) -> float:
     """Phase-slope sensitivity to supply noise [s/(rad*V)], matched
-    coupling: (5/9) * L * Q_on^2 * (slope_n + slope_p) with the supply
+    coupling: (LS/2) * L * Q_on^2 * (slope_n + slope_p) with the supply
     slopes."""
     return (
-        (5.0 / 9.0)
+        (loss_slope_factor(MATCHED_RHO) / 2.0)
         * state.srr.lsrr
         * q_on(state) ** 2
         * (gm_slope_vdd(state, "n") + gm_slope_vdd(state, "p"))
@@ -234,32 +230,25 @@ def flicker_rms(kf: float, band) -> float:
 
 
 def alpha_flicker(state: AsrrState) -> float:
-    """Flicker sensitivity parameter (5/36)*(Kn*(W/L) + Kp*(W/L)), channel
+    """Flicker sensitivity parameter (LS/8)*(Kn*(W/L) + Kp*(W/L)), channel
     length modulation neglected."""
-    return (5.0 / 36.0) * (state.gm.kn_wl + state.gm.kp_wl)
+    return (loss_slope_factor(MATCHED_RHO) / 8.0) * (state.gm.kn_wl + state.gm.kp_wl)
 
 
 def snr_delta_c(state: AsrrState, kf: float, band) -> float:
     """Detection SNR for a capacitive sample shift against flicker noise:
-    1/(6 * alpha * v_rms * R_boosted).
+    1/((4/P) * alpha * v_rms * R_boosted), 4/P = 6.
 
     The sample detuning cancels between signal and noise, so the result is
     independent of how far the resonance actually moves.
     """
-    return 1.0 / (6.0 * alpha_flicker(state) * flicker_rms(kf, band) * boosted_resistance(state))
+    return 1.0 / ((4.0 / phase_slope_factor(MATCHED_RHO)) * alpha_flicker(state)
+                  * flicker_rms(kf, band) * boosted_resistance(state))
 
 
 def snr_delta_r(state: AsrrState, kf: float, band, delta_r: float) -> float:
     """Detection SNR for a loss sample shift delta_r against flicker noise:
-    5*delta_r/(18 * alpha * v_rms * R_ring^2).  Detuning-independent, like
-    the capacitive case."""
-    return (
-        5.0
-        * delta_r
-        / (
-            18.0
-            * alpha_flicker(state)
-            * flicker_rms(kf, band)
-            * state.r_srr_parallel() ** 2
-        )
-    )
+    (LS/4)*delta_r/(alpha * v_rms * R_ring^2), LS/4 = 5/18.
+    Detuning-independent, like the capacitive case."""
+    return ((loss_slope_factor(MATCHED_RHO) / 4.0) * delta_r
+            / (alpha_flicker(state) * flicker_rms(kf, band) * state.r_srr_parallel() ** 2))

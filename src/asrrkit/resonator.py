@@ -26,6 +26,10 @@ Q_CAP = 1e9
 # around this value; requests beyond it get a warning.
 K_GEOMETRIC_LIMIT = 0.25
 
+# Coupling ratio rho = R'/z0 on the matched locus beta_l*k^2*Q = 1, where the
+# reflected resistance R' = beta_l*k^2*Q*z0 equals the line impedance.
+MATCHED_RHO = 1.0
+
 
 def require_positive(**values):
     """Raise ValueError unless each keyword value is positive and finite;
@@ -331,35 +335,49 @@ def q_on_min(k_max: float, line: TransmissionLineSection, w0: float) -> float:
     return optimum_q_for_k(k_max, line, w0)
 
 
-def output_phase_slope(res: EquivalentResonator, z0: float) -> float:
-    """Transmission phase slope d(phase)/dw at resonance [s/rad].
+# The line-coupling laws: at resonance the reflected R' sits in series with
+# the ports' 2*z0, so each depends on the coupling ratio rho = R'/z0 alone.
 
-    2*R'^2 / ((R' + 2*z0) * w0^2 * L'); at the matched point R' = z0 this is
-    (2/3)*Q/w0, one third of the bare resonator's phase slope.
-    """
-    return 2.0 * res.r_eq**2 / ((res.r_eq + 2.0 * z0) * res.w0**2 * res.l_eq)
+def absorbed_power_fraction(rho):
+    """Share of the incident power the resonator dissipates: 4/9 matched."""
+    return 4.0 * rho / (rho + 2.0) ** 2
+
+
+def transmitted_power_fraction(rho):
+    """|S21(w0)|^2: 4/9 matched."""
+    return 4.0 / (rho + 2.0) ** 2
+
+
+def phase_slope_factor(rho):
+    """Output phase slope in units of Q/w0: 2/3 matched, a third of the bare
+    resonator's."""
+    return 2.0 * rho / (rho + 2.0)
+
+
+def loss_slope_factor(rho):
+    """Output phase-slope sensitivity to the ring's parallel loss in units
+    of the ring capacitance: 10/9 matched."""
+    return 2.0 * rho * (rho + 4.0) / (rho + 2.0) ** 2
+
+
+def output_phase_slope(res: EquivalentResonator, z0: float) -> float:
+    """Transmission phase slope d(phase)/dw at resonance [s/rad]."""
+    return phase_slope_factor(res.r_eq / z0) * res.q / res.w0
 
 
 def effective_q_out(res: EquivalentResonator, z0: float) -> float:
-    """Quality factor inferred from the output phase slope: slope * w0 / 2.
-    Equals Q/3 for a matched resonator."""
-    return output_phase_slope(res, z0) * res.w0 / 2.0
+    """Quality factor inferred from the output phase slope, slope * w0/2:
+    Q/3 when matched."""
+    return phase_slope_factor(res.r_eq / z0) * res.q / 2.0
 
 
 def phase_slope_vs_resistance(srr: SrrParams, line: TransmissionLineSection, z0: float) -> float:
     """Sensitivity of the output phase slope to the ring's parallel loss
-    resistance [s/(rad*ohm)].
-
-    Mixed derivative of the transmission phase, referred from the
-    equivalent resonator back to the ring through the (M/L)^2 impedance
-    ratio.  Under optimum coupling it collapses to (10/9)*C.
+    resistance [s/(rad*ohm)]: the mixed derivative of the transmission
+    phase in R', referred to the ring through the (M/L)^2 impedance ratio,
+    leaves the ring capacitance C as the only circuit value.
     """
-    res = equivalent_resonator(srr, line)
-    q = res.q
-    w0 = res.w0
-    m2_over_l2 = (mutual_inductance(srr, line) / srr.lsrr) ** 2
-    d_dr_eq = q * (2.0 / w0) * (res.r_eq + 4.0 * z0) / (res.r_eq + 2.0 * z0) ** 2
-    return d_dr_eq * m2_over_l2
+    return loss_slope_factor(equivalent_resonator(srr, line).r_eq / z0) * srr.csrr
 
 
 def detection_band(w0: float, q_on: float):

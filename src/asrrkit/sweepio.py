@@ -8,7 +8,6 @@ place.
 from __future__ import annotations
 
 import os
-import tempfile
 
 import numpy as np
 
@@ -24,9 +23,11 @@ def fmt(x: float) -> str:
 
 def write_lines(path, lines):
     """Text lines, each ended by a newline, written through a temp file
-    that is renamed into place."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    that is renamed into place.  The temp file is created as open() creates
+    a file, mode 0666 less the umask (mkstemp would make it 0600), under a
+    random name that O_EXCL refuses to reuse."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write("\n".join(lines) + "\n")

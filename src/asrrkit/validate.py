@@ -101,13 +101,15 @@ class Fixture:
         return SrrParams(lsrr=self.lsrr, csrr=self.c_asrr, q_off=self.q_on, k=self.k_value())
 
 
+# config keys that override the Fixture field of the same name
+FIXTURE_KEYS = ("f0", "c_asrr", "q_off", "q_on", "z0", "beta_l", "vdd", "vth", "kf", "gamma", "k")
+
+
 def fixture_from_config(cfg: dict | None) -> Fixture:
     """The reference fixture with cfg's values, each positive and finite,
     with q_on above q_off and a pixel and boosted ring that can be built."""
     cfg = cfg or {}
-    fields = {key: require(cfg, key) for key in (
-        "f0", "c_asrr", "q_off", "q_on", "z0", "beta_l", "vdd", "vth", "kf", "gamma", "k",
-    ) if key in cfg}
+    fields = {key: require(cfg, key) for key in FIXTURE_KEYS if key in cfg}
     try:
         require_positive(**fields)
         fx = replace(Fixture(), **fields)
@@ -269,7 +271,7 @@ def check_sensitivity_anchors(rng, fx: Fixture) -> list[Record]:
     passive_srr = fx.boosted_srr()  # Q = 54 resonator taken as-is
     anal_passive = resonator.phase_slope_vs_resistance(passive_srr, line, z0)
     fd_passive = fd_slope_vs_r(passive_srr, lambda r: r / (w0 * passive_srr.lsrr))
-    gm0 = state.gm.block_gm()
+    gm0 = state.gm.gm0
     boost_srr = SrrParams(fx.lsrr, fx.c_asrr, fx.q_off, fx.k_value())
     anal_boost = anal_passive * (fx.q_on / fx.q_off) ** 2
     fd_boost = fd_slope_vs_r(boost_srr, lambda r: (r / (1.0 - gm0 * r)) / (w0 * boost_srr.lsrr))

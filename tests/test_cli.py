@@ -1,11 +1,14 @@
+import ast
 import hashlib
 import math
 import os
+import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from asrrkit import validate
+from asrrkit import cli, validate
 from asrrkit.cli import main
 
 REFERENCE_CONFIG = """
@@ -221,13 +224,13 @@ class TestDesignCmd:
         assert "coupling limit" in capsys.readouterr().err
 
     def test_loop_gain_rounding_to_one_exits_2(self, tmp_path, capsys):
-        # gm*R = 1 - 2e-20 rounds to 1: the pixel would oscillate, which is
-        # an infeasible design, not a config error
+        # gm*R = 1 - 2e-20 rounds to 1: the boost 5e19 is past the limit,
+        # which is an infeasible design, not a config error
         cfg = write_config(tmp_path, DESIGN_CONFIG.replace("il_budget = 0.08474576",
                                                            "il_budget = 1e-20"),
                            name="tight.cfg")
         assert main(["design", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
-        assert "stability" in capsys.readouterr().err
+        assert "boost limit" in capsys.readouterr().err
 
     def test_budget_allowing_unit_coupling_exits_2(self, tmp_path, capsys):
         # the budget allows k >= 1, so it cannot bind: infeasible by name,
@@ -337,6 +340,53 @@ def test_golden_digests(tmp_path, command):
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in out.iterdir()}
     assert digests == GOLDEN_DIGESTS[command]
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("command, text", [
+        ("snr", REFERENCE_CONFIG + "q_onn = 100\n"),
+        ("validate", "q_onn = 100\n"),
+    ], ids=["snr", "validate"])
+    def test_unknown_key_is_refused_by_name(self, tmp_path, capsys, command, text):
+        cfg = write_config(tmp_path, text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
+        assert "unknown config key 'q_onn'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.txt"))
+
+    @pytest.mark.parametrize("command", ["sweep", "match", "nonlin", "noise", "snr", "design"])
+    def test_one_config_serves_every_command(self, tmp_path, command):
+        # pixel and synthesis keys together, as a full run config carries them
+        design_only = "".join(line + "\n" for line in DESIGN_CONFIG.splitlines()
+                              if line.split("=")[0].strip() not in ("f0", "z0", "beta_l",
+                                                                    "q_off"))
+        cfg = write_config(tmp_path, REFERENCE_CONFIG + design_only)
+        assert main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+
+    def test_accepted_keys_are_the_keys_read(self):
+        # every key a command reads is accepted, and nothing else; the keys
+        # read through a loop are those of STATE_KEYS and FIXTURE_KEYS
+        read = set(cli.STATE_KEYS) | set(validate.FIXTURE_KEYS)
+        for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("require", "optional")
+                    and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+        assert read == cli.CONFIG_KEYS
+
+
+class TestOutputMode:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_outputs_take_the_umask_mode(self, tmp_path, umask, mode):
+        cfg = write_config(tmp_path, DESIGN_CONFIG)
+        out = tmp_path / "out"
+        old = os.umask(umask)
+        try:
+            assert main(["design", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        finally:
+            os.umask(old)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+        assert modes == {"design.txt": mode, "design_report.txt": mode}
 
 
 def exit_code(argv):

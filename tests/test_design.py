@@ -89,10 +89,12 @@ class TestSynthesize:
             assert err.value.constraint == "snr targets"
 
     def test_loop_gain_rounding_to_one_named(self, spec):
-        # a budget this tight floors Q_on at 5e20: gm*R = 1 - 2e-20 rounds to 1
+        # a budget this tight floors Q_on at 5e20, where gm*R = 1 - 2e-20
+        # rounds to 1: the boost limit names it before any state is built
         with pytest.raises(InfeasibleDesignError) as err:
             synthesize(dataclasses.replace(spec, il_budget=1e-20))
-        assert err.value.constraint == "stability"
+        assert err.value.constraint == "boost limit"
+        assert "Q_on/Q_off = 5e+19 exceeds 1e+08" in err.value.detail
 
     def test_relaxed_il_budget_lowers_q_floor_and_helps_snr(self, spec):
         tight = synthesize(spec)

@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from asrrkit.active import AsrrState, GmBlockParams
+from asrrkit.active import MAX_BOOST, AsrrState, GmBlockParams, q_on
 from asrrkit.config import ConfigError, parse_config_text, parse_quantity
-from asrrkit.design import DesignSpec
+from asrrkit.design import DesignSpec, InfeasibleDesignError, synthesize
 from asrrkit.noise import NoiseContext
 from asrrkit.resonator import SrrParams, TransmissionLineSection
 
@@ -234,3 +234,45 @@ def test_noise_context_refuses_bad_draws():
             "flicker_band": lambda r: [(0.0, 1e3), (1e3, 1.0), (1.0, math.inf),
                                        (math.nan, 1e3), (-1.0, 1e3)][r.integers(5)],
         })
+
+
+def test_boost_is_built_exactly_or_refused_by_name():
+    # up to MAX_BOOST the state carries Q_on to a few ulps times the boost;
+    # past it the state and the synthesizer refuse the boost by name (the
+    # boundary itself is only decided to rounding, so draws near it are not
+    # judged)
+    rng = np.random.default_rng(20260509)
+    for _ in range(DRAWS // 4):
+        q_off = rng.uniform(5.0, 30.0)
+        boost = 10.0 ** rng.uniform(0.01, 12.0)
+        if abs(math.log10(boost / MAX_BOOST)) < 1e-6:
+            continue
+        build = dict(f0=rng.uniform(50e9, 300e9), lsrr=rng.uniform(20e-12, 200e-12),
+                     q_off=q_off, q_on=q_off * boost, k=rng.uniform(0.02, 0.25))
+        if boost <= MAX_BOOST:
+            assert q_on(AsrrState.from_targets(**build)) == pytest.approx(q_off * boost, rel=1e-6)
+        else:
+            with pytest.raises(ValueError, match=r"boost Q_on/Q_off = \S+ exceeds 1e\+08"):
+                AsrrState.from_targets(**build)
+    built = refused = 0
+    for _ in range(DRAWS // 4):
+        spec = DesignSpec(f0=rng.uniform(50e9, 300e9), n_pixels=1,
+                          il_budget=10.0 ** rng.uniform(-25.0, -3.0), snr_dc_target=1e-9,
+                          snr_dr_target=1e-9, delta_r_ref=1.0, z0=rng.uniform(40, 75),
+                          line=draw_line(rng), kn=250e-6, kp=250e-6, vth=0.3, vdd=1.0,
+                          kf_area=3.9e-23, c_per_area=0.015,
+                          l_srr_max=rng.uniform(20e-12, 200e-12), q_off=rng.uniform(5, 30))
+        try:
+            result = synthesize(spec)
+        except InfeasibleDesignError as exc:
+            assert exc.constraint == "boost limit", exc
+            refused += 1
+            continue
+        assert result.q_on / spec.q_off <= MAX_BOOST
+        # the pixel its gm builds has the boost the design reports
+        state = AsrrState.from_targets(spec.f0, result.l_srr, spec.q_off,
+                                       gm0=result.gm_required, k=result.k,
+                                       c_asrr=result.c_asrr, c_gm=result.c_gm)
+        assert q_on(state) == pytest.approx(result.q_on, rel=1e-6)
+        built += 1
+    assert built > 50 and refused > 50  # both sides of the bound exercised

@@ -86,24 +86,6 @@ class TestWhiteNoise:
         assert vals[0] < vals[1] < vals[2]
 
 
-class TestFlickerDecomposition:
-    def test_zero_input(self):
-        assert noise.flicker_gate_decomposition(0.0) == (0.0, -0.0, -0.0, -0.0)
-
-    def test_four_millivolt_split(self):
-        v1, v2, v3, v4 = noise.flicker_gate_decomposition(4e-3)
-        assert v1 == pytest.approx(3e-3, rel=1e-12)
-        assert v2 == v3 == v4 == pytest.approx(-1e-3, rel=1e-12)
-
-    def test_kcl_residual(self, fx):
-        gm = fx.state().gm.gm0
-        v_fn = 4e-3
-        v1, v2, v3, v4 = noise.flicker_gate_decomposition(v_fn)
-        v_x = v2
-        residual = gm * (v_x + v_fn) + 3 * gm * v_x
-        assert abs(residual) < 1e-15
-
-
 class TestSlopeSensitivities:
     def test_flicker_quadratic_in_q(self, fx):
         kwl = fx.state().gm.kn_wl
