@@ -153,9 +153,13 @@ def cmd_sweep(args, cfg):
         path = os.path.join(out, "sweep.s2p")
         write_touchstone(path, sweep)
         paths.append(path)
-    i0 = int(np.argmin(np.abs(grid - w0)))
-    _say(args, f"wrote {', '.join(paths)}; |S21({srr.w0 / 2 / math.pi:g} Hz)| = "
-               f"{sweep.s21_db()[i0]:.3f} dB")
+    if grid[0] <= srr.w0 <= grid[-1]:
+        i0 = int(np.argmin(np.abs(grid - srr.w0)))
+        at_ring = f"|S21({sweep.freqs_hz[i0]:g} Hz)| = {sweep.s21_db()[i0]:.3f} dB"
+    else:
+        at_ring = (f"ring resonance {srr.w0 / 2 / math.pi:g} Hz is outside the grid "
+                   f"{grid[0] / 2 / math.pi:g}..{grid[-1] / 2 / math.pi:g} Hz")
+    _say(args, f"wrote {', '.join(paths)}; {at_ring}")
     return EXIT_OK
 
 
@@ -341,6 +345,11 @@ def cmd_design(args, cfg):
 
 
 def cmd_validate(args, cfg):
+    ignored = sorted(set(cfg) - set(validate.FIXTURE_KEYS))
+    if ignored:
+        # not an error: one config serves every command
+        print(f"validate ignores config key {', '.join(map(repr, ignored))}: "
+              f"it reads only {', '.join(validate.FIXTURE_KEYS)}", file=sys.stderr)
     results = validate.run_all(cfg if cfg else None)
     failed = [r for r in results if not r.passed]
     for r in results:

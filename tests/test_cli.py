@@ -104,6 +104,20 @@ class TestSweep:
         assert main(["sweep", "--quiet"]) == 1
         assert main(["sweep", "--config", str(tmp_path / "nope.cfg"), "--quiet"]) == 1
 
+    def test_printed_s21_is_read_at_the_ring_resonance(self, tmp_path, capsys):
+        # csrr = 5 fF puts the ring's own resonance at 306 GHz, far from f0
+        cfg = write_config(tmp_path, REFERENCE_CONFIG + "csrr = 5 fF\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert ("ring resonance 3.05941e+11 Hz is outside the grid 1.88889e+11..2.11111e+11 Hz"
+                in capsys.readouterr().out)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path),
+                     "--grid", "290e9:320e9:31"]) == 0
+        header, data = read_csv(tmp_path / "sweep.csv")
+        i0 = int(np.argmin(np.abs(data[:, 0] - 305.941e9)))
+        assert data[i0, 0] == 306e9
+        assert (f"|S21(3.06e+11 Hz)| = {data[i0, header.index('mag_s21_db')]:.3f} dB"
+                in capsys.readouterr().out)
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)
         envdir = tmp_path / "envout"
@@ -353,6 +367,13 @@ class TestConfigKeys:
         assert "unknown config key 'q_onn'" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.txt"))
 
+    def test_validate_names_the_keys_it_ignores(self, tmp_path, capsys):
+        # validate derives lsrr from c_asrr, so a configured lsrr has no effect
+        cfg = write_config(tmp_path, "lsrr = 100 pH\n")
+        assert main(["validate", "--config", cfg, "--quiet"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("validate ignores config key 'lsrr': ")
+
     @pytest.mark.parametrize("command", ["sweep", "match", "nonlin", "noise", "snr", "design"])
     def test_one_config_serves_every_command(self, tmp_path, command):
         # pixel and synthesis keys together, as a full run config carries them
@@ -379,14 +400,18 @@ class TestOutputMode:
                              ids=["umask022", "umask077"])
     def test_outputs_take_the_umask_mode(self, tmp_path, umask, mode):
         cfg = write_config(tmp_path, DESIGN_CONFIG)
+        sweep_cfg = write_config(tmp_path, name="sweep.cfg")
         out = tmp_path / "out"
         old = os.umask(umask)
         try:
             assert main(["design", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+            assert main(["sweep", "--config", sweep_cfg, "--out", str(out), "--quiet",
+                         "--format", "both"]) == 0
         finally:
             os.umask(old)
         modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
-        assert modes == {"design.txt": mode, "design_report.txt": mode}
+        assert modes == {"design.txt": mode, "design_report.txt": mode,
+                         "sweep.csv": mode, "sweep.s2p": mode}
 
 
 def exit_code(argv):

@@ -1,11 +1,13 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from asrrkit import sweepio
 from asrrkit.config import ConfigError, parse_config_text, parse_quantity, require
-from asrrkit.resonator import s_parameters
-from asrrkit.sweepio import write_sweep_csv, write_touchstone
+from asrrkit.resonator import TwoPortSweep, s_parameters
+from asrrkit.sweepio import CHUNK_ROWS, SWEEP_COLUMNS, write_sweep_csv, write_touchstone
 
 
 class TestQuantities:
@@ -117,3 +119,90 @@ class TestSweepFiles:
         write_touchstone(path, small_sweep)
         first = [float(v) for v in path.read_text().strip().splitlines()[1].split()]
         assert first[0] == pytest.approx(small_sweep.freqs_hz[0], rel=1e-11)
+
+
+def _fmt(v):
+    return f"{v:.12g}"
+
+
+def reference_csv(sweep):
+    """The per-row writer that the chunked one replaced."""
+    mag_db = sweep.s21_db()
+    phase_deg = np.degrees(np.unwrap(np.angle(sweep.s21)))
+    lines = [SWEEP_COLUMNS]
+    for i, f_hz in enumerate(sweep.freqs_hz):
+        s11, s21 = sweep.s11[i], sweep.s21[i]
+        lines.append(",".join(_fmt(v) for v in (f_hz, s11.real, s11.imag, s21.real, s21.imag,
+                                                 mag_db[i], phase_deg[i])))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def reference_touchstone(sweep):
+    lines = [f"# Hz S RI R {_fmt(sweep.z0_ref)}"]
+    for i, f_hz in enumerate(sweep.freqs_hz):
+        s11, s21 = sweep.s11[i], sweep.s21[i]
+        lines.append(" ".join(_fmt(v) for v in (f_hz, s11.real, s11.imag, s21.real, s21.imag,
+                                                 s21.real, s21.imag, s11.real, s11.imag)))
+    return ("\n".join(lines) + "\n").encode()
+
+
+EXTREMES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308]
+
+
+def extreme_sweep(n, seed=5):
+    """n points whose S values hold every value of EXTREMES (n >= 2), the
+    rest random over sixty decades, in a seeded order."""
+    rng = np.random.default_rng(seed)
+    size = 4 * n - len(EXTREMES)
+    rest = rng.standard_normal(size) * 10.0 ** rng.uniform(-30, 30, size)
+    re11, im11, re21, im21 = rng.permutation(np.concatenate([EXTREMES, rest])).reshape(4, n)
+    # complex(), not re + 1j*im, which turns an imaginary -0.0 into 0.0
+    return TwoPortSweep(freqs=np.linspace(1e9, 2e12, n),
+                        s11=list(map(complex, re11, im11)), s21=list(map(complex, re21, im21)),
+                        z0_ref=50.0)
+
+
+class TestStreamedWriter:
+    @pytest.mark.parametrize("n", [2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
+                                   int(2.5 * CHUNK_ROWS)])
+    def test_bytes_match_the_per_row_writer(self, tmp_path, n):
+        sweep = extreme_sweep(n)
+        s_values = np.concatenate([sweep.s11.real, sweep.s11.imag, sweep.s21.real,
+                                   sweep.s21.imag])
+        assert {_fmt(v) for v in EXTREMES} <= {_fmt(v) for v in s_values}
+        with np.errstate(divide="ignore", invalid="ignore"):
+            write_sweep_csv(tmp_path / "s.csv", sweep)
+            write_touchstone(tmp_path / "s.s2p", sweep)
+            assert (tmp_path / "s.csv").read_bytes() == reference_csv(sweep)
+        assert (tmp_path / "s.s2p").read_bytes() == reference_touchstone(sweep)
+
+    @pytest.mark.parametrize("writer", [write_sweep_csv, write_touchstone])
+    def test_failure_mid_stream_keeps_the_old_file(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "sweep.out"
+        path.write_bytes(b"old bytes\n")
+        real_fdopen = os.fdopen
+
+        class FailingSecondChunk:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+            def write(self, text):
+                # the header, the first chunk, then the second chunk fails
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError("disk full")
+                return self.fh.write(text)
+
+        monkeypatch.setattr(sweepio.os, "fdopen",
+                            lambda fd, mode: FailingSecondChunk(real_fdopen(fd, mode)))
+        sweep = extreme_sweep(2 * CHUNK_ROWS)
+        with pytest.raises(OSError, match="disk full"), np.errstate(all="ignore"):
+            writer(path, sweep)
+        assert path.read_bytes() == b"old bytes\n"
+        assert not list(tmp_path.glob("*.tmp"))
