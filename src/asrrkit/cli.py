@@ -28,9 +28,8 @@ from .sweepio import (
     write_keyvalues,
     write_lines,
     write_noise_csv,
-    write_sweep_csv,
+    write_sweep,
     write_table_csv,
-    write_touchstone,
 )
 
 EXIT_OK = 0
@@ -101,16 +100,24 @@ def _build_srr(cfg, line) -> tuple[SrrParams, float]:
     return srr, w0
 
 
-def _matched_state(cfg) -> tuple[AsrrState, TransmissionLineSection]:
+def _matched_state(args, cfg) -> tuple[AsrrState, TransmissionLineSection]:
     """Active pixel from config: q_off plus either gm0 or q_on.  nonlin,
     noise and snr use the matched-coupling closed forms, so a k off the
-    locus beta_l*k^2*Q_on = 1 is refused."""
+    locus beta_l*k^2*Q_on = 1 is refused.  The ring is tuned to f0 by
+    lsrr, so a configured csrr is named as ignored."""
     f0 = require(cfg, "f0")
     line = _build_line(cfg, 2.0 * math.pi * f0)
     lsrr, q_off = require(cfg, "lsrr"), require(cfg, "q_off")
     boost = {"gm0": require(cfg, "gm0")} if "gm0" in cfg else {"q_on": require(cfg, "q_on")}
     extra = {arg: require(cfg, key) for key, arg in STATE_KEYS.items() if key in cfg}
     state = AsrrState.from_targets(f0, lsrr, q_off, line=line, **boost, **extra)
+    csrr = cfg.get("csrr")
+    if csrr is not None:
+        # not an error: one config serves every command, and sweep reads csrr
+        positive = isinstance(csrr, float) and csrr > 0
+        f_csrr = 1 / (2 * math.pi * math.sqrt(lsrr * csrr)) if positive else math.nan
+        print(f"{args.command} ignores config key 'csrr': it tunes the ring to f0 = {f0:g} Hz, "
+              f"where csrr would put its resonance at {f_csrr:g} Hz", file=sys.stderr)
     residual = abs(line.beta_l(state.w0) * state.srr.k**2 * active.q_on(state) - 1.0)
     if not residual <= MATCH_TOL:
         raise ConfigError(
@@ -144,22 +151,16 @@ def cmd_sweep(args, cfg):
     grid = _grid(args, w0, srr.q_off)
     sweep = resonator.s_parameters(srr, line, grid, z0_ref=optional(cfg, "z0", line.z0))
     out = _outdir(args)
-    paths = []
-    if args.format in ("csv", "both"):
-        path = os.path.join(out, "sweep.csv")
-        write_sweep_csv(path, sweep)
-        paths.append(path)
-    if args.format in ("s2p", "both"):
-        path = os.path.join(out, "sweep.s2p")
-        write_touchstone(path, sweep)
-        paths.append(path)
+    paths = {kind: os.path.join(out, f"sweep.{kind}")
+             for kind in ("csv", "s2p") if args.format in (kind, "both")}
+    write_sweep(sweep, paths)
     if grid[0] <= srr.w0 <= grid[-1]:
         i0 = int(np.argmin(np.abs(grid - srr.w0)))
         at_ring = f"|S21({sweep.freqs_hz[i0]:g} Hz)| = {sweep.s21_db()[i0]:.3f} dB"
     else:
         at_ring = (f"ring resonance {srr.w0 / 2 / math.pi:g} Hz is outside the grid "
                    f"{grid[0] / 2 / math.pi:g}..{grid[-1] / 2 / math.pi:g} Hz")
-    _say(args, f"wrote {', '.join(paths)}; {at_ring}")
+    _say(args, f"wrote {', '.join(paths.values())}; {at_ring}")
     return EXIT_OK
 
 
@@ -194,7 +195,7 @@ def cmd_match(args, cfg):
 
 
 def cmd_nonlin(args, cfg):
-    state, _ = _matched_state(cfg)
+    state, _ = _matched_state(args, cfg)
     p_lin = active.linear_power_limit(state)
     p_lo = optional(cfg, "p_in_min", 0.01 * p_lin)
     p_hi = optional(cfg, "p_in_max", 30.0 * p_lin)
@@ -217,7 +218,7 @@ def cmd_nonlin(args, cfg):
 
 
 def cmd_noise(args, cfg):
-    state, line = _matched_state(cfg)
+    state, line = _matched_state(args, cfg)
     z0 = optional(cfg, "z0", line.z0)
     ctx = noise.NoiseContext(
         state=state,
@@ -264,7 +265,7 @@ def cmd_noise(args, cfg):
 
 
 def cmd_snr(args, cfg):
-    state, _ = _matched_state(cfg)
+    state, _ = _matched_state(args, cfg)
     band = _flicker_band(cfg)
     kf = state.gm.kf
     snr_c = noise.snr_delta_c(state, kf, band)

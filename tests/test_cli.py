@@ -344,16 +344,25 @@ GOLDEN_DIGESTS = {
 }
 
 
+def output_digests(tmp_path, command, config, *extra):
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet", *extra]) == 0
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+
+
 @pytest.mark.parametrize("command", GOLDEN_DIGESTS)
 def test_golden_digests(tmp_path, command):
     config = DESIGN_CONFIG if command == "design" else REFERENCE_CONFIG
     extra = ["--format", "both"] if command == "sweep" else []
-    cfg = write_config(tmp_path, config)
-    out = tmp_path / "out"
-    assert main([command, "--config", cfg, "--out", str(out), "--quiet", *extra]) == 0
-    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-               for path in out.iterdir()}
-    assert digests == GOLDEN_DIGESTS[command]
+    assert output_digests(tmp_path, command, config, *extra) == GOLDEN_DIGESTS[command]
+
+
+@pytest.mark.parametrize("fmt, name", [("csv", "sweep.csv"), ("s2p", "sweep.s2p")])
+def test_golden_digest_of_each_sweep_format(tmp_path, fmt, name):
+    # each --format writes exactly its one file, the same bytes as in "both"
+    digests = output_digests(tmp_path, "sweep", REFERENCE_CONFIG, "--format", fmt)
+    assert digests == {name: GOLDEN_DIGESTS["sweep"][name]}
 
 
 class TestConfigKeys:
@@ -373,6 +382,15 @@ class TestConfigKeys:
         assert main(["validate", "--config", cfg, "--quiet"]) == 0
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("validate ignores config key 'lsrr': ")
+
+    @pytest.mark.parametrize("command", ["nonlin", "noise", "snr"])
+    def test_matched_commands_name_the_csrr_they_ignore(self, tmp_path, capsys, command):
+        # the ring is tuned to f0 by lsrr; 5 fF with 54.12456 pH resonates at 306 GHz
+        digests = output_digests(tmp_path, command, REFERENCE_CONFIG + "csrr = 5 fF\n")
+        assert digests == GOLDEN_DIGESTS[command]
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"{command} ignores config key 'csrr': it tunes the ring to "
+                       "f0 = 2e+11 Hz, where csrr would put its resonance at 3.05941e+11 Hz"]
 
     @pytest.mark.parametrize("command", ["sweep", "match", "nonlin", "noise", "snr", "design"])
     def test_one_config_serves_every_command(self, tmp_path, command):

@@ -7,7 +7,13 @@ import pytest
 from asrrkit import sweepio
 from asrrkit.config import ConfigError, parse_config_text, parse_quantity, require
 from asrrkit.resonator import TwoPortSweep, s_parameters
-from asrrkit.sweepio import CHUNK_ROWS, SWEEP_COLUMNS, write_sweep_csv, write_touchstone
+from asrrkit.sweepio import (
+    CHUNK_ROWS,
+    SWEEP_COLUMNS,
+    write_sweep,
+    write_sweep_csv,
+    write_touchstone,
+)
 
 
 class TestQuantities:
@@ -162,6 +168,47 @@ def extreme_sweep(n, seed=5):
                         z0_ref=50.0)
 
 
+def fail_second_chunk(monkeypatch, failing):
+    """Make the failing-th text file that sweepio opens raise on its third
+    write: after the header and the first chunk, at the second chunk."""
+    real_fdopen = os.fdopen
+    opened = []
+
+    class FailingSecondChunk:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+            self.fails = len(opened) == failing
+            opened.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def write(self, text):
+            self.writes += 1
+            if self.fails and self.writes == 3:
+                raise OSError("disk full")
+            return self.fh.write(text)
+
+    monkeypatch.setattr(sweepio.os, "fdopen",
+                        lambda fd, mode: FailingSecondChunk(real_fdopen(fd, mode)))
+
+
+def old_sweep_files(tmp_path):
+    paths = {"csv": tmp_path / "sweep.csv", "s2p": tmp_path / "sweep.s2p"}
+    for path in paths.values():
+        path.write_bytes(f"old {path.name}\n".encode())
+    return paths
+
+
+def assert_old_sweep_files(tmp_path, paths):
+    for path in paths.values():
+        assert path.read_bytes() == f"old {path.name}\n".encode()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 class TestStreamedWriter:
     @pytest.mark.parametrize("n", [2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
                                    int(2.5 * CHUNK_ROWS)])
@@ -173,36 +220,48 @@ class TestStreamedWriter:
         with np.errstate(divide="ignore", invalid="ignore"):
             write_sweep_csv(tmp_path / "s.csv", sweep)
             write_touchstone(tmp_path / "s.s2p", sweep)
-            assert (tmp_path / "s.csv").read_bytes() == reference_csv(sweep)
-        assert (tmp_path / "s.s2p").read_bytes() == reference_touchstone(sweep)
+            # and both files from one pass, which formats their shared columns once
+            write_sweep(sweep, {"csv": tmp_path / "one.csv", "s2p": tmp_path / "one.s2p"})
+            csv = reference_csv(sweep)
+        touchstone = reference_touchstone(sweep)
+        for name in ("s", "one"):
+            assert (tmp_path / f"{name}.csv").read_bytes() == csv
+            assert (tmp_path / f"{name}.s2p").read_bytes() == touchstone
 
     @pytest.mark.parametrize("writer", [write_sweep_csv, write_touchstone])
     def test_failure_mid_stream_keeps_the_old_file(self, tmp_path, monkeypatch, writer):
         path = tmp_path / "sweep.out"
         path.write_bytes(b"old bytes\n")
-        real_fdopen = os.fdopen
-
-        class FailingSecondChunk:
-            def __init__(self, fh):
-                self.fh, self.writes = fh, 0
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return self.fh.__exit__(*exc)
-
-            def write(self, text):
-                # the header, the first chunk, then the second chunk fails
-                self.writes += 1
-                if self.writes == 3:
-                    raise OSError("disk full")
-                return self.fh.write(text)
-
-        monkeypatch.setattr(sweepio.os, "fdopen",
-                            lambda fd, mode: FailingSecondChunk(real_fdopen(fd, mode)))
+        fail_second_chunk(monkeypatch, 0)
         sweep = extreme_sweep(2 * CHUNK_ROWS)
         with pytest.raises(OSError, match="disk full"), np.errstate(all="ignore"):
             writer(path, sweep)
         assert path.read_bytes() == b"old bytes\n"
         assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["csv-fails", "s2p-fails"])
+    def test_failure_mid_stream_of_one_pass_keeps_both_old_files(self, tmp_path, monkeypatch,
+                                                                 failing):
+        paths = old_sweep_files(tmp_path)
+        fail_second_chunk(monkeypatch, failing)
+        with pytest.raises(OSError, match="disk full"), np.errstate(all="ignore"):
+            write_sweep(extreme_sweep(2 * CHUNK_ROWS), paths)
+        assert_old_sweep_files(tmp_path, paths)
+
+    def test_failure_creating_the_second_temp_file_keeps_the_old_files(self, tmp_path,
+                                                                        monkeypatch):
+        paths = old_sweep_files(tmp_path)
+        real_open = os.open
+        calls = []
+
+        def second_open_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError("no space for the second temp file")
+            return real_open(*args)
+
+        monkeypatch.setattr(sweepio.os, "open", second_open_fails)
+        with pytest.raises(OSError, match="second temp file"), np.errstate(all="ignore"):
+            write_sweep(extreme_sweep(2 * CHUNK_ROWS), paths)
+        assert len(calls) == 2
+        assert_old_sweep_files(tmp_path, paths)

@@ -1,8 +1,11 @@
 """The analytic modules never reach the numerical oracle: it stays an
-independent second route to every closed form.  And the CLI's start-up
-imports stay lean."""
+independent second route to every closed form.  The CLI's start-up
+imports stay lean.  And every function the benchmark's tracer wraps
+exists."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -56,3 +59,16 @@ def test_cli_import_leaves_numpy_polynomial_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
     assert out == ["False", "True"]
+
+
+def test_every_tracer_target_resolves():
+    # bench/tracer.py looks each target up with a bare getattr, so a renamed
+    # function would stop `bench/run.py --trace 1` with an AttributeError
+    path = Path(__file__).parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{module}.{function}" for module, function, *_ in tracer.TARGETS
+               if not callable(getattr(importlib.import_module(f"asrrkit.{module}"),
+                                       function, None))]
+    assert tracer.TARGETS and not missing
