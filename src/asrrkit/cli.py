@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, active, noise, resonator, validate
+from . import __version__, active, noise, resonator
 from .active import AsrrState
 from .config import ConfigError, optional, parse_config_file, require
 from .design import DesignSpec, InfeasibleDesignError, synthesize
@@ -346,6 +346,9 @@ def cmd_design(args, cfg):
 
 
 def cmd_validate(args, cfg):
+    # imported here, so that no other command compiles validate and oracle
+    from . import validate
+
     ignored = sorted(set(cfg) - set(validate.FIXTURE_KEYS))
     if ignored:
         # not an error: one config serves every command

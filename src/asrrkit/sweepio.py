@@ -1,16 +1,30 @@
 """File emission for sweep and noise results: CSV and Touchstone v1.
 
-Floats are written with 12 significant digits so identical inputs produce
-byte-identical files.  Writes go to a temp file first and are renamed into
-place.  Sweep files are streamed a chunk of rows at a time, so their
-memory does not grow with the length of the text, and one pass serves
-the CSV and the Touchstone file together: the columns they share are
-formatted once.
+Floats are written with 12 significant digits, exactly as ``"%.12g"``
+writes them, so identical inputs produce byte-identical files.  Writes go
+to a temp file first and are renamed into place.  Sweep files are
+streamed a chunk of rows at a time, so their memory does not grow with
+the length of the text, and one pass serves the CSV and the Touchstone
+file together: the columns they share are formatted once.
+
+A sweep's columns are formatted by a numpy kernel, ``_format_12g``, a
+whole chunk at a time.  It is exact because it only decides what it can
+prove.  For ``|x|`` in [1e-11, 1e34) it scales by 10**(11 - e), with
+e = floor(log10|x|), into [1e11, 1e12).  That power of ten is an exact
+double, so the one rounding moves the product by at most 2**-53 of it,
+under 1.2e-4.  The nearest integer to the product is then the 12-digit
+significand ``%`` would round to, unless the product lies within 1e-3 of
+a half-integer.  The digits go into place through a table of the ``%g``
+layouts.  Everything else falls back to ``%``, one value at a time:
+zeros, nan, infinities, magnitudes outside that window (subnormals among
+them) and the near-ties, which include every exact tie, where ``%``
+rounds half to even.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 
 import numpy as np
@@ -26,8 +40,105 @@ def fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+# decimal exponents e = floor(log10|x|) the kernel scales itself: 10**(11 - e)
+# is then an exact double, both as a factor (e <= 11) and as a divisor
+_EXP_MIN, _EXP_MAX = -11, 33
+# the bytes a %g layout takes from outside the digits: NUL pads a cell, and
+# the last NUL makes a row of digits and literals whole uint32 words
+_LITERALS = b"\0-.e+0123456789\0"
+_CELL = 20  # bytes per formatted cell: "-1.23456789012e-308" is 19
+
+
+def _layout(exp, nd, neg):
+    """Where each byte of a %.12g cell comes from, for a value with decimal
+    exponent exp, nd significant digits and sign neg: an index 0-11 into its
+    12 digits, or 12 plus an index into _LITERALS."""
+    if -4 <= exp < 12:  # %g's fixed notation
+        point = max(exp + 1, 0)
+        whole, frac = list(range(point)), list(range(point, nd))
+        places = (whole or ["0"]) + (["."] + ["0"] * (-exp - 1) + frac if frac else [])
+    else:
+        places = [0] + (["."] + list(range(1, nd)) if nd > 1 else []) + list(f"e{exp:+03d}")
+    places = ["-"] * neg + places + ["\0"] * (_CELL - neg - len(places))
+    return [p if isinstance(p, int) else 12 + _LITERALS.index(p.encode()) for p in places]
+
+
+@functools.cache
+def _tables():
+    """The kernel's tables, built on the first sweep write: each 4-digit
+    group's ASCII bytes as one uint32 and its trailing zero count, the
+    factors and divisors 10**(11 - e), and one layout per (exponent,
+    trailing zeros, sign)."""
+    groups = np.arange(10_000)
+    digits4 = (groups[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    zeros4 = sum(groups % 10**k == 0 for k in range(1, 5))
+    shifts = range(11 - _EXP_MAX, 12 - _EXP_MIN)
+    scale = np.array([[float(10 ** max(s, 0)), float(10 ** max(-s, 0))] for s in shifts])
+    layouts = np.array([_layout(exp, 12 - tz, neg) for exp in range(_EXP_MIN, _EXP_MAX + 2)
+                        for tz in range(12) for neg in (0, 1)], dtype=np.intp)
+    tables = digits4.view(np.uint32).ravel(), zeros4, scale, layouts
+    for table in tables:
+        table.flags.writeable = False  # shared by every call in the process
+    return tables
+
+
+def _format_each(values):
+    """The kernel's fallback: % itself, one value at a time."""
+    return [b"%.12g" % v for v in values]
+
+
+def _format_12g(values) -> np.ndarray:
+    """b"%.12g" % v for every double v of values, as an S20 array of the
+    same shape (NUL-padded; .tolist() strips the padding).  See the module
+    docstring for why the fast path is exact and what falls back."""
+    digits4, zeros4, scale, layouts = _tables()
+    values = np.asarray(values, dtype=float)
+    x = values.ravel()
+    a = np.abs(x)
+    fast = (a >= 1e-11) & (a < 1e34)  # false for 0, nan and inf
+    a[~fast] = 1.0
+    # e = floor(log10|x|), put right by one where log10 rounded across an integer
+    e = np.clip(np.floor(np.log10(a)).astype(np.intp), _EXP_MIN, _EXP_MAX)
+    y = a * scale[_EXP_MAX - e, 0] / scale[_EXP_MAX - e, 1]
+    off = np.flatnonzero((y < 1e11) | (y >= 1e12))
+    if off.size:
+        e[off] += np.where(y[off] < 1e11, -1, 1)
+        fast[off] &= (e[off] >= _EXP_MIN) & (e[off] <= _EXP_MAX)
+        k = _EXP_MAX - np.clip(e[off], _EXP_MIN, _EXP_MAX)
+        y[off] = a[off] * scale[k, 0] / scale[k, 1]
+    m = np.rint(y)
+    fast &= np.abs(y - m) < 0.5 - 1e-3
+    carry = m == 1e12  # 999999999999.5 and up round to the next decade
+    m[carry] = 1e11
+    e[carry] += 1
+    fast &= (m >= 1e11) & (m < 1e12)
+    m[~fast] = 1e11
+    # the 12 digits as three 4-digit groups; float division is exact here
+    hi = np.floor(m / 1e8)
+    mid = np.floor((m - hi * 1e8) / 1e4)
+    lo = m - hi * 1e8 - mid * 1e4
+    hi, mid, lo = hi.astype(np.intp), mid.astype(np.intp), lo.astype(np.intp)
+    tz = zeros4[lo]
+    z = np.flatnonzero(lo == 0)
+    tz[z] += zeros4[mid[z]] + (mid[z] == 0) * zeros4[hi[z]]
+    key = ((e - _EXP_MIN) * 12 + tz) * 2 + np.signbit(x)
+    key[~fast] = 0
+    # one row per value: its 12 digit bytes, then _LITERALS
+    n, width = x.size, 12 + len(_LITERALS)
+    src = np.empty((n, width // 4), np.uint32)
+    src[:, 0], src[:, 1], src[:, 2] = digits4[hi], digits4[mid], digits4[lo]
+    src[:, 3:] = np.frombuffer(_LITERALS, np.uint32)
+    index = layouts.take(key, axis=0)
+    index += np.arange(0, n * width, width)[:, None]
+    cells = src.view(np.uint8).ravel().take(index).view(f"S{_CELL}").ravel()
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        cells[slow] = _format_each(x[slow].tolist())
+    return cells.reshape(values.shape)
+
+
 def _write_atomic(paths, write):
-    """Call write(*handles) on one text file beside each of paths, then
+    """Call write(*handles) on one binary file beside each of paths, then
     rename them all into place.  Each temp file is created as open()
     creates a file, mode 0666 less the umask (mkstemp would make it 0600),
     under a random name that O_EXCL refuses to reuse; on any failure every
@@ -41,7 +152,7 @@ def _write_atomic(paths, write):
                                    f"tmp{os.urandom(8).hex()}.tmp")
                 fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
                 tmps.append(tmp)
-                handles.append(stack.enter_context(os.fdopen(fd, "w")))
+                handles.append(stack.enter_context(os.fdopen(fd, "wb")))
             write(*handles)
         for tmp, path in zip(tmps, paths):
             os.replace(tmp, path)
@@ -55,21 +166,24 @@ def _write_atomic(paths, write):
 def write_lines(path, lines):
     """Text lines, each ended by a newline, written through a temp file
     that is renamed into place."""
-    _write_atomic([path], lambda fh: fh.write("\n".join(lines) + "\n"))
+    _write_atomic([path], lambda fh: fh.write(("\n".join(lines) + "\n").encode()))
 
 
 # per sweep file format: the separator and a row's columns, as indices into
 # (freq, re S11, im S11, re S21, im S21, |S21| dB, S21 deg); Touchstone reuses
 # S21 as S12 and S11 as S22, the network being reciprocal and symmetric
-SWEEP_LAYOUTS = {"csv": (",", range(7)), "s2p": (" ", (0, 1, 2, 3, 4, 3, 4, 1, 2))}
+SWEEP_LAYOUTS = {"csv": (b",", range(7)), "s2p": (b" ", (0, 1, 2, 3, 4, 3, 4, 1, 2))}
 
 
 def write_sweep(sweep: TwoPortSweep, paths):
     """Write the sweep to paths, a dict from format ("csv", Touchstone v1
     "s2p") to file path, in one pass.  Rows go out CHUNK_ROWS at a time;
     each column of a chunk is formatted once, however many files and
-    layouts name it, and each file joins its rows from those strings, so
-    memory stays at one chunk's text however long the sweep is."""
+    layouts name it, and each file joins its rows from those cells, so
+    memory stays at one chunk's text however long the sweep is.  The cells
+    come from _format_12g, which writes the bytes of "%.12g" for a whole
+    chunk at once and leaves to % only the values it cannot decide: zeros,
+    nan, infinities, magnitudes outside [1e-11, 1e34) and near-ties."""
     headers = {"csv": SWEEP_COLUMNS, "s2p": f"# Hz S RI R {fmt(sweep.z0_ref)}"}
     columns = [sweep.freqs_hz, sweep.s11.real, sweep.s11.imag, sweep.s21.real, sweep.s21.imag]
     if "csv" in paths:
@@ -78,14 +192,11 @@ def write_sweep(sweep: TwoPortSweep, paths):
 
     def write(*handles):
         for fh, kind in zip(handles, paths):
-            fh.write(headers[kind] + "\n")
+            fh.write(headers[kind].encode() + b"\n")
         for i in range(0, len(columns[0]), CHUNK_ROWS):
-            chunk = [col[i:i + CHUNK_ROWS].tolist() for col in columns]
-            # one % call formats a whole column, cheaper than one per value
-            template = "\n".join(["%.12g"] * len(chunk[0]))
-            cells = [(template % tuple(values)).split("\n") for values in chunk]
+            cells = _format_12g([col[i:i + CHUNK_ROWS] for col in columns]).tolist()
             for fh, (sep, layout) in zip(handles, layouts):
-                fh.write("\n".join(map(sep.join, zip(*[cells[k] for k in layout]))) + "\n")
+                fh.write(b"\n".join(map(sep.join, zip(*[cells[k] for k in layout]))) + b"\n")
 
     _write_atomic(list(paths.values()), write)
 

@@ -1,8 +1,10 @@
 import ast
 import hashlib
+import importlib.util
 import math
 import os
 import stat
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -356,6 +358,26 @@ def test_golden_digests(tmp_path, command):
     config = DESIGN_CONFIG if command == "design" else REFERENCE_CONFIG
     extra = ["--format", "both"] if command == "sweep" else []
     assert output_digests(tmp_path, command, config, *extra) == GOLDEN_DIGESTS[command]
+
+
+# sha256 of the bench's seed-1 export, `sweep --format both` of
+# bench/inputs.export_input(1), as recorded in BENCH_export.json
+BENCH_EXPORT_DIGESTS = {
+    "sweep.csv": "4fd65ee98417f9638796ddd4e75cf6db3fb5c835bc5f867287fe846b464b6acd",
+    "sweep.s2p": "bcabb3401398a700e30a641a3a3a8cfe85417d11be9aa10c17dfd65d93d0b635",
+}
+
+
+def test_golden_digests_of_the_bench_export(tmp_path, monkeypatch):
+    path = Path(__file__).parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, inputs)  # its dataclasses look it up there
+    spec.loader.exec_module(inputs)
+    export = inputs.export_input(1)
+    digests = output_digests(tmp_path, "sweep", export.pixel.text, "--format", "both",
+                             "--grid", export.grid)
+    assert digests == BENCH_EXPORT_DIGESTS
 
 
 @pytest.mark.parametrize("fmt, name", [("csv", "sweep.csv"), ("s2p", "sweep.s2p")])

@@ -168,8 +168,22 @@ def extreme_sweep(n, seed=5):
                         z0_ref=50.0)
 
 
+def count_fallbacks(monkeypatch):
+    """A list that grows by the number of values each call of the kernel's
+    % fallback formats."""
+    counts = []
+    real_format_each = sweepio._format_each
+
+    def counted(values):
+        counts.append(len(values))
+        return real_format_each(values)
+
+    monkeypatch.setattr(sweepio, "_format_each", counted)
+    return counts
+
+
 def fail_second_chunk(monkeypatch, failing):
-    """Make the failing-th text file that sweepio opens raise on its third
+    """Make the failing-th file that sweepio opens raise on its third
     write: after the header and the first chunk, at the second chunk."""
     real_fdopen = os.fdopen
     opened = []
@@ -186,11 +200,11 @@ def fail_second_chunk(monkeypatch, failing):
         def __exit__(self, *exc):
             return self.fh.__exit__(*exc)
 
-        def write(self, text):
+        def write(self, data):
             self.writes += 1
             if self.fails and self.writes == 3:
                 raise OSError("disk full")
-            return self.fh.write(text)
+            return self.fh.write(data)
 
     monkeypatch.setattr(sweepio.os, "fdopen",
                         lambda fd, mode: FailingSecondChunk(real_fdopen(fd, mode)))
@@ -227,6 +241,25 @@ class TestStreamedWriter:
         for name in ("s", "one"):
             assert (tmp_path / f"{name}.csv").read_bytes() == csv
             assert (tmp_path / f"{name}.s2p").read_bytes() == touchstone
+
+    def test_bytes_match_when_every_value_falls_back(self, tmp_path, monkeypatch):
+        # frequencies above 1e34 Hz, S values that are zeros, nan, infinities,
+        # ties or outside the kernel's window, and an S21 whose dB and phase
+        # are each one of -inf, inf, nan, 0 or -0
+        n = CHUNK_ROWS + 1
+        rng = np.random.default_rng(11)
+        s11 = rng.choice(EXTREMES + [123456789012.5, -12345678901.25, 1e-300, -3e300], (n, 2))
+        s21 = rng.choice([0j, complex(0.0, -0.0), complex(math.inf, 0.0),
+                          complex(math.nan, math.nan)], n)
+        sweep = TwoPortSweep(freqs=2 * np.pi * 1e40 * np.arange(1, n + 1),
+                             s11=list(map(complex, *s11.T)), s21=s21, z0_ref=50.0)
+        fallbacks = count_fallbacks(monkeypatch)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            write_sweep(sweep, {"csv": tmp_path / "s.csv", "s2p": tmp_path / "s.s2p"})
+            csv = reference_csv(sweep)
+        assert sum(fallbacks) == 7 * n
+        assert (tmp_path / "s.csv").read_bytes() == csv
+        assert (tmp_path / "s.s2p").read_bytes() == reference_touchstone(sweep)
 
     @pytest.mark.parametrize("writer", [write_sweep_csv, write_touchstone])
     def test_failure_mid_stream_keeps_the_old_file(self, tmp_path, monkeypatch, writer):
@@ -265,3 +298,35 @@ class TestStreamedWriter:
             write_sweep(extreme_sweep(2 * CHUNK_ROWS), paths)
         assert len(calls) == 2
         assert_old_sweep_files(tmp_path, paths)
+
+
+def kernel_cases(rng):
+    """Over 1e6 doubles that probe every branch of sweepio._format_12g."""
+    n = 280_000
+    spread = rng.standard_normal(n) * 10.0 ** rng.uniform(-32, 38, n)  # seventy decades
+    powers = np.array([float(f"1e{k}") for k in range(-25, 36)])
+    near_powers = [np.nextafter(powers, 0), powers, np.nextafter(powers, np.inf)]
+    # 13 significant digits ending in 5: ties at the 12th digit, exact in
+    # binary, and the nearest doubles to decimal ties, which the kernel's
+    # scaling can round onto a half-integer
+    mantissas = rng.integers(10**11, 10**12, 10_000) + 0.5
+    ties = [mantissas, mantissas * 10, mantissas * 1000, mantissas / 8 + 1e11, [123456789012.5],
+            mantissas / 1e3, mantissas / 1e9, mantissas * 1e7]
+    carries = np.array([9.9999999999995, 99.99999999999949, 999999999999.5, 9999999999995e20])
+    near_carries = [np.nextafter(carries, 0), carries, np.nextafter(carries, np.inf)]
+    # every count of significant digits from 1 to 12 and of decimal places from 0 to 12
+    plain = rng.uniform(-1, 1, 8_000) * 10.0 ** rng.integers(-6, 14, 8_000)
+    rounded = ([[float(f"{v:.{d}g}") for v in plain] for d in range(1, 13)]
+               + [np.round(plain, d) for d in range(13)])
+    values = np.concatenate([spread, *near_powers, *ties, *near_carries, *rounded, EXTREMES])
+    return np.concatenate([values, -values])
+
+
+def test_kernel_writes_the_bytes_of_percent_12g(monkeypatch):
+    values = kernel_cases(np.random.default_rng(2024))
+    assert values.size >= 1_000_000
+    fallbacks = count_fallbacks(monkeypatch)
+    got = sweepio._format_12g(values.reshape(2, -1)).ravel().tolist()
+    assert got == [b"%.12g" % v for v in values.tolist()]
+    # both paths ran: most values on the numpy path, the rest through %
+    assert 0 < sum(fallbacks) < values.size / 2

@@ -1,7 +1,7 @@
 """The analytic modules never reach the numerical oracle: it stays an
 independent second route to every closed form.  The CLI's start-up
-imports stay lean.  And every function the benchmark's tracer wraps
-exists."""
+imports stay lean: no command but validate loads validate and oracle.
+And every function the benchmark's tracer wraps exists."""
 
 import ast
 import importlib
@@ -59,6 +59,19 @@ def test_cli_import_leaves_numpy_polynomial_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
     assert out == ["False", "True"]
+
+
+def test_cli_import_leaves_validate_and_oracle_unloaded():
+    # only `asrrkit validate` needs them, and it imports them when it runs
+    probe = ("import sys, asrrkit.cli\n"
+             "loaded = lambda: [m in sys.modules for m in ('asrrkit.validate', 'asrrkit.oracle')]\n"
+             "print(*loaded())\n"
+             "assert asrrkit.cli.main(['validate', '--quiet']) == 0\n"
+             "print(*loaded())\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(asrrkit.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["False", "False", "True", "True"]
 
 
 def test_every_tracer_target_resolves():
