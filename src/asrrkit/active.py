@@ -260,45 +260,43 @@ def block_gm_avg(v_asrr: float, p: GmBlockParams) -> float:
     return 0.5 * (gm_avg_exact(v_asrr, p, p.kn_wl) + gm_avg_exact(v_asrr, p, p.kp_wl))
 
 
-def q_on_nonlinear(state: AsrrState, p_in: float, rtol=1e-9, max_iter=200):
-    """Self-consistent (quality factor, swing) under gm compression.
+def q_on_nonlinear(state: AsrrState, p_in: float):
+    """(q_nonlin, v_asrr): the self-consistent quality factor and swing
+    under gm compression.
 
-    Solves V = swing(Q(V), p_in) with Q(V) = Q_off/(1 - gm_avg(V)*R) by a
-    damped fixed point (damping 0.5); if the iteration fails to settle it
-    falls back to bisection on V - swing(Q(V)), which brackets the unique
-    fixed point because the swing is non-increasing in V.
+    The swing V is the root of h(V) = V - swing(Q(V), p_in), with
+    Q(V) = Q_off/(1 - gm_avg(V)*R) and gm_avg the block's cycle average.
+    A linear swing V_lin <= vth is the answer as it stands.  Otherwise
+    h(vth) = vth - V_lin < 0 and, while gm_avg(V_lin) <= gm0,
+    h(V_lin) >= 0: bisection on [vth, V_lin] runs until the midpoint
+    equals an end, so V is the root to rounding.
 
-    Returns (q_nonlin, v_asrr).  Raises RuntimeError with the last iterate
-    if neither scheme converges.
+    The domain.  With theta = acos(vth/V) and K = (kn_wl + kp_wl)/2,
+    gm_avg(V) - gm0 = (theta/pi)*(K*(vdd - vth*tan(theta)/theta)/2 - 2*gm0),
+    whose second factor falls from its theta -> 0 limit
+    K*(vdd - vth)/2 - 2*gm0.  So gm_avg never rises above gm0, and is
+    non-increasing in V (h increasing, one root), exactly when
+    (kn_wl + kp_wl)*(vdd - vth) <= 8*gm0: vth <= vdd/3 with the default
+    slopes gm0/(vdd/2 - vth).  Other blocks raise ValueError.
     """
     if p_in <= 0:
         raise ValueError("p_in must be positive")
+    p = state.gm
+    k_sum_swing = (p.kn_wl + p.kp_wl) * (p.vdd - p.vth)
+    if k_sum_swing > 8.0 * p.gm0 * (1.0 + 1e-15):  # at vth = vdd/3 it can round one eps over
+        raise ValueError(f"compression needs (kn_wl + kp_wl)*(vdd - vth) <= 8*gm0, or the "
+                         f"averaged gm rises above gm0 (vth <= vdd/3 with the default slopes); "
+                         f"this block has {k_sum_swing:.6g} S > {8.0 * p.gm0:.6g} S")
     r = state.r_srr_parallel()
 
     def q_of_v(v):
-        return state.srr.q_off / (1.0 - block_gm_avg(v, state.gm) * r)
+        return state.srr.q_off / (1.0 - block_gm_avg(v, p) * r)
 
-    def swing(v):
-        return asrr_voltage_swing(state, p_in, q=q_of_v(v))
-
-    v = asrr_voltage_swing(state, p_in)  # linear-theory start
-    damping = 0.5
-    for _ in range(max_iter):
-        v_next = (1.0 - damping) * v + damping * swing(v)
-        if abs(v_next - v) <= rtol * max(v_next, 1e-30):
-            return q_of_v(v_next), v_next
-        v = v_next
-
-    # fixed point not reached; bisect h(v) = v - swing(v), increasing in v
-    lo, hi = 0.0, swing(0.0)
-    if hi - lo > 0:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid - swing(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= rtol * max(hi, 1e-30):
-                v = 0.5 * (lo + hi)
-                return q_of_v(v), v
-    raise RuntimeError(f"nonlinear solve did not converge; last swing iterate {v:.6e} V")
+    v_lin = asrr_voltage_swing(state, p_in)
+    lo, hi = min(p.vth, v_lin), v_lin
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if mid < asrr_voltage_swing(state, p_in, q=q_of_v(mid)):
+            lo = mid
+        else:
+            hi = mid
+    return q_of_v(hi), hi

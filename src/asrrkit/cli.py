@@ -84,15 +84,16 @@ def _build_line(cfg, w0) -> TransmissionLineSection:
 
 
 def _build_srr(cfg, line) -> tuple[SrrParams, float]:
-    """Resonator from config; k defaults to the matched value for q_on (or
-    q_off if no boost is configured).  Returns (srr, w0)."""
+    """Resonator from config at q_on, the Q_on that gm0 gives, or q_off if
+    unboosted; k defaults to the matched value for that Q.  Returns (srr, w0)."""
     f0 = require(cfg, "f0")
     w0 = 2.0 * math.pi * f0
     lsrr = require(cfg, "lsrr")
     csrr = optional(cfg, "csrr", None)
     if csrr is None:
         csrr = 1.0 / (w0 * w0 * lsrr)
-    q = optional(cfg, "q_on", None) or require(cfg, "q_off")
+    q = (active.q_on(_state(cfg, line)) if "gm0" in cfg
+         else optional(cfg, "q_on", None) or require(cfg, "q_off"))
     k = optional(cfg, "k", None)
     if k is None:
         k = resonator.optimum_k_for_q(q, line, w0)
@@ -100,22 +101,27 @@ def _build_srr(cfg, line) -> tuple[SrrParams, float]:
     return srr, w0
 
 
-def _matched_state(args, cfg) -> tuple[AsrrState, TransmissionLineSection]:
-    """Active pixel from config: q_off plus either gm0 or q_on.  nonlin,
-    noise and snr use the matched-coupling closed forms, so a k off the
-    locus beta_l*k^2*Q_on = 1 is refused.  The ring is tuned to f0 by
-    lsrr, so a configured csrr is named as ignored."""
-    f0 = require(cfg, "f0")
-    line = _build_line(cfg, 2.0 * math.pi * f0)
-    lsrr, q_off = require(cfg, "lsrr"), require(cfg, "q_off")
+def _state(cfg, line) -> AsrrState:
+    """Active pixel from config: q_off plus either gm0 or q_on."""
     boost = {"gm0": require(cfg, "gm0")} if "gm0" in cfg else {"q_on": require(cfg, "q_on")}
     extra = {arg: require(cfg, key) for key, arg in STATE_KEYS.items() if key in cfg}
-    state = AsrrState.from_targets(f0, lsrr, q_off, line=line, **boost, **extra)
+    return AsrrState.from_targets(require(cfg, "f0"), require(cfg, "lsrr"), require(cfg, "q_off"),
+                                  line=line, **boost, **extra)
+
+
+def _matched_state(args, cfg) -> tuple[AsrrState, TransmissionLineSection]:
+    """Active pixel from config.  nonlin, noise and snr use the
+    matched-coupling closed forms, so a k off the locus
+    beta_l*k^2*Q_on = 1 is refused.  The ring is tuned to f0 by lsrr, so
+    a configured csrr is named as ignored."""
+    f0 = require(cfg, "f0")
+    line = _build_line(cfg, 2.0 * math.pi * f0)
+    state = _state(cfg, line)
     csrr = cfg.get("csrr")
     if csrr is not None:
         # not an error: one config serves every command, and sweep reads csrr
         positive = isinstance(csrr, float) and csrr > 0
-        f_csrr = 1 / (2 * math.pi * math.sqrt(lsrr * csrr)) if positive else math.nan
+        f_csrr = 1 / (2 * math.pi * math.sqrt(state.srr.lsrr * csrr)) if positive else math.nan
         print(f"{args.command} ignores config key 'csrr': it tunes the ring to f0 = {f0:g} Hz, "
               f"where csrr would put its resonance at {f_csrr:g} Hz", file=sys.stderr)
     residual = abs(line.beta_l(state.w0) * state.srr.k**2 * active.q_on(state) - 1.0)
@@ -424,6 +430,8 @@ def main(argv=None) -> int:
             unknown = sorted(set(cfg) - CONFIG_KEYS)
             if unknown:
                 raise ConfigError(f"unknown config key {', '.join(map(repr, unknown))}")
+            if "q_on" in cfg and "gm0" in cfg:
+                raise ConfigError("config gives both 'q_on' and 'gm0': give the boost one way")
         elif args.command != "validate":
             raise ConfigError(f"'{args.command}' needs --config")
         return COMMANDS[args.command](args, cfg)

@@ -10,7 +10,6 @@ synthesized design is required to round-trip through the analysis modules.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 from .resonator import (
@@ -174,9 +173,7 @@ def synthesize(spec: DesignSpec) -> DesignResult:
     Raises InfeasibleDesignError naming the binding constraint.
     """
     w0 = 2.0 * math.pi * spec.f0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # infeasibility is reported below instead
-        k_max = k_max_for_il(spec.il_budget, spec.n_pixels, spec.line, spec.q_off, w0)
+    k_max = k_max_for_il(spec.il_budget, spec.n_pixels, spec.line, spec.q_off, w0)
     notes = []
     # a cap at k_max >= 1 cannot bind: no realizable coupling reaches it
     q_floor = q_on_min(k_max, spec.line, w0) if k_max < 1.0 else 0.0

@@ -23,7 +23,7 @@ import numpy as np
 Q_CAP = 1e9
 
 # Magnetic coupling achievable by placing a ring next to the line saturates
-# around this value; requests beyond it get a warning.
+# around this value; design.synthesize refuses a coupling beyond it.
 K_GEOMETRIC_LIMIT = 0.25
 
 # Coupling ratio rho = R'/z0 on the matched locus beta_l*k^2*Q = 1, where the
@@ -320,13 +320,7 @@ def k_max_for_il(
     if per_pixel >= 1.0:
         raise ValueError("per-pixel loss budget must be below 1")
     r_off = 2.0 * line.z0 * per_pixel / (1.0 - per_pixel)
-    k = float(np.sqrt(r_off / (w0 * q_off * line.ltl)))
-    if k > K_GEOMETRIC_LIMIT:
-        warnings.warn(
-            f"required k={k:.3f} exceeds geometric limit {K_GEOMETRIC_LIMIT}",
-            stacklevel=2,
-        )
-    return k
+    return float(np.sqrt(r_off / (w0 * q_off * line.ltl)))
 
 
 def q_on_min(k_max: float, line: TransmissionLineSection, w0: float) -> float:

@@ -261,12 +261,14 @@ def check_sensitivity_anchors(rng, fx: Fixture) -> list[Record]:
           - _numeric_resonance(replace(srr0, csrr=srr0.csrr - dc), line, z0, w0 * 1.0005)
           ) / (2.0 * dc)
 
-    # phase-slope sensitivity to the ring loss: passive (Q=54) and boosted
-    def fd_slope_vs_r(srr_q, q_on_of):
+    # phase-slope sensitivity to the ring loss: passive (Q=54) and boosted;
+    # the r step is 1e-4 of r or, if nearer, of its distance to the boost pole r_pole
+    def fd_slope_vs_r(srr_q, q_on_of, r_pole=math.inf):
         def slope_at(r):
             srr_eff = SrrParams(srr_q.lsrr, srr_q.csrr, q_on_of(r), srr_q.k)
             return oracle.central_difference(lambda w: _phase_at(srr_eff, line, w, z0), w0)
-        return oracle.central_difference(slope_at, srr_q.w0 * srr_q.lsrr * srr_q.q_off, 1e-4)
+        r0 = srr_q.w0 * srr_q.lsrr * srr_q.q_off
+        return oracle.central_difference(slope_at, r0, 1e-4 * min(1.0, (r_pole - r0) / r0))
 
     passive_srr = fx.boosted_srr()  # Q = 54 resonator taken as-is
     anal_passive = resonator.phase_slope_vs_resistance(passive_srr, line, z0)
@@ -274,7 +276,7 @@ def check_sensitivity_anchors(rng, fx: Fixture) -> list[Record]:
     gm0 = state.gm.gm0
     boost_srr = SrrParams(fx.lsrr, fx.c_asrr, fx.q_off, fx.k_value())
     anal_boost = anal_passive * (fx.q_on / fx.q_off) ** 2
-    fd_boost = fd_slope_vs_r(boost_srr, lambda r: (r / (1.0 - gm0 * r)) / (w0 * boost_srr.lsrr))
+    fd_boost = fd_slope_vs_r(boost_srr, lambda r: r / (1.0 - gm0 * r) / (w0 * fx.lsrr), 1 / gm0)
     return [
         ("dw0/dC anchor", rel(slope, -5.35e25), 0.02),
         ("dw0/dC fd", rel(slope, fd), 0.01),

@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from asrrkit import active
 from asrrkit.active import AsrrState, GmBlockParams, SampleDelta
-from asrrkit.oracle import MeshCircuit, time_avg_gm
+from asrrkit.oracle import MeshCircuit, brent, time_avg_gm
 from asrrkit.resonator import MATCHED_RHO, SrrParams, absorbed_power_fraction, equivalent_resonator
 
 
@@ -267,7 +268,7 @@ class TestNonlinearQ:
         for p_in in (2 * p_lin, 10 * p_lin):
             q_nl, v = active.q_on_nonlinear(st, p_in)
             v_check = active.asrr_voltage_swing(st, p_in, q=q_nl)
-            assert abs(v - v_check) < 1e-9 * v
+            assert abs(v - v_check) <= 4 * math.ulp(v)
 
     def test_linear_theory_overestimates_swing(self, fx):
         st = fx.state()
@@ -282,14 +283,41 @@ class TestNonlinearQ:
         q_nl, _ = active.q_on_nonlinear(st, 1e-12)
         assert q_nl == pytest.approx(active.q_on(st), rel=1e-9)
 
-    def test_bisection_fallback_reaches_same_root(self, fx):
-        # starving the damped iteration forces the bracketing fallback
-        st = fx.state()
-        p_in = 10 * active.linear_power_limit(st)
-        q_ref, v_ref = active.q_on_nonlinear(st, p_in)
-        q_fb, v_fb = active.q_on_nonlinear(st, p_in, max_iter=1)
-        assert q_fb == pytest.approx(q_ref, rel=1e-6)
-        assert v_fb == pytest.approx(v_ref, rel=1e-6)
+    @pytest.mark.parametrize("boost", [1.5, 5.4, 30.0, 100.0, 1e3, 1e4, 1e5])
+    def test_root_agrees_with_brent(self, fx, boost):
+        # boost 100 is Q_on = 1000, where a damped fixed point used to stall
+        st = fx.state(q_on=boost * fx.q_off)
+        r = st.r_srr_parallel()
+        p_lin = active.linear_power_limit(st)
+        for p_in in np.geomspace(1.5 * p_lin, 30 * p_lin, 9):
+            def h(v):
+                q = st.srr.q_off / (1.0 - active.block_gm_avg(v, st.gm) * r)
+                return v - active.asrr_voltage_swing(st, p_in, q=q)
+
+            _, v = active.q_on_nonlinear(st, p_in)
+            v_lin = active.asrr_voltage_swing(st, p_in)
+            # brent stops once its bracket is under 4*eps*|b|, about 5 ulps here
+            assert abs(v - brent(h, st.gm.vth, v_lin, xtol=0.0)) <= 8 * math.ulp(v)
+            # h changes sign between v and the next double below it
+            assert h(math.nextafter(v, 0.0)) < 0.0 <= h(v)
+
+    @pytest.mark.parametrize("vth", [0.34, 0.4, 0.45])
+    def test_gm_rising_above_gm0_refused(self, fx, vth):
+        # default slopes gm0/(vdd/2 - vth): the averaged gm rises above gm0
+        # for vth > vdd/3, and the bracket [vth, V_lin] no longer holds
+        st = dataclasses.replace(fx, vth=vth).state()
+        for p_in in (0.5, 10.0):
+            with pytest.raises(ValueError, match=re.escape("(kn_wl + kp_wl)*(vdd - vth) <= 8*gm0")):
+                active.q_on_nonlinear(st, p_in * active.linear_power_limit(st))
+
+    @pytest.mark.parametrize("vdd, q_on", [(1.0, 54.0), (3.3, 1e5)])
+    def test_vth_at_a_third_of_vdd_accepted(self, fx, vdd, q_on):
+        # at vdd = 3.3 V the default slopes put the condition one rounding over
+        st = dataclasses.replace(fx, vdd=vdd, vth=vdd / 3).state(q_on=q_on)
+        p_lin = active.linear_power_limit(st)
+        qs = [active.q_on_nonlinear(st, p)[0] for p in np.geomspace(0.1 * p_lin, 50 * p_lin, 30)]
+        assert qs[0] == active.q_on(st) and qs[-1] < qs[0]
+        assert all(b <= a for a, b in zip(qs, qs[1:]))
 
 
 class TestArgumentGuards:

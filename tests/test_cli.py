@@ -10,8 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from asrrkit import cli, validate
+from asrrkit import active, cli, validate
+from asrrkit.active import AsrrState
 from asrrkit.cli import main
+from asrrkit.config import parse_config_file
+from asrrkit.resonator import TransmissionLineSection
+from asrrkit.sweepio import fmt
 
 REFERENCE_CONFIG = """
 # reconstructed 200 GHz pixel, matched coupling
@@ -155,6 +159,15 @@ class TestNonlin:
         below = data[:, 0] <= p_lin
         assert np.allclose(q[below], q[0], rtol=1e-6)
 
+    @pytest.mark.parametrize("vth", ["340 mV", "400 mV", "450 mV"])
+    def test_gm_rising_above_gm0_refused(self, tmp_path, capsys, vth):
+        # the default slopes make the averaged gm rise above gm0 for vth > vdd/3
+        cfg = write_config(tmp_path, REFERENCE_CONFIG + f"vth = {vth}\n")
+        out = tmp_path / "out"
+        assert main(["nonlin", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+        assert "(kn_wl + kp_wl)*(vdd - vth) <= 8*gm0" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
 
 class TestNoiseCmd:
     def test_outputs(self, tmp_path):
@@ -278,6 +291,36 @@ class TestMatchedCommands:
         assert main(["snr", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
 
 
+class TestOneBoost:
+    GM0_CONFIG = REFERENCE_CONFIG.replace("q_on = 54", "gm0 = 1.2 mS")
+
+    def test_gm0_sweep_is_the_sweep_of_its_q_on(self, tmp_path):
+        # sweep and snr both boost the ring to the Q_on that gm0 gives
+        path = write_config(tmp_path, self.GM0_CONFIG)
+        cfg = parse_config_file(path)
+        w0 = 2 * math.pi * cfg["f0"]
+        line = TransmissionLineSection.from_electrical(cfg["z0"], cfg["beta_l"], w0, length=30e-6)
+        q_on = active.q_on(AsrrState.from_targets(cfg["f0"], cfg["lsrr"], cfg["q_off"],
+                                                  gm0=cfg["gm0"], line=line))
+        assert main(["snr", "--config", path, "--out", str(tmp_path), "--quiet"]) == 0
+        assert f"q_on = {fmt(q_on)}" in (tmp_path / "snr.txt").read_text().splitlines()
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        with_gm0 = output_digests(tmp_path / "a", "sweep", self.GM0_CONFIG, "--format", "both")
+        with_q_on = output_digests(tmp_path / "b", "sweep", REFERENCE_CONFIG.replace(
+            "q_on = 54", f"q_on = {q_on!r}"), "--format", "both")
+        assert with_gm0 == with_q_on
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_both_boost_keys_refused(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, self.GM0_CONFIG + "q_on = 54\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "'q_on'" in err and "'gm0'" in err
+        assert not out.exists()
+
+
 class TestValidateCmd:
     def test_default_fixture_passes(self, tmp_path, capsys):
         assert main(["validate", "--quiet"]) == 0
@@ -330,7 +373,7 @@ GOLDEN_DIGESTS = {
         "s11_contours.csv": "53d71579e8f043b8e1e7350703450d681e6be3f9201377d02fe859fa2ccef8f5",
     },
     "nonlin": {
-        "nonlin.csv": "191bb76d275e1b2f9c5b7d789f286e956a4b23a7abe1c3d268cf5a43660df6aa",
+        "nonlin.csv": "f96bede2af42ebf1be53eaf0c0d1a5f810f6102c38cc7aef96326929c9dda7bc",
     },
     "noise": {
         "phase_noise.csv": "843bedddbcb4fc87afae185e687658d0adfdb29cdb1338d25e131d4b13f24916",

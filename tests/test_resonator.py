@@ -269,11 +269,6 @@ class TestIlBudgetInversion:
         assert all(b > a for a, b in zip(ks, ks[1:]))
         assert all(b < a for a, b in zip(q_mins, q_mins[1:]))
 
-    def test_geometric_limit_warning(self):
-        _, line, w0, _ = matched_instance(q=10.0)
-        with pytest.warns(UserWarning, match="geometric limit"):
-            rz.k_max_for_il(0.7, 1, line, 10.0, w0)
-
 
 class TestPhaseSlope:
     def test_matched_value_54_at_200ghz(self):

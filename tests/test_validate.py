@@ -3,6 +3,7 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -83,3 +84,12 @@ class TestSuite:
                  if m["name"].startswith("validate.") and m["name"].endswith("_s")
                  and m["name"] != "validate.run_all_s"]
         assert [res.name for res in results] == timed
+
+
+class TestSensitivityAnchors:
+    @pytest.mark.parametrize("q_off", [1e-2, 1e-3])
+    def test_boosted_difference_stays_short_of_the_boost_pole(self, q_off):
+        # boosts 5400 and 54000: a step of 1e-4*r would reach r = 1/gm0
+        records = validate.check_sensitivity_anchors(None, replace(Fixture(), q_off=q_off))
+        (value, tol), = [(v, t) for metric, v, t in records if metric == "dS/dR boosted fd"]
+        assert value <= tol
