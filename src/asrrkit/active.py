@@ -32,13 +32,12 @@ class GmBlockParams:
     kp_wl: float  # PMOS gain factor K*(W/L) [A/V^2]
     vdd: float  # supply voltage [V]
     vth: float  # threshold voltage [V]
-    c_gm: float  # total parasitic capacitance loading the ring [F]
     kf: float = 1e-10  # flicker noise coefficient [V^2]; placeholder until calibrated
     gamma: float = 1.0  # channel white-noise factor; placeholder until calibrated
     lam: float = 0.0  # channel-length modulation [1/V]
 
     def __post_init__(self):
-        check_positive(self, "gm0", "kn_wl", "kp_wl", "vdd", "vth", "c_gm", "kf", "gamma")
+        check_positive(self, "gm0", "kn_wl", "kp_wl", "vdd", "vth", "kf", "gamma")
         if not (self.lam >= 0 and math.isfinite(self.lam)):
             raise ValueError("lam must be non-negative and finite")
 
@@ -55,7 +54,9 @@ def gm_for_boost(q_off: float, q_on_target: float, r_parallel: float) -> float:
 
 @dataclass(frozen=True)
 class AsrrState:
-    """A ring resonator plus its enabled negative-gm block."""
+    """A ring resonator plus its enabled negative-gm block.  srr is the ring
+    as the line sees it: its capacitance is the total resonating one, ring
+    plus block parasitics, and its quality factor the unboosted q_off."""
 
     srr: SrrParams
     gm: GmBlockParams
@@ -70,17 +71,16 @@ class AsrrState:
 
     @classmethod
     def from_targets(cls, f0, lsrr, q_off, *, q_on=None, gm0=None, k=None,
-                     line: TransmissionLineSection | None = None, c_asrr=None, c_gm=None,
+                     line: TransmissionLineSection | None = None, c_asrr=None,
                      vdd=1.0, vth=0.3, kn_wl=None, kp_wl=None, **device) -> AsrrState:
         """The operating point of an active pixel at f0 [Hz].
 
         Give the boost either as a target q_on or as the block's gm0.  The
-        total capacitance defaults to resonance with lsrr at f0 and the block
-        takes 0.3 of it (c_gm); the device slopes default to
-        gm0/(vdd/2 - vth), or 1e-3 A/V^2 without overdrive.  k defaults to
-        the matched coupling beta_l*k^2*Q_on = 1 for the realized Q_on,
-        which needs the line.  Extra keywords (kf, gamma, lam) go to
-        GmBlockParams.
+        total capacitance c_asrr defaults to resonance with lsrr at f0; the
+        device slopes default to gm0/(vdd/2 - vth), or 1e-3 A/V^2 without
+        overdrive.  k defaults to the matched coupling beta_l*k^2*Q_on = 1
+        for the realized Q_on, which needs the line.  Extra keywords (kf,
+        gamma, lam) go to GmBlockParams.
         """
         if (q_on is None) == (gm0 is None):
             raise ValueError("give exactly one of q_on and gm0")
@@ -92,18 +92,13 @@ class AsrrState:
         w0 = 2.0 * math.pi * f0
         if c_asrr is None:
             c_asrr = 1.0 / (w0 * w0 * lsrr)
-        if c_gm is None:
-            c_gm = 0.3 * c_asrr
-        csrr = c_asrr - c_gm
-        if not csrr > 0:
-            raise ValueError("c_gm must stay below the total resonating capacitance")
         if gm0 is None:
             gm0 = gm_for_boost(q_off, q_on, w0 * lsrr * q_off)
         kwl = gm0 / (vdd / 2.0 - vth) if vdd / 2.0 > vth else 1e-3
         gm = GmBlockParams(gm0=gm0, kn_wl=kwl if kn_wl is None else kn_wl,
                            kp_wl=kwl if kp_wl is None else kp_wl,
-                           vdd=vdd, vth=vth, c_gm=c_gm, **device)
-        srr = SrrParams(lsrr=lsrr, csrr=csrr, q_off=q_off, k=0.0 if k is None else k)
+                           vdd=vdd, vth=vth, **device)
+        srr = SrrParams(lsrr=lsrr, csrr=c_asrr, q_off=q_off, k=0.0 if k is None else k)
         state = cls(srr=srr, gm=gm)
         if k is None:  # the boost does not depend on k; effective_srr() carries Q_on
             k = optimum_k_for_q(state.effective_srr().q_off, line, state.w0)
@@ -113,27 +108,22 @@ class AsrrState:
     @property
     def c_asrr(self) -> float:
         """Total resonating capacitance: ring plus block parasitics [F]."""
-        return self.srr.csrr + self.gm.c_gm
+        return self.srr.csrr
 
     @property
     def w0(self) -> float:
         """Loaded resonance frequency [rad/s]."""
-        return 1.0 / math.sqrt(self.srr.lsrr * self.c_asrr)
+        return self.srr.w0
 
     def r_srr_parallel(self) -> float:
         """Unboosted parallel loss at the loaded resonance [ohm]."""
         return self.w0 * self.srr.lsrr * self.srr.q_off
 
     def effective_srr(self, q=None) -> SrrParams:
-        """The resonator as the line sees it with the block enabled: total
-        capacitance and boosted quality factor (pass q to override, e.g. a
-        compressed value)."""
-        return SrrParams(
-            lsrr=self.srr.lsrr,
-            csrr=self.c_asrr,
-            q_off=q_on(self) if q is None else q,
-            k=self.srr.k,
-        )
+        """The resonator as the line sees it with the block enabled: the
+        boosted quality factor (pass q to override, e.g. a compressed
+        value)."""
+        return replace(self.srr, q_off=q_on(self) if q is None else q)
 
 
 def boosted_resistance(state: AsrrState) -> float:
@@ -244,20 +234,20 @@ def gm_avg_exact(v_asrr: float, p: GmBlockParams, kwl=None) -> float:
     ) / math.pi
 
 
-def gm_avg_approx(v_asrr: float, p: GmBlockParams, kwl=None) -> float:
-    """Two-segment large-swing approximation of the cycle average: gm0 up
-    to vth, then (1/pi)*K(W/L)*(vdd*pi/4 - v/2)."""
-    if kwl is None:
-        kwl = p.kn_wl
-    if v_asrr <= p.vth:
-        return p.gm0
-    return kwl * (p.vdd * math.pi / 4.0 - v_asrr / 2.0) / math.pi
-
-
 def block_gm_avg(v_asrr: float, p: GmBlockParams) -> float:
     """Compressed transconductance of the whole block: mean of the NMOS and
     PMOS cycle averages."""
     return 0.5 * (gm_avg_exact(v_asrr, p, p.kn_wl) + gm_avg_exact(v_asrr, p, p.kp_wl))
+
+
+def check_compression_domain(p: GmBlockParams):
+    """Raise ValueError unless the block's averaged gm never rises above gm0:
+    (kn_wl + kp_wl)*(vdd - vth) <= 8*gm0, the domain q_on_nonlinear derives."""
+    k_sum_swing = (p.kn_wl + p.kp_wl) * (p.vdd - p.vth)
+    if k_sum_swing > 8.0 * p.gm0 * (1.0 + 1e-15):  # at vth = vdd/3 it can round one eps over
+        raise ValueError(f"compression needs (kn_wl + kp_wl)*(vdd - vth) <= 8*gm0, or the "
+                         f"averaged gm rises above gm0 (vth <= vdd/3 with the default slopes); "
+                         f"this block has {k_sum_swing:.6g} S > {8.0 * p.gm0:.6g} S")
 
 
 def q_on_nonlinear(state: AsrrState, p_in: float):
@@ -277,16 +267,13 @@ def q_on_nonlinear(state: AsrrState, p_in: float):
     K*(vdd - vth)/2 - 2*gm0.  So gm_avg never rises above gm0, and is
     non-increasing in V (h increasing, one root), exactly when
     (kn_wl + kp_wl)*(vdd - vth) <= 8*gm0: vth <= vdd/3 with the default
-    slopes gm0/(vdd/2 - vth).  Other blocks raise ValueError.
+    slopes gm0/(vdd/2 - vth).  check_compression_domain raises ValueError
+    for other blocks.
     """
     if p_in <= 0:
         raise ValueError("p_in must be positive")
     p = state.gm
-    k_sum_swing = (p.kn_wl + p.kp_wl) * (p.vdd - p.vth)
-    if k_sum_swing > 8.0 * p.gm0 * (1.0 + 1e-15):  # at vth = vdd/3 it can round one eps over
-        raise ValueError(f"compression needs (kn_wl + kp_wl)*(vdd - vth) <= 8*gm0, or the "
-                         f"averaged gm rises above gm0 (vth <= vdd/3 with the default slopes); "
-                         f"this block has {k_sum_swing:.6g} S > {8.0 * p.gm0:.6g} S")
+    check_compression_domain(p)
     r = state.r_srr_parallel()
 
     def q_of_v(v):

@@ -40,22 +40,22 @@ GRID_POINTS_PER_BANDWIDTH = 100  # keeps spacing <= w0/(100*Q)
 
 # optional config keys -> AsrrState.from_targets keywords; absent keys take
 # its defaults
-STATE_KEYS = {"k": "k", "c_asrr": "c_asrr", "c_gm": "c_gm", "vdd": "vdd", "vth": "vth",
-              "kn_wl": "kn_wl", "kp_wl": "kp_wl", "kf": "kf", "gamma": "gamma",
-              "lambda": "lam"}
+STATE_KEYS = {"k": "k", "c_asrr": "c_asrr", "vdd": "vdd", "vth": "vth", "kn_wl": "kn_wl",
+              "kp_wl": "kp_wl", "kf": "kf", "gamma": "gamma", "lambda": "lam"}
 MATCH_TOL = 1e-6  # largest |beta_l*k^2*Q_on - 1| the matched closed forms accept
 
 # every key some command reads, so that one config can serve all of them;
 # any other key is refused as a likely typo
 CONFIG_KEYS = frozenset({
     "f0", "lsrr", "csrr", "q_off", "q_on", "gm0", "k",  # pixel
-    "z0", "beta_l", "ltl", "ctl", "length",  # line
+    "z0", "beta_l",  # line
     *STATE_KEYS,  # active block
     "p_in_min", "p_in_max", "p_in_points",  # nonlin
     "p_in", "temperature", "delta_f_s", "offset_min", "offset_max", "supply_psd",
-    "pm_am_offset", "f_lo", "f_hi",  # noise; the flicker band also for snr and design
-    "delta_r_ref", "n_pixels", "il_budget", "snr_dc_target", "snr_dr_target", "kn", "kp",
-    "kf_area", "c_per_area", "l_srr_max", "cap_weight",  # snr and design
+    "pm_am_offset",  # noise
+    "f_lo", "f_hi", "delta_r_ref",  # snr and design
+    "n_pixels", "il_budget", "snr_dc_target", "snr_dr_target", "kn", "kp", "kf_area",
+    "c_per_area", "l_srr_max", "cap_weight",  # design
 })
 
 
@@ -71,16 +71,8 @@ def _outdir(args) -> str:
 
 
 def _build_line(cfg, w0) -> TransmissionLineSection:
-    if "ltl" in cfg and "ctl" in cfg:
-        return TransmissionLineSection(
-            ltl=require(cfg, "ltl"), ctl=require(cfg, "ctl"),
-            length=optional(cfg, "length", 30e-6),
-        )
-    z0 = optional(cfg, "z0", 50.0)
-    beta_l = require(cfg, "beta_l")
-    return TransmissionLineSection.from_electrical(
-        z0, beta_l, w0, length=optional(cfg, "length", 30e-6)
-    )
+    return TransmissionLineSection.from_electrical(optional(cfg, "z0", 50.0),
+                                                   require(cfg, "beta_l"), w0)
 
 
 def _build_srr(cfg, line) -> tuple[SrrParams, float]:
@@ -232,7 +224,6 @@ def cmd_noise(args, cfg):
         p_in=optional(cfg, "p_in", 10e-6),
         temperature=optional(cfg, "temperature", 290.0),
         delta_omega_s=2.0 * math.pi * optional(cfg, "delta_f_s", 20e6),
-        flicker_band=_flicker_band(cfg),
     )
     q = active.q_on(state)
     results = []

@@ -18,7 +18,7 @@ from .resonator import (
     check_positive,
     k_max_for_il,
     optimum_k_for_q,
-    q_on_min,
+    optimum_q_for_k,
 )
 from .active import MAX_BOOST, AsrrState, gm_for_boost, linear_power_limit
 from .noise import (FLICKER_BAND, alpha_flicker, check_flicker_band, flicker_rms, snr_delta_c,
@@ -117,10 +117,8 @@ def _design_at(spec: DesignSpec, r_srr: float, q_on: float, k: float, w0: float,
     band = spec.flicker_band
     if q_on > spec.q_off:
         gm = gm_for_boost(spec.q_off, q_on, r_srr)
-        state = AsrrState.from_targets(
-            spec.f0, l_srr, spec.q_off, gm0=gm, k=k, c_asrr=c_asrr, c_gm=c_gm,
-            vdd=spec.vdd, vth=spec.vth, kf=kf_dev,
-        )
+        state = AsrrState.from_targets(spec.f0, l_srr, spec.q_off, gm0=gm, k=k, c_asrr=c_asrr,
+                                       vdd=spec.vdd, vth=spec.vth, kf=kf_dev)
         alpha = alpha_flicker(state)
         snr_dc = snr_delta_c(state, kf_dev, band)
         snr_dr = snr_delta_r(state, kf_dev, band, spec.delta_r_ref)
@@ -176,7 +174,7 @@ def synthesize(spec: DesignSpec) -> DesignResult:
     k_max = k_max_for_il(spec.il_budget, spec.n_pixels, spec.line, spec.q_off, w0)
     notes = []
     # a cap at k_max >= 1 cannot bind: no realizable coupling reaches it
-    q_floor = q_on_min(k_max, spec.line, w0) if k_max < 1.0 else 0.0
+    q_floor = optimum_q_for_k(k_max, spec.line, w0) if k_max < 1.0 else 0.0
     if q_floor >= spec.q_off:
         k = k_max
         q_on = q_floor

@@ -33,7 +33,8 @@ def check_flicker_band(band):
     """Raise ValueError unless band = (f_lo, f_hi) [Hz] is finite and ordered."""
     f_lo, f_hi = band
     if not 0 < f_lo < f_hi < math.inf:
-        raise ValueError("flicker band needs finite f_hi > f_lo > 0")
+        raise ValueError(f"flicker band needs finite f_hi > f_lo > 0, got f_lo = {f_lo:g} Hz, "
+                         f"f_hi = {f_hi:g} Hz")
 
 
 def five_point_derivative(y, x):
@@ -63,13 +64,11 @@ class NoiseContext:
     p_in: float  # incident carrier power [W]
     temperature: float = 290.0  # [K]
     delta_omega_s: float = 0.0  # sample-induced resonance offset [rad/s]
-    flicker_band: tuple = FLICKER_BAND  # RMS integration band [Hz]
 
     def __post_init__(self):
         check_positive(self, "temperature", "p_in", "z0")
         if not math.isfinite(self.delta_omega_s):
             raise ValueError("delta_omega_s must be finite")
-        check_flicker_band(self.flicker_band)
 
 
 @dataclass(frozen=True)
@@ -223,9 +222,8 @@ def pm_to_am_gain(sweep: TwoPortSweep, w_in: float, offset: float) -> float:
 def flicker_rms(kf: float, band) -> float:
     """RMS of a kf/f voltage noise density over (f_lo, f_hi):
     sqrt(kf * ln(f_hi/f_lo)) [V]."""
+    check_flicker_band(band)
     f_lo, f_hi = band
-    if not 0 < f_lo <= f_hi:
-        raise ValueError("band needs f_hi >= f_lo > 0")
     return math.sqrt(kf * math.log(f_hi / f_lo))
 
 

@@ -50,7 +50,7 @@ class TransmissionLineSection:
 
     ltl: float  # segment inductance [H]
     ctl: float  # segment capacitance [F]
-    length: float  # physical segment length [m]
+    length: float  # physical segment length [m]; no model reads it
 
     def __post_init__(self):
         check_positive(self, "ltl", "ctl", "length")
@@ -59,10 +59,6 @@ class TransmissionLineSection:
     def z0(self) -> float:
         """Characteristic impedance sqrt(L/C) [ohm]."""
         return float(np.sqrt(self.ltl / self.ctl))
-
-    def beta(self, w):
-        """Phase constant [rad/m] at angular frequency w."""
-        return w * np.sqrt(self.ltl * self.ctl) / self.length
 
     def beta_l(self, w):
         """Electrical length beta*l [rad] of the segment at w."""
@@ -101,7 +97,7 @@ class SrrParams:
     @property
     def w0(self) -> float:
         """Resonance frequency 1/sqrt(LC) [rad/s]."""
-        return 1.0 / float(np.sqrt(self.lsrr * self.csrr))
+        return 1.0 / math.sqrt(self.lsrr * self.csrr)
 
     def effective_q(self) -> float:
         """q_off, capped so the loss never degenerates to exactly zero."""
@@ -321,12 +317,6 @@ def k_max_for_il(
         raise ValueError("per-pixel loss budget must be below 1")
     r_off = 2.0 * line.z0 * per_pixel / (1.0 - per_pixel)
     return float(np.sqrt(r_off / (w0 * q_off * line.ltl)))
-
-
-def q_on_min(k_max: float, line: TransmissionLineSection, w0: float) -> float:
-    """Lower bound on the boosted quality factor once the insertion-loss
-    budget caps the coupling: 1/(beta_l * k_max^2)."""
-    return optimum_q_for_k(k_max, line, w0)
 
 
 # The line-coupling laws: at resonance the reflected R' sits in series with

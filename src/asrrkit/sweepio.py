@@ -229,8 +229,6 @@ def write_table_csv(path, header, rows, comments=()):
     write_lines(path, lines)
 
 
-def write_keyvalues(path, pairs, comments=()):
-    lines = [f"# {c}" for c in comments]
-    for key, val in pairs:
-        lines.append(f"{key} = {val if isinstance(val, str) else fmt(val)}")
-    write_lines(path, lines)
+def write_keyvalues(path, pairs):
+    write_lines(path, [f"{key} = {val if isinstance(val, str) else fmt(val)}"
+                       for key, val in pairs])

@@ -84,7 +84,7 @@ class Fixture:
         return resonator.optimum_k_for_q(self.q_on, self.line(), self.w0)
 
     def line(self) -> TransmissionLineSection:
-        return TransmissionLineSection.from_electrical(self.z0, self.beta_l, self.w0, length=30e-6)
+        return TransmissionLineSection.from_electrical(self.z0, self.beta_l, self.w0)
 
     def state(self, q_on=None, kwl=None) -> AsrrState:
         """Active pixel boosted to q_on (default the fixture's own), coupling
@@ -107,7 +107,8 @@ FIXTURE_KEYS = ("f0", "c_asrr", "q_off", "q_on", "z0", "beta_l", "vdd", "vth", "
 
 def fixture_from_config(cfg: dict | None) -> Fixture:
     """The reference fixture with cfg's values, each positive and finite,
-    with q_on above q_off and a pixel and boosted ring that can be built."""
+    with q_on above q_off, a pixel and boosted ring that can be built and a
+    block inside the compression domain."""
     cfg = cfg or {}
     fields = {key: require(cfg, key) for key in FIXTURE_KEYS if key in cfg}
     try:
@@ -115,7 +116,7 @@ def fixture_from_config(cfg: dict | None) -> Fixture:
         fx = replace(Fixture(), **fields)
         if fx.q_on <= fx.q_off:
             raise ValueError(f"q_on ({fx.q_on:g}) must exceed q_off ({fx.q_off:g})")
-        fx.state()
+        active.check_compression_domain(fx.state().gm)
         fx.boosted_srr()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -140,7 +141,7 @@ def _random_matched(rng):
     z0 = rng.uniform(40.0, 75.0)
     q = rng.uniform(20.0, 300.0)
     beta_l = rng.uniform(max(0.08, 2.8 / q), 0.5)
-    line = TransmissionLineSection.from_electrical(z0, beta_l, w0, length=30e-6)
+    line = TransmissionLineSection.from_electrical(z0, beta_l, w0)
     lsrr = rng.uniform(20e-12, 200e-12)
     srr = SrrParams(lsrr=lsrr, csrr=1.0 / (w0**2 * lsrr), q_off=q,
                     k=resonator.optimum_k_for_q(q, line, w0))
@@ -174,7 +175,7 @@ def check_oracle_equivalence(rng, fx: Fixture) -> list[Record]:
         active_case = i >= 100
         q_off = rng.uniform(5.0, 30.0) if active_case else rng.uniform(5.0, 200.0)
         srr = SrrParams(lsrr=lsrr, csrr=1.0 / (w0**2 * lsrr), q_off=q_off, k=k)
-        line = TransmissionLineSection.from_electrical(z0, beta_l, w0, length=30e-6)
+        line = TransmissionLineSection.from_electrical(z0, beta_l, w0)
         gm_neg = 0.0
         q_eff = q_off
         if active_case:
@@ -245,8 +246,9 @@ def check_impedance_transform(rng, fx: Fixture) -> list[Record]:
 
 
 def check_sensitivity_anchors(rng, fx: Fixture) -> list[Record]:
-    """Reference-pixel sensitivities, each cross-checked by finite
-    difference on the transmission model."""
+    """Pixel sensitivities, each cross-checked by finite difference on the
+    transmission model, and against its documented value when the fixture
+    is the reference pixel."""
     w0, z0, line = fx.w0, fx.z0, fx.line()
     state = fx.state()
 
@@ -277,7 +279,7 @@ def check_sensitivity_anchors(rng, fx: Fixture) -> list[Record]:
     boost_srr = SrrParams(fx.lsrr, fx.c_asrr, fx.q_off, fx.k_value())
     anal_boost = anal_passive * (fx.q_on / fx.q_off) ** 2
     fd_boost = fd_slope_vs_r(boost_srr, lambda r: r / (1.0 - gm0 * r) / (w0 * fx.lsrr), 1 / gm0)
-    return [
+    records = [
         ("dw0/dC anchor", rel(slope, -5.35e25), 0.02),
         ("dw0/dC fd", rel(slope, fd), 0.01),
         ("dS/dR passive anchor", rel(anal_passive, 13e-15), 0.02),
@@ -285,6 +287,10 @@ def check_sensitivity_anchors(rng, fx: Fixture) -> list[Record]:
         ("dS/dR boosted anchor", rel(anal_boost, 380e-15), 0.02),
         ("dS/dR boosted fd", rel(fd_boost, anal_boost), 0.01),
     ]
+    # the documented values are the reference pixel's, not a configured one's
+    if fx == Fixture():
+        return records
+    return [r for r in records if not r[0].endswith(" anchor")]
 
 
 def check_phase_slope_law(rng, fx: Fixture) -> list[Record]:
@@ -324,8 +330,7 @@ def check_detection_band(rng, fx: Fixture) -> list[Record]:
 
 def check_nonlinear_gm(rng, fx: Fixture) -> list[Record]:
     """Cycle-averaged transconductance against the oracle's Gauss-Legendre
-    cycle average, the large-swing shortcut, and the compressed quality
-    factor."""
+    cycle average, and the compressed quality factor."""
     state = fx.state()
     p = state.gm
     worst = 0.0
@@ -333,8 +338,6 @@ def check_nonlinear_gm(rng, fx: Fixture) -> list[Record]:
         exact = active.gm_avg_exact(v, p)
         quad = oracle.time_avg_gm(v, p)
         worst = max(worst, abs(exact - quad) / abs(exact))
-    exact4 = active.gm_avg_exact(4.0 * p.vth, p)
-    approx_rel = abs(exact4 - active.gm_avg_approx(4.0 * p.vth, p)) / abs(exact4)
 
     p_lin = active.linear_power_limit(state)
     q_lin = active.q_on(state)
@@ -347,7 +350,6 @@ def check_nonlinear_gm(rng, fx: Fixture) -> list[Record]:
             worst_lin = max(worst_lin, abs(q_nl - q_lin) / q_lin)
     return [
         ("exact vs quadrature", worst, 1e-12),
-        ("approx@4vth", approx_rel, 0.05),
         ("linear regime dev", worst_lin, 1e-6),
         ("largest rise of Q with power", max(b / a - 1.0 for a, b in zip(qs, qs[1:])), 1e-12),
     ]
@@ -493,8 +495,7 @@ def check_design_roundtrip(rng, fx: Fixture) -> list[Record]:
     def reanalysed_snrs(spec, result):
         state = AsrrState.from_targets(
             spec.f0, result.l_srr, spec.q_off, q_on=result.q_on, k=result.k,
-            c_asrr=result.c_asrr, c_gm=result.c_gm, vdd=spec.vdd, vth=spec.vth,
-            kf=result.kf_device,
+            c_asrr=result.c_asrr, vdd=spec.vdd, vth=spec.vth, kf=result.kf_device,
         )
         band = spec.flicker_band
         return (noise.snr_delta_c(state, result.kf_device, band),

@@ -44,9 +44,7 @@ class TestBoost:
         for gm0 in (1.0 / r, 1.5 / r):
             with pytest.raises(active.OscillationError, match="oscillation"):
                 with_gm0(st, gm0)
-        bad_gm = GmBlockParams(
-            gm0=1.1 / r, kn_wl=1e-3, kp_wl=1e-3, vdd=1.0, vth=0.3, c_gm=fx.c_asrr * 0.3
-        )
+        bad_gm = GmBlockParams(gm0=1.1 / r, kn_wl=1e-3, kp_wl=1e-3, vdd=1.0, vth=0.3)
         with pytest.raises(ValueError, match="oscillation"):
             AsrrState(srr=st.srr, gm=bad_gm)
 
@@ -214,7 +212,6 @@ class TestGmAverage:
         p = fx.state().gm
         for v in (0.0, 0.1, p.vth):
             assert active.gm_avg_exact(v, p) == p.gm0
-            assert active.gm_avg_approx(v, p) == p.gm0
 
     def test_continuity_at_threshold(self, fx):
         # the average has a sqrt-shaped onset at vth, so the one-sided limit
@@ -239,12 +236,6 @@ class TestGmAverage:
         for v in np.linspace(0.0, 3 * p.vth, 25):
             quad = time_avg_gm(v, p)
             assert active.gm_avg_exact(v, p) == pytest.approx(quad, rel=1e-12)
-
-    def test_approx_within_5pct_at_4vth(self, fx):
-        p = fx.state().gm
-        v = 4 * p.vth
-        exact = active.gm_avg_exact(v, p)
-        assert abs(exact - active.gm_avg_approx(v, p)) / abs(exact) < 0.05
 
 
 class TestNonlinearQ:
@@ -337,15 +328,14 @@ class TestArgumentGuards:
 
     def test_gm_params_validation(self):
         with pytest.raises(ValueError, match="vth"):
-            GmBlockParams(gm0=1e-3, kn_wl=1e-3, kp_wl=1e-3, vdd=1.0, vth=-0.3, c_gm=1e-15)
+            GmBlockParams(gm0=1e-3, kn_wl=1e-3, kp_wl=1e-3, vdd=1.0, vth=-0.3)
         with pytest.raises(ValueError, match="lam"):
-            GmBlockParams(gm0=1e-3, kn_wl=1e-3, kp_wl=1e-3, vdd=1.0, vth=0.3,
-                          c_gm=1e-15, lam=-0.1)
+            GmBlockParams(gm0=1e-3, kn_wl=1e-3, kp_wl=1e-3, vdd=1.0, vth=0.3, lam=-0.1)
 
-    @pytest.mark.parametrize("name", ["gm0", "kn_wl", "vdd", "vth", "c_gm", "kf", "lam"])
+    @pytest.mark.parametrize("name", ["gm0", "kn_wl", "vdd", "vth", "kf", "lam"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_gm_params_reject_non_finite(self, name, bad):
-        good = dict(gm0=1e-3, kn_wl=1e-3, kp_wl=1e-3, vdd=1.0, vth=0.3, c_gm=1e-15)
+        good = dict(gm0=1e-3, kn_wl=1e-3, kp_wl=1e-3, vdd=1.0, vth=0.3)
         with pytest.raises(ValueError, match=name):
             GmBlockParams(**{**good, name: bad})
 
@@ -370,15 +360,15 @@ class TestFromTargets:
         with pytest.raises(ValueError, match="line"):
             AsrrState.from_targets(fx.f0, fx.lsrr, fx.q_off, q_on=80.0)
 
-    def test_capacitance_split_and_slope_fallback(self, fx):
+    def test_total_capacitance_and_slope_fallback(self, fx):
         st = AsrrState.from_targets(fx.f0, fx.lsrr, fx.q_off, q_on=54.0, k=0.2, vdd=0.5)
         c_total = 1.0 / ((2 * math.pi * fx.f0) ** 2 * fx.lsrr)
-        assert st.gm.c_gm == 0.3 * c_total
-        assert st.srr.csrr == c_total - st.gm.c_gm
+        # the ring holds the total capacitance; the block has no share to set
+        assert st.srr.csrr == st.c_asrr == c_total
         # no overdrive (vdd/2 <= vth): the device slopes fall back to 1e-3
         assert st.gm.kn_wl == st.gm.kp_wl == 1e-3
-        with pytest.raises(ValueError, match="c_gm"):
-            AsrrState.from_targets(fx.f0, fx.lsrr, fx.q_off, q_on=54.0, k=0.2, c_gm=2 * c_total)
+        with pytest.raises(TypeError, match="c_gm"):
+            AsrrState.from_targets(fx.f0, fx.lsrr, fx.q_off, q_on=54.0, k=0.2, c_gm=0.3 * c_total)
 
     def test_fixture_keeps_k_matched_at_its_own_q_on(self, fx):
         assert fx.state(q_on=100.0).srr.k == fx.state().srr.k == fx.k_value()
@@ -387,7 +377,7 @@ class TestFromTargets:
 class TestParasiticCapacitance:
     def test_state_total_capacitance(self, fx):
         st = fx.state()
-        assert st.c_asrr == pytest.approx(st.srr.csrr + st.gm.c_gm, rel=1e-15)
+        assert st.c_asrr == st.srr.csrr == fx.c_asrr
         assert st.w0 == pytest.approx(fx.w0, rel=1e-12)
 
     def test_boost_never_below_unloaded_q(self, fx, rng):

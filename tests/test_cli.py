@@ -195,6 +195,13 @@ class TestSnrCmd:
         assert float(values["snr_delta_c"]) > 0
         assert float(values["q_on"]) == pytest.approx(54.0, rel=1e-6)
 
+    def test_empty_flicker_band_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, REFERENCE_CONFIG + "f_lo = 1 kHz\nf_hi = 1 kHz\n")
+        assert main(["snr", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
+        assert ("flicker band needs finite f_hi > f_lo > 0, got f_lo = 1000 Hz, f_hi = 1000 Hz"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "snr.txt").exists()
+
 
 DESIGN_CONFIG = """
 f0 = 200 GHz
@@ -340,11 +347,18 @@ class TestValidateCmd:
         ("k = 1.5", "coupling coefficient k must satisfy 0 <= k < 1"),
         ("q_on = 8", "q_on (8) must exceed q_off (10)"),
         ("beta_l = 0.001", "matching Q=54 needs k=4.303 >= 1"),
+        ("vth = 400 mV", "compression needs (kn_wl + kp_wl)*(vdd - vth) <= 8*gm0"),
     ])
     def test_bad_fixture_value_is_config_error(self, tmp_path, capsys, line, message):
         cfg = write_config(tmp_path, line + "\n", name="bad.cfg")
         assert main(["validate", "--config", cfg, "--quiet"]) == 1
         assert message in capsys.readouterr().err
+
+    def test_configured_pixel_is_not_held_to_the_reference_anchors(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "f0 = 150 GHz\n", name="pixel.cfg")
+        assert main(["validate", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "12/12 checks passed" in out and " anchor " not in out
 
     def test_crashed_check_keeps_its_name(self, monkeypatch):
         names = [r.name for r in validate.run_all()]
@@ -430,6 +444,36 @@ def test_golden_digest_of_each_sweep_format(tmp_path, fmt, name):
     assert digests == {name: GOLDEN_DIGESTS["sweep"][name]}
 
 
+# the pixel and synthesis keys together, as a full run config carries them
+FULL_CONFIG = REFERENCE_CONFIG + "".join(
+    line + "\n" for line in DESIGN_CONFIG.splitlines()
+    if line.split("=")[0].strip() not in ("f0", "z0", "beta_l", "q_off"))
+
+# for each accepted key: a command that reads it, and a valid value that
+# differs from FULL_CONFIG's or the command's default.  A matched pixel's
+# response depends on z0 only through the Touchstone reference impedance,
+# and sweep's on beta_l not at all, since k follows both onto the locus.
+KEY_EFFECTS = {
+    "f0": ("sweep", "201 GHz"), "lsrr": ("sweep", "60 pH"), "csrr": ("sweep", "12 fF"),
+    "k": ("sweep", "0.2"), "z0": ("sweep", "60 ohm"), "beta_l": ("match", "0.4 rad"),
+    "q_off": ("snr", "12"), "q_on": ("snr", "60"), "gm0": ("snr", "1 mS"),
+    "c_asrr": ("snr", "12 fF"), "vdd": ("snr", "1.2 V"), "vth": ("snr", "250 mV"),
+    "kn_wl": ("snr", "2 mA/V^2"), "kp_wl": ("snr", "2 mA/V^2"), "kf": ("snr", "2e-10"),
+    "f_lo": ("snr", "0.1 Hz"), "f_hi": ("snr", "10 kHz"), "delta_r_ref": ("snr", "2 ohm"),
+    "gamma": ("noise", "2"), "lambda": ("noise", "0.5"), "p_in": ("noise", "20 uW"),
+    "temperature": ("noise", "300 K"), "delta_f_s": ("noise", "40 MHz"),
+    "offset_min": ("noise", "1 kHz"), "offset_max": ("noise", "10 MHz"),
+    "supply_psd": ("noise", "1e-18"), "pm_am_offset": ("noise", "2 MHz"),
+    "p_in_min": ("nonlin", "1 nW"), "p_in_max": ("nonlin", "1 mW"),
+    "p_in_points": ("nonlin", "11"),
+    "n_pixels": ("design", "2"), "il_budget": ("design", "0.09"),
+    "snr_dc_target": ("design", "2000"), "snr_dr_target": ("design", "40"),
+    "kn": ("design", "300 uA/V^2"), "kp": ("design", "300 uA/V^2"),
+    "kf_area": ("design", "5e-23"), "c_per_area": ("design", "0.02"),
+    "l_srr_max": ("design", "50 pH"), "cap_weight": ("design", "0.5"),
+}
+
+
 class TestConfigKeys:
     @pytest.mark.parametrize("command, text", [
         ("snr", REFERENCE_CONFIG + "q_onn = 100\n"),
@@ -459,12 +503,37 @@ class TestConfigKeys:
 
     @pytest.mark.parametrize("command", ["sweep", "match", "nonlin", "noise", "snr", "design"])
     def test_one_config_serves_every_command(self, tmp_path, command):
-        # pixel and synthesis keys together, as a full run config carries them
-        design_only = "".join(line + "\n" for line in DESIGN_CONFIG.splitlines()
-                              if line.split("=")[0].strip() not in ("f0", "z0", "beta_l",
-                                                                    "q_off"))
-        cfg = write_config(tmp_path, REFERENCE_CONFIG + design_only)
+        cfg = write_config(tmp_path, FULL_CONFIG)
         assert main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+
+    @pytest.mark.parametrize("key", sorted(cli.CONFIG_KEYS))
+    def test_every_key_changes_an_output(self, tmp_path, key):
+        # no accepted key is a no-op: one valid value of it changes the bytes
+        # a command that reads it writes, against the full run config
+        command, value = KEY_EFFECTS[key]
+        base = {line.split("=")[0].strip(): line for line in FULL_CONFIG.splitlines() if line}
+        changed = {**base, key: f"{key} = {value}"}
+        if key == "gm0":
+            del changed["q_on"]  # the boost is given one way
+        digests = []
+        for name, lines in (("before", base), ("after", changed)):
+            (tmp_path / name).mkdir()
+            digests.append(output_digests(tmp_path / name, command,
+                                          "\n".join(lines.values()) + "\n",
+                                          *(["--format", "both"] if command == "sweep" else [])))
+        assert digests[0] != digests[1]
+
+    def test_every_key_has_an_effect_listed(self):
+        assert set(KEY_EFFECTS) == cli.CONFIG_KEYS
+
+    @pytest.mark.parametrize("line", ["c_gm = 3.5 fF", "ltl = 14 pH", "ctl = 5.6 fF",
+                                      "length = 30 um"])
+    def test_removed_keys_are_refused_by_name(self, tmp_path, capsys, line):
+        cfg = write_config(tmp_path, REFERENCE_CONFIG + line + "\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
+        key = line.split(" = ")[0]
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("sweep.*"))
 
     def test_accepted_keys_are_the_keys_read(self):
         # every key a command reads is accepted, and nothing else; the keys

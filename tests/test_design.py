@@ -6,7 +6,7 @@ import pytest
 from asrrkit import noise
 from asrrkit.active import AsrrState
 from asrrkit.design import InfeasibleDesignError, power_from_gm_slope, synthesize
-from asrrkit.resonator import TransmissionLineSection, k_max_for_il, q_on_min
+from asrrkit.resonator import TransmissionLineSection, k_max_for_il, optimum_q_for_k
 from asrrkit.validate import reference_design_spec
 
 
@@ -32,8 +32,7 @@ class TestSynthesize:
         result = synthesize(spec)
         state = AsrrState.from_targets(
             spec.f0, result.l_srr, spec.q_off, q_on=result.q_on, k=result.k,
-            c_asrr=result.c_asrr, c_gm=result.c_gm, vdd=spec.vdd, vth=spec.vth,
-            kf=result.kf_device,
+            c_asrr=result.c_asrr, vdd=spec.vdd, vth=spec.vth, kf=result.kf_device,
         )
         assert state.gm.gm0 == pytest.approx(result.gm_required, rel=1e-12)
         snr_c = noise.snr_delta_c(state, result.kf_device, spec.flicker_band)
@@ -48,7 +47,7 @@ class TestSynthesize:
         w0 = 2 * math.pi * spec.f0
         k = k_max_for_il(spec.il_budget, spec.n_pixels, spec.line, spec.q_off, w0)
         assert result.k == k
-        assert result.q_on == q_on_min(k, spec.line, w0)
+        assert result.q_on == optimum_q_for_k(k, spec.line, w0)
         assert result.l_srr == result.r_srr / (w0 * spec.q_off)
         assert result.c_asrr == pytest.approx(1 / (w0**2 * result.l_srr), rel=1e-12)
         assert result.gm_required == pytest.approx(

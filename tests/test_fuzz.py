@@ -166,12 +166,11 @@ def test_line_section_refuses_bad_draws():
 
 def test_gm_block_refuses_bad_draws():
     rng = np.random.default_rng(20260505)
-    positive = ("gm0", "kn_wl", "kp_wl", "vdd", "vth", "c_gm", "kf", "gamma")
+    positive = ("gm0", "kn_wl", "kp_wl", "vdd", "vth", "kf", "gamma")
     for _ in range(DRAWS):
         valid = dict(gm0=rng.uniform(1e-4, 1e-1), kn_wl=rng.uniform(1e-4, 1e-1),
                      kp_wl=rng.uniform(1e-4, 1e-1), vdd=rng.uniform(0.5, 3.0),
-                     vth=rng.uniform(0.1, 0.6), c_gm=rng.uniform(1e-16, 1e-14),
-                     kf=10.0 ** rng.uniform(-14, -8), gamma=rng.uniform(0.5, 3.0),
+                     vth=rng.uniform(0.1, 0.6), kf=10.0 ** rng.uniform(-14, -8), gamma=rng.uniform(0.5, 3.0),
                      lam=rng.uniform(0.0, 0.5))
         refuses(rng, GmBlockParams, valid, positive, {"lam": bad_nonnegative})
 
@@ -184,14 +183,13 @@ def test_from_targets_refuses_bad_draws():
         q_off = rng.uniform(5.0, 30.0)
         c_asrr = 1.0 / ((2.0 * math.pi * f0) ** 2 * lsrr)
         valid = dict(f0=f0, lsrr=lsrr, q_off=q_off, k=rng.uniform(0.02, 0.25),
-                     c_asrr=c_asrr, c_gm=rng.uniform(0.1, 0.5) * c_asrr,
-                     vdd=rng.uniform(0.8, 2.0), vth=rng.uniform(0.1, 0.35),
+                     c_asrr=c_asrr, vdd=rng.uniform(0.8, 2.0), vth=rng.uniform(0.1, 0.35),
                      kf=10.0 ** rng.uniform(-14, -8), gamma=rng.uniform(0.5, 3.0))
         if rng.integers(2):
             valid["q_on"] = q_off * rng.uniform(1.1, 10.0)
         else:
             valid["gm0"] = rng.uniform(0.1, 0.9) / (2.0 * math.pi * f0 * lsrr * q_off)
-        positive = ["f0", "lsrr", "q_off", "c_asrr", "c_gm", "vdd", "vth", "kf", "gamma",
+        positive = ["f0", "lsrr", "q_off", "c_asrr", "vdd", "vth", "kf", "gamma",
                     "q_on" if "q_on" in valid else "gm0"]
 
         def build(f0, lsrr, q_off, **kw):
@@ -231,8 +229,6 @@ def test_noise_context_refuses_bad_draws():
                      delta_omega_s=rng.normal() * 1e9)
         refuses(rng, NoiseContext, valid, ("z0", "p_in", "temperature"), {
             "delta_omega_s": lambda r: [math.nan, math.inf, -math.inf][r.integers(3)],
-            "flicker_band": lambda r: [(0.0, 1e3), (1e3, 1.0), (1.0, math.inf),
-                                       (math.nan, 1e3), (-1.0, 1e3)][r.integers(5)],
         })
 
 
@@ -272,7 +268,7 @@ def test_boost_is_built_exactly_or_refused_by_name():
         # the pixel its gm builds has the boost the design reports
         state = AsrrState.from_targets(spec.f0, result.l_srr, spec.q_off,
                                        gm0=result.gm_required, k=result.k,
-                                       c_asrr=result.c_asrr, c_gm=result.c_gm)
+                                       c_asrr=result.c_asrr)
         assert q_on(state) == pytest.approx(result.q_on, rel=1e-6)
         built += 1
     assert built > 50 and refused > 50  # both sides of the bound exercised

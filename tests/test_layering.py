@@ -1,14 +1,17 @@
 """The analytic modules never reach the numerical oracle: it stays an
 independent second route to every closed form.  The CLI's start-up
 imports stay lean: no command but validate loads validate and oracle.
-And every function the benchmark's tracer wraps exists."""
+And every function the benchmark's tracer wraps exists, with the
+parameters its counters read."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -85,3 +88,40 @@ def test_every_tracer_target_resolves():
                if not callable(getattr(importlib.import_module(f"asrrkit.{module}"),
                                        function, None))]
     assert tracer.TARGETS and not missing
+    # each counter reads the wrapped call's arguments by parameter name, so
+    # a renamed parameter would stop the traced run with a KeyError
+    read_by_counters = set()
+    for module, function, _, count in tracer.TARGETS:
+        if count is not None:
+            arguments = _RecordingArguments()
+            count(defaultdict(float), arguments)
+            fn = getattr(importlib.import_module(f"asrrkit.{module}"), function)
+            assert arguments.read <= set(inspect.signature(fn).parameters), (
+                f"{module}.{function}", arguments.read)
+            read_by_counters |= arguments.read
+    assert read_by_counters == {"freqs", "w", "samples", "sweep", "path"}
+
+
+class _AnyArgument:
+    """Stands in for every argument a tracer counter reads: an array-like
+    sweep, a count and a file path at once."""
+
+    freqs = (0.0, 1.0)
+
+    def __fspath__(self):
+        return __file__
+
+    def __radd__(self, other):
+        return other
+
+
+class _RecordingArguments(dict):
+    """Bound arguments that note each parameter name a counter looks up."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return _AnyArgument()

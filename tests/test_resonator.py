@@ -30,7 +30,7 @@ class TestTypes:
 
     def test_line_beta_positive_and_scales(self):
         line = make_line(50.0, 0.35, 2 * math.pi * 200e9)
-        assert line.beta(1e12) > 0
+        assert line.beta_l(1e12) > 0
         assert line.beta_l(2e12) == pytest.approx(2 * line.beta_l(1e12), rel=1e-12)
 
     def test_line_from_electrical_roundtrip(self):
@@ -250,7 +250,7 @@ class TestIlBudgetInversion:
         il = r_off / (r_off + 2 * line.z0)
         k_max = rz.k_max_for_il(il, 1, line, q_off, w0)
         assert k_max == pytest.approx(0.2, rel=1e-9)
-        assert rz.q_on_min(k_max, line, w0) == pytest.approx(250.0, rel=1e-9)
+        assert rz.optimum_q_for_k(k_max, line, w0) == pytest.approx(250.0, rel=1e-9)
 
     def test_round_trip(self):
         srr, line, w0, _ = matched_instance(q=10.0)
@@ -265,7 +265,7 @@ class TestIlBudgetInversion:
         for il in np.linspace(0.01, 0.2, 12):
             k = rz.k_max_for_il(il, 4, line, 10.0, w0)
             ks.append(k)
-            q_mins.append(rz.q_on_min(k, line, w0))
+            q_mins.append(rz.optimum_q_for_k(k, line, w0))
         assert all(b > a for a, b in zip(ks, ks[1:]))
         assert all(b < a for a, b in zip(q_mins, q_mins[1:]))
 

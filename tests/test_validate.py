@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from asrrkit import validate
+from asrrkit.config import ConfigError
 from asrrkit.validate import CheckResult, Fixture
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
@@ -60,6 +61,17 @@ class TestRunCheck:
         assert first.measurements == again.measurements
 
 
+class TestFixtureFromConfig:
+    @pytest.mark.parametrize("vth", [0.34, 0.4])
+    def test_block_outside_the_compression_domain_is_refused(self, vth):
+        # vth > vdd/3 with the default slopes: the averaged gm would rise above gm0
+        with pytest.raises(ConfigError, match="compression needs"):
+            validate.fixture_from_config({"vth": vth})
+
+    def test_block_at_the_domain_edge_is_accepted(self):
+        assert validate.fixture_from_config({"vth": 1.0 / 3.0}).vth == 1.0 / 3.0
+
+
 class TestSuite:
     def test_every_check_has_a_finite_tol(self, results):
         assert len(results) == len(validate.ALL_CHECKS)
@@ -87,6 +99,20 @@ class TestSuite:
 
 
 class TestSensitivityAnchors:
+    ANCHORS = ["dw0/dC anchor", "dS/dR passive anchor", "dS/dR boosted anchor"]
+    FD = ["dw0/dC fd", "dS/dR passive fd", "dS/dR boosted fd"]
+
+    def test_reference_fixture_keeps_every_record(self):
+        records = validate.check_sensitivity_anchors(None, Fixture())
+        assert sorted(metric for metric, _, _ in records) == sorted(self.ANCHORS + self.FD)
+
+    @pytest.mark.parametrize("field, value", [("f0", 150e9), ("q_on", 80.0), ("q_off", 5.0)])
+    def test_configured_fixture_drops_the_reference_anchors(self, field, value):
+        # the documented values belong to the reference pixel alone
+        records = validate.check_sensitivity_anchors(None, replace(Fixture(), **{field: value}))
+        assert [metric for metric, _, _ in records] == self.FD
+        assert all(v <= tol for _, v, tol in records)
+
     @pytest.mark.parametrize("q_off", [1e-2, 1e-3])
     def test_boosted_difference_stays_short_of_the_boost_pole(self, q_off):
         # boosts 5400 and 54000: a step of 1e-4*r would reach r = 1/gm0
