@@ -119,11 +119,10 @@ class AsrrState:
         """Unboosted parallel loss at the loaded resonance [ohm]."""
         return self.w0 * self.srr.lsrr * self.srr.q_off
 
-    def effective_srr(self, q=None) -> SrrParams:
+    def effective_srr(self) -> SrrParams:
         """The resonator as the line sees it with the block enabled: the
-        boosted quality factor (pass q to override, e.g. a compressed
-        value)."""
-        return replace(self.srr, q_off=q_on(self) if q is None else q)
+        boosted quality factor."""
+        return replace(self.srr, q_off=q_on(self))
 
 
 def boosted_resistance(state: AsrrState) -> float:

@@ -47,7 +47,7 @@ MATCH_TOL = 1e-6  # largest |beta_l*k^2*Q_on - 1| the matched closed forms accep
 # every key some command reads, so that one config can serve all of them;
 # any other key is refused as a likely typo
 CONFIG_KEYS = frozenset({
-    "f0", "lsrr", "csrr", "q_off", "q_on", "gm0", "k",  # pixel
+    "f0", "lsrr", "q_off", "q_on", "gm0", "k",  # pixel
     "z0", "beta_l",  # line
     *STATE_KEYS,  # active block
     "p_in_min", "p_in_max", "p_in_points",  # nonlin
@@ -70,26 +70,28 @@ def _outdir(args) -> str:
     return out
 
 
-def _build_line(cfg, w0) -> TransmissionLineSection:
-    return TransmissionLineSection.from_electrical(optional(cfg, "z0", 50.0),
-                                                   require(cfg, "beta_l"), w0)
+def _line(cfg) -> tuple[TransmissionLineSection, float]:
+    """The host line at f0, from z0 and beta_l, and the z0 every command
+    references its ports to."""
+    w0 = 2.0 * math.pi * require(cfg, "f0")
+    z0 = optional(cfg, "z0", 50.0)
+    return TransmissionLineSection.from_electrical(z0, require(cfg, "beta_l"), w0), z0
 
 
 def _build_srr(cfg, line) -> tuple[SrrParams, float]:
     """Resonator from config at q_on, the Q_on that gm0 gives, or q_off if
-    unboosted; k defaults to the matched value for that Q.  Returns (srr, w0)."""
-    f0 = require(cfg, "f0")
-    w0 = 2.0 * math.pi * f0
+    unboosted; its capacitance is c_asrr, by default resonant with lsrr at
+    f0, and k defaults to the matched value for that Q at f0.  Returns
+    (srr, w0) with w0 = 2*pi*f0."""
+    w0 = 2.0 * math.pi * require(cfg, "f0")
     lsrr = require(cfg, "lsrr")
-    csrr = optional(cfg, "csrr", None)
-    if csrr is None:
-        csrr = 1.0 / (w0 * w0 * lsrr)
+    c_asrr = optional(cfg, "c_asrr", 1.0 / (w0 * w0 * lsrr))
     q = (active.q_on(_state(cfg, line)) if "gm0" in cfg
          else optional(cfg, "q_on", None) or require(cfg, "q_off"))
     k = optional(cfg, "k", None)
     if k is None:
         k = resonator.optimum_k_for_q(q, line, w0)
-    srr = SrrParams(lsrr=lsrr, csrr=csrr, q_off=q, k=k)
+    srr = SrrParams(lsrr=lsrr, csrr=c_asrr, q_off=q, k=k)
     return srr, w0
 
 
@@ -101,28 +103,18 @@ def _state(cfg, line) -> AsrrState:
                                   line=line, **boost, **extra)
 
 
-def _matched_state(args, cfg) -> tuple[AsrrState, TransmissionLineSection]:
+def _matched_state(cfg, line) -> AsrrState:
     """Active pixel from config.  nonlin, noise and snr use the
     matched-coupling closed forms, so a k off the locus
-    beta_l*k^2*Q_on = 1 is refused.  The ring is tuned to f0 by lsrr, so
-    a configured csrr is named as ignored."""
-    f0 = require(cfg, "f0")
-    line = _build_line(cfg, 2.0 * math.pi * f0)
+    beta_l*k^2*Q_on = 1 is refused."""
     state = _state(cfg, line)
-    csrr = cfg.get("csrr")
-    if csrr is not None:
-        # not an error: one config serves every command, and sweep reads csrr
-        positive = isinstance(csrr, float) and csrr > 0
-        f_csrr = 1 / (2 * math.pi * math.sqrt(state.srr.lsrr * csrr)) if positive else math.nan
-        print(f"{args.command} ignores config key 'csrr': it tunes the ring to f0 = {f0:g} Hz, "
-              f"where csrr would put its resonance at {f_csrr:g} Hz", file=sys.stderr)
     residual = abs(line.beta_l(state.w0) * state.srr.k**2 * active.q_on(state) - 1.0)
     if not residual <= MATCH_TOL:
         raise ConfigError(
             f"k = {state.srr.k:g} is off the matched locus: |beta_l*k^2*q_on - 1| = "
             f"{residual:.3g} > {MATCH_TOL:g}; nonlin, noise and snr assume matched coupling"
         )
-    return state, line
+    return state
 
 
 def _flicker_band(cfg) -> tuple[float, float]:
@@ -144,10 +136,10 @@ def _grid(args, w0, q) -> np.ndarray:
 
 
 def cmd_sweep(args, cfg):
-    line = _build_line(cfg, 2.0 * math.pi * require(cfg, "f0"))
+    line, z0 = _line(cfg)
     srr, w0 = _build_srr(cfg, line)
     grid = _grid(args, w0, srr.q_off)
-    sweep = resonator.s_parameters(srr, line, grid, z0_ref=optional(cfg, "z0", line.z0))
+    sweep = resonator.s_parameters(srr, line, grid, z0_ref=z0)
     out = _outdir(args)
     paths = {kind: os.path.join(out, f"sweep.{kind}")
              for kind in ("csv", "s2p") if args.format in (kind, "both")}
@@ -163,37 +155,30 @@ def cmd_sweep(args, cfg):
 
 
 def cmd_match(args, cfg):
-    f0 = require(cfg, "f0")
-    w0 = 2.0 * math.pi * f0
-    line = _build_line(cfg, w0)
-    z0 = optional(cfg, "z0", line.z0)
-    lsrr = optional(cfg, "lsrr", 50e-12)
+    """|S11| at f0 over coupling k and boosted Q: the matched locus and a
+    contour grid, both read off the coupling ratio rho = beta_l*k^2*Q."""
+    line, _ = _line(cfg)
+    w0 = 2.0 * math.pi * require(cfg, "f0")
+    beta_l = line.beta_l(w0)
     out = _outdir(args)
 
-    rows = []
-    for k in np.linspace(0.02, 0.3, 57):
-        q = resonator.optimum_q_for_k(k, line, w0)
-        srr = SrrParams(lsrr=lsrr, csrr=1.0 / (w0**2 * lsrr), q_off=q, k=k)
-        z = resonator.reflected_impedance(srr, line, w0)
-        s11_db = 20.0 * math.log10(abs(z / (z + 2 * z0)))
-        rows.append((k, q, s11_db))
-    locus_path = os.path.join(out, "match_locus.csv")
-    write_table_csv(locus_path, ("k", "q_on", "s11_db_at_f0"), rows)
+    def row(k, q):
+        return k, q, 20.0 * math.log10(resonator.reflected_amplitude(beta_l * k**2 * q))
 
-    contour_rows = []
-    for k in np.linspace(0.02, 0.3, 29):
-        for q in np.geomspace(5.0, 500.0, 25):
-            srr = SrrParams(lsrr=lsrr, csrr=1.0 / (w0**2 * lsrr), q_off=q, k=k)
-            z = resonator.reflected_impedance(srr, line, w0)
-            contour_rows.append((k, q, 20.0 * math.log10(abs(z / (z + 2 * z0)))))
+    locus_path = os.path.join(out, "match_locus.csv")
+    write_table_csv(locus_path, ("k", "q_on", "s11_db_at_f0"),
+                    [row(k, resonator.optimum_q_for_k(k, line, w0))
+                     for k in np.linspace(0.02, 0.3, 57)])
     contour_path = os.path.join(out, "s11_contours.csv")
-    write_table_csv(contour_path, ("k", "q_on", "s11_db_at_f0"), contour_rows)
+    write_table_csv(contour_path, ("k", "q_on", "s11_db_at_f0"),
+                    [row(k, q) for k in np.linspace(0.02, 0.3, 29)
+                     for q in np.geomspace(5.0, 500.0, 25)])
     _say(args, f"wrote {locus_path}, {contour_path}")
     return EXIT_OK
 
 
 def cmd_nonlin(args, cfg):
-    state, _ = _matched_state(args, cfg)
+    state = _matched_state(cfg, _line(cfg)[0])
     p_lin = active.linear_power_limit(state)
     p_lo = optional(cfg, "p_in_min", 0.01 * p_lin)
     p_hi = optional(cfg, "p_in_max", 30.0 * p_lin)
@@ -216,8 +201,8 @@ def cmd_nonlin(args, cfg):
 
 
 def cmd_noise(args, cfg):
-    state, line = _matched_state(args, cfg)
-    z0 = optional(cfg, "z0", line.z0)
+    line, z0 = _line(cfg)
+    state = _matched_state(cfg, line)
     ctx = noise.NoiseContext(
         state=state,
         z0=z0,
@@ -240,11 +225,9 @@ def cmd_noise(args, cfg):
         if supply_psd is not None:
             results.append(noise.PhaseNoiseResult(
                 off, noise.supply_phase_noise(ctx, supply_psd), "supply"))
-    out = _outdir(args)
-    noise_path = os.path.join(out, "phase_noise.csv")
-    write_noise_csv(noise_path, results)
 
-    # PM-to-AM conversion vs carrier detuning
+    # PM-to-AM conversion vs carrier detuning, computed before either file
+    # is written, so that a failure leaves neither
     grid = resonator.auto_grid(state.w0, q, 2.0, 200.0)
     sweep = resonator.s_parameters(state.effective_srr(), line, grid, z0_ref=z0)
     rows = []
@@ -255,6 +238,10 @@ def cmd_noise(args, cfg):
     for w_in in grid[start:-5:10]:
         gain = noise.pm_to_am_gain(sweep, float(w_in), offset)
         rows.append(((w_in - state.w0) / (2 * math.pi), gain if math.isfinite(gain) else -300.0))
+
+    out = _outdir(args)
+    noise_path = os.path.join(out, "phase_noise.csv")
+    write_noise_csv(noise_path, results)
     pm_path = os.path.join(out, "pm_to_am.csv")
     write_table_csv(pm_path, ("detune_hz", "conversion_db"), rows)
     _say(args, f"wrote {noise_path}, {pm_path}")
@@ -262,7 +249,7 @@ def cmd_noise(args, cfg):
 
 
 def cmd_snr(args, cfg):
-    state, _ = _matched_state(args, cfg)
+    state = _matched_state(cfg, _line(cfg)[0])
     band = _flicker_band(cfg)
     kf = state.gm.kf
     snr_c = noise.snr_delta_c(state, kf, band)
@@ -281,17 +268,15 @@ def cmd_snr(args, cfg):
 
 
 def cmd_design(args, cfg):
-    f0 = require(cfg, "f0")
-    w0 = 2.0 * math.pi * f0
-    line = _build_line(cfg, w0)
+    line, z0 = _line(cfg)
     spec = DesignSpec(
-        f0=f0,
+        f0=require(cfg, "f0"),
         n_pixels=int(optional(cfg, "n_pixels", 1)),
         il_budget=require(cfg, "il_budget"),
         snr_dc_target=require(cfg, "snr_dc_target"),
         snr_dr_target=require(cfg, "snr_dr_target"),
         delta_r_ref=optional(cfg, "delta_r_ref", 1.0),
-        z0=optional(cfg, "z0", line.z0),
+        z0=z0,
         line=line,
         kn=require(cfg, "kn"),
         kp=require(cfg, "kp"),

@@ -13,14 +13,9 @@ functions are pure; frequency arguments accept scalars or numpy arrays.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-# Series loss is derived from the quality factor; a lossless resonator is
-# approximated by capping Q so the impedance pole at resonance stays finite.
-Q_CAP = 1e9
 
 # Magnetic coupling achievable by placing a ring next to the line saturates
 # around this value; design.synthesize refuses a coupling beyond it.
@@ -99,24 +94,13 @@ class SrrParams:
         """Resonance frequency 1/sqrt(LC) [rad/s]."""
         return 1.0 / math.sqrt(self.lsrr * self.csrr)
 
-    def effective_q(self) -> float:
-        """q_off, capped so the loss never degenerates to exactly zero."""
-        if self.q_off > Q_CAP:
-            warnings.warn(
-                f"q_off={self.q_off:g} capped at {Q_CAP:g} to keep the series "
-                "loss finite near resonance",
-                stacklevel=2,
-            )
-            return Q_CAP
-        return self.q_off
-
     def r_series(self) -> float:
         """Series loss resistance w0*L/Q [ohm], frequency-independent."""
-        return self.w0 * self.lsrr / self.effective_q()
+        return self.w0 * self.lsrr / self.q_off
 
     def r_parallel(self) -> float:
         """Parallel loss resistance w0*L*Q [ohm] at resonance."""
-        return self.w0 * self.lsrr * self.effective_q()
+        return self.w0 * self.lsrr * self.q_off
 
 
 @dataclass(frozen=True)
@@ -321,6 +305,11 @@ def k_max_for_il(
 
 # The line-coupling laws: at resonance the reflected R' sits in series with
 # the ports' 2*z0, so each depends on the coupling ratio rho = R'/z0 alone.
+
+def reflected_amplitude(rho):
+    """|S11(w0)|: 1/3 matched."""
+    return rho / (rho + 2.0)
+
 
 def absorbed_power_fraction(rho):
     """Share of the incident power the resonator dissipates: 4/9 matched."""

@@ -111,8 +111,8 @@ class TestSweep:
         assert main(["sweep", "--config", str(tmp_path / "nope.cfg"), "--quiet"]) == 1
 
     def test_printed_s21_is_read_at_the_ring_resonance(self, tmp_path, capsys):
-        # csrr = 5 fF puts the ring's own resonance at 306 GHz, far from f0
-        cfg = write_config(tmp_path, REFERENCE_CONFIG + "csrr = 5 fF\n")
+        # c_asrr = 5 fF puts the ring's own resonance at 306 GHz, far from f0
+        cfg = write_config(tmp_path, REFERENCE_CONFIG + "c_asrr = 5 fF\n")
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert ("ring resonance 3.05941e+11 Hz is outside the grid 1.88889e+11..2.11111e+11 Hz"
                 in capsys.readouterr().out)
@@ -182,6 +182,14 @@ class TestNoiseCmd:
         # conversion nulls towards the resonance
         mid = np.argmin(np.abs(data[:, 0]))
         assert data[mid, 1] < np.max(data[:, 1]) - 20
+
+    def test_failed_pm_to_am_table_leaves_no_file(self, tmp_path, capsys):
+        # a boost of 3e6 narrows the band below the grid's resolution at 200 GHz
+        cfg = write_config(tmp_path, REFERENCE_CONFIG.replace("q_on = 54", "q_on = 3e7"))
+        out = tmp_path / "out"
+        assert main(["noise", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+        assert "five-point stencil needs a uniform grid" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
 
 
 class TestSnrCmd:
@@ -454,10 +462,10 @@ FULL_CONFIG = REFERENCE_CONFIG + "".join(
 # response depends on z0 only through the Touchstone reference impedance,
 # and sweep's on beta_l not at all, since k follows both onto the locus.
 KEY_EFFECTS = {
-    "f0": ("sweep", "201 GHz"), "lsrr": ("sweep", "60 pH"), "csrr": ("sweep", "12 fF"),
+    "f0": ("sweep", "201 GHz"), "lsrr": ("sweep", "60 pH"), "c_asrr": ("sweep", "12 fF"),
     "k": ("sweep", "0.2"), "z0": ("sweep", "60 ohm"), "beta_l": ("match", "0.4 rad"),
     "q_off": ("snr", "12"), "q_on": ("snr", "60"), "gm0": ("snr", "1 mS"),
-    "c_asrr": ("snr", "12 fF"), "vdd": ("snr", "1.2 V"), "vth": ("snr", "250 mV"),
+    "vdd": ("snr", "1.2 V"), "vth": ("snr", "250 mV"),
     "kn_wl": ("snr", "2 mA/V^2"), "kp_wl": ("snr", "2 mA/V^2"), "kf": ("snr", "2e-10"),
     "f_lo": ("snr", "0.1 Hz"), "f_hi": ("snr", "10 kHz"), "delta_r_ref": ("snr", "2 ohm"),
     "gamma": ("noise", "2"), "lambda": ("noise", "0.5"), "p_in": ("noise", "20 uW"),
@@ -493,13 +501,18 @@ class TestConfigKeys:
         assert len(err) == 1 and err[0].startswith("validate ignores config key 'lsrr': ")
 
     @pytest.mark.parametrize("command", ["nonlin", "noise", "snr"])
-    def test_matched_commands_name_the_csrr_they_ignore(self, tmp_path, capsys, command):
-        # the ring is tuned to f0 by lsrr; 5 fF with 54.12456 pH resonates at 306 GHz
-        digests = output_digests(tmp_path, command, REFERENCE_CONFIG + "csrr = 5 fF\n")
-        assert digests == GOLDEN_DIGESTS[command]
-        err = capsys.readouterr().err.splitlines()
-        assert err == [f"{command} ignores config key 'csrr': it tunes the ring to "
-                       "f0 = 2e+11 Hz, where csrr would put its resonance at 3.05941e+11 Hz"]
+    def test_sweep_and_the_matched_commands_build_one_ring(self, tmp_path, capsys, command):
+        # c_asrr = 12 fF with 54.12456 pH resonates at 197.484 GHz, off f0;
+        # the matched command reads that ring, not one retuned to f0
+        text = REFERENCE_CONFIG + "c_asrr = 12 fF\n"
+        cfg = parse_config_file(write_config(tmp_path, text))
+        line, _ = cli._line(cfg)
+        srr, _ = cli._build_srr(cfg, line)
+        state = cli._state(cfg, line)
+        assert srr.csrr == state.srr.csrr == cfg["c_asrr"]
+        assert srr.w0 == state.w0 == pytest.approx(2 * math.pi * 197.484e9, rel=1e-6)
+        assert output_digests(tmp_path, command, text) != GOLDEN_DIGESTS[command]
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("command", ["sweep", "match", "nonlin", "noise", "snr", "design"])
     def test_one_config_serves_every_command(self, tmp_path, command):
@@ -527,7 +540,7 @@ class TestConfigKeys:
         assert set(KEY_EFFECTS) == cli.CONFIG_KEYS
 
     @pytest.mark.parametrize("line", ["c_gm = 3.5 fF", "ltl = 14 pH", "ctl = 5.6 fF",
-                                      "length = 30 um"])
+                                      "length = 30 um", "csrr = 12 fF"])
     def test_removed_keys_are_refused_by_name(self, tmp_path, capsys, line):
         cfg = write_config(tmp_path, REFERENCE_CONFIG + line + "\n")
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
@@ -537,14 +550,19 @@ class TestConfigKeys:
 
     def test_accepted_keys_are_the_keys_read(self):
         # every key a command reads is accepted, and nothing else; the keys
-        # read through a loop are those of STATE_KEYS and FIXTURE_KEYS
+        # read through a loop are those of STATE_KEYS and FIXTURE_KEYS.  A
+        # key read with a default has one default wherever it is read.
         read = set(cli.STATE_KEYS) | set(validate.FIXTURE_KEYS)
+        defaults = {}
         for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id in ("require", "optional")
                     and isinstance(node.args[1], ast.Constant)):
                 read.add(node.args[1].value)
+                if node.func.id == "optional":
+                    defaults.setdefault(node.args[1].value, set()).add(ast.unparse(node.args[2]))
         assert read == cli.CONFIG_KEYS
+        assert {key: d for key, d in defaults.items() if len(d) > 1} == {}
 
 
 class TestOutputMode:

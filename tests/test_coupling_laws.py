@@ -1,4 +1,4 @@
-"""The four line-coupling laws of resonator.py, functions of the coupling
+"""The five line-coupling laws of resonator.py, functions of the coupling
 ratio rho = R'/z0: their matched values, the general forms written on
 them, and the rule that keeps the matched-locus constants of active.py and
 noise.py coming from them."""
@@ -14,18 +14,20 @@ import asrrkit
 from asrrkit import resonator as rz
 from asrrkit.oracle import central_difference
 from asrrkit.resonator import (MATCHED_RHO, absorbed_power_fraction, loss_slope_factor,
-                               phase_slope_factor, transmitted_power_fraction)
+                               phase_slope_factor, reflected_amplitude,
+                               transmitted_power_fraction)
 
 A = absorbed_power_fraction(MATCHED_RHO)
 T = transmitted_power_fraction(MATCHED_RHO)
 P = phase_slope_factor(MATCHED_RHO)
 LS = loss_slope_factor(MATCHED_RHO)
+S11 = reflected_amplitude(MATCHED_RHO)
 LAWS = ("absorbed_power_fraction", "transmitted_power_fraction", "phase_slope_factor",
-        "loss_slope_factor")
+        "loss_slope_factor", "reflected_amplitude")
 
 
 def test_laws_at_the_matched_ratio_are_the_literals():
-    assert (A, T, P, LS) == (4.0 / 9.0, 4.0 / 9.0, 2.0 / 3.0, 10.0 / 9.0)
+    assert (A, T, P, LS, S11) == (4.0 / 9.0, 4.0 / 9.0, 2.0 / 3.0, 10.0 / 9.0, 1.0 / 3.0)
 
 
 @pytest.mark.parametrize("derived, literal", [
@@ -77,12 +79,15 @@ def test_general_forms_match_the_circuit_expressions():
 
 
 def test_laws_match_the_two_port_off_the_locus():
-    # power split and phase slope read off the S-parameters at resonance
+    # reflection, power split and phase slope read off the S-parameters at
+    # resonance
     for srr, line, z0 in random_pixels(n=40, seed=7):
         res = rz.equivalent_resonator(srr, line)
         rho = res.r_eq / z0
+        assert rho == pytest.approx(line.beta_l(srr.w0) * srr.k**2 * srr.q_off, rel=1e-12)
         sweep = rz.s_parameters(srr, line, np.array([srr.w0, 1.001 * srr.w0]), z0_ref=z0)
         s11, s21 = abs(sweep.s11[0]), abs(sweep.s21[0])
+        assert s11 == pytest.approx(reflected_amplitude(rho), rel=1e-9)
         assert s21**2 == pytest.approx(transmitted_power_fraction(rho), rel=1e-9)
         assert 1.0 - s11**2 - s21**2 == pytest.approx(absorbed_power_fraction(rho), rel=1e-9)
 

@@ -112,12 +112,18 @@ class TestSeriesLoadingImpedance:
         z = rz.series_loading_impedance(srr0, line, w0)
         assert z == pytest.approx(1j * w0 * line.ltl, rel=1e-12)
 
-    def test_lossless_pole_capped_with_warning(self):
-        srr, line, w0, _ = matched_instance()
-        huge_q = SrrParams(srr.lsrr, srr.csrr, 1e12, srr.k)
-        with pytest.warns(UserWarning, match="capped"):
-            z = rz.series_loading_impedance(huge_q, line, w0)
-        assert np.isfinite(z.real) and z.real > 0
+    @pytest.mark.filterwarnings("error")
+    def test_matched_ring_stays_matched_at_high_q(self):
+        # w0*L = 1/(w0*C) = 64 ohm exactly at w0 = 2**40 rad/s, so the ring's
+        # reactance cancels and its whole impedance is the loss w0*L/Q
+        lsrr, csrr = 2.0**-34, 2.0**-46
+        w0 = 2.0**40
+        line = make_line(50.0, 0.35, w0)
+        for q in np.geomspace(1e9, 1e15, 13):
+            srr = SrrParams(lsrr, csrr, q, rz.optimum_k_for_q(q, line, w0))
+            assert srr.w0 == w0 and rz.srr_branch_impedance(srr, w0) == srr.r_series()
+            sweep = rz.s_parameters(srr, line, [w0, 1.001 * w0], z0_ref=50.0)
+            assert abs(sweep.s11[0]) == pytest.approx(1.0 / 3.0, abs=1.2e-16)  # two ulps
 
     def test_direct_vs_transformed_forms(self):
         # the rational form and the transformed parallel-admittance sum are
