@@ -75,12 +75,14 @@ class AsrrState:
                      vdd=1.0, vth=0.3, kn_wl=None, kp_wl=None, **device) -> AsrrState:
         """The operating point of an active pixel at f0 [Hz].
 
-        Give the boost either as a target q_on or as the block's gm0.  The
-        total capacitance c_asrr defaults to resonance with lsrr at f0; the
-        device slopes default to gm0/(vdd/2 - vth), or 1e-3 A/V^2 without
-        overdrive.  k defaults to the matched coupling beta_l*k^2*Q_on = 1
-        for the realized Q_on, which needs the line.  Extra keywords (kf,
-        gamma, lam) go to GmBlockParams.
+        Give the boost either as a target q_on above q_off or as the block's
+        gm0.  The total capacitance c_asrr defaults to resonance with lsrr
+        at f0; a q_on target holds at the ring's own resonance
+        1/sqrt(lsrr*c_asrr).  The device slopes default to
+        gm0/(vdd/2 - vth), or 1e-3 A/V^2 without overdrive.  k defaults to
+        the matched coupling beta_l*k^2*Q_on = 1 for the realized Q_on,
+        which needs the line.  Extra keywords (kf, gamma, lam) go to
+        GmBlockParams.
         """
         if (q_on is None) == (gm0 is None):
             raise ValueError("give exactly one of q_on and gm0")
@@ -89,16 +91,18 @@ class AsrrState:
         require_positive(f0=f0, lsrr=lsrr, q_off=q_off)
         if q_on is not None:
             require_positive(q_on=q_on)
+            if not q_on > q_off:
+                raise ValueError(f"q_on ({q_on:g}) must exceed q_off ({q_off:g})")
         w0 = 2.0 * math.pi * f0
         if c_asrr is None:
             c_asrr = 1.0 / (w0 * w0 * lsrr)
+        srr = SrrParams(lsrr=lsrr, csrr=c_asrr, q_off=q_off, k=0.0 if k is None else k)
         if gm0 is None:
-            gm0 = gm_for_boost(q_off, q_on, w0 * lsrr * q_off)
+            gm0 = gm_for_boost(q_off, q_on, srr.r_parallel())
         kwl = gm0 / (vdd / 2.0 - vth) if vdd / 2.0 > vth else 1e-3
         gm = GmBlockParams(gm0=gm0, kn_wl=kwl if kn_wl is None else kn_wl,
                            kp_wl=kwl if kp_wl is None else kp_wl,
                            vdd=vdd, vth=vth, **device)
-        srr = SrrParams(lsrr=lsrr, csrr=c_asrr, q_off=q_off, k=0.0 if k is None else k)
         state = cls(srr=srr, gm=gm)
         if k is None:  # the boost does not depend on k; effective_srr() carries Q_on
             k = optimum_k_for_q(state.effective_srr().q_off, line, state.w0)

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import __version__, active, noise, resonator
 from .active import AsrrState
-from .config import ConfigError, optional, parse_config_file, require
+from .config import STATE_KEYS, ConfigError, Pixel, optional, parse_config_file, require
 from .design import DesignSpec, InfeasibleDesignError, synthesize
-from .resonator import SrrParams, TransmissionLineSection
+from .resonator import require_positive
 from .sweepio import (
     fmt,
     write_keyvalues,
@@ -38,10 +38,6 @@ EXIT_NUMERIC = 2
 
 GRID_POINTS_PER_BANDWIDTH = 100  # keeps spacing <= w0/(100*Q)
 
-# optional config keys -> AsrrState.from_targets keywords; absent keys take
-# its defaults
-STATE_KEYS = {"k": "k", "c_asrr": "c_asrr", "vdd": "vdd", "vth": "vth", "kn_wl": "kn_wl",
-              "kp_wl": "kp_wl", "kf": "kf", "gamma": "gamma", "lambda": "lam"}
 MATCH_TOL = 1e-6  # largest |beta_l*k^2*Q_on - 1| the matched closed forms accept
 
 # every key some command reads, so that one config can serve all of them;
@@ -70,45 +66,12 @@ def _outdir(args) -> str:
     return out
 
 
-def _line(cfg) -> tuple[TransmissionLineSection, float]:
-    """The host line at f0, from z0 and beta_l, and the z0 every command
-    references its ports to."""
-    w0 = 2.0 * math.pi * require(cfg, "f0")
-    z0 = optional(cfg, "z0", 50.0)
-    return TransmissionLineSection.from_electrical(z0, require(cfg, "beta_l"), w0), z0
-
-
-def _build_srr(cfg, line) -> tuple[SrrParams, float]:
-    """Resonator from config at q_on, the Q_on that gm0 gives, or q_off if
-    unboosted; its capacitance is c_asrr, by default resonant with lsrr at
-    f0, and k defaults to the matched value for that Q at f0.  Returns
-    (srr, w0) with w0 = 2*pi*f0."""
-    w0 = 2.0 * math.pi * require(cfg, "f0")
-    lsrr = require(cfg, "lsrr")
-    c_asrr = optional(cfg, "c_asrr", 1.0 / (w0 * w0 * lsrr))
-    q = (active.q_on(_state(cfg, line)) if "gm0" in cfg
-         else optional(cfg, "q_on", None) or require(cfg, "q_off"))
-    k = optional(cfg, "k", None)
-    if k is None:
-        k = resonator.optimum_k_for_q(q, line, w0)
-    srr = SrrParams(lsrr=lsrr, csrr=c_asrr, q_off=q, k=k)
-    return srr, w0
-
-
-def _state(cfg, line) -> AsrrState:
-    """Active pixel from config: q_off plus either gm0 or q_on."""
-    boost = {"gm0": require(cfg, "gm0")} if "gm0" in cfg else {"q_on": require(cfg, "q_on")}
-    extra = {arg: require(cfg, key) for key, arg in STATE_KEYS.items() if key in cfg}
-    return AsrrState.from_targets(require(cfg, "f0"), require(cfg, "lsrr"), require(cfg, "q_off"),
-                                  line=line, **boost, **extra)
-
-
-def _matched_state(cfg, line) -> AsrrState:
-    """Active pixel from config.  nonlin, noise and snr use the
+def _matched_state(pixel: Pixel) -> AsrrState:
+    """The pixel's active state.  nonlin, noise and snr use the
     matched-coupling closed forms, so a k off the locus
     beta_l*k^2*Q_on = 1 is refused."""
-    state = _state(cfg, line)
-    residual = abs(line.beta_l(state.w0) * state.srr.k**2 * active.q_on(state) - 1.0)
+    state = pixel.state
+    residual = abs(pixel.line.beta_l(state.w0) * state.srr.k**2 * active.q_on(state) - 1.0)
     if not residual <= MATCH_TOL:
         raise ConfigError(
             f"k = {state.srr.k:g} is off the matched locus: |beta_l*k^2*q_on - 1| = "
@@ -132,14 +95,17 @@ def _grid(args, w0, q) -> np.ndarray:
         if not (0 < f_lo < f_hi and n >= 2):
             raise ConfigError("grid needs 0 < START < STOP and N >= 2")
         return 2.0 * np.pi * np.linspace(f_lo, f_hi, n)
-    return resonator.auto_grid(w0, q, 3.0, GRID_POINTS_PER_BANDWIDTH)
+    try:
+        return resonator.auto_grid(w0, q, 3.0, GRID_POINTS_PER_BANDWIDTH)
+    except ValueError as exc:
+        raise ConfigError(f"{exc}; give sweep a --grid") from None
 
 
 def cmd_sweep(args, cfg):
-    line, z0 = _line(cfg)
-    srr, w0 = _build_srr(cfg, line)
-    grid = _grid(args, w0, srr.q_off)
-    sweep = resonator.s_parameters(srr, line, grid, z0_ref=z0)
+    pixel = Pixel(cfg)
+    srr = pixel.ring
+    grid = _grid(args, 2.0 * math.pi * require(cfg, "f0"), srr.q_off)
+    sweep = resonator.s_parameters(srr, pixel.line, grid, z0_ref=pixel.z0)
     out = _outdir(args)
     paths = {kind: os.path.join(out, f"sweep.{kind}")
              for kind in ("csv", "s2p") if args.format in (kind, "both")}
@@ -157,7 +123,7 @@ def cmd_sweep(args, cfg):
 def cmd_match(args, cfg):
     """|S11| at f0 over coupling k and boosted Q: the matched locus and a
     contour grid, both read off the coupling ratio rho = beta_l*k^2*Q."""
-    line, _ = _line(cfg)
+    line = Pixel(cfg).line
     w0 = 2.0 * math.pi * require(cfg, "f0")
     beta_l = line.beta_l(w0)
     out = _outdir(args)
@@ -178,13 +144,15 @@ def cmd_match(args, cfg):
 
 
 def cmd_nonlin(args, cfg):
-    state = _matched_state(cfg, _line(cfg)[0])
+    state = _matched_state(Pixel(cfg))
     p_lin = active.linear_power_limit(state)
     p_lo = optional(cfg, "p_in_min", 0.01 * p_lin)
     p_hi = optional(cfg, "p_in_max", 30.0 * p_lin)
-    n = int(optional(cfg, "p_in_points", 41))
+    n = optional(cfg, "p_in_points", 41)
+    if not (n >= 1 and n == int(n)):
+        raise ConfigError(f"p_in_points must be a positive integer, got {n:g}")
     rows = []
-    for p_in in np.geomspace(p_lo, p_hi, n):
+    for p_in in np.geomspace(p_lo, p_hi, int(n)):
         v_lin = active.asrr_voltage_swing(state, p_in)
         q_nl, v_nl = active.q_on_nonlinear(state, p_in)
         rows.append((p_in, v_lin, v_nl, q_nl))
@@ -201,11 +169,11 @@ def cmd_nonlin(args, cfg):
 
 
 def cmd_noise(args, cfg):
-    line, z0 = _line(cfg)
-    state = _matched_state(cfg, line)
+    pixel = Pixel(cfg)
+    state = _matched_state(pixel)
     ctx = noise.NoiseContext(
         state=state,
-        z0=z0,
+        z0=pixel.z0,
         p_in=optional(cfg, "p_in", 10e-6),
         temperature=optional(cfg, "temperature", 290.0),
         delta_omega_s=2.0 * math.pi * optional(cfg, "delta_f_s", 20e6),
@@ -216,6 +184,8 @@ def cmd_noise(args, cfg):
                            optional(cfg, "offset_max", 1e8), 31)
     white = noise.white_ssb_phase_noise(ctx)
     supply_psd = optional(cfg, "supply_psd", None)  # off unless asked for
+    if supply_psd is not None:
+        require_positive(supply_psd=supply_psd)
     for off in offsets:
         results.append(noise.PhaseNoiseResult(off, white, "white"))
         results.append(noise.PhaseNoiseResult(
@@ -229,14 +199,15 @@ def cmd_noise(args, cfg):
     # PM-to-AM conversion vs carrier detuning, computed before either file
     # is written, so that a failure leaves neither
     grid = resonator.auto_grid(state.w0, q, 2.0, 200.0)
-    sweep = resonator.s_parameters(state.effective_srr(), line, grid, z0_ref=z0)
+    sweep = resonator.s_parameters(state.effective_srr(), pixel.line, grid, z0_ref=pixel.z0)
     rows = []
-    offset = 2.0 * math.pi * optional(cfg, "pm_am_offset", 1e6)
+    pm_am_offset = optional(cfg, "pm_am_offset", 1e6)
+    require_positive(pm_am_offset=pm_am_offset)
     start = len(grid) // 2 % 10  # keep the zero-detune row in the table
     if start < 5:
         start += 10
     for w_in in grid[start:-5:10]:
-        gain = noise.pm_to_am_gain(sweep, float(w_in), offset)
+        gain = noise.pm_to_am_gain(sweep, float(w_in), 2.0 * math.pi * pm_am_offset)
         rows.append(((w_in - state.w0) / (2 * math.pi), gain if math.isfinite(gain) else -300.0))
 
     out = _outdir(args)
@@ -249,11 +220,13 @@ def cmd_noise(args, cfg):
 
 
 def cmd_snr(args, cfg):
-    state = _matched_state(cfg, _line(cfg)[0])
+    state = _matched_state(Pixel(cfg))
     band = _flicker_band(cfg)
     kf = state.gm.kf
+    delta_r_ref = optional(cfg, "delta_r_ref", 1.0)
+    require_positive(delta_r_ref=delta_r_ref)
     snr_c = noise.snr_delta_c(state, kf, band)
-    snr_r = noise.snr_delta_r(state, kf, band, optional(cfg, "delta_r_ref", 1.0))
+    snr_r = noise.snr_delta_r(state, kf, band, delta_r_ref)
     out = _outdir(args)
     path = os.path.join(out, "snr.txt")
     write_keyvalues(path, [
@@ -268,7 +241,7 @@ def cmd_snr(args, cfg):
 
 
 def cmd_design(args, cfg):
-    line, z0 = _line(cfg)
+    pixel = Pixel(cfg)
     spec = DesignSpec(
         f0=require(cfg, "f0"),
         n_pixels=int(optional(cfg, "n_pixels", 1)),
@@ -276,8 +249,8 @@ def cmd_design(args, cfg):
         snr_dc_target=require(cfg, "snr_dc_target"),
         snr_dr_target=require(cfg, "snr_dr_target"),
         delta_r_ref=optional(cfg, "delta_r_ref", 1.0),
-        z0=z0,
-        line=line,
+        z0=pixel.z0,
+        line=pixel.line,
         kn=require(cfg, "kn"),
         kp=require(cfg, "kp"),
         vth=require(cfg, "vth"),
@@ -331,12 +304,7 @@ def cmd_validate(args, cfg):
     # imported here, so that no other command compiles validate and oracle
     from . import validate
 
-    ignored = sorted(set(cfg) - set(validate.FIXTURE_KEYS))
-    if ignored:
-        # not an error: one config serves every command
-        print(f"validate ignores config key {', '.join(map(repr, ignored))}: "
-              f"it reads only {', '.join(validate.FIXTURE_KEYS)}", file=sys.stderr)
-    results = validate.run_all(cfg if cfg else None)
+    results = validate.run_all(cfg)
     failed = [r for r in results if not r.passed]
     for r in results:
         _say(args, r.line())

@@ -1,4 +1,5 @@
-"""Flat key-value run configs with unit-suffixed values.
+"""Flat key-value run configs with unit-suffixed values, and the pixel
+one config describes.
 
 One assignment per line, '#' comments, values like `f0 = 200 GHz` or
 `lsrr = 54.1 pH`; everything normalizes to SI.  Bare numbers are taken
@@ -9,6 +10,15 @@ from __future__ import annotations
 
 import math
 import re
+from functools import cached_property
+
+from .active import AsrrState, q_on
+from .resonator import SrrParams, TransmissionLineSection, optimum_k_for_q, require_positive
+
+# optional config keys -> AsrrState.from_targets keywords; absent keys take
+# its defaults
+STATE_KEYS = {"k": "k", "c_asrr": "c_asrr", "vdd": "vdd", "vth": "vth", "kn_wl": "kn_wl",
+              "kp_wl": "kp_wl", "kf": "kf", "gamma": "gamma", "lambda": "lam"}
 
 
 class ConfigError(ValueError):
@@ -98,3 +108,44 @@ def optional(cfg: dict, key: str, default):
     if not isinstance(value, (int, float)):
         raise ConfigError(f"config key {key!r} must be numeric, got {value!r}")
     return float(value)
+
+
+class Pixel:
+    """The pixel a config describes, built this one way by every command
+    and by the validation suite: the host line at f0 from z0 and beta_l,
+    and the z0 every port is referenced to.  The ring and the active state
+    are built when first read, so a command that needs only the line reads
+    no pixel keys."""
+
+    def __init__(self, cfg: dict):
+        self.cfg = cfg
+        f0, beta_l = require(cfg, "f0"), require(cfg, "beta_l")
+        self.z0 = optional(cfg, "z0", 50.0)
+        require_positive(f0=f0, z0=self.z0, beta_l=beta_l)
+        self.line = TransmissionLineSection.from_electrical(self.z0, beta_l, 2.0 * math.pi * f0)
+
+    @cached_property
+    def state(self) -> AsrrState:
+        """The active pixel: q_off boosted by gm0 or to q_on."""
+        cfg = self.cfg
+        boost = {"gm0": require(cfg, "gm0")} if "gm0" in cfg else {"q_on": require(cfg, "q_on")}
+        extra = {arg: require(cfg, key) for key, arg in STATE_KEYS.items() if key in cfg}
+        return AsrrState.from_targets(require(cfg, "f0"), require(cfg, "lsrr"),
+                                      require(cfg, "q_off"), line=self.line, **boost, **extra)
+
+    @cached_property
+    def ring(self) -> SrrParams:
+        """The ring as the line sees it: at q_on, at the Q_on that gm0 gives,
+        or at q_off if unboosted.  Its capacitance is c_asrr, by default
+        resonant with lsrr at f0, and k defaults to the matched value for
+        that Q at the ring's own resonance 1/sqrt(lsrr*c_asrr)."""
+        cfg = self.cfg
+        q = (q_on(self.state) if "gm0" in cfg
+             else optional(cfg, "q_on", None) or require(cfg, "q_off"))
+        w0 = 2.0 * math.pi * require(cfg, "f0")
+        lsrr = require(cfg, "lsrr")
+        c_asrr = optional(cfg, "c_asrr", 1.0 / (w0 * w0 * lsrr))
+        k = optional(cfg, "k", None)
+        if k is None:
+            k = optimum_k_for_q(q, self.line, 1.0 / math.sqrt(lsrr * c_asrr))
+        return SrrParams(lsrr=lsrr, csrr=c_asrr, q_off=q, k=k)

@@ -247,9 +247,15 @@ def s_parameters(
 
 def auto_grid(w0: float, q: float, half_span: float, points_per_bandwidth: float) -> np.ndarray:
     """Odd-count grid symmetric about w0: half_span bandwidths w0/q either
-    side, spacing at most w0/(points_per_bandwidth * q)."""
+    side, spacing at most w0/(points_per_bandwidth * q).  A q whose step
+    falls below the spacing of doubles across the grid is refused: its
+    points would not stay distinct."""
     span = half_span * w0 / q
     step = w0 / (points_per_bandwidth * q)
+    if not step >= math.ulp(w0 + span):
+        raise ValueError(f"Q = {q:g} is too high for an automatic grid: its step "
+                         f"w0/({points_per_bandwidth:g}*Q) = {step:.3g} rad/s is below the "
+                         f"spacing of doubles at w0, {math.ulp(w0 + span):.3g} rad/s")
     n = (2 * int(span / step)) | 1
     return np.linspace(w0 - span, w0 + span, n)
 

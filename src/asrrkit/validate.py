@@ -18,9 +18,9 @@ import numpy as np
 
 from . import active, noise, oracle, resonator
 from .active import AsrrState
-from .config import ConfigError, require
+from .config import Pixel, parse_config_text
 from .design import DesignSpec, InfeasibleDesignError, synthesize
-from .resonator import SrrParams, TransmissionLineSection, require_positive
+from .resonator import SrrParams, TransmissionLineSection
 
 TWO_THIRDS_DB = 20.0 * math.log10(2.0 / 3.0)  # -3.5218 dB matched transmission
 SEED = 20260808
@@ -54,73 +54,38 @@ class CheckResult:
         return f"[{tag}] {self.name}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class Fixture:
-    """Reconstructed 200 GHz reference pixel used by anchors and sweeps."""
+# the reconstructed 200 GHz pixel, matched coupling: the README's example config
+REFERENCE_CONFIG = parse_config_text("""
+f0 = 200 GHz
+lsrr = 54.12456 pH
+q_off = 10
+q_on = 54
+z0 = 50 ohm
+beta_l = 0.35 rad
+""")
 
-    f0: float = 200e9
-    c_asrr: float = 11.7e-15
-    q_off: float = 10.0
-    q_on: float = 54.0
-    z0: float = 50.0
-    beta_l: float = 0.35
-    vdd: float = 1.0
-    vth: float = 0.3
-    kf: float = 1e-10
-    gamma: float = 1.0
-    k: float | None = None  # None -> matched-coupling value
+
+class Fixture(Pixel):
+    """The pixel the checks take: REFERENCE_CONFIG with a configured file's
+    keys over it, a configured gm0 replacing the reference q_on.  Its line,
+    z0, ring and state are the ones every command builds from that config;
+    its w0 is the ring's own resonance."""
+
+    def __init__(self, config: dict | None = None):
+        config = config or {}
+        reference = {key: value for key, value in REFERENCE_CONFIG.items()
+                     if not (key == "q_on" and "gm0" in config)}
+        super().__init__({**reference, **config})
 
     @property
     def w0(self) -> float:
-        return 2.0 * math.pi * self.f0
+        return self.ring.w0
 
-    @property
-    def lsrr(self) -> float:
-        return 1.0 / (self.w0**2 * self.c_asrr)
-
-    def k_value(self) -> float:
-        if self.k is not None:
-            return self.k
-        return resonator.optimum_k_for_q(self.q_on, self.line(), self.w0)
-
-    def line(self) -> TransmissionLineSection:
-        return TransmissionLineSection.from_electrical(self.z0, self.beta_l, self.w0)
-
-    def state(self, q_on=None, kwl=None) -> AsrrState:
-        """Active pixel boosted to q_on (default the fixture's own), coupling
-        kept matched at the fixture's q_on; pass kwl to pin the device slopes
-        while the bias (gm0) tunes the quality factor."""
-        return AsrrState.from_targets(
-            self.f0, self.lsrr, self.q_off, q_on=self.q_on if q_on is None else q_on,
-            k=self.k_value(), c_asrr=self.c_asrr, vdd=self.vdd, vth=self.vth,
-            kn_wl=kwl, kp_wl=kwl, kf=self.kf, gamma=self.gamma,
-        )
-
-    def boosted_srr(self) -> SrrParams:
-        """The resonator as the line sees it with the block on."""
-        return SrrParams(lsrr=self.lsrr, csrr=self.c_asrr, q_off=self.q_on, k=self.k_value())
-
-
-# config keys that override the Fixture field of the same name
-FIXTURE_KEYS = ("f0", "c_asrr", "q_off", "q_on", "z0", "beta_l", "vdd", "vth", "kf", "gamma", "k")
-
-
-def fixture_from_config(cfg: dict | None) -> Fixture:
-    """The reference fixture with cfg's values, each positive and finite,
-    with q_on above q_off, a pixel and boosted ring that can be built and a
-    block inside the compression domain."""
-    cfg = cfg or {}
-    fields = {key: require(cfg, key) for key in FIXTURE_KEYS if key in cfg}
-    try:
-        require_positive(**fields)
-        fx = replace(Fixture(), **fields)
-        if fx.q_on <= fx.q_off:
-            raise ValueError(f"q_on ({fx.q_on:g}) must exceed q_off ({fx.q_off:g})")
-        active.check_compression_domain(fx.state().gm)
-        fx.boosted_srr()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return fx
+    def at_q(self, q_on: float, **keys) -> Fixture:
+        """This pixel boosted to q_on, with keys set: a configured k or gm0
+        is dropped, so the coupling is matched at the new Q."""
+        config = {key: value for key, value in self.cfg.items() if key not in ("k", "gm0")}
+        return Fixture({**config, "q_on": q_on, **keys})
 
 
 def _phase_at(srr, line, w, z0):
@@ -151,7 +116,7 @@ def _random_matched(rng):
 def check_matched_anchor(rng, fx: Fixture) -> list[Record]:
     """Matched coupling pins |S11(w0)| = 1/3 and |S21(w0)| = -3.52 dB."""
     worst_s11 = worst_s21 = 0.0
-    cases = [(fx.boosted_srr(), fx.line(), fx.w0, fx.z0)]
+    cases = [(fx.ring, fx.line, fx.w0, fx.z0)]
     cases += [_random_matched(rng) for _ in range(100)]
     for srr, line, w0, z0 in cases:
         z = resonator.reflected_impedance(srr, line, w0)
@@ -213,7 +178,7 @@ def check_mesh_properties(rng, fx: Fixture) -> list[Record]:
         worst_closed = max(worst_closed,
                            float(np.max(np.abs(s21 - s21_closed) / np.abs(s21_closed))))
     # energy split at resonance for the matched fixture
-    z = resonator.reflected_impedance(fx.boosted_srr(), fx.line(), fx.w0)
+    z = resonator.reflected_impedance(fx.ring, fx.line, fx.w0)
     s11 = abs(z / (z + 2 * fx.z0))
     s21 = abs(2 * fx.z0 / (z + 2 * fx.z0))
     split_err = abs((1.0 - s11**2 - s21**2) - 4.0 / 9.0)
@@ -249,16 +214,15 @@ def check_sensitivity_anchors(rng, fx: Fixture) -> list[Record]:
     """Pixel sensitivities, each cross-checked by finite difference on the
     transmission model, and against its documented value when the fixture
     is the reference pixel."""
-    w0, z0, line = fx.w0, fx.z0, fx.line()
-    state = fx.state()
+    w0, z0, line, srr0 = fx.w0, fx.z0, fx.line, fx.ring
+    state = fx.state
 
     def rel(val, ref):
         return abs(val - ref) / abs(ref)
 
     # resonance shift per unit capacitance, against a numeric phase-zero root
     slope = active.sample_response(state, active.SampleDelta(1e-18, 0.0)).d_w0 / 1e-18
-    srr0 = fx.boosted_srr()
-    dc = 1e-3 * fx.c_asrr
+    dc = 1e-3 * srr0.csrr
     fd = (_numeric_resonance(replace(srr0, csrr=srr0.csrr + dc), line, z0, w0 * 0.9995)
           - _numeric_resonance(replace(srr0, csrr=srr0.csrr - dc), line, z0, w0 * 1.0005)
           ) / (2.0 * dc)
@@ -272,13 +236,13 @@ def check_sensitivity_anchors(rng, fx: Fixture) -> list[Record]:
         r0 = srr_q.w0 * srr_q.lsrr * srr_q.q_off
         return oracle.central_difference(slope_at, r0, 1e-4 * min(1.0, (r_pole - r0) / r0))
 
-    passive_srr = fx.boosted_srr()  # Q = 54 resonator taken as-is
-    anal_passive = resonator.phase_slope_vs_resistance(passive_srr, line, z0)
-    fd_passive = fd_slope_vs_r(passive_srr, lambda r: r / (w0 * passive_srr.lsrr))
+    # the boosted ring taken as-is, and the ring at q_off under the block
+    anal_passive = resonator.phase_slope_vs_resistance(srr0, line, z0)
+    fd_passive = fd_slope_vs_r(srr0, lambda r: r / (w0 * srr0.lsrr))
     gm0 = state.gm.gm0
-    boost_srr = SrrParams(fx.lsrr, fx.c_asrr, fx.q_off, fx.k_value())
-    anal_boost = anal_passive * (fx.q_on / fx.q_off) ** 2
-    fd_boost = fd_slope_vs_r(boost_srr, lambda r: r / (1.0 - gm0 * r) / (w0 * fx.lsrr), 1 / gm0)
+    boost_srr = replace(srr0, q_off=state.srr.q_off)
+    anal_boost = anal_passive * (srr0.q_off / boost_srr.q_off) ** 2
+    fd_boost = fd_slope_vs_r(boost_srr, lambda r: r / (1.0 - gm0 * r) / (w0 * srr0.lsrr), 1 / gm0)
     records = [
         ("dw0/dC anchor", rel(slope, -5.35e25), 0.02),
         ("dw0/dC fd", rel(slope, fd), 0.01),
@@ -288,18 +252,18 @@ def check_sensitivity_anchors(rng, fx: Fixture) -> list[Record]:
         ("dS/dR boosted fd", rel(fd_boost, anal_boost), 0.01),
     ]
     # the documented values are the reference pixel's, not a configured one's
-    if fx == Fixture():
+    if fx.cfg == REFERENCE_CONFIG:
         return records
     return [r for r in records if not r[0].endswith(" anchor")]
 
 
 def check_phase_slope_law(rng, fx: Fixture) -> list[Record]:
     """Matched phase slope (2/3)Q/w0 by finite difference, and the
-    effective quality factor Q/3."""
+    effective quality factor Q/3, with k matched at each Q."""
     worst_fd = worst_q = 0.0
     for q in (20.0, 50.0, 100.0, 250.0):
-        fxq = replace(fx, q_on=q)
-        srr, line = fxq.boosted_srr(), fxq.line()
+        fxq = fx.at_q(q)
+        srr, line = fxq.ring, fxq.line
         res = resonator.equivalent_resonator(srr, line)
         expect = (2.0 / 3.0) * q / fxq.w0
         fd = oracle.central_difference(lambda w: _phase_at(srr, line, w, fxq.z0), fxq.w0)
@@ -313,9 +277,9 @@ def check_detection_band(rng, fx: Fixture) -> list[Record]:
     linearized detection phase, plus the bandwidth limit law."""
     worst_edge = worst_bw = 0.0
     for q in (20.0, 50.0, 100.0, 250.0):
-        fxq = replace(fx, q_on=q)
+        fxq = fx.at_q(q)
         w0 = fxq.w0
-        res = resonator.equivalent_resonator(fxq.boosted_srr(), fxq.line())
+        res = resonator.equivalent_resonator(fxq.ring, fxq.line)
         w_lo, w_hi, bw = resonator.detection_band(w0, q)
         span = 3.0 * w0 / q
         grid = np.linspace(w0 - span, w0 + span, 601)
@@ -331,7 +295,7 @@ def check_detection_band(rng, fx: Fixture) -> list[Record]:
 def check_nonlinear_gm(rng, fx: Fixture) -> list[Record]:
     """Cycle-averaged transconductance against the oracle's Gauss-Legendre
     cycle average, and the compressed quality factor."""
-    state = fx.state()
+    state = fx.state
     p = state.gm
     worst = 0.0
     for v in np.linspace(0.0, 3.0 * p.vth, 50):
@@ -358,9 +322,9 @@ def check_nonlinear_gm(rng, fx: Fixture) -> list[Record]:
 def check_noise_laws(rng, fx: Fixture) -> list[Record]:
     """Quadratic Q scaling of the slope sensitivities and the dB laws of
     the phase-noise transfers."""
-    kwl = fx.state().gm.kn_wl  # device geometry fixed, bias tunes the boost
-    st1 = fx.state(q_on=50.0, kwl=kwl)
-    st2 = fx.state(q_on=100.0, kwl=kwl)
+    kwl = fx.state.gm.kn_wl  # device geometry fixed, bias tunes the boost
+    st1 = fx.at_q(50.0, kn_wl=kwl, kp_wl=kwl).state
+    st2 = fx.at_q(100.0, kn_wl=kwl, kp_wl=kwl).state
     q1, q2 = active.q_on(st1), active.q_on(st2)
     r_fl = noise.flicker_sres_sensitivity(st2) / noise.flicker_sres_sensitivity(st1)
     r_sp = noise.supply_sres_sensitivity(st2) / noise.supply_sres_sensitivity(st1)
@@ -397,8 +361,8 @@ def check_noise_laws(rng, fx: Fixture) -> list[Record]:
 def check_pm_to_am(rng, fx: Fixture) -> list[Record]:
     """Conversion null at resonance and peak placement at the magnitude
     inflection."""
-    srr, line = fx.boosted_srr(), fx.line()
-    w0, q = fx.w0, fx.q_on
+    srr, line = fx.ring, fx.line
+    w0, q = fx.w0, fx.ring.q_off
     step = w0 / (200.0 * q)
     grid = resonator.auto_grid(w0, q, 3.0, 200.0)
     sweep = resonator.s_parameters(srr, line, grid, z0_ref=fx.z0)
@@ -425,18 +389,18 @@ def check_snr_invariance(rng, fx: Fixture) -> list[Record]:
     resonance offset) and the flicker noise (slope wobble times the same
     offset) alike, so both SNR formulas hold at every detuning, and the
     flicker phase-noise PSD carries the square of that same offset."""
-    state = fx.state()
+    state = fx.state
     band = noise.FLICKER_BAND
-    kf = fx.kf
+    kf = state.gm.kf
     snr_c = noise.snr_delta_c(state, kf, band)
     snr_r = noise.snr_delta_r(state, kf, band, 1.0)
     # signal slopes: the matched phase slope per unit capacitive detuning,
     # and per ohm of ring loss the boosted-loss sensitivity referred to the
     # ring through dR_boosted/dR = (Q_on/Q_off)^2
-    res = resonator.equivalent_resonator(fx.boosted_srr(), fx.line())
+    res = resonator.equivalent_resonator(fx.ring, fx.line)
     slope_c = resonator.output_phase_slope(res, fx.z0)
-    slope_r = resonator.phase_slope_vs_resistance(fx.boosted_srr(), fx.line(), fx.z0) \
-        * (fx.q_on / fx.q_off) ** 2
+    slope_r = resonator.phase_slope_vs_resistance(fx.ring, fx.line, fx.z0) \
+        * (fx.ring.q_off / state.srr.q_off) ** 2
     # four-device flicker-driven slope wobble (amplitude weight 4)
     v_rms = noise.flicker_rms(kf, band)
     wobble = 4.0 * v_rms * noise.flicker_sres_sensitivity(state)
@@ -465,25 +429,25 @@ def check_snr_invariance(rng, fx: Fixture) -> list[Record]:
 def reference_design_spec() -> DesignSpec:
     """A spec whose synthesis lands on the reference pixel (Q 10 -> 54)."""
     fx = Fixture()
-    line = fx.line()
-    unboosted = SrrParams(lsrr=fx.lsrr, csrr=fx.c_asrr, q_off=fx.q_off, k=fx.k_value())
+    state = fx.state
+    unboosted = replace(fx.ring, q_off=state.srr.q_off)
     return DesignSpec(
-        f0=fx.f0,
+        f0=fx.cfg["f0"],
         n_pixels=1,
-        il_budget=resonator.array_insertion_loss(1, unboosted, line),
+        il_budget=resonator.array_insertion_loss(1, unboosted, fx.line),
         snr_dc_target=500.0,
         snr_dr_target=10.0,
         delta_r_ref=1.0,
         z0=fx.z0,
-        line=line,
+        line=fx.line,
         kn=250e-6,
         kp=250e-6,
-        vth=fx.vth,
-        vdd=fx.vdd,
+        vth=state.gm.vth,
+        vdd=state.gm.vdd,
         kf_area=3.9e-23,
         c_per_area=0.015,
-        l_srr_max=fx.lsrr,
-        q_off=fx.q_off,
+        l_srr_max=unboosted.lsrr,
+        q_off=unboosted.q_off,
     )
 
 
@@ -560,5 +524,10 @@ def run_check(fn, fx: Fixture, seed: int = SEED) -> CheckResult:
 
 
 def run_all(config: dict | None = None, seed: int = SEED) -> list[CheckResult]:
-    fx = fixture_from_config(config)
+    """Every check on the pixel of config over the reference one.  A pixel
+    that cannot be built, or whose block lies outside the domain of the
+    compression law the suite checks, raises ValueError before any check
+    runs."""
+    fx = Fixture(config)
+    active.check_compression_domain(fx.state.gm)
     return [run_check(fn, fx, seed) for fn in ALL_CHECKS]

@@ -6,7 +6,9 @@ from asrrkit.validate import Fixture
 
 @pytest.fixture
 def fx():
-    """Reconstructed 200 GHz reference pixel (C_total 11.7 fF, Q 10 -> 54)."""
+    """The reference pixel the validation suite checks: the 200 GHz
+    REFERENCE_CONFIG (lsrr 54.12456 pH, Q 10 -> 54, matched coupling),
+    built by config.Pixel as every command builds its pixel."""
     return Fixture()
 
 

@@ -9,6 +9,7 @@ from asrrkit import active
 from asrrkit.active import AsrrState, GmBlockParams, SampleDelta
 from asrrkit.oracle import MeshCircuit, brent, time_avg_gm
 from asrrkit.resonator import MATCHED_RHO, SrrParams, absorbed_power_fraction, equivalent_resonator
+from asrrkit.validate import Fixture
 
 
 def with_gm0(st, gm0):
@@ -19,19 +20,19 @@ def with_gm0(st, gm0):
 class TestBoost:
     def test_passive_limit(self, fx):
         # a vanishing block leaves the ring as it is
-        st = with_gm0(fx.state(), 1e-300)
+        st = with_gm0(fx.state, 1e-300)
         r = st.r_srr_parallel()
         assert active.boosted_resistance(st) == pytest.approx(r, rel=1e-12)
         assert active.q_on(st) == pytest.approx(st.srr.q_off, rel=1e-12)
 
     def test_reference_boost_10_to_54(self, fx):
         # gm * R = 1 - 10/54 boosts Q from 10 to 54
-        st = fx.state()
+        st = fx.state
         assert st.gm.gm0 * st.r_srr_parallel() == pytest.approx(1 - 10 / 54, rel=1e-12)
         assert active.q_on(st) == pytest.approx(54.0, rel=1e-12)
 
     def test_ratio_identity(self, fx):
-        st = fx.state()
+        st = fx.state
         q_ratio = active.q_on(st) / st.srr.q_off
         r_ratio = active.boosted_resistance(st) / st.r_srr_parallel()
         assert q_ratio == pytest.approx(r_ratio, rel=1e-12)
@@ -39,9 +40,11 @@ class TestBoost:
     def test_oscillation_guard(self, fx):
         # the one guard: an unstable state cannot be constructed, so q_on and
         # boosted_resistance never see gm * R >= 1
-        st = fx.state()
+        st = fx.state
         r = st.r_srr_parallel()
-        for gm0 in (1.0 / r, 1.5 / r):
+        # (1/r)*r rounds one ulp below 1 for this r: the next double up is
+        # the first gm0 whose loop gain reaches 1
+        for gm0 in (math.nextafter(1.0 / r, math.inf), 1.5 / r):
             with pytest.raises(active.OscillationError, match="oscillation"):
                 with_gm0(st, gm0)
         bad_gm = GmBlockParams(gm0=1.1 / r, kn_wl=1e-3, kp_wl=1e-3, vdd=1.0, vth=0.3)
@@ -49,7 +52,7 @@ class TestBoost:
             AsrrState(srr=st.srr, gm=bad_gm)
 
     def test_guard_on_random_inputs(self, fx, rng):
-        st = fx.state()
+        st = fx.state
         r = st.r_srr_parallel()
         for _ in range(50):
             loop = rng.uniform(1.0, 3.0)
@@ -59,17 +62,17 @@ class TestBoost:
 
 class TestLossAmplification:
     def test_passive_limit(self, fx):
-        st = fx.state(q_on=fx.q_off * (1 + 1e-12))
+        st = fx.at_q(fx.cfg["q_off"] * (1 + 1e-12)).state
         assert active.loss_amplification(st, 1.0) == pytest.approx(1.0, rel=1e-9)
 
     def test_reference_ratio(self, fx):
-        st = fx.state()
+        st = fx.state
         assert active.loss_amplification(st, 1.0) == pytest.approx((54 / 10) ** 2, rel=1e-9)
         assert active.loss_amplification(st, 1.0) == pytest.approx(29.16, rel=1e-6)
 
     def test_against_derivative_of_boost(self, fx):
         # d R_boost / d R_ring at fixed gm equals the squared boost ratio
-        st = fx.state()
+        st = fx.state
         gm0 = st.gm.gm0
         r0 = st.r_srr_parallel()
         d = 1e-5
@@ -84,19 +87,19 @@ class TestLossAmplification:
 class TestSampleResponse:
     def test_resonance_shift_anchor(self, fx):
         # dw0/dC = -w0/(2C) = -5.37e25 rad/(s F) for the 200 GHz pixel
-        st = fx.state()
+        st = fx.state
         resp = active.sample_response(st, SampleDelta(delta_c=1e-18, delta_r=0.0))
         assert resp.d_w0 / 1e-18 == pytest.approx(-5.35e25, rel=0.02)
 
     def test_slope_shift_anchors(self, fx):
-        st = fx.state()
+        st = fx.state
         resp = active.sample_response(st, SampleDelta(delta_c=0.0, delta_r=1.0))
         # passive prefactor (10/9)*C = 13e-15, boosted by (54/10)^2 to 380e-15
         assert resp.d_phase_slope / (54 / 10) ** 2 == pytest.approx(13e-15, rel=0.02)
         assert resp.d_phase_slope == pytest.approx(380e-15, rel=0.02)
 
     def test_phase_terms(self, fx):
-        st = fx.state()
+        st = fx.state
         dc, dr = 1e-17, 2.0
         resp = active.sample_response(st, SampleDelta(dc, dr))
         q = active.q_on(st)
@@ -108,11 +111,11 @@ class TestSampleResponse:
     def test_phase_term_against_full_model(self, fx):
         # capacitive shift of 1e-3 C: phase change of S21 at the original
         # resonance matches (Q/3)(dC/C) within 2%
-        st = fx.state()
-        line = fx.line()
+        st = fx.state
+        line = fx.line
         z0 = fx.z0
-        dc = 1e-3 * fx.c_asrr
-        srr0 = fx.boosted_srr()
+        dc = 1e-3 * fx.ring.csrr
+        srr0 = fx.ring
         srr_p = SrrParams(srr0.lsrr, srr0.csrr + dc, srr0.q_off, srr0.k)
         from asrrkit.resonator import reflected_impedance
 
@@ -126,12 +129,12 @@ class TestVoltageSwing:
     def test_matched_power_fraction(self, fx):
         # the fixture sits on the matched locus: its boosted ring reflects
         # R' = z0 and absorbs 4/9 of the incident power
-        res = equivalent_resonator(fx.boosted_srr(), fx.line())
+        res = equivalent_resonator(fx.ring, fx.line)
         assert res.r_eq / fx.z0 == pytest.approx(MATCHED_RHO, rel=1e-12)
         assert absorbed_power_fraction(res.r_eq / fx.z0) == pytest.approx(4 / 9, rel=1e-12)
 
     def test_scaling_laws(self, fx):
-        st = fx.state()
+        st = fx.state
         v1 = active.asrr_voltage_swing(st, 1e-6)
         assert active.asrr_voltage_swing(st, 4e-6) == pytest.approx(2 * v1, rel=1e-12)
         # quadrupling Q doubles the swing at fixed power
@@ -141,8 +144,8 @@ class TestVoltageSwing:
     def test_general_coupling_reduces_to_matched(self, fx):
         # the absorbed-power law at the fixture's own coupling ratio gives
         # the swing the matched form computes
-        st = fx.state()
-        rho = fx.beta_l * st.srr.k**2 * active.q_on(st)
+        st = fx.state
+        rho = fx.cfg["beta_l"] * st.srr.k**2 * active.q_on(st)
         r_asrr = active.boosted_resistance(st)
         v_gen = math.sqrt(2.0 * r_asrr * absorbed_power_fraction(rho) * 1e-6)
         v_matched = active.asrr_voltage_swing(st, 1e-6)
@@ -151,9 +154,9 @@ class TestVoltageSwing:
     def test_against_mesh_currents(self, fx):
         # independent route: drive the mesh with a source of known available
         # power and read the swing off the ring capacitor
-        st = fx.state()
-        line = fx.line()
-        srr = fx.boosted_srr()
+        st = fx.state
+        line = fx.line
+        srr = fx.ring
         w0 = fx.w0
         p_in = 1e-6
         v_src = math.sqrt(8.0 * fx.z0 * p_in)  # peak amplitude behind z0
@@ -179,19 +182,19 @@ class TestVoltageSwing:
 
 class TestLinearPowerLimit:
     def test_inverse_in_q(self, fx):
-        st1 = fx.state()
-        st2 = fx.state(q_on=2 * fx.q_on)
+        st1 = fx.state
+        st2 = fx.at_q(2 * fx.cfg["q_on"]).state
         assert active.linear_power_limit(st2) == pytest.approx(
             active.linear_power_limit(st1) / 2, rel=1e-9
         )
 
     def test_swing_at_limit_is_vth(self, fx):
-        st = fx.state()
+        st = fx.state
         p_lin = active.linear_power_limit(st)
         assert active.asrr_voltage_swing(st, p_lin) == pytest.approx(st.gm.vth, abs=1e-12)
 
     def test_monotone_decreasing_in_q(self, fx):
-        ps = [active.linear_power_limit(fx.state(q_on=q)) for q in (20, 54, 100, 250)]
+        ps = [active.linear_power_limit(fx.at_q(q).state) for q in (20, 54, 100, 250)]
         assert all(b < a for a, b in zip(ps, ps[1:]))
 
 
@@ -209,14 +212,14 @@ class TestConductionAngle:
 
 class TestGmAverage:
     def test_linear_region_exact(self, fx):
-        p = fx.state().gm
+        p = fx.state.gm
         for v in (0.0, 0.1, p.vth):
             assert active.gm_avg_exact(v, p) == p.gm0
 
     def test_continuity_at_threshold(self, fx):
         # the average has a sqrt-shaped onset at vth, so the one-sided limit
         # is checked by extrapolating in sqrt(step); both limits are gm0
-        p = fx.state().gm
+        p = fx.state.gm
         assert active.gm_avg_exact(p.vth, p) == p.gm0
         assert active.gm_avg_exact(p.vth * (1 - 1e-15), p) == p.gm0
         e1, e2 = 1e-9, 1e-11
@@ -227,12 +230,12 @@ class TestGmAverage:
         assert abs(right_limit - p.gm0) < 1e-12 * p.gm0
 
     def test_monotone_above_threshold(self, fx):
-        p = fx.state().gm
+        p = fx.state.gm
         vals = [active.gm_avg_exact(v, p) for v in np.linspace(p.vth, 4 * p.vth, 200)]
         assert all(b <= a + 1e-18 for a, b in zip(vals, vals[1:]))
 
     def test_matches_time_domain_average(self, fx):
-        p = fx.state().gm
+        p = fx.state.gm
         for v in np.linspace(0.0, 3 * p.vth, 25):
             quad = time_avg_gm(v, p)
             assert active.gm_avg_exact(v, p) == pytest.approx(quad, rel=1e-12)
@@ -240,7 +243,7 @@ class TestGmAverage:
 
 class TestNonlinearQ:
     def test_linear_regime(self, fx):
-        st = fx.state()
+        st = fx.state
         p_lin = active.linear_power_limit(st)
         q_lin = active.q_on(st)
         for p_in in (0.1 * p_lin, 0.9 * p_lin, p_lin):
@@ -248,13 +251,13 @@ class TestNonlinearQ:
             assert q_nl == pytest.approx(q_lin, rel=1e-6)
 
     def test_monotone_non_increasing(self, fx):
-        st = fx.state()
+        st = fx.state
         p_lin = active.linear_power_limit(st)
         qs = [active.q_on_nonlinear(st, p)[0] for p in np.geomspace(0.1 * p_lin, 50 * p_lin, 30)]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(qs, qs[1:]))
 
     def test_fixed_point_residual(self, fx):
-        st = fx.state()
+        st = fx.state
         p_lin = active.linear_power_limit(st)
         for p_in in (2 * p_lin, 10 * p_lin):
             q_nl, v = active.q_on_nonlinear(st, p_in)
@@ -262,7 +265,7 @@ class TestNonlinearQ:
             assert abs(v - v_check) <= 4 * math.ulp(v)
 
     def test_linear_theory_overestimates_swing(self, fx):
-        st = fx.state()
+        st = fx.state
         p_lin = active.linear_power_limit(st)
         for p_in in (3 * p_lin, 10 * p_lin, 30 * p_lin):
             _, v_nl = active.q_on_nonlinear(st, p_in)
@@ -270,14 +273,14 @@ class TestNonlinearQ:
 
     def test_gm_to_zero_recovers_passive(self, fx):
         # vanishing drive on a barely-boosted pixel: Q stays at the linear value
-        st = fx.state(q_on=fx.q_off + 1e-6)
+        st = fx.at_q(fx.cfg["q_off"] + 1e-6).state
         q_nl, _ = active.q_on_nonlinear(st, 1e-12)
         assert q_nl == pytest.approx(active.q_on(st), rel=1e-9)
 
     @pytest.mark.parametrize("boost", [1.5, 5.4, 30.0, 100.0, 1e3, 1e4, 1e5])
     def test_root_agrees_with_brent(self, fx, boost):
         # boost 100 is Q_on = 1000, where a damped fixed point used to stall
-        st = fx.state(q_on=boost * fx.q_off)
+        st = fx.at_q(boost * fx.cfg["q_off"]).state
         r = st.r_srr_parallel()
         p_lin = active.linear_power_limit(st)
         for p_in in np.geomspace(1.5 * p_lin, 30 * p_lin, 9):
@@ -296,7 +299,7 @@ class TestNonlinearQ:
     def test_gm_rising_above_gm0_refused(self, fx, vth):
         # default slopes gm0/(vdd/2 - vth): the averaged gm rises above gm0
         # for vth > vdd/3, and the bracket [vth, V_lin] no longer holds
-        st = dataclasses.replace(fx, vth=vth).state()
+        st = Fixture({"vth": vth}).state
         for p_in in (0.5, 10.0):
             with pytest.raises(ValueError, match=re.escape("(kn_wl + kp_wl)*(vdd - vth) <= 8*gm0")):
                 active.q_on_nonlinear(st, p_in * active.linear_power_limit(st))
@@ -304,7 +307,7 @@ class TestNonlinearQ:
     @pytest.mark.parametrize("vdd, q_on", [(1.0, 54.0), (3.3, 1e5)])
     def test_vth_at_a_third_of_vdd_accepted(self, fx, vdd, q_on):
         # at vdd = 3.3 V the default slopes put the condition one rounding over
-        st = dataclasses.replace(fx, vdd=vdd, vth=vdd / 3).state(q_on=q_on)
+        st = Fixture({"vdd": vdd, "vth": vdd / 3, "q_on": q_on}).state
         p_lin = active.linear_power_limit(st)
         qs = [active.q_on_nonlinear(st, p)[0] for p in np.geomspace(0.1 * p_lin, 50 * p_lin, 30)]
         assert qs[0] == active.q_on(st) and qs[-1] < qs[0]
@@ -318,9 +321,9 @@ class TestArgumentGuards:
 
     def test_negative_power_rejected(self, fx):
         with pytest.raises(ValueError, match="p_in"):
-            active.asrr_voltage_swing(fx.state(), -1e-6)
+            active.asrr_voltage_swing(fx.state, -1e-6)
         with pytest.raises(ValueError, match="p_in"):
-            active.q_on_nonlinear(fx.state(), 0.0)
+            active.q_on_nonlinear(fx.state, 0.0)
 
     def test_negative_swing_rejected(self):
         with pytest.raises(ValueError, match="v_asrr"):
@@ -340,49 +343,59 @@ class TestArgumentGuards:
             GmBlockParams(**{**good, name: bad})
 
 
+def targets(fx):
+    """The positional targets of AsrrState.from_targets: f0, lsrr, q_off."""
+    return fx.cfg["f0"], fx.cfg["lsrr"], fx.cfg["q_off"]
+
+
 class TestFromTargets:
     def test_gm0_and_q_on_targets_agree(self, fx):
-        by_q = fx.state()
-        by_gm = AsrrState.from_targets(fx.f0, fx.lsrr, fx.q_off, gm0=by_q.gm.gm0,
-                                       line=fx.line(), c_asrr=fx.c_asrr)
+        by_q = fx.state
+        by_gm = AsrrState.from_targets(*targets(fx), gm0=by_q.gm.gm0,
+                                       line=fx.line, c_asrr=fx.ring.csrr)
         assert by_gm.gm == by_q.gm
         assert by_gm.srr.k == pytest.approx(by_q.srr.k, rel=1e-12)
 
     def test_exactly_one_boost_target(self, fx):
         for kw in ({}, {"q_on": 54.0, "gm0": 1e-3}):
             with pytest.raises(ValueError, match="exactly one"):
-                AsrrState.from_targets(fx.f0, fx.lsrr, fx.q_off, line=fx.line(), **kw)
+                AsrrState.from_targets(*targets(fx), line=fx.line, **kw)
 
     def test_default_k_is_matched_at_the_realized_boost(self, fx):
-        st = AsrrState.from_targets(fx.f0, fx.lsrr, fx.q_off, q_on=80.0, line=fx.line())
-        locus = fx.line().beta_l(st.w0) * st.srr.k**2 * active.q_on(st)
+        st = AsrrState.from_targets(*targets(fx), q_on=80.0, line=fx.line)
+        locus = fx.line.beta_l(st.w0) * st.srr.k**2 * active.q_on(st)
         assert locus == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(ValueError, match="line"):
-            AsrrState.from_targets(fx.f0, fx.lsrr, fx.q_off, q_on=80.0)
+            AsrrState.from_targets(*targets(fx), q_on=80.0)
 
     def test_total_capacitance_and_slope_fallback(self, fx):
-        st = AsrrState.from_targets(fx.f0, fx.lsrr, fx.q_off, q_on=54.0, k=0.2, vdd=0.5)
-        c_total = 1.0 / ((2 * math.pi * fx.f0) ** 2 * fx.lsrr)
+        st = AsrrState.from_targets(*targets(fx), q_on=54.0, k=0.2, vdd=0.5)
+        c_total = 1.0 / ((2 * math.pi * fx.cfg["f0"]) ** 2 * fx.cfg["lsrr"])
         # the ring holds the total capacitance; the block has no share to set
         assert st.srr.csrr == st.c_asrr == c_total
         # no overdrive (vdd/2 <= vth): the device slopes fall back to 1e-3
         assert st.gm.kn_wl == st.gm.kp_wl == 1e-3
         with pytest.raises(TypeError, match="c_gm"):
-            AsrrState.from_targets(fx.f0, fx.lsrr, fx.q_off, q_on=54.0, k=0.2, c_gm=0.3 * c_total)
+            AsrrState.from_targets(*targets(fx), q_on=54.0, k=0.2, c_gm=0.3 * c_total)
 
     def test_fixture_keeps_k_matched_at_its_own_q_on(self, fx):
-        assert fx.state(q_on=100.0).srr.k == fx.state().srr.k == fx.k_value()
+        # a configured k is dropped when the fixture moves to another Q
+        for pixel in (fx, fx.at_q(100.0), Fixture({"k": 0.2}).at_q(100.0)):
+            st = pixel.state
+            locus = pixel.line.beta_l(st.w0) * st.srr.k**2 * active.q_on(st)
+            assert locus == pytest.approx(1.0, abs=1e-12)
+            assert pixel.ring.k == pytest.approx(st.srr.k, rel=1e-14)
 
 
 class TestParasiticCapacitance:
     def test_state_total_capacitance(self, fx):
-        st = fx.state()
-        assert st.c_asrr == st.srr.csrr == fx.c_asrr
+        st = fx.state
+        assert st.c_asrr == st.srr.csrr == fx.ring.csrr
         assert st.w0 == pytest.approx(fx.w0, rel=1e-12)
 
     def test_boost_never_below_unloaded_q(self, fx, rng):
         for q_target in rng.uniform(10.0 + 1e-9, 400.0, size=25):
-            st = fx.state(q_on=float(q_target))
+            st = fx.at_q(float(q_target)).state
             assert active.q_on(st) >= st.srr.q_off
 
 
@@ -392,9 +405,9 @@ class TestPassiveRecovery:
         import numpy as np
         from asrrkit.resonator import s_parameters, SrrParams
 
-        st = fx.state()
-        line = fx.line()
-        passive = SrrParams(st.srr.lsrr, fx.c_asrr, st.srr.q_off, fx.k_value())
+        st = fx.state
+        line = fx.line
+        passive = SrrParams(st.srr.lsrr, fx.ring.csrr, st.srr.q_off, fx.ring.k)
         off = with_gm0(st, 1e-300).effective_srr()
         grid = np.linspace(0.98 * fx.w0, 1.02 * fx.w0, 41)
         a = s_parameters(passive, line, grid, z0_ref=fx.z0)

@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from asrrkit import active, cli, validate
+from asrrkit import active, cli, config, noise, validate
 from asrrkit.active import AsrrState
 from asrrkit.cli import main
-from asrrkit.config import parse_config_file
+from asrrkit.config import Pixel, parse_config_file
 from asrrkit.resonator import TransmissionLineSection
 from asrrkit.sweepio import fmt
 
@@ -124,6 +124,18 @@ class TestSweep:
         assert (f"|S21(3.06e+11 Hz)| = {data[i0, header.index('mag_s21_db')]:.3f} dB"
                 in capsys.readouterr().out)
 
+    def test_auto_grid_refuses_a_q_past_the_resolution_of_doubles(self, tmp_path, capsys):
+        # a step w0/(100*Q) below the spacing of doubles at 200 GHz: the grid
+        # is refused by its Q, and an explicit grid still sweeps the pixel
+        cfg = write_config(tmp_path, REFERENCE_CONFIG.replace("q_on = 54", "q_on = 1e15"))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "Q = 1e+15 is too high for an automatic grid" in err
+        assert err.rstrip().endswith("; give sweep a --grid") and not out.exists()
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet",
+                     "--grid", "199e9:201e9:11"]) == 0
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)
         envdir = tmp_path / "envout"
@@ -189,6 +201,15 @@ class TestNoiseCmd:
         out = tmp_path / "out"
         assert main(["noise", "--config", cfg, "--out", str(out), "--quiet"]) == 1
         assert "five-point stencil needs a uniform grid" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
+    def test_auto_grid_refuses_a_q_past_the_resolution_of_doubles(self, tmp_path, capsys):
+        text = REFERENCE_CONFIG.replace("q_off = 10", "q_off = 1e8").replace("q_on = 54",
+                                                                            "q_on = 1e15")
+        out = tmp_path / "out"
+        assert main(["noise", "--config", write_config(tmp_path, text), "--out", str(out),
+                     "--quiet"]) == 1
+        assert "is too high for an automatic grid" in capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
 
 
@@ -305,6 +326,20 @@ class TestMatchedCommands:
         cfg = write_config(tmp_path, REFERENCE_CONFIG.replace("200 GHz", "1e999 GHz"))
         assert main(["snr", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
 
+    @pytest.mark.parametrize("command, line", [
+        ("snr", "delta_r_ref = 0"), ("snr", "delta_r_ref = -1 ohm"),
+        ("noise", "pm_am_offset = 0"), ("noise", "pm_am_offset = -1 MHz"),
+        ("noise", "supply_psd = 0"), ("noise", "supply_psd = -1e-18"),
+        ("nonlin", "p_in_points = 0"), ("nonlin", "p_in_points = 2.5"),
+        ("nonlin", "p_in_points = -3"),
+    ])
+    def test_out_of_range_command_key_is_refused_by_name(self, tmp_path, capsys, command, line):
+        cfg = write_config(tmp_path, REFERENCE_CONFIG + line + "\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
+        assert f"config error: {line.split(' = ')[0]} must be" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
 
 class TestOneBoost:
     GM0_CONFIG = REFERENCE_CONFIG.replace("q_on = 54", "gm0 = 1.2 mS")
@@ -361,6 +396,13 @@ class TestValidateCmd:
         cfg = write_config(tmp_path, line + "\n", name="bad.cfg")
         assert main(["validate", "--config", cfg, "--quiet"]) == 1
         assert message in capsys.readouterr().err
+
+    def test_configured_matched_k_passes(self, tmp_path, capsys):
+        # phase-slope-law moves Q and re-matches k there, so a configured k
+        # on the locus fails no law; matched-anchor still reads it
+        cfg = write_config(tmp_path, REFERENCE_CONFIG + "k = 0.23002185311411807\n")
+        assert main(["validate", "--config", cfg]) == 0
+        assert "12/12 checks passed" in capsys.readouterr().out
 
     def test_configured_pixel_is_not_held_to_the_reference_anchors(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "f0 = 150 GHz\n", name="pixel.cfg")
@@ -493,26 +535,60 @@ class TestConfigKeys:
         assert "unknown config key 'q_onn'" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.txt"))
 
-    def test_validate_names_the_keys_it_ignores(self, tmp_path, capsys):
-        # validate derives lsrr from c_asrr, so a configured lsrr has no effect
-        cfg = write_config(tmp_path, "lsrr = 100 pH\n")
+    OSCILLATING_CONFIG = (REFERENCE_CONFIG.replace("lsrr = 54.12456 pH", "lsrr = 100 pH")
+                          .replace("q_on = 54", "gm0 = 1.2 mS") + "kn_wl = 2 mA/V^2\n")
+
+    def test_validate_and_snr_refuse_one_oscillating_pixel(self, tmp_path, capsys):
+        # gm0*R = 1.5: validate checks the pixel snr builds, so both refuse it
+        cfg = write_config(tmp_path, self.OSCILLATING_CONFIG)
+        for command in ("validate", "snr"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
+            err = capsys.readouterr().err
+            assert "oscillation: loop gain >= 1" in err and "ignores" not in err
+        assert not (tmp_path / "snr.txt").exists()
+
+    def test_validate_checks_the_state_snr_reports(self, tmp_path, monkeypatch):
+        text = (REFERENCE_CONFIG.replace("lsrr = 54.12456 pH", "lsrr = 60 pH")
+                .replace("q_on = 54", "gm0 = 1 mS") + "c_asrr = 12 fF\nkn_wl = 2 mA/V^2\n")
+        cfg = write_config(tmp_path, text)
+        states = {}
+        real_snr, real_check = noise.snr_delta_c, validate.run_check
+
+        def snr_delta_c(state, *args):
+            states.setdefault("snr", state)  # the command's call, not a check's
+            return real_snr(state, *args)
+
+        def run_check(fn, fx, seed):
+            states["validate"] = fx.state
+            return real_check(fn, fx, seed)
+
+        monkeypatch.setattr(noise, "snr_delta_c", snr_delta_c)
+        monkeypatch.setattr(validate, "run_check", run_check)
+        assert main(["snr", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
         assert main(["validate", "--config", cfg, "--quiet"]) == 0
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("validate ignores config key 'lsrr': ")
+        by_snr, by_validate = states["snr"], states["validate"]
+        assert active.q_on(by_validate) == active.q_on(by_snr) != 54.0
+        assert by_validate.srr.k == by_snr.srr.k and by_validate.gm.gm0 == by_snr.gm.gm0 == 1e-3
+        assert f"q_on = {fmt(active.q_on(by_validate))}" in (tmp_path / "snr.txt").read_text()
 
     @pytest.mark.parametrize("command", ["nonlin", "noise", "snr"])
     def test_sweep_and_the_matched_commands_build_one_ring(self, tmp_path, capsys, command):
         # c_asrr = 12 fF with 54.12456 pH resonates at 197.484 GHz, off f0;
-        # the matched command reads that ring, not one retuned to f0
+        # sweep's ring and the matched command's state come from one
+        # config.Pixel, boosted to q_on and matched at that ring's resonance
         text = REFERENCE_CONFIG + "c_asrr = 12 fF\n"
-        cfg = parse_config_file(write_config(tmp_path, text))
-        line, _ = cli._line(cfg)
-        srr, _ = cli._build_srr(cfg, line)
-        state = cli._state(cfg, line)
-        assert srr.csrr == state.srr.csrr == cfg["c_asrr"]
-        assert srr.w0 == state.w0 == pytest.approx(2 * math.pi * 197.484e9, rel=1e-6)
+        pixel = Pixel(parse_config_file(write_config(tmp_path, text)))
+        ring, state = pixel.ring, pixel.state
+        assert ring.csrr == state.srr.csrr == pixel.cfg["c_asrr"]
+        assert ring.w0 == state.w0 == pytest.approx(2 * math.pi * 197.484e9, rel=1e-6)
+        assert ring.q_off == 54.0 and active.q_on(state) == pytest.approx(54.0, rel=1e-14)
+        assert ring.k == pytest.approx(state.srr.k, rel=1e-14)
+        assert ring.k == pytest.approx(0.231482, abs=5e-7)
         assert output_digests(tmp_path, command, text) != GOLDEN_DIGESTS[command]
         assert capsys.readouterr().err == ""
+        # a ring far above f0 reaches its q_on too, so the block does not oscillate
+        far = write_config(tmp_path, REFERENCE_CONFIG + "c_asrr = 5 fF\n", name="far.cfg")
+        assert main(["snr", "--config", far, "--out", str(tmp_path / "far"), "--quiet"]) == 0
 
     @pytest.mark.parametrize("command", ["sweep", "match", "nonlin", "noise", "snr", "design"])
     def test_one_config_serves_every_command(self, tmp_path, command):
@@ -549,18 +625,21 @@ class TestConfigKeys:
         assert not list(tmp_path.glob("sweep.*"))
 
     def test_accepted_keys_are_the_keys_read(self):
-        # every key a command reads is accepted, and nothing else; the keys
-        # read through a loop are those of STATE_KEYS and FIXTURE_KEYS.  A
-        # key read with a default has one default wherever it is read.
-        read = set(cli.STATE_KEYS) | set(validate.FIXTURE_KEYS)
+        # every key a command or the pixel they and validate share reads is
+        # accepted, and nothing else; the keys read through a loop are those
+        # of STATE_KEYS.  A key read with a default has one default wherever
+        # it is read.
+        read = set(config.STATE_KEYS)
         defaults = {}
-        for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id in ("require", "optional")
-                    and isinstance(node.args[1], ast.Constant)):
-                read.add(node.args[1].value)
-                if node.func.id == "optional":
-                    defaults.setdefault(node.args[1].value, set()).add(ast.unparse(node.args[2]))
+        for module in (cli, config):
+            for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in ("require", "optional")
+                        and isinstance(node.args[1], ast.Constant)):
+                    read.add(node.args[1].value)
+                    if node.func.id == "optional":
+                        defaults.setdefault(node.args[1].value, set()).add(
+                            ast.unparse(node.args[2]))
         assert read == cli.CONFIG_KEYS
         assert {key: d for key, d in defaults.items() if len(d) > 1} == {}
 

@@ -84,8 +84,8 @@ class TestConfigText:
 
 @pytest.fixture
 def small_sweep(fx):
-    srr = fx.boosted_srr()
-    line = fx.line()
+    srr = fx.ring
+    line = fx.line
     grid = np.linspace(fx.w0 * 0.99, fx.w0 * 1.01, 21)
     return s_parameters(srr, line, grid, z0_ref=fx.z0)
 

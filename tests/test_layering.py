@@ -1,8 +1,9 @@
 """The analytic modules never reach the numerical oracle: it stays an
 independent second route to every closed form.  The CLI's start-up
-imports stay lean: no command but validate loads validate and oracle.
-And every function the benchmark's tracer wraps exists, with the
-parameters its counters read."""
+imports stay lean: no command but validate loads validate and oracle,
+and validate builds its pixel without loading the CLI.  And every
+function the benchmark's tracer wraps exists, with the parameters its
+counters read."""
 
 import ast
 import importlib
@@ -56,7 +57,7 @@ def test_cli_import_leaves_numpy_polynomial_unloaded():
     probe = ("import sys, asrrkit.cli\n"
              "print('numpy.polynomial' in sys.modules)\n"
              "from asrrkit import oracle, validate\n"
-             "oracle.time_avg_gm(0.1, validate.Fixture().state().gm)\n"
+             "oracle.time_avg_gm(0.1, validate.Fixture().state.gm)\n"
              "print('numpy.polynomial' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(asrrkit.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
@@ -75,6 +76,15 @@ def test_cli_import_leaves_validate_and_oracle_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
     assert out == ["False", "False", "True", "True"]
+
+
+def test_validate_import_leaves_the_cli_unloaded():
+    # validate builds its pixel through config.Pixel, not through the front end
+    probe = "import sys, asrrkit.validate\nprint('asrrkit.cli' in sys.modules)\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(asrrkit.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["False"]
 
 
 def test_every_tracer_target_resolves():

@@ -10,7 +10,7 @@ from asrrkit.resonator import SrrParams
 
 
 def make_ctx(fx, **kw):
-    defaults = dict(state=fx.state(), z0=fx.z0, p_in=10e-6,
+    defaults = dict(state=fx.state, z0=fx.z0, p_in=10e-6,
                     delta_omega_s=2 * math.pi * 20e6)
     defaults.update(kw)
     return NoiseContext(**defaults)
@@ -19,8 +19,8 @@ def make_ctx(fx, **kw):
 class TestWhiteNoise:
     def test_scales_linearly_with_q(self, fx):
         # fixed device (gm0, gamma), quality factor moved by the ring loss
-        kwl = fx.state().gm.kn_wl
-        st1 = fx.state(q_on=30.0, kwl=kwl)
+        kwl = fx.state.gm.kn_wl
+        st1 = fx.at_q(30.0, kn_wl=kwl, kp_wl=kwl).state
         gm_fixed = st1.gm
         st2_srr = SrrParams(st1.srr.lsrr, st1.srr.csrr, st1.srr.q_off / 2, st1.srr.k)
         import dataclasses
@@ -36,18 +36,18 @@ class TestWhiteNoise:
         ctx_hot = make_ctx(fx)
         import dataclasses
 
-        cold_gm = dataclasses.replace(fx.state().gm, gamma=1e-20)
-        ctx_cold = make_ctx(fx, state=active.AsrrState(srr=fx.state().srr, gm=cold_gm))
+        cold_gm = dataclasses.replace(fx.state.gm, gamma=1e-20)
+        ctx_cold = make_ctx(fx, state=active.AsrrState(srr=fx.state.srr, gm=cold_gm))
         assert noise.white_output_noise_density(ctx_cold) \
             == pytest.approx(noise.white_output_noise_density(ctx_hot) * 1e-20, rel=1e-9)
 
     def test_against_mesh_injection(self, fx):
         # inject a unit current across the line-referred resonator and
         # compute the transfer to the termination from a nodal solve
-        st = fx.state()
+        st = fx.state
         ctx = make_ctx(fx, state=st)
-        line = fx.line()
-        res = resonator.equivalent_resonator(fx.boosted_srr(), line)
+        line = fx.line
+        res = resonator.equivalent_resonator(fx.ring, line)
         z0 = fx.z0
         w0 = fx.w0
         z_res = res.impedance(w0)
@@ -80,40 +80,41 @@ class TestWhiteNoise:
         assert noise.detected_power(ctx) / ctx.p_in == pytest.approx(4 / 9, rel=1e-12)
 
     def test_ssb_rises_with_q(self, fx):
-        kwl = fx.state().gm.kn_wl
-        vals = [noise.white_ssb_phase_noise(make_ctx(fx, state=fx.state(q_on=q, kwl=kwl)))
+        kwl = fx.state.gm.kn_wl
+        vals = [noise.white_ssb_phase_noise(
+                    make_ctx(fx, state=fx.at_q(q, kn_wl=kwl, kp_wl=kwl).state))
                 for q in (20.0, 54.0, 150.0)]
         assert vals[0] < vals[1] < vals[2]
 
 
 class TestSlopeSensitivities:
     def test_flicker_quadratic_in_q(self, fx):
-        kwl = fx.state().gm.kn_wl
-        s50 = noise.flicker_sres_sensitivity(fx.state(q_on=50.0, kwl=kwl))
-        s100 = noise.flicker_sres_sensitivity(fx.state(q_on=100.0, kwl=kwl))
+        kwl = fx.state.gm.kn_wl
+        s50 = noise.flicker_sres_sensitivity(fx.at_q(50.0, kn_wl=kwl, kp_wl=kwl).state)
+        s100 = noise.flicker_sres_sensitivity(fx.at_q(100.0, kn_wl=kwl, kp_wl=kwl).state)
         assert s100 / s50 == pytest.approx(4.0, abs=1e-9)
 
     def test_supply_quadratic_in_q(self, fx):
-        kwl = fx.state().gm.kn_wl
-        s50 = noise.supply_sres_sensitivity(fx.state(q_on=50.0, kwl=kwl))
-        s100 = noise.supply_sres_sensitivity(fx.state(q_on=100.0, kwl=kwl))
+        kwl = fx.state.gm.kn_wl
+        s50 = noise.supply_sres_sensitivity(fx.at_q(50.0, kn_wl=kwl, kp_wl=kwl).state)
+        s100 = noise.supply_sres_sensitivity(fx.at_q(100.0, kn_wl=kwl, kp_wl=kwl).state)
         assert s100 / s50 == pytest.approx(4.0, abs=1e-9)
 
     def test_scales_with_device_slopes(self, fx):
         import dataclasses
 
-        st = fx.state()
+        st = fx.state
         doubled = dataclasses.replace(st.gm, kn_wl=2 * st.gm.kn_wl, kp_wl=2 * st.gm.kp_wl)
         st2 = active.AsrrState(srr=st.srr, gm=doubled)
         assert noise.flicker_sres_sensitivity(st2) \
             == pytest.approx(2 * noise.flicker_sres_sensitivity(st), rel=1e-12)
 
     def test_supply_slope_lambda_zero(self, fx):
-        st = fx.state()
+        st = fx.state
         assert noise.gm_slope_vdd(st, "n") == pytest.approx(st.gm.kn_wl / 2, rel=1e-12)
 
     def test_supply_to_flicker_prefactor_ratio(self, fx):
-        st = fx.state()
+        st = fx.state
         slopes_vgs = noise.gm_slope_vgs(st, "n") + noise.gm_slope_vgs(st, "p")
         slopes_vdd = noise.gm_slope_vdd(st, "n") + noise.gm_slope_vdd(st, "p")
         got = noise.supply_sres_sensitivity(st) / noise.flicker_sres_sensitivity(st)
@@ -121,8 +122,8 @@ class TestSlopeSensitivities:
 
     def test_flicker_against_perturbation_chain(self, fx):
         # gate offset -> block gm shift -> boosted loss -> phase slope
-        st = fx.state()
-        line = fx.line()
+        st = fx.state
+        line = fx.line
         z0 = fx.z0
         w0 = st.w0
         v_fn = 1e-4
@@ -131,7 +132,7 @@ class TestSlopeSensitivities:
 
         def slope_for(gm_val):
             q = st.srr.q_off / (1 - gm_val * r)
-            srr_q = SrrParams(st.srr.lsrr, fx.c_asrr, q, fx.k_value())
+            srr_q = SrrParams(st.srr.lsrr, fx.ring.csrr, q, fx.ring.k)
             res = resonator.equivalent_resonator(srr_q, line)
             return resonator.output_phase_slope(res, z0)
 
@@ -141,7 +142,7 @@ class TestSlopeSensitivities:
     def test_channel_length_modulation_enters_slopes(self, fx):
         import dataclasses
 
-        st = fx.state()
+        st = fx.state
         gm_lam = dataclasses.replace(st.gm, lam=0.1)
         st_lam = active.AsrrState(srr=st.srr, gm=gm_lam)
         factor_vgs = 1 + 0.1 * (st.gm.vdd - st.gm.vth)
@@ -152,8 +153,8 @@ class TestSlopeSensitivities:
             noise.supply_sres_sensitivity(st) * factor_vdd, rel=1e-12)
 
     def test_supply_against_perturbation_chain(self, fx):
-        st = fx.state()
-        line = fx.line()
+        st = fx.state
+        line = fx.line
         z0 = fx.z0
         r = st.r_srr_parallel()
         v_dd = 1e-4
@@ -161,7 +162,7 @@ class TestSlopeSensitivities:
 
         def slope_for(gm_val):
             q = st.srr.q_off / (1 - gm_val * r)
-            srr_q = SrrParams(st.srr.lsrr, fx.c_asrr, q, fx.k_value())
+            srr_q = SrrParams(st.srr.lsrr, fx.ring.csrr, q, fx.ring.k)
             res = resonator.equivalent_resonator(srr_q, line)
             return resonator.output_phase_slope(res, z0)
 
@@ -227,9 +228,9 @@ class TestInputPhaseTransfer:
 
 class TestPmToAm:
     def _sweep(self, fx, span_factor=3.0, points_per_bw=200):
-        srr = fx.boosted_srr()
-        line = fx.line()
-        w0, q = fx.w0, fx.q_on
+        srr = fx.ring
+        line = fx.line
+        w0, q = fx.w0, fx.cfg["q_on"]
         span = span_factor * w0 / q
         step = w0 / (points_per_bw * q)
         n = (2 * int(span / step)) | 1
@@ -242,7 +243,7 @@ class TestPmToAm:
 
     def test_six_db_per_offset_doubling(self, fx):
         sweep = self._sweep(fx)
-        w_in = fx.w0 * (1 + 0.3 / fx.q_on)
+        w_in = fx.w0 * (1 + 0.3 / fx.cfg["q_on"])
         d = noise.pm_to_am_gain(sweep, w_in, 2e6) - noise.pm_to_am_gain(sweep, w_in, 1e6)
         assert d == pytest.approx(20 * math.log10(2.0), abs=1e-9)
 
@@ -256,7 +257,7 @@ class TestPmToAm:
         # converts evenly in the carrier detuning; the exact transform
         # shifts the transmission minimum ~0.3/Q^2 above resonance and so
         # carries a genuine slope offset at w0
-        res = resonator.equivalent_resonator(fx.boosted_srr(), fx.line())
+        res = resonator.equivalent_resonator(fx.ring, fx.line)
         w0, z0 = fx.w0, fx.z0
         grid = np.linspace(w0 * (1 - 1e-4), w0 * (1 + 1e-4), 2001)
         z = res.impedance(grid)
@@ -307,36 +308,37 @@ class TestFlickerRms:
 
 class TestSnr:
     def test_detuning_invariance_bit_exact(self, fx):
-        st = fx.state()
+        st = fx.state
         vals_c, vals_r = set(), set()
         for df in (1e6, 10e6, 100e6):
             _ = df  # the closed forms carry no detuning dependence at all
-            vals_c.add(noise.snr_delta_c(st, fx.kf, (1.0, 1e3)))
-            vals_r.add(noise.snr_delta_r(st, fx.kf, (1.0, 1e3), 1.0))
+            vals_c.add(noise.snr_delta_c(st, st.gm.kf, (1.0, 1e3)))
+            vals_r.add(noise.snr_delta_r(st, st.gm.kf, (1.0, 1e3), 1.0))
         assert len(vals_c) == 1 and len(vals_r) == 1
 
     def test_full_chain_recomputation(self, fx):
         # signal: matched phase slope; noise: four-device flicker-driven
         # slope wobble (amplitude weight 4); detuning cancels
-        st = fx.state()
+        st = fx.state
         band = (1.0, 1e3)
-        res = resonator.equivalent_resonator(fx.boosted_srr(), fx.line())
+        res = resonator.equivalent_resonator(fx.ring, fx.line)
         s_res = resonator.output_phase_slope(res, fx.z0)
-        chain = s_res / (4 * noise.flicker_rms(fx.kf, band) * noise.flicker_sres_sensitivity(st))
-        assert chain == pytest.approx(noise.snr_delta_c(st, fx.kf, band), rel=1e-6)
+        kf = st.gm.kf
+        chain = s_res / (4 * noise.flicker_rms(kf, band) * noise.flicker_sres_sensitivity(st))
+        assert chain == pytest.approx(noise.snr_delta_c(st, kf, band), rel=1e-6)
 
     def test_loss_snr_scaling(self, fx):
-        st = fx.state()
+        st = fx.state
         band = (1.0, 1e3)
-        base = noise.snr_delta_r(st, fx.kf, band, 1.0)
-        assert noise.snr_delta_r(st, fx.kf, band, 3.0) == pytest.approx(3 * base, rel=1e-12)
+        base = noise.snr_delta_r(st, st.gm.kf, band, 1.0)
+        assert noise.snr_delta_r(st, st.gm.kf, band, 3.0) == pytest.approx(3 * base, rel=1e-12)
         # inverse-square in the ring loss at fixed alpha and band
         import dataclasses
 
         srr2 = SrrParams(st.srr.lsrr * 2, st.srr.csrr, st.srr.q_off, st.srr.k)
         gm2 = dataclasses.replace(st.gm, gm0=st.gm.gm0 / 2.075)  # keep it stable
         st2 = active.AsrrState(srr=srr2, gm=gm2)
-        ratio = noise.snr_delta_r(st2, fx.kf, band, 1.0) / base
+        ratio = noise.snr_delta_r(st2, st.gm.kf, band, 1.0) / base
         assert ratio == pytest.approx((st.r_srr_parallel() / st2.r_srr_parallel()) ** 2, rel=1e-9)
 
 

@@ -9,10 +9,10 @@ from asrrkit.resonator import SrrParams, TransmissionLineSection, TwoPortSweep
 
 
 def matched_parts(fx, q=None):
-    q = fx.q_on if q is None else q
-    k = 1.0 / math.sqrt(fx.beta_l * q)
-    srr = SrrParams(fx.lsrr, fx.c_asrr, q, k)
-    return srr, fx.line()
+    q = fx.cfg["q_on"] if q is None else q
+    k = 1.0 / math.sqrt(fx.cfg["beta_l"] * q)
+    srr = SrrParams(fx.ring.lsrr, fx.ring.csrr, q, k)
+    return srr, fx.line
 
 
 class TestSolveLinear:
@@ -73,9 +73,9 @@ class TestMesh:
                         csrr=1e-14, z0=50.0)
 
     def test_decoupled_is_bare_series_inductor(self, fx):
-        line = fx.line()
-        circ = MeshCircuit(ltl=line.ltl, lsrr=fx.lsrr, m=0.0, r_srr=1.0,
-                           csrr=fx.c_asrr, z0=line.z0)
+        line = fx.line
+        circ = MeshCircuit(ltl=line.ltl, lsrr=fx.ring.lsrr, m=0.0, r_srr=1.0,
+                           csrr=fx.ring.csrr, z0=line.z0)
         w = fx.w0
         s = solve_two_port(circ, w)
         expect = 2 * line.z0 / (1j * w * line.ltl + 2 * line.z0)
@@ -222,18 +222,18 @@ class TestPhaseExtrema:
 
 class TestTimeAvgGm:
     def test_small_swing_is_gm0(self, fx):
-        p = fx.state().gm
+        p = fx.state.gm
         assert time_avg_gm(0.5 * p.vth, p) == pytest.approx(p.gm0, rel=1e-9)
 
     def test_node_count_does_not_matter(self, fx):
         # the integrand is a + b*sin on every panel, so the rule is exact
         # to rounding well before its default 16 nodes
-        p = fx.state().gm
+        p = fx.state.gm
         v = 2.5 * p.vth
         assert time_avg_gm(v, p, samples=10) == pytest.approx(time_avg_gm(v, p), rel=1e-14)
 
     def test_deterministic(self, fx):
-        p = fx.state().gm
+        p = fx.state.gm
         assert time_avg_gm(0.7, p) == time_avg_gm(0.7, p)
 
 

@@ -3,14 +3,12 @@
 
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from asrrkit import validate
-from asrrkit.config import ConfigError
-from asrrkit.validate import CheckResult, Fixture
+from asrrkit import active, validate
+from asrrkit.validate import REFERENCE_CONFIG, CheckResult, Fixture
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
@@ -65,11 +63,27 @@ class TestFixtureFromConfig:
     @pytest.mark.parametrize("vth", [0.34, 0.4])
     def test_block_outside_the_compression_domain_is_refused(self, vth):
         # vth > vdd/3 with the default slopes: the averaged gm would rise above gm0
-        with pytest.raises(ConfigError, match="compression needs"):
-            validate.fixture_from_config({"vth": vth})
+        with pytest.raises(ValueError, match="compression needs"):
+            validate.run_all({"vth": vth})
 
     def test_block_at_the_domain_edge_is_accepted(self):
-        assert validate.fixture_from_config({"vth": 1.0 / 3.0}).vth == 1.0 / 3.0
+        assert all(r.passed for r in validate.run_all({"vth": 1.0 / 3.0}))
+
+    def test_file_keys_replace_the_reference_values(self):
+        fx = Fixture({"lsrr": 60e-12, "vdd": 1.2, "c_asrr": 12e-15})
+        assert fx.cfg == {**REFERENCE_CONFIG, "lsrr": 60e-12, "vdd": 1.2, "c_asrr": 12e-15}
+        assert fx.ring.lsrr == fx.state.srr.lsrr == 60e-12
+        assert fx.state.gm.vdd == 1.2
+        assert fx.w0 == fx.state.w0 == 1.0 / math.sqrt(60e-12 * 12e-15)
+
+    def test_gm0_replaces_the_reference_q_on(self):
+        fx = Fixture({"gm0": 1e-3})
+        assert "q_on" not in fx.cfg and fx.state.gm.gm0 == 1e-3
+        assert fx.ring.q_off == active.q_on(fx.state)
+
+    def test_a_new_q_drops_the_configured_k_and_gm0(self):
+        fx = Fixture({"gm0": 1e-3, "k": 0.2}).at_q(80.0)
+        assert fx.cfg == {**REFERENCE_CONFIG, "q_on": 80.0}
 
 
 class TestSuite:
@@ -109,13 +123,13 @@ class TestSensitivityAnchors:
     @pytest.mark.parametrize("field, value", [("f0", 150e9), ("q_on", 80.0), ("q_off", 5.0)])
     def test_configured_fixture_drops_the_reference_anchors(self, field, value):
         # the documented values belong to the reference pixel alone
-        records = validate.check_sensitivity_anchors(None, replace(Fixture(), **{field: value}))
+        records = validate.check_sensitivity_anchors(None, Fixture({field: value}))
         assert [metric for metric, _, _ in records] == self.FD
         assert all(v <= tol for _, v, tol in records)
 
     @pytest.mark.parametrize("q_off", [1e-2, 1e-3])
     def test_boosted_difference_stays_short_of_the_boost_pole(self, q_off):
         # boosts 5400 and 54000: a step of 1e-4*r would reach r = 1/gm0
-        records = validate.check_sensitivity_anchors(None, replace(Fixture(), q_off=q_off))
+        records = validate.check_sensitivity_anchors(None, Fixture({"q_off": q_off}))
         (value, tol), = [(v, t) for metric, v, t in records if metric == "dS/dR boosted fd"]
         assert value <= tol
