@@ -104,7 +104,7 @@ def _grid(args, w0, q) -> np.ndarray:
 def cmd_sweep(args, cfg):
     pixel = Pixel(cfg)
     srr = pixel.ring
-    grid = _grid(args, 2.0 * math.pi * require(cfg, "f0"), srr.q_off)
+    grid = _grid(args, srr.w0, srr.q_off)
     sweep = resonator.s_parameters(srr, pixel.line, grid, z0_ref=pixel.z0)
     out = _outdir(args)
     paths = {kind: os.path.join(out, f"sweep.{kind}")
@@ -196,19 +196,17 @@ def cmd_noise(args, cfg):
             results.append(noise.PhaseNoiseResult(
                 off, noise.supply_phase_noise(ctx, supply_psd), "supply"))
 
-    # PM-to-AM conversion vs carrier detuning, computed before either file
-    # is written, so that a failure leaves neither
-    grid = resonator.auto_grid(state.w0, q, 2.0, 200.0)
-    sweep = resonator.s_parameters(state.effective_srr(), pixel.line, grid, z0_ref=pixel.z0)
-    rows = []
+    # PM-to-AM conversion at the carrier detunings j*w0/(20*Q_on), computed
+    # before either file is written, so that a failure leaves neither
     pm_am_offset = optional(cfg, "pm_am_offset", 1e6)
     require_positive(pm_am_offset=pm_am_offset)
-    start = len(grid) // 2 % 10  # keep the zero-detune row in the table
-    if start < 5:
-        start += 10
-    for w_in in grid[start:-5:10]:
-        gain = noise.pm_to_am_gain(sweep, float(w_in), 2.0 * math.pi * pm_am_offset)
-        rows.append(((w_in - state.w0) / (2 * math.pi), gain if math.isfinite(gain) else -300.0))
+    w_in = state.w0 + np.arange(-39, 40) * (state.w0 / (20.0 * q))
+    if not np.all(np.diff(w_in) > 0):
+        raise ConfigError(f"Q = {q:g} is too high for the PM-to-AM table: its rows "
+                          f"w0 + j*w0/(20*Q) are not distinct doubles")
+    gains = noise.pm_to_am_gain(state.effective_srr(), pixel.line, pixel.z0, w_in,
+                                2.0 * math.pi * pm_am_offset)
+    rows = zip((w_in - state.w0) / (2 * math.pi), np.where(np.isfinite(gains), gains, -300.0))
 
     out = _outdir(args)
     noise_path = os.path.join(out, "phase_noise.csv")

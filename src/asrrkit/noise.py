@@ -6,7 +6,7 @@ splits evenly between amplitude and phase sidebands.  Low-frequency
 moves the boosted loss, which moves the output phase slope; off resonance
 that slope wobble turns into phase noise.  Source phase noise passes
 through essentially unchanged inside the resonator bandwidth, with a
-side-effect of PM-to-AM conversion that nulls at resonance.
+side-effect of PM-to-AM conversion that nulls at the |S21| minimum.
 
 SSB quantities are in dBc/Hz; sensitivities are plain derivatives.  The
 matched closed forms take A, T, P and LS (absorbed and transmitted power
@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .active import AsrrState, boosted_resistance, q_on
-from .resonator import (MATCHED_RHO, TwoPortSweep, absorbed_power_fraction, check_positive,
-                        loss_slope_factor, phase_slope_factor, transmitted_power_fraction)
+from .resonator import (MATCHED_RHO, SrrParams, TransmissionLineSection, absorbed_power_fraction,
+                        check_positive, loss_slope_factor, phase_slope_factor,
+                        reflected_impedance, srr_branch_impedance, transmitted_power_fraction)
 
 BOLTZMANN = 1.380649e-23  # [J/K]
 
@@ -35,24 +36,6 @@ def check_flicker_band(band):
     if not 0 < f_lo < f_hi < math.inf:
         raise ValueError(f"flicker band needs finite f_hi > f_lo > 0, got f_lo = {f_lo:g} Hz, "
                          f"f_hi = {f_hi:g} Hz")
-
-
-def five_point_derivative(y, x):
-    """Five-point-stencil dy/dx on a uniform grid.
-
-    End points fall back to numpy's one-sided/central differences; interior
-    points use (y[-2] - 8y[-1] + 8y[+1] - y[+2]) / 12h.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    h = np.diff(x)
-    # rounding of grid points at large absolute frequency jitters the steps
-    if np.max(np.abs(h - h[0])) > 1e-6 * h[0]:
-        raise ValueError("five-point stencil needs a uniform grid")
-    h = h[0]
-    d = np.gradient(y, x)
-    d[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * h)
-    return d
 
 
 @dataclass(frozen=True)
@@ -196,27 +179,28 @@ def input_phase_transfer(q_on_val: float, w0: float, offset) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def pm_to_am_gain(sweep: TwoPortSweep, w_in: float, offset: float) -> float:
-    """PM-to-AM conversion gain [dB relative to the input phase noise].
+def pm_to_am_gain(srr: SrrParams, line: TransmissionLineSection, z0: float, w_in, offset: float):
+    """PM-to-AM conversion gain [dB relative to the input phase noise] of
+    the ring-loaded section at carrier frequency w_in (a scalar or an array).
 
     The two phase sidebands see slightly different transmission magnitudes;
     the residue is amplitude noise: 20*log10(|d|S21|/dw| * offset /
-    |S21(w_in)|).  The magnitude slope comes from a five-point stencil on
-    the sweep grid (a closed form is impractical), so w_in must sit at
-    least two grid points inside the sweep.  Returns -inf where the slope
-    vanishes (the null at resonance).
+    |S21(w_in)|).  S21 = 2*z0/D with D = Z + 2*z0 and Z = (wM)^2/Z_b the
+    reflected impedance is rational in w, so the slope is exact:
+    d|S21|/dw = -|S21| * Re(conj(D)*Z')/|D|^2, with
+    Z' = 2wM^2/Z_b - (wM)^2*Z_b'/Z_b^2 = Z*(2/w - Z_b'/Z_b) and
+    Z_b' = jL - jC/yc^2 (yc = jwC).  Returns -inf where the slope vanishes:
+    the null at the |S21| extremum, which the (wM)^2 factor puts just off
+    the ring's resonance.
     """
-    freqs = sweep.freqs
-    if not freqs[2] <= w_in <= freqs[-3]:
-        raise ValueError("w_in too close to the sweep edge for the stencil")
-    mag = np.abs(sweep.s21)
-    dmag = five_point_derivative(mag, freqs)
-    slope = float(np.interp(w_in, freqs, dmag))
-    carrier = float(np.interp(w_in, freqs, mag))
-    ratio = abs(slope) * offset / carrier
-    if ratio == 0.0:
-        return -math.inf
-    return 20.0 * math.log10(ratio)
+    w = np.asarray(w_in, dtype=float)
+    z = reflected_impedance(srr, line, w)
+    yc = 1j * w * srr.csrr
+    dz = z * (2.0 / w - (1j * srr.lsrr - 1j * srr.csrr / yc**2) / srr_branch_impedance(srr, w))
+    d = z + 2.0 * z0
+    with np.errstate(divide="ignore"):
+        out = 20.0 * np.log10(np.abs(np.real(np.conj(d) * dz)) * offset / np.abs(d) ** 2)
+    return float(out) if out.ndim == 0 else out
 
 
 def flicker_rms(kf: float, band) -> float:

@@ -246,18 +246,18 @@ def s_parameters(
 
 
 def auto_grid(w0: float, q: float, half_span: float, points_per_bandwidth: float) -> np.ndarray:
-    """Odd-count grid symmetric about w0: half_span bandwidths w0/q either
-    side, spacing at most w0/(points_per_bandwidth * q).  A q whose step
-    falls below the spacing of doubles across the grid is refused: its
-    points would not stay distinct."""
+    """Grid of 2*round(half_span*points_per_bandwidth) + 1 points symmetric
+    about w0: half_span bandwidths w0/q either side, so its spacing is
+    w0/(points_per_bandwidth * q) when half_span*points_per_bandwidth is
+    whole.  A q whose step falls below the spacing of doubles across the
+    grid is refused: its points would not stay distinct."""
     span = half_span * w0 / q
     step = w0 / (points_per_bandwidth * q)
     if not step >= math.ulp(w0 + span):
         raise ValueError(f"Q = {q:g} is too high for an automatic grid: its step "
                          f"w0/({points_per_bandwidth:g}*Q) = {step:.3g} rad/s is below the "
                          f"spacing of doubles at w0, {math.ulp(w0 + span):.3g} rad/s")
-    n = (2 * int(span / step)) | 1
-    return np.linspace(w0 - span, w0 + span, n)
+    return np.linspace(w0 - span, w0 + span, 2 * round(half_span * points_per_bandwidth) + 1)
 
 
 def optimum_q_for_k(k: float, line: TransmissionLineSection, w0: float) -> float:

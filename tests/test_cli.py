@@ -111,10 +111,17 @@ class TestSweep:
         assert main(["sweep", "--config", str(tmp_path / "nope.cfg"), "--quiet"]) == 1
 
     def test_printed_s21_is_read_at_the_ring_resonance(self, tmp_path, capsys):
-        # c_asrr = 5 fF puts the ring's own resonance at 306 GHz, far from f0
+        # c_asrr = 5 fF puts the ring's own resonance at 306 GHz, far from f0:
+        # the automatic grid is centred there, and a given grid may miss it
         cfg = write_config(tmp_path, REFERENCE_CONFIG + "c_asrr = 5 fF\n")
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
-        assert ("ring resonance 3.05941e+11 Hz is outside the grid 1.88889e+11..2.11111e+11 Hz"
+        header, data = read_csv(tmp_path / "sweep.csv")
+        # the middle row sits on the resonance: zero transmission phase
+        assert abs(data[len(data) // 2, header.index("phase_s21_deg")]) < 1e-9
+        assert "|S21(3.05941e+11 Hz)| = -3.522 dB" in capsys.readouterr().out
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path),
+                     "--grid", "190e9:210e9:21"]) == 0
+        assert ("ring resonance 3.05941e+11 Hz is outside the grid 1.9e+11..2.1e+11 Hz"
                 in capsys.readouterr().out)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path),
                      "--grid", "290e9:320e9:31"]) == 0
@@ -123,6 +130,16 @@ class TestSweep:
         assert data[i0, 0] == 306e9
         assert (f"|S21(3.06e+11 Hz)| = {data[i0, header.index('mag_s21_db')]:.3f} dB"
                 in capsys.readouterr().out)
+
+    def test_auto_grid_has_601_points_whatever_span_over_step_rounds_to(self, tmp_path):
+        # 3 bandwidths either side at 100 points each: span/step rounds to
+        # 299.99999999999994 for this pixel, which once gave 599 points
+        cfg = write_config(tmp_path, "f0 = 73.1149448404 GHz\nlsrr = 59.8697033169 pH\n"
+                                     "q_off = 148.54656651\nq_on = 296.419080731\n"
+                                     "z0 = 44.7847538267 ohm\nbeta_l = 0.121380644308 rad\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        _, data = read_csv(tmp_path / "sweep.csv")
+        assert len(data) == 601
 
     def test_auto_grid_refuses_a_q_past_the_resolution_of_doubles(self, tmp_path, capsys):
         # a step w0/(100*Q) below the spacing of doubles at 200 GHz: the grid
@@ -195,21 +212,24 @@ class TestNoiseCmd:
         mid = np.argmin(np.abs(data[:, 0]))
         assert data[mid, 1] < np.max(data[:, 1]) - 20
 
-    def test_failed_pm_to_am_table_leaves_no_file(self, tmp_path, capsys):
-        # a boost of 3e6 narrows the band below the grid's resolution at 200 GHz
+    def test_high_q_table_has_79_distinct_rows(self, tmp_path):
+        # a boost of 3e6 narrows the band to 6.7 kHz at 200 GHz: the rows
+        # j*w0/(20*Q_on), j = -39..39, stay distinct doubles
         cfg = write_config(tmp_path, REFERENCE_CONFIG.replace("q_on = 54", "q_on = 3e7"))
-        out = tmp_path / "out"
-        assert main(["noise", "--config", cfg, "--out", str(out), "--quiet"]) == 1
-        assert "five-point stencil needs a uniform grid" in capsys.readouterr().err
-        assert not out.exists() or not list(out.iterdir())
+        assert main(["noise", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        _, data = read_csv(tmp_path / "pm_to_am.csv")
+        assert len(data) == 79 and len(set(data[:, 0])) == 79
+        assert data[39, 0] == 0.0 and np.all(np.isfinite(data[:, 1]))
 
     def test_auto_grid_refuses_a_q_past_the_resolution_of_doubles(self, tmp_path, capsys):
+        # the rows w0 + j*w0/(20*Q) fall on fewer doubles than rows
         text = REFERENCE_CONFIG.replace("q_off = 10", "q_off = 1e8").replace("q_on = 54",
                                                                             "q_on = 1e15")
         out = tmp_path / "out"
         assert main(["noise", "--config", write_config(tmp_path, text), "--out", str(out),
                      "--quiet"]) == 1
-        assert "is too high for an automatic grid" in capsys.readouterr().err
+        assert ("Q = 1e+15 is too high for the PM-to-AM table: its rows w0 + j*w0/(20*Q) "
+                "are not distinct doubles") in capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
 
 
@@ -441,7 +461,7 @@ GOLDEN_DIGESTS = {
     },
     "noise": {
         "phase_noise.csv": "843bedddbcb4fc87afae185e687658d0adfdb29cdb1338d25e131d4b13f24916",
-        "pm_to_am.csv": "e590eb928c35538fa0ba2210b2d8cb6553b95078dc313a615729c0fc0b39da28",
+        "pm_to_am.csv": "578ff2cb6ce5c176ff3e0fb1d0fec0155880046a082dc22cf84e327428881944",
     },
     "snr": {
         "snr.txt": "24c6d231dd2ec968f724a9464b011a9ce877e8c0785c2c49814f9ca44c89d79f",

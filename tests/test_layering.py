@@ -88,16 +88,32 @@ def test_validate_import_leaves_the_cli_unloaded():
 
 
 def test_every_tracer_target_resolves():
-    # bench/tracer.py looks each target up with a bare getattr, so a renamed
-    # function would stop `bench/run.py --trace 1` with an AttributeError
-    path = Path(__file__).parents[1] / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    # bench/tracer.py looks each target up in sys.modules with a bare
+    # getattr, after bench/run.py has imported only inputs and workloads:
+    # a module imported lazily or a renamed function would stop
+    # `bench/run.py --trace 1` at install.  So the lookup runs in a fresh
+    # interpreter after those imports, as the traced run makes it.
+    bench = Path(__file__).parents[1] / "bench"
+    probe = ("import sys\n"
+             f"sys.path.insert(0, {str(bench)!r})\n"
+             "import inputs, workloads\n"
+             "import tracer\n"
+             "print([f'{m}.{f}' for m, f, *_ in tracer.TARGETS\n"
+             "       if not callable(getattr(sys.modules.get(f'asrrkit.{m}'), f, None))])\n"
+             "t = tracer.Tracer()\n"
+             "original = sys.modules['asrrkit.cli'].main\n"
+             "t.install()\n"
+             "print(sys.modules['asrrkit.cli'].main is not original)\n"
+             "t.uninstall()\n"
+             "print(sys.modules['asrrkit.cli'].main is original)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(asrrkit.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout.split("\n")
+    assert out[:3] == ["[]", "True", "True"]
+    spec = importlib.util.spec_from_file_location("bench_tracer", bench / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    missing = [f"{module}.{function}" for module, function, *_ in tracer.TARGETS
-               if not callable(getattr(importlib.import_module(f"asrrkit.{module}"),
-                                       function, None))]
-    assert tracer.TARGETS and not missing
+    assert tracer.TARGETS
     # each counter reads the wrapped call's arguments by parameter name, so
     # a renamed parameter would stop the traced run with a KeyError
     read_by_counters = set()
@@ -110,6 +126,20 @@ def test_every_tracer_target_resolves():
                 f"{module}.{function}", arguments.read)
             read_by_counters |= arguments.read
     assert read_by_counters == {"freqs", "w", "samples", "sweep", "path"}
+
+
+def test_bench_import_layer_finds_numpy_under_the_cli_import(tmp_path, monkeypatch):
+    # bench/run.py reads numpy's cumulative time from `-X importtime` of
+    # `import asrrkit.cli`: a CLI that stops importing numpy stops every
+    # `--trace 1` run there with a KeyError
+    spec = importlib.util.spec_from_file_location(
+        "bench_run", Path(__file__).parents[1] / "bench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    monkeypatch.setattr(run, "IMPORT_REPEATS", 1)
+    layer = run.import_layer(str(tmp_path / "child.log"))
+    assert set(layer) == {"import.python_s", "import.numpy_s", "import.asrrkit_s"}
+    assert layer["import.numpy_s"] > 0
 
 
 class _AnyArgument:

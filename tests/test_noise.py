@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from asrrkit import active, noise, resonator
+from asrrkit import active, noise, resonator, validate
 from asrrkit.noise import NoiseContext, PhaseNoiseResult
 from asrrkit.oracle import solve_linear
 from asrrkit.resonator import SrrParams
@@ -227,60 +227,43 @@ class TestInputPhaseTransfer:
 
 
 class TestPmToAm:
-    def _sweep(self, fx, span_factor=3.0, points_per_bw=200):
-        srr = fx.ring
-        line = fx.line
-        w0, q = fx.w0, fx.cfg["q_on"]
-        span = span_factor * w0 / q
-        step = w0 / (points_per_bw * q)
-        n = (2 * int(span / step)) | 1
-        grid = np.linspace(w0 - span, w0 + span, n)
-        return resonator.s_parameters(srr, line, grid, z0_ref=fx.z0)
+    OFFSET = 2 * math.pi * 1e6
 
     def test_null_at_resonance(self, fx):
-        sweep = self._sweep(fx)
-        assert noise.pm_to_am_gain(sweep, fx.w0, 2 * math.pi * 1e6) < -60.0
+        assert noise.pm_to_am_gain(fx.ring, fx.line, fx.z0, fx.w0, self.OFFSET) < -60.0
 
     def test_six_db_per_offset_doubling(self, fx):
-        sweep = self._sweep(fx)
         w_in = fx.w0 * (1 + 0.3 / fx.cfg["q_on"])
-        d = noise.pm_to_am_gain(sweep, w_in, 2e6) - noise.pm_to_am_gain(sweep, w_in, 1e6)
+        d = (noise.pm_to_am_gain(fx.ring, fx.line, fx.z0, w_in, 2e6)
+             - noise.pm_to_am_gain(fx.ring, fx.line, fx.z0, w_in, 1e6))
         assert d == pytest.approx(20 * math.log10(2.0), abs=1e-9)
 
-    def test_edge_rejected(self, fx):
-        sweep = self._sweep(fx)
-        with pytest.raises(ValueError, match="edge"):
-            noise.pm_to_am_gain(sweep, float(sweep.freqs[0]), 1e6)
+    def test_null_sits_at_the_s21_minimum_just_above_resonance(self, fx):
+        # the (wM)^2 factor puts the |S21| minimum ~0.3/Q^2 above w0, so the
+        # gain at w0 is finite and the null sits at the minimum
+        w = fx.w0 * (1 + np.linspace(0.0, 2e-4, 2001))
+        mag = np.abs(resonator.s_parameters(fx.ring, fx.line, w, z0_ref=fx.z0).s21)
+        gain = noise.pm_to_am_gain(fx.ring, fx.line, fx.z0, w, self.OFFSET)
+        assert np.argmin(mag) * 1e-7 == pytest.approx(0.3 / fx.cfg["q_on"] ** 2, rel=0.02)
+        assert abs(int(np.argmin(gain)) - int(np.argmin(mag))) <= 1
+        assert gain[0] == pytest.approx(-109.54, abs=0.01)
 
-    def test_even_in_detuning_near_resonance(self, fx):
-        # the symmetric matched lineshape (fixed-element parallel RLC)
-        # converts evenly in the carrier detuning; the exact transform
-        # shifts the transmission minimum ~0.3/Q^2 above resonance and so
-        # carries a genuine slope offset at w0
-        res = resonator.equivalent_resonator(fx.ring, fx.line)
-        w0, z0 = fx.w0, fx.z0
-        grid = np.linspace(w0 * (1 - 1e-4), w0 * (1 + 1e-4), 2001)
-        z = res.impedance(grid)
-        sweep = resonator.TwoPortSweep(
-            freqs=grid, s11=z / (z + 2 * z0), s21=2 * z0 / (z + 2 * z0), z0_ref=z0
-        )
-        for frac in (1e-5, 2e-5, 3e-5):
-            up = noise.pm_to_am_gain(sweep, w0 * (1 + frac), 1e6)
-            dn = noise.pm_to_am_gain(sweep, w0 * (1 - frac), 1e6)
-            assert abs(up - dn) < 1e-3
+    def test_closed_form_matches_a_central_difference(self, rng):
+        # at the noise command's rows, against a central difference of the
+        # analytic |S21| over seeded matched pixels
+        worst = 0.0
+        for _ in range(50):
+            srr, line, w0, z0 = validate._random_matched(rng)
+            w = w0 + np.arange(-39, 40) * (w0 / (20.0 * srr.q_off))
+            h = 1e-5 * w0 / srr.q_off
 
+            def mag(x):
+                return np.abs(resonator.s_parameters(srr, line, x, z0_ref=z0).s21)
 
-class TestFivePointStencil:
-    def test_polynomial_exact(self):
-        x = np.linspace(0.0, 1.0, 101)
-        y = x**4
-        d = noise.five_point_derivative(y, x)
-        assert np.max(np.abs(d[2:-2] - 4 * x[2:-2] ** 3)) < 1e-10
-
-    def test_nonuniform_rejected(self):
-        x = np.array([0.0, 1.0, 2.5, 3.0, 4.0])
-        with pytest.raises(ValueError, match="uniform"):
-            noise.five_point_derivative(x, x**2)
+            numeric = np.abs(mag(w + h) - mag(w - h)) / (2 * h) * self.OFFSET / mag(w)
+            closed = 10 ** (noise.pm_to_am_gain(srr, line, z0, w, self.OFFSET) / 20)
+            worst = max(worst, float(np.max(np.abs(closed - numeric)) / np.max(numeric)))
+        assert worst < 1e-8  # measured 4.1e-9
 
 
 class TestFlickerRms:
