@@ -4,94 +4,3 @@ propagation, SNR budgeting, and a design synthesizer, with independent
 numerical verifiers for every closed form."""
 
 __version__ = "0.1.0"
-
-from .resonator import (
-    EquivalentResonator,
-    SrrParams,
-    TransmissionLineSection,
-    TwoPortSweep,
-    array_insertion_loss,
-    detection_band,
-    equivalent_resonator,
-    k_max_for_il,
-    optimum_k_for_q,
-    optimum_q_for_k,
-    output_phase_slope,
-    phase_slope_vs_resistance,
-    s_parameters,
-    series_loading_impedance,
-)
-from .active import (
-    AsrrState,
-    GmBlockParams,
-    SampleDelta,
-    asrr_voltage_swing,
-    boosted_resistance,
-    conduction_angle,
-    gm_avg_exact,
-    linear_power_limit,
-    loss_amplification,
-    q_on,
-    q_on_nonlinear,
-    sample_response,
-)
-from .noise import (
-    NoiseContext,
-    PhaseNoiseResult,
-    flicker_phase_noise,
-    flicker_rms,
-    flicker_sres_sensitivity,
-    input_phase_transfer,
-    pm_to_am_gain,
-    snr_delta_c,
-    snr_delta_r,
-    supply_sres_sensitivity,
-    white_output_noise_density,
-    white_ssb_phase_noise,
-)
-from .design import DesignResult, DesignSpec, InfeasibleDesignError, synthesize
-
-__all__ = [
-    "AsrrState",
-    "DesignResult",
-    "DesignSpec",
-    "EquivalentResonator",
-    "GmBlockParams",
-    "InfeasibleDesignError",
-    "NoiseContext",
-    "PhaseNoiseResult",
-    "SampleDelta",
-    "SrrParams",
-    "TransmissionLineSection",
-    "TwoPortSweep",
-    "array_insertion_loss",
-    "asrr_voltage_swing",
-    "boosted_resistance",
-    "conduction_angle",
-    "detection_band",
-    "equivalent_resonator",
-    "flicker_phase_noise",
-    "flicker_rms",
-    "flicker_sres_sensitivity",
-    "gm_avg_exact",
-    "input_phase_transfer",
-    "k_max_for_il",
-    "linear_power_limit",
-    "loss_amplification",
-    "optimum_k_for_q",
-    "optimum_q_for_k",
-    "output_phase_slope",
-    "phase_slope_vs_resistance",
-    "pm_to_am_gain",
-    "q_on",
-    "q_on_nonlinear",
-    "s_parameters",
-    "sample_response",
-    "series_loading_impedance",
-    "snr_delta_c",
-    "snr_delta_r",
-    "supply_sres_sensitivity",
-    "synthesize",
-    "white_output_noise_density",
-    "white_ssb_phase_noise",
-]

@@ -121,7 +121,7 @@ class AsrrState:
 
     def r_srr_parallel(self) -> float:
         """Unboosted parallel loss at the loaded resonance [ohm]."""
-        return self.w0 * self.srr.lsrr * self.srr.q_off
+        return self.srr.r_parallel()
 
     def effective_srr(self) -> SrrParams:
         """The resonator as the line sees it with the block enabled: the

@@ -7,6 +7,9 @@ or the working directory).
 
 Exit codes: 0 success, 1 config or usage error, 2 numerical or validation
 failure.
+
+Each command imports the modules that only it runs (noise, design,
+validate) when it runs, so no other command pays to load them.
 """
 
 from __future__ import annotations
@@ -18,10 +21,9 @@ import sys
 
 import numpy as np
 
-from . import __version__, active, noise, resonator
+from . import __version__, active, resonator
 from .active import AsrrState
 from .config import STATE_KEYS, ConfigError, Pixel, optional, parse_config_file, require
-from .design import DesignSpec, InfeasibleDesignError, synthesize
 from .resonator import require_positive
 from .sweepio import (
     fmt,
@@ -81,8 +83,9 @@ def _matched_state(pixel: Pixel) -> AsrrState:
 
 
 def _flicker_band(cfg) -> tuple[float, float]:
-    return (optional(cfg, "f_lo", noise.FLICKER_BAND[0]),
-            optional(cfg, "f_hi", noise.FLICKER_BAND[1]))
+    from .noise import FLICKER_BAND
+
+    return optional(cfg, "f_lo", FLICKER_BAND[0]), optional(cfg, "f_hi", FLICKER_BAND[1])
 
 
 def _grid(args, w0, q) -> np.ndarray:
@@ -112,7 +115,8 @@ def cmd_sweep(args, cfg):
     write_sweep(sweep, paths)
     if grid[0] <= srr.w0 <= grid[-1]:
         i0 = int(np.argmin(np.abs(grid - srr.w0)))
-        at_ring = f"|S21({sweep.freqs_hz[i0]:g} Hz)| = {sweep.s21_db()[i0]:.3f} dB"
+        s21_db = 20.0 * math.log10(abs(sweep.s21[i0]))
+        at_ring = f"|S21({sweep.freqs_hz[i0]:g} Hz)| = {s21_db:.3f} dB"
     else:
         at_ring = (f"ring resonance {srr.w0 / 2 / math.pi:g} Hz is outside the grid "
                    f"{grid[0] / 2 / math.pi:g}..{grid[-1] / 2 / math.pi:g} Hz")
@@ -169,6 +173,8 @@ def cmd_nonlin(args, cfg):
 
 
 def cmd_noise(args, cfg):
+    from . import noise
+
     pixel = Pixel(cfg)
     state = _matched_state(pixel)
     ctx = noise.NoiseContext(
@@ -186,6 +192,11 @@ def cmd_noise(args, cfg):
     supply_psd = optional(cfg, "supply_psd", None)  # off unless asked for
     if supply_psd is not None:
         require_positive(supply_psd=supply_psd)
+        supply = noise.supply_phase_noise(ctx, supply_psd)
+        if not math.isfinite(supply):  # the supply row scales with delta_f_s**2
+            raise ConfigError(f"supply_psd needs a nonzero delta_f_s: at delta_f_s = "
+                              f"{ctx.delta_omega_s / (2.0 * math.pi):g} Hz the supply row "
+                              f"is {supply:g} dBc/Hz")
     for off in offsets:
         results.append(noise.PhaseNoiseResult(off, white, "white"))
         results.append(noise.PhaseNoiseResult(
@@ -193,8 +204,7 @@ def cmd_noise(args, cfg):
         gain_db = 10.0 * math.log10(noise.input_phase_transfer(q, state.w0, 2 * math.pi * off))
         results.append(noise.PhaseNoiseResult(off, gain_db, "input"))
         if supply_psd is not None:
-            results.append(noise.PhaseNoiseResult(
-                off, noise.supply_phase_noise(ctx, supply_psd), "supply"))
+            results.append(noise.PhaseNoiseResult(off, supply, "supply"))
 
     # PM-to-AM conversion at the carrier detunings j*w0/(20*Q_on), computed
     # before either file is written, so that a failure leaves neither
@@ -218,6 +228,8 @@ def cmd_noise(args, cfg):
 
 
 def cmd_snr(args, cfg):
+    from . import noise
+
     state = _matched_state(Pixel(cfg))
     band = _flicker_band(cfg)
     kf = state.gm.kf
@@ -239,6 +251,8 @@ def cmd_snr(args, cfg):
 
 
 def cmd_design(args, cfg):
+    from .design import DesignSpec, InfeasibleDesignError, synthesize
+
     pixel = Pixel(cfg)
     spec = DesignSpec(
         f0=require(cfg, "f0"),
@@ -299,7 +313,6 @@ def cmd_design(args, cfg):
 
 
 def cmd_validate(args, cfg):
-    # imported here, so that no other command compiles validate and oracle
     from . import validate
 
     results = validate.run_all(cfg)

@@ -19,6 +19,10 @@ layouts.  Everything else falls back to ``%``, one value at a time:
 zeros, nan, infinities, magnitudes outside that window (subnormals among
 them) and the near-ties, which include every exact tie, where ``%``
 rounds half to even.
+
+The kernel's cells are NUL-padded S20 values, and each file's rows are
+assembled from them in numpy (see ``write_sweep``), so no bytes object is
+made per cell and no row is joined in Python.
 """
 
 from __future__ import annotations
@@ -47,6 +51,9 @@ _EXP_MIN, _EXP_MAX = -11, 33
 # the last NUL makes a row of digits and literals whole uint32 words
 _LITERALS = b"\0-.e+0123456789\0"
 _CELL = 20  # bytes per formatted cell: "-1.23456789012e-308" is 19
+# each literal character's place in a row of the kernel: 12 plus its first
+# index in _LITERALS
+_LITERAL_INDEX = {chr(c): 12 + i for i, c in enumerate(_LITERALS[:-1])}
 
 
 def _layout(exp, nd, neg):
@@ -60,7 +67,7 @@ def _layout(exp, nd, neg):
     else:
         places = [0] + (["."] + list(range(1, nd)) if nd > 1 else []) + list(f"e{exp:+03d}")
     places = ["-"] * neg + places + ["\0"] * (_CELL - neg - len(places))
-    return [p if isinstance(p, int) else 12 + _LITERALS.index(p.encode()) for p in places]
+    return [p if isinstance(p, int) else _LITERAL_INDEX[p] for p in places]
 
 
 @functools.cache
@@ -178,12 +185,12 @@ SWEEP_LAYOUTS = {"csv": (b",", range(7)), "s2p": (b" ", (0, 1, 2, 3, 4, 3, 4, 1,
 def write_sweep(sweep: TwoPortSweep, paths):
     """Write the sweep to paths, a dict from format ("csv", Touchstone v1
     "s2p") to file path, in one pass.  Rows go out CHUNK_ROWS at a time;
-    each column of a chunk is formatted once, however many files and
-    layouts name it, and each file joins its rows from those cells, so
-    memory stays at one chunk's text however long the sweep is.  The cells
-    come from _format_12g, which writes the bytes of "%.12g" for a whole
-    chunk at once and leaves to % only the values it cannot decide: zeros,
-    nan, infinities, magnitudes outside [1e-11, 1e34) and near-ties."""
+    each column of a chunk is formatted once by _format_12g, however many
+    files and layouts name it, so memory stays at one chunk's text however
+    long the sweep is.  Each file's rows for the chunk are assembled in
+    numpy: its cells are copied into a (rows, columns, 21) byte buffer
+    whose last byte per cell is the separator, or the newline after a
+    row's last cell, and one bytes.translate drops the cells' NUL padding."""
     headers = {"csv": SWEEP_COLUMNS, "s2p": f"# Hz S RI R {fmt(sweep.z0_ref)}"}
     columns = [sweep.freqs_hz, sweep.s11.real, sweep.s11.imag, sweep.s21.real, sweep.s21.imag]
     if "csv" in paths:
@@ -194,9 +201,14 @@ def write_sweep(sweep: TwoPortSweep, paths):
         for fh, kind in zip(handles, paths):
             fh.write(headers[kind].encode() + b"\n")
         for i in range(0, len(columns[0]), CHUNK_ROWS):
-            cells = _format_12g([col[i:i + CHUNK_ROWS] for col in columns]).tolist()
+            cells = _format_12g(np.stack([col[i:i + CHUNK_ROWS] for col in columns], axis=1))
+            cells = cells.view(np.uint8).reshape(*cells.shape, _CELL)
             for fh, (sep, layout) in zip(handles, layouts):
-                fh.write(b"\n".join(map(sep.join, zip(*[cells[k] for k in layout]))) + b"\n")
+                rows = np.empty((len(cells), len(layout), _CELL + 1), np.uint8)
+                rows[:, :, :_CELL] = cells.take(layout, axis=1)
+                rows[:, :, _CELL] = ord(sep)
+                rows[:, -1, _CELL] = ord("\n")
+                fh.write(rows.tobytes().translate(None, b"\0"))
 
     _write_atomic(list(paths.values()), write)
 

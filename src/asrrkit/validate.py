@@ -24,6 +24,11 @@ from .resonator import SrrParams, TransmissionLineSection
 
 TWO_THIRDS_DB = 20.0 * math.log10(2.0 / 3.0)  # -3.5218 dB matched transmission
 SEED = 20260808
+# the largest Q_on the suite checks.  On the reference pixel every check
+# passes up to it; pm-to-am's central difference of the mesh, whose rounding
+# grows with Q, reaches 0.95 of its tolerance below it and first fails near
+# 1.1e4, sensitivity-anchors by 5e4 and snr-invariance by 1e5
+Q_ON_MAX = 1e4
 Record = tuple[str, float, float]  # (metric, value, tol)
 
 
@@ -540,9 +545,14 @@ def run_check(fn, fx: Fixture, seed: int = SEED) -> CheckResult:
 
 def run_all(config: dict | None = None, seed: int = SEED) -> list[CheckResult]:
     """Every check on the pixel of config over the reference one.  A pixel
-    that cannot be built, or whose block lies outside the domain of the
-    compression law the suite checks, raises ValueError before any check
-    runs."""
+    that cannot be built, whose block lies outside the domain of the
+    compression law the suite checks, or whose Q_on is above Q_ON_MAX,
+    raises ValueError before any check runs."""
     fx = Fixture(config)
     active.check_compression_domain(fx.state.gm)
+    q = active.q_on(fx.state)
+    if not q <= Q_ON_MAX:
+        raise ValueError(f"validate checks Q_on up to {Q_ON_MAX:g}, where pm-to-am's mesh "
+                         f"difference still rounds within its tolerance; this pixel has "
+                         f"q_on = {q:g}")
     return [run_check(fn, fx, seed) for fn in ALL_CHECKS]

@@ -360,6 +360,14 @@ class TestMatchedCommands:
         assert f"config error: {line.split(' = ')[0]} must be" in capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
 
+    def test_supply_psd_at_zero_detuning_is_refused_by_name(self, tmp_path, capsys):
+        # the supply row scales with delta_f_s**2: at 0 it would be -inf dB
+        cfg = write_config(tmp_path, REFERENCE_CONFIG + "supply_psd = 1e-18\ndelta_f_s = 0\n")
+        out = tmp_path / "out"
+        assert main(["noise", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+        assert "config error: supply_psd needs a nonzero delta_f_s" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
 
 class TestOneBoost:
     GM0_CONFIG = REFERENCE_CONFIG.replace("q_on = 54", "gm0 = 1.2 mS")
@@ -411,6 +419,7 @@ class TestValidateCmd:
         ("q_on = 8", "q_on (8) must exceed q_off (10)"),
         ("beta_l = 0.001", "matching Q=54 needs k=4.303 >= 1"),
         ("vth = 400 mV", "compression needs (kn_wl + kp_wl)*(vdd - vth) <= 8*gm0"),
+        ("q_on = 20000", "validate checks Q_on up to 10000"),
     ])
     def test_bad_fixture_value_is_config_error(self, tmp_path, capsys, line, message):
         cfg = write_config(tmp_path, line + "\n", name="bad.cfg")

@@ -1,9 +1,10 @@
 """The analytic modules never reach the numerical oracle: it stays an
 independent second route to every closed form.  The CLI's start-up
-imports stay lean: no command but validate loads validate and oracle,
-and validate builds its pixel without loading the CLI.  And every
-function the benchmark's tracer wraps exists, with the parameters its
-counters read."""
+imports stay lean: importing the package loads no module, each command
+loads only the modules it runs (no command but validate loads validate
+and oracle), and validate builds its pixel without loading the CLI.  And
+every function the benchmark's tracer wraps exists, with the parameters
+its counters read."""
 
 import ast
 import importlib
@@ -76,6 +77,39 @@ def test_cli_import_leaves_validate_and_oracle_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
     assert out == ["False", "False", "True", "True"]
+
+
+def test_package_import_loads_no_submodule():
+    probe = "import sys, asrrkit\nprint([m for m in sys.modules if m.startswith('asrrkit.')])\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(asrrkit.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout.split("\n")
+    assert out[0] == "[]"
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # `python -m asrrkit.cli` as runpy runs it, one command after another in
+    # one interpreter; the line after noise and snr shows the probe sees a
+    # lazily imported module
+    config = tmp_path / "pixel.cfg"
+    config.write_text("f0 = 200 GHz\nlsrr = 54.12456 pH\nq_off = 10\nq_on = 54\n"
+                      "z0 = 50 ohm\nbeta_l = 0.35 rad\n")
+    probe = ("import runpy, sys\n"
+             "def run(command):\n"
+             f"    sys.argv = ['asrrkit', command, '--config', {str(config)!r},\n"
+             f"                '--out', {str(tmp_path)!r}, '--quiet']\n"
+             "    try:\n"
+             "        runpy.run_module('asrrkit.cli', run_name='__main__', alter_sys=True)\n"
+             "    except SystemExit as done:\n"
+             "        assert done.code == 0, command\n"
+             "for commands in (['sweep', 'match', 'nonlin'], ['noise', 'snr']):\n"
+             "    for command in commands:\n"
+             "        run(command)\n"
+             "    print(*[m in sys.modules for m in ('asrrkit.noise', 'asrrkit.design')])\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(asrrkit.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout.split("\n")
+    assert out[:2] == ["False False", "True False"]
 
 
 def test_validate_import_leaves_the_cli_unloaded():

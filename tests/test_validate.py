@@ -69,6 +69,15 @@ class TestFixtureFromConfig:
     def test_block_at_the_domain_edge_is_accepted(self):
         assert all(r.passed for r in validate.run_all({"vth": 1.0 / 3.0}))
 
+    def test_q_on_above_the_checked_domain_is_refused(self):
+        with pytest.raises(ValueError, match="validate checks Q_on up to 10000"):
+            validate.run_all({"q_on": validate.Q_ON_MAX * (1 + 1e-9)})
+        with pytest.raises(ValueError, match="q_on = 20000"):
+            validate.run_all({"gm0": (1 - 10 / 2e4) / Fixture().state.r_srr_parallel()})
+
+    def test_q_on_at_the_domain_edge_passes_every_check(self):
+        assert all(r.passed for r in validate.run_all({"q_on": validate.Q_ON_MAX}))
+
     def test_file_keys_replace_the_reference_values(self):
         fx = Fixture({"lsrr": 60e-12, "vdd": 1.2, "c_asrr": 12e-15})
         assert fx.cfg == {**REFERENCE_CONFIG, "lsrr": 60e-12, "vdd": 1.2, "c_asrr": 12e-15}
