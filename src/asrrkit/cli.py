@@ -15,6 +15,7 @@ validate) when it runs, so no other command pays to load them.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -24,7 +25,7 @@ import numpy as np
 from . import __version__, active, resonator
 from .active import AsrrState
 from .config import STATE_KEYS, ConfigError, Pixel, optional, parse_config_file, require
-from .resonator import require_positive
+from .resonator import MATCHED_RHO, require_positive
 from .sweepio import (
     fmt,
     write_keyvalues,
@@ -73,13 +74,21 @@ def _matched_state(pixel: Pixel) -> AsrrState:
     matched-coupling closed forms, so a k off the locus
     beta_l*k^2*Q_on = 1 is refused."""
     state = pixel.state
-    residual = abs(pixel.line.beta_l(state.w0) * state.srr.k**2 * active.q_on(state) - 1.0)
+    residual = abs(resonator.coupling_ratio(state.effective_srr(), pixel.line) - MATCHED_RHO)
     if not residual <= MATCH_TOL:
         raise ConfigError(
             f"k = {state.srr.k:g} is off the matched locus: |beta_l*k^2*q_on - 1| = "
             f"{residual:.3g} > {MATCH_TOL:g}; nonlin, noise and snr assume matched coupling"
         )
     return state
+
+
+def _count(key, n) -> int:
+    """The value n of a config key that counts something, refused unless a
+    positive integer."""
+    if not (n >= 1 and n == int(n)):
+        raise ConfigError(f"{key} must be a positive integer, got {n:g}")
+    return int(n)
 
 
 def _flicker_band(cfg) -> tuple[float, float]:
@@ -95,6 +104,9 @@ def _grid(args, w0, q) -> np.ndarray:
             f_lo, f_hi, n = float(start), float(stop), int(count)
         except ValueError as exc:
             raise ConfigError(f"bad --grid {args.grid!r}, want START:STOP:N in Hz") from exc
+        for name, text, value in (("START", start, f_lo), ("STOP", stop, f_hi)):
+            if not math.isfinite(value):
+                raise ConfigError(f"--grid {name} must be finite, got {text!r}")
         if not (0 < f_lo < f_hi and n >= 2):
             raise ConfigError("grid needs 0 < START < STOP and N >= 2")
         return 2.0 * np.pi * np.linspace(f_lo, f_hi, n)
@@ -109,6 +121,8 @@ def cmd_sweep(args, cfg):
     srr = pixel.ring
     grid = _grid(args, srr.w0, srr.q_off)
     sweep = resonator.s_parameters(srr, pixel.line, grid, z0_ref=pixel.z0)
+    if not (np.all(np.isfinite(sweep.s11)) and np.all(np.isfinite(sweep.s21))):
+        raise ConfigError("sweep S-parameters must be finite: the model overflows on this grid")
     out = _outdir(args)
     paths = {kind: os.path.join(out, f"sweep.{kind}")
              for kind in ("csv", "s2p") if args.format in (kind, "both")}
@@ -152,11 +166,9 @@ def cmd_nonlin(args, cfg):
     p_lin = active.linear_power_limit(state)
     p_lo = optional(cfg, "p_in_min", 0.01 * p_lin)
     p_hi = optional(cfg, "p_in_max", 30.0 * p_lin)
-    n = optional(cfg, "p_in_points", 41)
-    if not (n >= 1 and n == int(n)):
-        raise ConfigError(f"p_in_points must be a positive integer, got {n:g}")
+    n = _count("p_in_points", optional(cfg, "p_in_points", 41))
     rows = []
-    for p_in in np.geomspace(p_lo, p_hi, int(n)):
+    for p_in in np.geomspace(p_lo, p_hi, n):
         v_lin = active.asrr_voltage_swing(state, p_in)
         q_nl, v_nl = active.q_on_nonlinear(state, p_in)
         rows.append((p_in, v_lin, v_nl, q_nl))
@@ -256,7 +268,7 @@ def cmd_design(args, cfg):
     pixel = Pixel(cfg)
     spec = DesignSpec(
         f0=require(cfg, "f0"),
-        n_pixels=int(optional(cfg, "n_pixels", 1)),
+        n_pixels=_count("n_pixels", optional(cfg, "n_pixels", 1)),
         il_budget=require(cfg, "il_budget"),
         snr_dc_target=require(cfg, "snr_dc_target"),
         snr_dr_target=require(cfg, "snr_dr_target"),
@@ -282,13 +294,8 @@ def cmd_design(args, cfg):
         return EXIT_NUMERIC
     out = _outdir(args)
     machine = os.path.join(out, "design.txt")
-    pairs = [(k, getattr(result, k)) for k in (
-        "k", "q_on", "r_srr", "l_srr", "c_asrr", "c_gm", "c_srr", "gm_required",
-        "wl_ratio_n", "wl_ratio_p", "w_n", "l_n", "w_p", "l_p", "gate_area",
-        "alpha_1_over_f", "kf_device", "v_fn_rms", "snr_dc", "snr_dr",
-        "p_in_lin", "power_estimate",
-    )]
-    write_keyvalues(machine, pairs)
+    write_keyvalues(machine, [(f.name, getattr(result, f.name))
+                              for f in dataclasses.fields(result) if f.name != "notes"])
     report = os.path.join(out, "design_report.txt")
     lines = [
         "pixel design report",

@@ -1,10 +1,10 @@
 """Passive split-ring resonator on a host transmission line.
 
 Models an SRR magnetically coupled to a section of transmission line:
-the impedance the loaded section presents, the parallel-RLC transform of
-the coupled resonator, two-port S-parameters, optimum-coupling and
-insertion-loss relations, and the output phase-slope quantities used for
-phase detection.
+the impedance the loaded section presents, the coupling ratio rho = R'/z0
+of the resistance the ring reflects into the line at resonance,
+two-port S-parameters, optimum-coupling and insertion-loss relations, and
+the output phase-slope quantities used for phase detection.
 
 Conventions: SI units throughout, angular frequency `w` in rad/s.  All
 functions are pure; frequency arguments accept scalars or numpy arrays.
@@ -103,37 +103,6 @@ class SrrParams:
         return self.w0 * self.lsrr * self.q_off
 
 
-@dataclass(frozen=True)
-class EquivalentResonator:
-    """Parallel RLC equivalent of the line-coupled SRR, referred into the
-    line at the point of coupling.  Component values are frozen at the
-    resonance frequency."""
-
-    r_eq: float  # [ohm]
-    l_eq: float  # [H]
-    c_eq: float  # [F]
-
-    def __post_init__(self):
-        check_positive(self, "r_eq", "l_eq", "c_eq")
-
-    @property
-    def w0(self) -> float:
-        return 1.0 / float(np.sqrt(self.l_eq * self.c_eq))
-
-    @property
-    def q(self) -> float:
-        return self.r_eq / (self.w0 * self.l_eq)
-
-    def impedance(self, w):
-        """Impedance of the fixed-value parallel RLC at angular frequency w.
-
-        This is the near-resonance model; see `reflected_impedance` for the
-        form that stays exact away from resonance.
-        """
-        y = 1.0 / self.r_eq + 1j * w * self.c_eq + 1.0 / (1j * w * self.l_eq)
-        return 1.0 / y
-
-
 @dataclass
 class TwoPortSweep:
     """Frequency-indexed S-parameter samples of a symmetric two-port."""
@@ -149,7 +118,9 @@ class TwoPortSweep:
         self.s21 = np.asarray(self.s21, dtype=complex)
         if self.freqs.ndim != 1 or len(self.freqs) < 2:
             raise ValueError("sweep needs a 1-D grid of at least two frequencies")
-        if np.any(np.diff(self.freqs) <= 0):
+        if not np.all(np.isfinite(self.freqs)):
+            raise ValueError("sweep frequencies must be finite")
+        if not np.all(np.diff(self.freqs) > 0):  # NaN fails too
             raise ValueError("sweep frequencies must be strictly increasing")
         if self.s11.shape != self.freqs.shape or self.s21.shape != self.freqs.shape:
             raise ValueError("s11/s21 must match the frequency grid")
@@ -176,22 +147,11 @@ def mutual_inductance(srr: SrrParams, line: TransmissionLineSection) -> float:
     return srr.k * float(np.sqrt(line.ltl * srr.lsrr))
 
 
-def equivalent_resonator(srr: SrrParams, line: TransmissionLineSection) -> EquivalentResonator:
-    """Transform the coupled SRR into its parallel RLC equivalent in the line.
-
-    R' = (w0*M)^2 / r_series, L' = (w0*M)^2 * C, C' = L / (w0*M)^2.  The
-    transform preserves the resonance frequency exactly.
-    """
-    if srr.k == 0.0:
-        raise ValueError("no coupling: k=0 leaves the equivalent model degenerate")
-    w0 = srr.w0
-    m2 = mutual_inductance(srr, line) ** 2
-    w0m2 = w0 * w0 * m2
-    return EquivalentResonator(
-        r_eq=w0m2 / srr.r_series(),
-        l_eq=w0m2 * srr.csrr,
-        c_eq=srr.lsrr / w0m2,
-    )
+def coupling_ratio(srr: SrrParams, line: TransmissionLineSection) -> float:
+    """rho = R'/z0: the resistance (w0*M)^2/r_series the ring reflects into
+    the line at resonance, over the line's z0.  That is beta_l*k^2*Q, so
+    MATCHED_RHO on the matched locus and 0 without coupling."""
+    return line.beta_l(srr.w0) * srr.k**2 * srr.q_off
 
 
 def srr_branch_impedance(srr: SrrParams, w, gm_neg=0.0):
@@ -205,8 +165,8 @@ def srr_branch_impedance(srr: SrrParams, w, gm_neg=0.0):
 def reflected_impedance(srr: SrrParams, line: TransmissionLineSection, w, gm_neg=0.0):
     """Impedance the resonator reflects into the line: (wM)^2 / Z_branch.
 
-    Exact at every frequency; reduces to the fixed-value equivalent
-    parallel RLC at resonance.
+    Exact at every frequency; at resonance it is the real
+    R' = coupling_ratio(srr, line) * z0.
     """
     m = mutual_inductance(srr, line)
     return (w * m) ** 2 / srr_branch_impedance(srr, w, gm_neg)
@@ -280,17 +240,15 @@ def optimum_k_for_q(q_on: float, line: TransmissionLineSection, w0: float) -> fl
 
 def array_insertion_loss(n: int, srr: SrrParams, line: TransmissionLineSection) -> float:
     """Fractional amplitude loss at resonance from n identical disabled
-    pixels loading the line: n * R'/(R' + 2*z0) with R' from q_off.
+    pixels loading the line: n * R'/(R' + 2*z0) with R' from q_off, that
+    is n * reflected_amplitude(rho).
 
     Linear superposition of single-pixel losses; cascading effects between
     pixels are not modeled.
     """
     if n < 0:
         raise ValueError("pixel count must be non-negative")
-    if srr.k == 0.0:
-        return 0.0
-    r_off = srr.w0 * srr.k**2 * srr.q_off * line.ltl
-    return n * r_off / (r_off + 2.0 * line.z0)
+    return n * reflected_amplitude(coupling_ratio(srr, line))
 
 
 def k_max_for_il(
@@ -339,24 +297,18 @@ def loss_slope_factor(rho):
     return 2.0 * rho * (rho + 4.0) / (rho + 2.0) ** 2
 
 
-def output_phase_slope(res: EquivalentResonator, z0: float) -> float:
+def output_phase_slope(srr: SrrParams, line: TransmissionLineSection) -> float:
     """Transmission phase slope d(phase)/dw at resonance [s/rad]."""
-    return phase_slope_factor(res.r_eq / z0) * res.q / res.w0
+    return phase_slope_factor(coupling_ratio(srr, line)) * srr.q_off / srr.w0
 
 
-def effective_q_out(res: EquivalentResonator, z0: float) -> float:
-    """Quality factor inferred from the output phase slope, slope * w0/2:
-    Q/3 when matched."""
-    return phase_slope_factor(res.r_eq / z0) * res.q / 2.0
-
-
-def phase_slope_vs_resistance(srr: SrrParams, line: TransmissionLineSection, z0: float) -> float:
+def phase_slope_vs_resistance(srr: SrrParams, line: TransmissionLineSection) -> float:
     """Sensitivity of the output phase slope to the ring's parallel loss
     resistance [s/(rad*ohm)]: the mixed derivative of the transmission
     phase in R', referred to the ring through the (M/L)^2 impedance ratio,
     leaves the ring capacitance C as the only circuit value.
     """
-    return loss_slope_factor(equivalent_resonator(srr, line).r_eq / z0) * srr.csrr
+    return loss_slope_factor(coupling_ratio(srr, line)) * srr.csrr
 
 
 def detection_band(w0: float, q_on: float):
@@ -376,12 +328,14 @@ def detection_band(w0: float, q_on: float):
     return w_lo, w_hi, w_hi - w_lo
 
 
-def detection_phase(res: EquivalentResonator, z0: float, w):
-    """Linearized output phase -Im(Z')/(R' + 2*z0) [rad].
+def detection_phase(srr: SrrParams, line: TransmissionLineSection, w):
+    """Linearized output phase -Im(Z')/(R' + 2*z0) [rad], with Z' the
+    fixed-value parallel RLC R'/(1 + jQ(w/w0 - w0/w)) and R' = rho*z0.
 
     Small-angle transmission phase with the off-resonance real part held at
     its resonance value; this is the quantity whose slope zeroes define the
     closed-form detection band, so it is what the numeric band-edge
     cross-check differentiates.
     """
-    return -np.imag(res.impedance(w)) / (res.r_eq + 2.0 * z0)
+    rho, w0 = coupling_ratio(srr, line), srr.w0
+    return -np.imag(rho / (1.0 + 1j * srr.q_off * (w / w0 - w0 / w))) / (rho + 2.0)

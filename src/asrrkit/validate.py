@@ -196,23 +196,28 @@ def check_mesh_properties(rng, fx: Fixture) -> list[Record]:
 
 
 def check_impedance_transform(rng, fx: Fixture) -> list[Record]:
-    """Direct rational impedance versus the transformed-admittance sum, and
-    resonance preservation by the parallel-RLC transform."""
-    worst = worst_w0 = 0.0
+    """Direct rational impedance versus the transformed-admittance sum; and
+    at the ring's resonance that sum is the real R' = rho*z0 of the
+    coupling ratio, so the transform keeps the resonance."""
+    worst = worst_r = 0.0
     for _ in range(50):
         srr, line, w0, z0 = _random_matched(rng)
         m2 = resonator.mutual_inductance(srr, line) ** 2
+
+        def transformed(w):
+            # the ring's series r, L and C referred into the line by (w*M)^2
+            w2m2 = w * w * m2
+            return 1.0 / (srr.r_series() / w2m2
+                          + 1j * w * srr.lsrr / w2m2
+                          + 1.0 / (1j * w * (w2m2 * srr.csrr)))
+
         w = np.linspace(0.9 * w0, 1.1 * w0, 41)
         direct = resonator.series_loading_impedance(srr, line, w)
-        w2m2 = w * w * m2
-        y = (srr.r_series() / w2m2
-             + 1j * w * srr.lsrr / w2m2
-             + 1.0 / (1j * w * (w2m2 * srr.csrr)))
-        other = 1j * w * line.ltl + 1.0 / y
+        other = 1j * w * line.ltl + transformed(w)
         worst = max(worst, float(np.max(np.abs(direct - other) / np.abs(direct))))
-        res = resonator.equivalent_resonator(srr, line)
-        worst_w0 = max(worst_w0, abs(res.w0 / srr.w0 - 1.0))
-    return [("direct vs transformed", worst, 1e-6), ("resonance shift", worst_w0, 1e-9)]
+        r_rho = resonator.coupling_ratio(srr, line) * z0
+        worst_r = max(worst_r, abs(transformed(srr.w0) - r_rho) / r_rho)
+    return [("direct vs transformed", worst, 1e-6), ("R'(w0) vs rho*z0", worst_r, 1e-9)]
 
 
 def check_sensitivity_anchors(rng, fx: Fixture) -> list[Record]:
@@ -242,7 +247,7 @@ def check_sensitivity_anchors(rng, fx: Fixture) -> list[Record]:
         return oracle.central_difference(slope_at, r0, 1e-4 * min(1.0, (r_pole - r0) / r0))
 
     # the boosted ring taken as-is, and the ring at q_off under the block
-    anal_passive = resonator.phase_slope_vs_resistance(srr0, line, z0)
+    anal_passive = resonator.phase_slope_vs_resistance(srr0, line)
     fd_passive = fd_slope_vs_r(srr0, lambda r: r / (w0 * srr0.lsrr))
     gm0 = state.gm.gm0
     boost_srr = replace(srr0, q_off=state.srr.q_off)
@@ -264,16 +269,16 @@ def check_sensitivity_anchors(rng, fx: Fixture) -> list[Record]:
 
 def check_phase_slope_law(rng, fx: Fixture) -> list[Record]:
     """Matched phase slope (2/3)Q/w0 by finite difference, and the
-    effective quality factor Q/3, with k matched at each Q."""
+    effective quality factor slope*w0/2 = Q/3, with k matched at each Q."""
     worst_fd = worst_q = 0.0
     for q in (20.0, 50.0, 100.0, 250.0):
         fxq = fx.at_q(q)
         srr, line = fxq.ring, fxq.line
-        res = resonator.equivalent_resonator(srr, line)
         expect = (2.0 / 3.0) * q / fxq.w0
         fd = oracle.central_difference(lambda w: _phase_at(srr, line, w, fxq.z0), fxq.w0)
         worst_fd = max(worst_fd, abs(fd - expect) / expect)
-        worst_q = max(worst_q, abs(resonator.effective_q_out(res, fxq.z0) / (q / 3.0) - 1.0))
+        q_out = resonator.output_phase_slope(srr, line) * fxq.w0 / 2.0
+        worst_q = max(worst_q, abs(q_out / (q / 3.0) - 1.0))
     return [("fd vs (2/3)Q/w0", worst_fd, 0.01), ("Q_out/(Q/3)-1", worst_q, 1e-6)]
 
 
@@ -284,11 +289,10 @@ def check_detection_band(rng, fx: Fixture) -> list[Record]:
     for q in (20.0, 50.0, 100.0, 250.0):
         fxq = fx.at_q(q)
         w0 = fxq.w0
-        res = resonator.equivalent_resonator(fxq.ring, fxq.line)
         w_lo, w_hi, bw = resonator.detection_band(w0, q)
         span = 3.0 * w0 / q
         grid = np.linspace(w0 - span, w0 + span, 601)
-        phase = resonator.detection_phase(res, fxq.z0, grid)
+        phase = resonator.detection_phase(fxq.ring, fxq.line, grid)
         roots = oracle.derivative_sign_roots(grid, phase)
         if len(roots) < 2:
             raise ValueError(f"extrema not bracketed at Q={q}")
@@ -417,9 +421,8 @@ def check_snr_invariance(rng, fx: Fixture) -> list[Record]:
     # signal slopes: the matched phase slope per unit capacitive detuning,
     # and per ohm of ring loss the boosted-loss sensitivity referred to the
     # ring through dR_boosted/dR = (Q_on/Q_off)^2
-    res = resonator.equivalent_resonator(fx.ring, fx.line)
-    slope_c = resonator.output_phase_slope(res, fx.z0)
-    slope_r = resonator.phase_slope_vs_resistance(fx.ring, fx.line, fx.z0) \
+    slope_c = resonator.output_phase_slope(fx.ring, fx.line)
+    slope_r = resonator.phase_slope_vs_resistance(fx.ring, fx.line) \
         * (fx.ring.q_off / state.srr.q_off) ** 2
     # four-device flicker-driven slope wobble (amplitude weight 4)
     v_rms = noise.flicker_rms(kf, band)

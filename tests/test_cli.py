@@ -106,6 +106,22 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path),
                      "--grid", "oops", "--quiet"]) == 1
 
+    @pytest.mark.parametrize("grid, message", [
+        ("1e9:inf:3", "--grid STOP must be finite"), ("1e9:1e400:2", "--grid STOP must be finite"),
+        ("nan:1e9:3", "--grid START must be finite"), ("-inf:1e9:3", "--grid START must be finite"),
+        # finite bounds, but (w*M)^2 overflows at 1e300 Hz
+        ("1e9:1e300:3", "sweep S-parameters must be finite"),
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_grid_that_would_write_non_finite_rows_is_refused(self, tmp_path, capsys, grid,
+                                                               message):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out), f"--grid={grid}",
+                     "--quiet"]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["sweep", "--quiet"]) == 1
         assert main(["sweep", "--config", str(tmp_path / "nope.cfg"), "--quiet"]) == 1
@@ -351,7 +367,7 @@ class TestMatchedCommands:
         ("noise", "pm_am_offset = 0"), ("noise", "pm_am_offset = -1 MHz"),
         ("noise", "supply_psd = 0"), ("noise", "supply_psd = -1e-18"),
         ("nonlin", "p_in_points = 0"), ("nonlin", "p_in_points = 2.5"),
-        ("nonlin", "p_in_points = -3"),
+        ("nonlin", "p_in_points = -3"), ("design", "n_pixels = 2.5"),
     ])
     def test_out_of_range_command_key_is_refused_by_name(self, tmp_path, capsys, command, line):
         cfg = write_config(tmp_path, REFERENCE_CONFIG + line + "\n")
@@ -523,6 +539,16 @@ def test_golden_digest_of_each_sweep_format(tmp_path, fmt, name):
     assert digests == {name: GOLDEN_DIGESTS["sweep"][name]}
 
 
+def load_bench_inputs(monkeypatch):
+    """bench/inputs.py, the module that draws the benchmark's pixels."""
+    path = Path(__file__).parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, inputs)  # its dataclasses look it up there
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
 # the pixel and synthesis keys together, as a full run config carries them
 FULL_CONFIG = REFERENCE_CONFIG + "".join(
     line + "\n" for line in DESIGN_CONFIG.splitlines()
@@ -618,6 +644,27 @@ class TestConfigKeys:
         # a ring far above f0 reaches its q_on too, so the block does not oscillate
         far = write_config(tmp_path, REFERENCE_CONFIG + "c_asrr = 5 fF\n", name="far.cfg")
         assert main(["snr", "--config", far, "--out", str(tmp_path / "far"), "--quiet"]) == 0
+
+    def test_sweep_ring_and_matched_state_differ_only_by_rounding(self, monkeypatch):
+        # Pixel.ring takes Q as the configured q_on; the state rebuilds it as
+        # Q_off/(1 - gm0*R) with gm0 = (1 - Q_off/Q_on)/R, and k follows Q.
+        # Over the reference config and the bench's cli-mix and export
+        # pixels of seeds 1-60 and 7129031, 136 of 245 rings differ, by up
+        # to 7 ulps in Q and 6 in k.  Merging the two moves output bytes.
+        inputs = load_bench_inputs(monkeypatch)
+        texts = [REFERENCE_CONFIG]
+        for seed in [*range(1, 61), 7129031]:
+            texts += [text for _, text in inputs.cli_mix_pixels(seed)]
+            texts.append(inputs.export_input(seed).pixel.text)
+        assert len(texts) == 245
+        worst = 0.0
+        for text in texts:
+            pixel = Pixel(config.parse_config_text(text))
+            ring, matched = pixel.ring, pixel.state.effective_srr()
+            assert (ring.lsrr, ring.csrr) == (matched.lsrr, matched.csrr)
+            worst = max(worst, abs(ring.q_off - matched.q_off) / math.ulp(matched.q_off),
+                        abs(ring.k - matched.k) / math.ulp(matched.k))
+        assert worst <= 8
 
     @pytest.mark.parametrize("command", ["sweep", "match", "nonlin", "noise", "snr", "design"])
     def test_one_config_serves_every_command(self, tmp_path, command):

@@ -61,20 +61,24 @@ def random_pixels(n=200, seed=20261018):
 
 
 def test_general_forms_match_the_circuit_expressions():
-    # the expressions in R', z0 and the equivalent resonator the laws replace
+    # the expressions in z0 and the ring's reflected parallel RLC, R' and L'
+    # at resonance, that the laws of rho replace
     worst = 0.0
     for srr, line, z0 in random_pixels():
-        res = rz.equivalent_resonator(srr, line)
-        r, w0 = res.r_eq, res.w0
-        slope = 2.0 * r**2 / ((r + 2.0 * z0) * w0**2 * res.l_eq)
+        w0 = srr.w0
+        w0m2 = w0 * w0 * rz.mutual_inductance(srr, line) ** 2
+        r, l_eq = w0m2 / srr.r_series(), w0m2 * srr.csrr
+        q = r / (w0 * l_eq)
+        slope = 2.0 * r**2 / ((r + 2.0 * z0) * w0**2 * l_eq)
         m2_over_l2 = (rz.mutual_inductance(srr, line) / srr.lsrr) ** 2
-        dsdr = res.q * (2.0 / w0) * (r + 4.0 * z0) / (r + 2.0 * z0) ** 2 * m2_over_l2
+        dsdr = q * (2.0 / w0) * (r + 4.0 * z0) / (r + 2.0 * z0) ** 2 * m2_over_l2
         absorbed = 4.0 * r * z0 / (r + 2.0 * z0) ** 2
+        rho = rz.coupling_ratio(srr, line)
         worst = max(worst,
-                    abs(rz.output_phase_slope(res, z0) / slope - 1.0),
-                    abs(rz.effective_q_out(res, z0) / (slope * w0 / 2.0) - 1.0),
-                    abs(rz.phase_slope_vs_resistance(srr, line, z0) / dsdr - 1.0),
-                    abs(absorbed_power_fraction(r / z0) / absorbed - 1.0))
+                    abs(rho / (r / z0) - 1.0),
+                    abs(rz.output_phase_slope(srr, line) / slope - 1.0),
+                    abs(rz.phase_slope_vs_resistance(srr, line) / dsdr - 1.0),
+                    abs(absorbed_power_fraction(rho) / absorbed - 1.0))
     assert worst <= 1.3e-15
 
 
@@ -82,9 +86,7 @@ def test_laws_match_the_two_port_off_the_locus():
     # reflection, power split and phase slope read off the S-parameters at
     # resonance
     for srr, line, z0 in random_pixels(n=40, seed=7):
-        res = rz.equivalent_resonator(srr, line)
-        rho = res.r_eq / z0
-        assert rho == pytest.approx(line.beta_l(srr.w0) * srr.k**2 * srr.q_off, rel=1e-12)
+        rho = rz.coupling_ratio(srr, line)
         sweep = rz.s_parameters(srr, line, np.array([srr.w0, 1.001 * srr.w0]), z0_ref=z0)
         s11, s21 = abs(sweep.s11[0]), abs(sweep.s21[0])
         assert s11 == pytest.approx(reflected_amplitude(rho), rel=1e-9)

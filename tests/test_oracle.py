@@ -154,13 +154,12 @@ class TestBrent:
 
 class TestPhaseExtrema:
     def _frozen_sweep(self, fx, q, span_bw=4.0, n=4001):
+        # the fixed-value parallel RLC R'/(1 + jQ(w/w0 - w0/w)), R' = rho*z0
         srr, line = matched_parts(fx, q=q)
-        res = resonator.equivalent_resonator(srr, line)
-        w0 = fx.w0
+        rho, w0, z0 = resonator.coupling_ratio(srr, line), fx.w0, fx.z0
         grid = np.linspace(w0 * (1 - span_bw / q), w0 * (1 + span_bw / q), n)
-        z = res.impedance(grid)
-        z0 = fx.z0
-        return res, TwoPortSweep(freqs=grid, s11=z / (z + 2 * z0),
+        z = rho * z0 / (1 + 1j * q * (grid / w0 - w0 / grid))
+        return rho, TwoPortSweep(freqs=grid, s11=z / (z + 2 * z0),
                                  s21=2 * z0 / (z + 2 * z0), z0_ref=z0)
 
     @staticmethod
@@ -177,9 +176,9 @@ class TestPhaseExtrema:
         # where Q*(1 - (w/w0)^2)*(w0/w) = sqrt((R + 2*z0)/(2*z0)); for the
         # matched case that is sqrt(3/2), outside the reactive-slope edges
         for q in (50.0, 100.0, 250.0):
-            res, sweep = self._frozen_sweep(fx, q)
+            rho, sweep = self._frozen_sweep(fx, q)
             w_lo, w_hi = self._phase_extrema(sweep)
-            v_star = math.sqrt((res.r_eq + 2 * fx.z0) / (2 * fx.z0))
+            v_star = math.sqrt((rho + 2) / 2)
             for w_edge, sign in ((w_lo, +1), (w_hi, -1)):
                 u = (w_edge / fx.w0) ** 2
                 v = q * (1 - u) / math.sqrt(u)
@@ -189,11 +188,10 @@ class TestPhaseExtrema:
         # the linearized detection phase reproduces the band-edge quartic
         for q in (20.0, 100.0):
             srr, line = matched_parts(fx, q=q)
-            res = resonator.equivalent_resonator(srr, line)
             w0 = fx.w0
             grid = np.linspace(w0 * (1 - 3 / q), w0 * (1 + 3 / q), 1201)
             roots = oracle.derivative_sign_roots(
-                grid, resonator.detection_phase(res, fx.z0, grid))
+                grid, resonator.detection_phase(srr, line, grid))
             w_lo, w_hi, _ = resonator.detection_band(w0, q)
             assert abs(roots[0] - w_lo) < 1e-4 * w0
             assert abs(roots[-1] - w_hi) < 1e-4 * w0
@@ -203,11 +201,10 @@ class TestPhaseExtrema:
         vals = []
         for q in (50.0, 200.0, 800.0):
             srr, line = matched_parts(fx, q=q)
-            res = resonator.equivalent_resonator(srr, line)
             w0 = fx.w0
             grid = np.linspace(w0 * (1 - 3 / q), w0 * (1 + 3 / q), 1201)
             roots = oracle.derivative_sign_roots(
-                grid, resonator.detection_phase(res, fx.z0, grid))
+                grid, resonator.detection_phase(srr, line, grid))
             vals.append((roots[-1] - roots[0]) * q / w0)
         assert abs(vals[-1] - 1.0) < 1e-3
         assert abs(vals[-1] - 1.0) < abs(vals[0] - 1.0)

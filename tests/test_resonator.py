@@ -5,7 +5,7 @@ import pytest
 
 from asrrkit import resonator as rz
 from asrrkit.resonator import (
-    EquivalentResonator,
+    MATCHED_RHO,
     SrrParams,
     TransmissionLineSection,
     TwoPortSweep,
@@ -59,8 +59,6 @@ class TestTypes:
         (SrrParams, dict(lsrr=54e-12, csrr=11.7e-15, q_off=10.0, k=0.2), "k"),
         (TransmissionLineSection, dict(ltl=1.4e-11, ctl=5.6e-15, length=30e-6), "ltl"),
         (TransmissionLineSection, dict(ltl=1.4e-11, ctl=5.6e-15, length=30e-6), "length"),
-        (EquivalentResonator, dict(r_eq=50.0, l_eq=1e-12, c_eq=1e-12), "r_eq"),
-        (EquivalentResonator, dict(r_eq=50.0, l_eq=1e-12, c_eq=1e-12), "c_eq"),
     ])
     def test_non_finite_rejected(self, cls, good, name, bad):
         with pytest.raises(ValueError):
@@ -75,34 +73,30 @@ class TestTypes:
                 z0_ref=50.0,
             )
 
+    @pytest.mark.parametrize("freqs, message", [
+        ([1.0, 2.0, math.inf], "finite"),
+        ([1.0, math.nan, 3.0], "finite"),
+        ([math.inf, math.inf], "finite"),
+        ([1.0, 1.0, 2.0], "increasing"),
+    ])
+    def test_sweep_refuses_a_non_finite_or_repeated_frequency(self, freqs, message):
+        n = len(freqs)
+        with pytest.raises(ValueError, match=message):
+            TwoPortSweep(freqs=np.array(freqs), s11=np.zeros(n, complex),
+                         s21=np.ones(n, complex), z0_ref=50.0)
 
-class TestEquivalentResonator:
-    def test_resonance_preserved(self):
-        srr, line, w0, _ = matched_instance(q=100.0)
-        res = rz.equivalent_resonator(srr, line)
-        assert res.w0 == pytest.approx(srr.w0, rel=1e-9)
 
-    def test_matched_locus_gives_z0(self):
-        # beta_l * k^2 * Q = 1 puts the transformed resistance at z0
+class TestCouplingRatio:
+    def test_matched_locus_gives_matched_rho(self):
+        # beta_l * k^2 * Q = 1 puts the reflected resistance at z0
         srr, line, w0, z0 = matched_instance()
-        res = rz.equivalent_resonator(srr, line)
-        assert res.r_eq == pytest.approx(z0, rel=1e-12)
+        assert rz.coupling_ratio(srr, line) == pytest.approx(MATCHED_RHO, rel=1e-12)
 
-    def test_no_coupling_error(self):
+    def test_no_coupling_gives_zero_ratio_and_slope(self):
         srr, line, _, _ = matched_instance()
         srr0 = SrrParams(lsrr=srr.lsrr, csrr=srr.csrr, q_off=srr.q_off, k=0.0)
-        with pytest.raises(ValueError, match="no coupling"):
-            rz.equivalent_resonator(srr0, line)
-
-    def test_random_instances_keep_resonance(self, rng):
-        for _ in range(50):
-            f0 = rng.uniform(50e9, 300e9)
-            w0 = 2 * math.pi * f0
-            lsrr = rng.uniform(20e-12, 200e-12)
-            srr = SrrParams(lsrr, 1.0 / (w0**2 * lsrr), rng.uniform(5, 200), rng.uniform(0.02, 0.4))
-            line = make_line(rng.uniform(40, 75), rng.uniform(0.05, 0.5), w0)
-            res = rz.equivalent_resonator(srr, line)
-            assert abs(res.w0 / srr.w0 - 1.0) < 1e-9
+        assert rz.coupling_ratio(srr0, line) == 0.0
+        assert rz.output_phase_slope(srr0, line) == 0.0
 
 
 class TestSeriesLoadingImpedance:
@@ -280,18 +274,16 @@ class TestPhaseSlope:
     def test_matched_value_54_at_200ghz(self):
         # (2/3) * 54 / (2*pi*200 GHz) = 2.8648e-11 s
         srr, line, w0, z0 = matched_instance()
-        res = rz.equivalent_resonator(srr, line)
-        assert rz.output_phase_slope(res, z0) == pytest.approx(2.86479e-11, rel=1e-4)
+        assert rz.output_phase_slope(srr, line) == pytest.approx(2.86479e-11, rel=1e-4)
 
     def test_effective_q_is_third_of_q(self):
         for q in (20.0, 54.0, 250.0):
             srr, line, w0, z0 = matched_instance(q=q)
-            res = rz.equivalent_resonator(srr, line)
-            assert rz.effective_q_out(res, z0) / q == pytest.approx(1.0 / 3.0, rel=1e-6)
+            q_out = rz.output_phase_slope(srr, line) * srr.w0 / 2.0
+            assert q_out / q == pytest.approx(1.0 / 3.0, rel=1e-6)
 
     def test_finite_difference_slope(self):
         srr, line, w0, z0 = matched_instance(q=100.0)
-        res = rz.equivalent_resonator(srr, line)
         h = 1e-6 * w0
 
         def phase(w):
@@ -299,19 +291,19 @@ class TestPhaseSlope:
             return -np.angle(z + 2 * z0)
 
         fd = (phase(w0 + h) - phase(w0 - h)) / (2 * h)
-        assert fd == pytest.approx(rz.output_phase_slope(res, z0), rel=0.01)
+        assert fd == pytest.approx(rz.output_phase_slope(srr, line), rel=0.01)
 
 
 class TestPhaseSlopeVsResistance:
     def test_matched_reduces_to_ten_ninths_c(self):
         srr, line, w0, z0 = matched_instance()
-        got = rz.phase_slope_vs_resistance(srr, line, z0)
+        got = rz.phase_slope_vs_resistance(srr, line)
         assert got == pytest.approx((10.0 / 9.0) * srr.csrr, rel=1e-9)
 
     def test_reference_value_13e15(self):
         # C = 11.7 fF gives precisely 13.0e-15 s/(rad*ohm)
         srr, line, w0, z0 = matched_instance()
-        assert rz.phase_slope_vs_resistance(srr, line, z0) == pytest.approx(13e-15, rel=0.02)
+        assert rz.phase_slope_vs_resistance(srr, line) == pytest.approx(13e-15, rel=0.02)
 
     def test_against_finite_difference(self):
         srr, line, w0, z0 = matched_instance()
@@ -321,11 +313,10 @@ class TestPhaseSlopeVsResistance:
         def slope_at(r_par):
             q = r_par / (w0 * srr.lsrr)
             srr_q = SrrParams(srr.lsrr, srr.csrr, q, srr.k)
-            res = rz.equivalent_resonator(srr_q, line)
-            return rz.output_phase_slope(res, z0)
+            return rz.output_phase_slope(srr_q, line)
 
         fd = (slope_at(r0 + dr) - slope_at(r0 - dr)) / (2 * dr)
-        assert fd == pytest.approx(rz.phase_slope_vs_resistance(srr, line, z0), rel=0.01)
+        assert fd == pytest.approx(rz.phase_slope_vs_resistance(srr, line), rel=0.01)
 
 
 class TestDetectionBand:
@@ -347,9 +338,8 @@ class TestDetectionBand:
         from asrrkit.oracle import derivative_sign_roots
 
         srr, line, w0, z0 = matched_instance(q=100.0)
-        res = rz.equivalent_resonator(srr, line)
         w_lo, w_hi, _ = rz.detection_band(w0, 100.0)
         grid = np.linspace(w0 * 0.97, w0 * 1.03, 1201)
-        roots = derivative_sign_roots(grid, rz.detection_phase(res, z0, grid))
+        roots = derivative_sign_roots(grid, rz.detection_phase(srr, line, grid))
         assert abs(roots[0] - w_lo) < 1e-4 * w0
         assert abs(roots[-1] - w_hi) < 1e-4 * w0
