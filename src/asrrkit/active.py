@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
-from .resonator import (MATCHED_RHO, SrrParams, TransmissionLineSection, absorbed_power_fraction,
-                        check_positive, loss_slope_factor, optimum_k_for_q, phase_slope_factor,
-                        require_positive)
+from .resonator import (SrrParams, TransmissionLineSection, absorbed_power_fraction,
+                        check_positive, coupling_ratio, loss_slope_factor, optimum_k_for_q,
+                        phase_slope_factor, require_positive)
 
 # Largest boost Q_on/Q_off a state accepts: the boost is carried as
 # 1 - gm*R, which keeps too few digits beyond this.
@@ -54,12 +55,13 @@ def gm_for_boost(q_off: float, q_on_target: float, r_parallel: float) -> float:
 
 @dataclass(frozen=True)
 class AsrrState:
-    """A ring resonator plus its enabled negative-gm block.  srr is the ring
-    as the line sees it: its capacitance is the total resonating one, ring
-    plus block parasitics, and its quality factor the unboosted q_off."""
+    """A ring resonator, its enabled negative-gm block and its line.  srr is
+    the ring as the line sees it: its capacitance is the total resonating
+    one, ring plus block parasitics, and its quality factor q_off."""
 
     srr: SrrParams
     gm: GmBlockParams
+    line: TransmissionLineSection
 
     def __post_init__(self):
         loop_gain = self.gm.gm0 * self.r_srr_parallel()
@@ -70,24 +72,21 @@ class AsrrState:
             raise ValueError(f"boost Q_on/Q_off = {boost:.3g} exceeds {MAX_BOOST:g}")
 
     @classmethod
-    def from_targets(cls, f0, lsrr, q_off, *, q_on=None, gm0=None, k=None,
-                     line: TransmissionLineSection | None = None, c_asrr=None,
-                     vdd=1.0, vth=0.3, kn_wl=None, kp_wl=None, **device) -> AsrrState:
-        """The operating point of an active pixel at f0 [Hz].
+    def from_targets(cls, f0, lsrr, q_off, *, line: TransmissionLineSection, q_on=None,
+                     gm0=None, k=None, c_asrr=None, vdd=1.0, vth=0.3, kn_wl=None, kp_wl=None,
+                     **device) -> AsrrState:
+        """The operating point of an active pixel at f0 [Hz] on line.
 
         Give the boost either as a target q_on above q_off or as the block's
         gm0.  The total capacitance c_asrr defaults to resonance with lsrr
         at f0; a q_on target holds at the ring's own resonance
         1/sqrt(lsrr*c_asrr).  The device slopes default to
         gm0/(vdd/2 - vth), or 1e-3 A/V^2 without overdrive.  k defaults to
-        the matched coupling beta_l*k^2*Q_on = 1 for the realized Q_on,
-        which needs the line.  Extra keywords (kf, gamma, lam) go to
-        GmBlockParams.
+        the matched coupling beta_l*k^2*Q_on = 1 for the realized Q_on.
+        Extra keywords (kf, gamma, lam) go to GmBlockParams.
         """
         if (q_on is None) == (gm0 is None):
             raise ValueError("give exactly one of q_on and gm0")
-        if k is None and line is None:
-            raise ValueError("the matched coupling needs the line")
         require_positive(f0=f0, lsrr=lsrr, q_off=q_off)
         if q_on is not None:
             require_positive(q_on=q_on)
@@ -103,11 +102,16 @@ class AsrrState:
         gm = GmBlockParams(gm0=gm0, kn_wl=kwl if kn_wl is None else kn_wl,
                            kp_wl=kwl if kp_wl is None else kp_wl,
                            vdd=vdd, vth=vth, **device)
-        state = cls(srr=srr, gm=gm)
+        state = cls(srr=srr, gm=gm, line=line)
         if k is None:  # the boost does not depend on k; effective_srr() carries Q_on
             k = optimum_k_for_q(state.effective_srr().q_off, line, state.w0)
-            state = cls(srr=replace(srr, k=k), gm=gm)
+            state = replace(state, srr=replace(srr, k=k))
         return state
+
+    @cached_property
+    def rho(self) -> float:
+        """Coupling ratio R'/z0 of the boosted ring: what every law reads."""
+        return coupling_ratio(self.effective_srr(), self.line)
 
     @property
     def c_asrr(self) -> float:
@@ -167,20 +171,20 @@ class SampleResponse:
 
 
 def sample_response(state: AsrrState, delta: SampleDelta) -> SampleResponse:
-    """First-order pixel response to a sample under matched coupling.
+    """First-order pixel response to a sample.
 
     d_w0 = -dC/(2C) * w0; the slope shift is LS*C*(Q_on/Q_off)^2*dR; the
-    output-phase terms are (Q_on/3)*(dC/C), with 1/3 = P/2, and
-    (LS/2)*(Q_on/Q_off)^2*w0*dR*dC; LS = 10/9 and P = 2/3 are the loss- and
-    phase-slope factors at MATCHED_RHO.  Valid for |dC| << C.
+    output-phase terms are (P/2)*Q_on*(dC/C) and (LS/2)*(Q_on/Q_off)^2*w0*dR*dC;
+    LS and P are the loss- and phase-slope factors at state.rho, 10/9 and
+    2/3 matched.  Valid for |dC| << C.
     """
     c = state.c_asrr
     w0 = state.w0
-    loss_slope = loss_slope_factor(MATCHED_RHO)
+    loss_slope = loss_slope_factor(state.rho)
     d_r_boosted = loss_amplification(state, delta.delta_r)
     d_w0 = -delta.delta_c / (2.0 * c) * w0
     d_slope = loss_slope * c * d_r_boosted
-    d_phase_freq = (q_on(state) / (2.0 / phase_slope_factor(MATCHED_RHO))) * (delta.delta_c / c)
+    d_phase_freq = (q_on(state) / (2.0 / phase_slope_factor(state.rho))) * (delta.delta_c / c)
     d_phase_slope_term = (loss_slope / 2.0) * w0 * d_r_boosted * delta.delta_c
     return SampleResponse(d_w0, d_slope, d_phase_freq, d_phase_slope_term)
 
@@ -188,22 +192,22 @@ def sample_response(state: AsrrState, delta: SampleDelta) -> SampleResponse:
 def asrr_voltage_swing(state: AsrrState, p_in: float, q=None) -> float:
     """Peak differential swing across the resonator for input power p_in [V].
 
-    Matched, the resonator absorbs absorbed_power_fraction(MATCHED_RHO) =
-    4/9 of the incident power, so V = sqrt((8/9) * w0 * L * Q * p_in).  q
-    overrides the boosted quality factor (compressed operation).
+    The resonator absorbs A = absorbed_power_fraction(state.rho) of the
+    incident power, 4/9 matched, so V = sqrt(2 * A * w0 * L * Q * p_in).
+    q overrides the boosted quality factor (compressed operation).
     """
     if p_in < 0:
         raise ValueError("p_in must be non-negative")
     q_val = q_on(state) if q is None else q
     r_asrr = state.w0 * state.srr.lsrr * q_val
-    p_srr = absorbed_power_fraction(MATCHED_RHO) * p_in
+    p_srr = absorbed_power_fraction(state.rho) * p_in
     return math.sqrt(2.0 * r_asrr * p_srr)
 
 
 def linear_power_limit(state: AsrrState) -> float:
     """Input power at which the swing reaches vth and compression starts:
-    (1/(2A)) * vth^2 / (w0 * L * Q_on) [W], A = absorbed fraction, 9/8."""
-    return ((1.0 / (2.0 * absorbed_power_fraction(MATCHED_RHO))) * state.gm.vth**2
+    (1/(2A)) * vth^2 / (w0 * L * Q_on) [W], A at state.rho, 4/9 matched."""
+    return ((1.0 / (2.0 * absorbed_power_fraction(state.rho))) * state.gm.vth**2
             / (state.w0 * state.srr.lsrr * q_on(state)))
 
 
@@ -258,7 +262,8 @@ def q_on_nonlinear(state: AsrrState, p_in: float):
     under gm compression.
 
     The swing V is the root of h(V) = V - swing(Q(V), p_in), with
-    Q(V) = Q_off/(1 - gm_avg(V)*R) and gm_avg the block's cycle average.
+    Q(V) = Q_off/(1 - gm_avg(V)*R) and gm_avg the block's cycle average;
+    the absorbed fraction stays at the linear state's coupling ratio.
     A linear swing V_lin <= vth is the answer as it stands.  Otherwise
     h(vth) = vth - V_lin < 0 and, while gm_avg(V_lin) <= gm0,
     h(V_lin) >= 0: bisection on [vth, V_lin] runs until the midpoint

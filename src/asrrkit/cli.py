@@ -23,9 +23,8 @@ import sys
 import numpy as np
 
 from . import __version__, active, resonator
-from .active import AsrrState
 from .config import STATE_KEYS, ConfigError, Pixel, optional, parse_config_file, require
-from .resonator import MATCHED_RHO, require_positive
+from .resonator import require_positive
 from .sweepio import (
     fmt,
     write_keyvalues,
@@ -40,8 +39,6 @@ EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 
 GRID_POINTS_PER_BANDWIDTH = 100  # keeps spacing <= w0/(100*Q)
-
-MATCH_TOL = 1e-6  # largest |beta_l*k^2*Q_on - 1| the matched closed forms accept
 
 # every key some command reads, so that one config can serve all of them;
 # any other key is refused as a likely typo
@@ -67,20 +64,6 @@ def _outdir(args) -> str:
     out = args.out or os.environ.get("ASRRKIT_OUT") or "."
     os.makedirs(out, exist_ok=True)
     return out
-
-
-def _matched_state(pixel: Pixel) -> AsrrState:
-    """The pixel's active state.  nonlin, noise and snr use the
-    matched-coupling closed forms, so a k off the locus
-    beta_l*k^2*Q_on = 1 is refused."""
-    state = pixel.state
-    residual = abs(resonator.coupling_ratio(state.effective_srr(), pixel.line) - MATCHED_RHO)
-    if not residual <= MATCH_TOL:
-        raise ConfigError(
-            f"k = {state.srr.k:g} is off the matched locus: |beta_l*k^2*q_on - 1| = "
-            f"{residual:.3g} > {MATCH_TOL:g}; nonlin, noise and snr assume matched coupling"
-        )
-    return state
 
 
 def _count(key, n) -> int:
@@ -162,10 +145,11 @@ def cmd_match(args, cfg):
 
 
 def cmd_nonlin(args, cfg):
-    state = _matched_state(Pixel(cfg))
+    state = Pixel(cfg).state
     p_lin = active.linear_power_limit(state)
     p_lo = optional(cfg, "p_in_min", 0.01 * p_lin)
     p_hi = optional(cfg, "p_in_max", 30.0 * p_lin)
+    require_positive(p_in_min=p_lo, p_in_max=p_hi)
     n = _count("p_in_points", optional(cfg, "p_in_points", 41))
     rows = []
     for p_in in np.geomspace(p_lo, p_hi, n):
@@ -188,7 +172,7 @@ def cmd_noise(args, cfg):
     from . import noise
 
     pixel = Pixel(cfg)
-    state = _matched_state(pixel)
+    state = pixel.state
     ctx = noise.NoiseContext(
         state=state,
         z0=pixel.z0,
@@ -198,8 +182,10 @@ def cmd_noise(args, cfg):
     )
     q = active.q_on(state)
     results = []
-    offsets = np.geomspace(optional(cfg, "offset_min", 100.0),
-                           optional(cfg, "offset_max", 1e8), 31)
+    offset_min = optional(cfg, "offset_min", 100.0)
+    offset_max = optional(cfg, "offset_max", 1e8)
+    require_positive(offset_min=offset_min, offset_max=offset_max)
+    offsets = np.geomspace(offset_min, offset_max, 31)
     white = noise.white_ssb_phase_noise(ctx)
     supply_psd = optional(cfg, "supply_psd", None)  # off unless asked for
     if supply_psd is not None:
@@ -242,7 +228,7 @@ def cmd_noise(args, cfg):
 def cmd_snr(args, cfg):
     from . import noise
 
-    state = _matched_state(Pixel(cfg))
+    state = Pixel(cfg).state
     band = _flicker_band(cfg)
     kf = state.gm.kf
     delta_r_ref = optional(cfg, "delta_r_ref", 1.0)

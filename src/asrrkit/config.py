@@ -12,7 +12,7 @@ import math
 import re
 from functools import cached_property
 
-from .active import AsrrState, q_on
+from .active import AsrrState
 from .resonator import SrrParams, TransmissionLineSection, optimum_k_for_q, require_positive
 
 # optional config keys -> AsrrState.from_targets keywords; absent keys take
@@ -135,17 +135,17 @@ class Pixel:
 
     @cached_property
     def ring(self) -> SrrParams:
-        """The ring as the line sees it: at q_on, at the Q_on that gm0 gives,
-        or at q_off if unboosted.  Its capacitance is c_asrr, by default
-        resonant with lsrr at f0, and k defaults to the matched value for
-        that Q at the ring's own resonance 1/sqrt(lsrr*c_asrr)."""
+        """The ring as the line sees it: state.effective_srr() if boosted by
+        q_on or gm0, else the ring at q_off with capacitance c_asrr (by
+        default resonant with lsrr at f0) and k by default matched at q_off
+        at its own resonance 1/sqrt(lsrr*c_asrr)."""
         cfg = self.cfg
-        q = (q_on(self.state) if "gm0" in cfg
-             else optional(cfg, "q_on", None) or require(cfg, "q_off"))
+        if "q_on" in cfg or "gm0" in cfg:
+            return self.state.effective_srr()
         w0 = 2.0 * math.pi * require(cfg, "f0")
-        lsrr = require(cfg, "lsrr")
+        lsrr, q_off = require(cfg, "lsrr"), require(cfg, "q_off")
         c_asrr = optional(cfg, "c_asrr", 1.0 / (w0 * w0 * lsrr))
         k = optional(cfg, "k", None)
         if k is None:
-            k = optimum_k_for_q(q, self.line, 1.0 / math.sqrt(lsrr * c_asrr))
-        return SrrParams(lsrr=lsrr, csrr=c_asrr, q_off=q, k=k)
+            k = optimum_k_for_q(q_off, self.line, 1.0 / math.sqrt(lsrr * c_asrr))
+        return SrrParams(lsrr=lsrr, csrr=c_asrr, q_off=q_off, k=k)

@@ -117,8 +117,8 @@ def _design_at(spec: DesignSpec, r_srr: float, q_on: float, k: float, w0: float,
     band = spec.flicker_band
     if q_on > spec.q_off:
         gm = gm_for_boost(spec.q_off, q_on, r_srr)
-        state = AsrrState.from_targets(spec.f0, l_srr, spec.q_off, gm0=gm, k=k, c_asrr=c_asrr,
-                                       vdd=spec.vdd, vth=spec.vth, kf=kf_dev)
+        state = AsrrState.from_targets(spec.f0, l_srr, spec.q_off, line=spec.line, gm0=gm, k=k,
+                                       c_asrr=c_asrr, vdd=spec.vdd, vth=spec.vth, kf=kf_dev)
         alpha = alpha_flicker(state)
         snr_dc = snr_delta_c(state, kf_dev, band)
         snr_dr = snr_delta_r(state, kf_dev, band, spec.delta_r_ref)

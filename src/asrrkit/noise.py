@@ -9,8 +9,10 @@ through essentially unchanged inside the resonator bandwidth, with a
 side-effect of PM-to-AM conversion that nulls at the |S21| minimum.
 
 SSB quantities are in dBc/Hz; sensitivities are plain derivatives.  The
-matched closed forms take A, T, P and LS (absorbed and transmitted power
-fractions, phase- and loss-slope factors) from resonator at MATCHED_RHO.
+closed forms take A, T, P and LS (absorbed and transmitted power
+fractions, phase- and loss-slope factors) from resonator at the state's
+coupling ratio state.rho, so they hold at any coupling, except the white
+output noise density: its domain is the matched locus rho = MATCHED_RHO.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from .resonator import (MATCHED_RHO, SrrParams, TransmissionLineSection, absorbe
 BOLTZMANN = 1.380649e-23  # [J/K]
 
 FLICKER_BAND = (1.0, 1e3)  # default flicker RMS integration band [Hz]
+
+WHITE_LOCUS_TOL = 1e-6  # largest |rho - 1| the white noise density accepts
 
 
 def check_flicker_band(band):
@@ -73,18 +77,23 @@ def white_output_noise_density(ctx: NoiseContext) -> float:
     The four devices' differential noise acts like a single device's
     current density 4kT*gamma*gm across the resonator; referring it into
     the line and taking the one-third circulating split at resonance gives
-    (A/4) * Q_on * w0 * L * z0 * (4kT*gamma*gm), A/4 = 1/9.
+    (A/4) * Q_on * w0 * L * z0 * (4kT*gamma*gm), A/4 = 1/9.  Derived on the
+    matched locus only, so a state off it raises ValueError.
     """
     st = ctx.state
+    off_locus = abs(st.rho - MATCHED_RHO)
+    if not off_locus <= WHITE_LOCUS_TOL:
+        raise ValueError(f"k = {st.srr.k:g} is off the matched locus: |beta_l*k^2*q_on - 1| = "
+                         f"{off_locus:.3g}; the white noise density assumes matched coupling")
     i2 = 4.0 * BOLTZMANN * ctx.temperature * st.gm.gamma * st.gm.gm0
-    return ((absorbed_power_fraction(MATCHED_RHO) / 4.0) * q_on(st) * st.w0 * st.srr.lsrr
+    return ((absorbed_power_fraction(st.rho) / 4.0) * q_on(st) * st.w0 * st.srr.lsrr
             * ctx.z0 * i2)
 
 
 def detected_power(ctx: NoiseContext) -> float:
-    """Carrier power reaching the detector, |S21(w0)|^2 * p_in = T * p_in;
+    """Carrier power reaching the detector, |S21(w0)|^2 * p_in = T(rho) * p_in;
     4/9 of the input (-3.52 dB) for a matched pixel."""
-    return transmitted_power_fraction(MATCHED_RHO) * ctx.p_in
+    return transmitted_power_fraction(ctx.state.rho) * ctx.p_in
 
 
 def white_ssb_phase_noise(ctx: NoiseContext) -> float:
@@ -113,7 +122,7 @@ def gm_slope_vdd(state: AsrrState, which: str) -> float:
 
 def flicker_sres_sensitivity(state: AsrrState) -> float:
     """Phase-slope sensitivity to one device's gate noise voltage
-    [s/(rad*V)], matched coupling: (LS/8) * L * Q_on^2 * (slope_n + slope_p).
+    [s/(rad*V)]: (LS/8) * L * Q_on^2 * (slope_n + slope_p), LS at state.rho.
 
     Chain: the resonator shorts the block at low frequency, so the four
     devices split one's gate noise v as (3/4, -1/4, -1/4, -1/4)*v, which
@@ -121,7 +130,7 @@ def flicker_sres_sensitivity(state: AsrrState) -> float:
     responds as R^2/(1 - gm*R)^2, and the phase slope to it as LS*C.
     """
     return (
-        (loss_slope_factor(MATCHED_RHO) / 8.0)
+        (loss_slope_factor(state.rho) / 8.0)
         * state.srr.lsrr
         * q_on(state) ** 2
         * (gm_slope_vgs(state, "n") + gm_slope_vgs(state, "p"))
@@ -129,11 +138,10 @@ def flicker_sres_sensitivity(state: AsrrState) -> float:
 
 
 def supply_sres_sensitivity(state: AsrrState) -> float:
-    """Phase-slope sensitivity to supply noise [s/(rad*V)], matched
-    coupling: (LS/2) * L * Q_on^2 * (slope_n + slope_p) with the supply
-    slopes."""
+    """Phase-slope sensitivity to supply noise [s/(rad*V)]: (LS/2) * L *
+    Q_on^2 * (slope_n + slope_p) with the supply slopes, LS at state.rho."""
     return (
-        (loss_slope_factor(MATCHED_RHO) / 2.0)
+        (loss_slope_factor(state.rho) / 2.0)
         * state.srr.lsrr
         * q_on(state) ** 2
         * (gm_slope_vdd(state, "n") + gm_slope_vdd(state, "p"))
@@ -212,25 +220,25 @@ def flicker_rms(kf: float, band) -> float:
 
 
 def alpha_flicker(state: AsrrState) -> float:
-    """Flicker sensitivity parameter (LS/8)*(Kn*(W/L) + Kp*(W/L)), channel
-    length modulation neglected."""
-    return (loss_slope_factor(MATCHED_RHO) / 8.0) * (state.gm.kn_wl + state.gm.kp_wl)
+    """Flicker sensitivity parameter (LS/8)*(Kn*(W/L) + Kp*(W/L)), LS at
+    state.rho, channel length modulation neglected."""
+    return (loss_slope_factor(state.rho) / 8.0) * (state.gm.kn_wl + state.gm.kp_wl)
 
 
 def snr_delta_c(state: AsrrState, kf: float, band) -> float:
     """Detection SNR for a capacitive sample shift against flicker noise:
-    1/((4/P) * alpha * v_rms * R_boosted), 4/P = 6.
+    1/((4/P) * alpha * v_rms * R_boosted), P at state.rho (4/P = 6 matched).
 
     The sample detuning cancels between signal and noise, so the result is
     independent of how far the resonance actually moves.
     """
-    return 1.0 / ((4.0 / phase_slope_factor(MATCHED_RHO)) * alpha_flicker(state)
+    return 1.0 / ((4.0 / phase_slope_factor(state.rho)) * alpha_flicker(state)
                   * flicker_rms(kf, band) * boosted_resistance(state))
 
 
 def snr_delta_r(state: AsrrState, kf: float, band, delta_r: float) -> float:
     """Detection SNR for a loss sample shift delta_r against flicker noise:
-    (LS/4)*delta_r/(alpha * v_rms * R_ring^2), LS/4 = 5/18.
-    Detuning-independent, like the capacitive case."""
-    return ((loss_slope_factor(MATCHED_RHO) / 4.0) * delta_r
+    (LS/4)*delta_r/(alpha * v_rms * R_ring^2), LS at state.rho (LS/4 = 5/18
+    matched).  Detuning-independent, like the capacitive case."""
+    return ((loss_slope_factor(state.rho) / 4.0) * delta_r
             / (alpha_flicker(state) * flicker_rms(kf, band) * state.r_srr_parallel() ** 2))

@@ -3,9 +3,9 @@
 Floats are written with 12 significant digits, exactly as ``"%.12g"``
 writes them, so identical inputs produce byte-identical files.  Writes go
 to a temp file first and are renamed into place.  Sweep files are
-streamed a chunk of rows at a time, so their memory does not grow with
-the length of the text, and one pass serves the CSV and the Touchstone
-file together: the columns they share are formatted once.
+streamed a chunk of rows at a time, so their text (not the TwoPortSweep,
+held whole) stays at one chunk, and one pass serves the CSV and the
+Touchstone file together: the columns they share are formatted once.
 
 A sweep's columns are formatted by a numpy kernel, ``_format_12g``, a
 whole chunk at a time.  It is exact because it only decides what it can

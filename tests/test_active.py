@@ -14,7 +14,7 @@ from asrrkit.validate import Fixture
 
 def with_gm0(st, gm0):
     """The same ring with the block re-biased to gm0."""
-    return AsrrState(srr=st.srr, gm=dataclasses.replace(st.gm, gm0=gm0))
+    return dataclasses.replace(st, gm=dataclasses.replace(st.gm, gm0=gm0))
 
 
 class TestBoost:
@@ -49,7 +49,7 @@ class TestBoost:
                 with_gm0(st, gm0)
         bad_gm = GmBlockParams(gm0=1.1 / r, kn_wl=1e-3, kp_wl=1e-3, vdd=1.0, vth=0.3)
         with pytest.raises(ValueError, match="oscillation"):
-            AsrrState(srr=st.srr, gm=bad_gm)
+            AsrrState(srr=st.srr, gm=bad_gm, line=st.line)
 
     def test_guard_on_random_inputs(self, fx, rng):
         st = fx.state
@@ -365,18 +365,19 @@ class TestFromTargets:
         st = AsrrState.from_targets(*targets(fx), q_on=80.0, line=fx.line)
         locus = fx.line.beta_l(st.w0) * st.srr.k**2 * active.q_on(st)
         assert locus == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(ValueError, match="line"):
+        with pytest.raises(TypeError, match="line"):
             AsrrState.from_targets(*targets(fx), q_on=80.0)
 
     def test_total_capacitance_and_slope_fallback(self, fx):
-        st = AsrrState.from_targets(*targets(fx), q_on=54.0, k=0.2, vdd=0.5)
+        st = AsrrState.from_targets(*targets(fx), line=fx.line, q_on=54.0, k=0.2, vdd=0.5)
         c_total = 1.0 / ((2 * math.pi * fx.cfg["f0"]) ** 2 * fx.cfg["lsrr"])
         # the ring holds the total capacitance; the block has no share to set
         assert st.srr.csrr == st.c_asrr == c_total
         # no overdrive (vdd/2 <= vth): the device slopes fall back to 1e-3
         assert st.gm.kn_wl == st.gm.kp_wl == 1e-3
         with pytest.raises(TypeError, match="c_gm"):
-            AsrrState.from_targets(*targets(fx), q_on=54.0, k=0.2, c_gm=0.3 * c_total)
+            AsrrState.from_targets(*targets(fx), line=fx.line, q_on=54.0, k=0.2,
+                                   c_gm=0.3 * c_total)
 
     def test_fixture_keeps_k_matched_at_its_own_q_on(self, fx):
         # a configured k is dropped when the fixture moves to another Q

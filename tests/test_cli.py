@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from asrrkit import active, cli, config, noise, validate
+from asrrkit import active, cli, config, noise, resonator, validate
 from asrrkit.active import AsrrState
 from asrrkit.cli import main
 from asrrkit.config import Pixel, parse_config_file
@@ -159,8 +159,10 @@ class TestSweep:
 
     def test_auto_grid_refuses_a_q_past_the_resolution_of_doubles(self, tmp_path, capsys):
         # a step w0/(100*Q) below the spacing of doubles at 200 GHz: the grid
-        # is refused by its Q, and an explicit grid still sweeps the pixel
-        cfg = write_config(tmp_path, REFERENCE_CONFIG.replace("q_on = 54", "q_on = 1e15"))
+        # is refused by its Q, and an explicit grid still sweeps the pixel.
+        # The ring is unboosted, since a boost this large is refused first
+        cfg = write_config(tmp_path, REFERENCE_CONFIG.replace("q_off = 10", "q_off = 1e15")
+                           .replace("q_on = 54\n", ""))
         out = tmp_path / "out"
         assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 1
         err = capsys.readouterr().err
@@ -168,6 +170,20 @@ class TestSweep:
         assert err.rstrip().endswith("; give sweep a --grid") and not out.exists()
         assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet",
                      "--grid", "199e9:201e9:11"]) == 0
+
+    @pytest.mark.parametrize("line, message", [
+        ("q_on = 0", "q_on must be positive and finite"),
+        ("q_on = 5", "q_on (5) must exceed q_off (10)"),
+    ])
+    def test_boost_the_other_commands_refuse_is_refused(self, tmp_path, capsys, line, message):
+        # sweep's ring is the state's, so it refuses the boosts nonlin,
+        # noise and snr refuse, by the same name
+        cfg = write_config(tmp_path, REFERENCE_CONFIG.replace("q_on = 54", line))
+        out = tmp_path / "out"
+        for command in ("sweep", "snr"):
+            assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
+            assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)
@@ -344,7 +360,7 @@ class TestDesignCmd:
 
 
 class TestMatchedCommands:
-    @pytest.mark.parametrize("command", ["nonlin", "noise", "snr"])
+    @pytest.mark.parametrize("command", ["noise"])
     def test_off_locus_k_refused(self, tmp_path, capsys, command):
         # matched k is 1/sqrt(0.35*54) = 0.230; these commands use the
         # matched split, so an explicit off-locus k is a config error
@@ -353,6 +369,37 @@ class TestMatchedCommands:
         err = capsys.readouterr().err
         assert "matched locus" in err and "0.953" in err
         assert not list(tmp_path.glob("*.csv")) and not (tmp_path / "snr.txt").exists()
+
+    @pytest.mark.parametrize("command", ["nonlin", "snr"])
+    def test_off_locus_k_runs_at_the_state_rho(self, tmp_path, command):
+        # k = 0.1 and 0.4 put rho = 0.35*k^2*54 at 0.189 and 3.02; the
+        # command writes the laws evaluated at that rho
+        for k in ("0.1", "0.4"):
+            text = REFERENCE_CONFIG + f"k = {k}\n"
+            state = Pixel(config.parse_config_text(text)).state
+            rho = resonator.coupling_ratio(state.effective_srr(), state.line)
+            assert state.rho == rho and abs(rho - 1.0) > 0.8
+            r_on = active.boosted_resistance(state)
+            p_lin = state.gm.vth**2 / (2.0 * resonator.absorbed_power_fraction(rho) * r_on)
+            out = tmp_path / k
+            assert main([command, "--config", write_config(tmp_path, text), "--out", str(out),
+                         "--quiet"]) == 0
+            if command == "nonlin":
+                lines = (out / "nonlin.csv").read_text().splitlines()
+                assert float(lines[0].split(" = ")[1]) == pytest.approx(p_lin, rel=1e-11)
+                p_in, v_lin = map(float, lines[3].split(",")[:2])
+                assert v_lin == pytest.approx(math.sqrt(2.0 * r_on * p_in * 4.0 * rho
+                                                        / (rho + 2.0) ** 2), rel=1e-11)
+                continue
+            values = dict(ln.split(" = ") for ln in (out / "snr.txt").read_text().splitlines())
+            alpha = resonator.loss_slope_factor(rho) / 8.0 * (state.gm.kn_wl + state.gm.kp_wl)
+            v_rms = noise.flicker_rms(state.gm.kf, noise.FLICKER_BAND)
+            snr_c = resonator.phase_slope_factor(rho) / (4.0 * alpha * v_rms * r_on)
+            snr_r = (resonator.loss_slope_factor(rho) / 4.0
+                     / (alpha * v_rms * state.r_srr_parallel() ** 2))
+            assert float(values["snr_delta_c"]) == pytest.approx(snr_c, rel=1e-11)
+            assert float(values["snr_delta_r"]) == pytest.approx(snr_r, rel=1e-11)
+            assert float(values["p_in_lin_w"]) == pytest.approx(p_lin, rel=1e-11)
 
     def test_explicit_matched_k_accepted(self, tmp_path):
         cfg = write_config(tmp_path, REFERENCE_CONFIG + f"k = {1 / math.sqrt(0.35 * 54)!r}\n")
@@ -368,6 +415,8 @@ class TestMatchedCommands:
         ("noise", "supply_psd = 0"), ("noise", "supply_psd = -1e-18"),
         ("nonlin", "p_in_points = 0"), ("nonlin", "p_in_points = 2.5"),
         ("nonlin", "p_in_points = -3"), ("design", "n_pixels = 2.5"),
+        ("nonlin", "p_in_min = 0"), ("nonlin", "p_in_max = -1 mW"),
+        ("noise", "offset_min = 0"), ("noise", "offset_max = -1 MHz"),
     ])
     def test_out_of_range_command_key_is_refused_by_name(self, tmp_path, capsys, command, line):
         cfg = write_config(tmp_path, REFERENCE_CONFIG + line + "\n")
@@ -513,10 +562,12 @@ def test_golden_digests(tmp_path, command):
 
 
 # sha256 of the bench's seed-1 export, `sweep --format both` of
-# bench/inputs.export_input(1), as recorded in BENCH_export.json
+# bench/inputs.export_input(1).  BENCH_export.json's records predate the
+# sweep ring becoming the state's own ring, which moved these bytes (see
+# CHANGES.md)
 BENCH_EXPORT_DIGESTS = {
-    "sweep.csv": "4fd65ee98417f9638796ddd4e75cf6db3fb5c835bc5f867287fe846b464b6acd",
-    "sweep.s2p": "bcabb3401398a700e30a641a3a3a8cfe85417d11be9aa10c17dfd65d93d0b635",
+    "sweep.csv": "4dc5d911119d79c3da7b027f690844477f03ace71f6a429a9750019071a71317",
+    "sweep.s2p": "4ed991556a0b3b2ac14fd0e864438a17b970d979782e4d2661b366506e2bbb01",
 }
 
 
@@ -636,8 +687,8 @@ class TestConfigKeys:
         ring, state = pixel.ring, pixel.state
         assert ring.csrr == state.srr.csrr == pixel.cfg["c_asrr"]
         assert ring.w0 == state.w0 == pytest.approx(2 * math.pi * 197.484e9, rel=1e-6)
-        assert ring.q_off == 54.0 and active.q_on(state) == pytest.approx(54.0, rel=1e-14)
-        assert ring.k == pytest.approx(state.srr.k, rel=1e-14)
+        assert ring == state.effective_srr()
+        assert active.q_on(state) == pytest.approx(54.0, rel=1e-14)
         assert ring.k == pytest.approx(0.231482, abs=5e-7)
         assert output_digests(tmp_path, command, text) != GOLDEN_DIGESTS[command]
         assert capsys.readouterr().err == ""
@@ -645,26 +696,21 @@ class TestConfigKeys:
         far = write_config(tmp_path, REFERENCE_CONFIG + "c_asrr = 5 fF\n", name="far.cfg")
         assert main(["snr", "--config", far, "--out", str(tmp_path / "far"), "--quiet"]) == 0
 
-    def test_sweep_ring_and_matched_state_differ_only_by_rounding(self, monkeypatch):
-        # Pixel.ring takes Q as the configured q_on; the state rebuilds it as
-        # Q_off/(1 - gm0*R) with gm0 = (1 - Q_off/Q_on)/R, and k follows Q.
-        # Over the reference config and the bench's cli-mix and export
-        # pixels of seeds 1-60 and 7129031, 136 of 245 rings differ, by up
-        # to 7 ulps in Q and 6 in k.  Merging the two moves output bytes.
+    def test_sweep_ring_is_the_matched_state_ring(self, monkeypatch):
+        # Pixel.ring of a boosted config is state.effective_srr(), bit for
+        # bit, over the reference config and the bench's cli-mix and export
+        # pixels of seeds 1-60 and 7129031.  Before the two were one, the
+        # ring took Q as the configured q_on and 136 of these 245 rings
+        # differed from the state's by up to 7 ulps in Q and 6 in k
         inputs = load_bench_inputs(monkeypatch)
         texts = [REFERENCE_CONFIG]
         for seed in [*range(1, 61), 7129031]:
             texts += [text for _, text in inputs.cli_mix_pixels(seed)]
             texts.append(inputs.export_input(seed).pixel.text)
         assert len(texts) == 245
-        worst = 0.0
         for text in texts:
             pixel = Pixel(config.parse_config_text(text))
-            ring, matched = pixel.ring, pixel.state.effective_srr()
-            assert (ring.lsrr, ring.csrr) == (matched.lsrr, matched.csrr)
-            worst = max(worst, abs(ring.q_off - matched.q_off) / math.ulp(matched.q_off),
-                        abs(ring.k - matched.k) / math.ulp(matched.k))
-        assert worst <= 8
+            assert pixel.ring == pixel.state.effective_srr()
 
     @pytest.mark.parametrize("command", ["sweep", "match", "nonlin", "noise", "snr", "design"])
     def test_one_config_serves_every_command(self, tmp_path, command):

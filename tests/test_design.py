@@ -31,7 +31,7 @@ class TestSynthesize:
     def test_roundtrip_through_analysis(self, spec):
         result = synthesize(spec)
         state = AsrrState.from_targets(
-            spec.f0, result.l_srr, spec.q_off, q_on=result.q_on, k=result.k,
+            spec.f0, result.l_srr, spec.q_off, line=spec.line, q_on=result.q_on, k=result.k,
             c_asrr=result.c_asrr, vdd=spec.vdd, vth=spec.vth, kf=result.kf_device,
         )
         assert state.gm.gm0 == pytest.approx(result.gm_required, rel=1e-12)

@@ -133,10 +133,15 @@ def draw_line(rng):
                                                    rng.uniform(0.08, 0.5), w0, length=30e-6)
 
 
+# a line for draws that fix k, so that the state's line does not matter
+REFERENCE_LINE = TransmissionLineSection.from_electrical(50.0, 0.35, 2.0 * math.pi * 200e9)
+
+
 def draw_state(rng):
     q_off = rng.uniform(5.0, 30.0)
     return AsrrState.from_targets(rng.uniform(50e9, 300e9), rng.uniform(20e-12, 200e-12), q_off,
-                                  q_on=q_off * rng.uniform(1.1, 10.0), k=rng.uniform(0.02, 0.25))
+                                  line=draw_line(rng), q_on=q_off * rng.uniform(1.1, 10.0),
+                                  k=rng.uniform(0.02, 0.25))
 
 
 def bad_coupling(rng):
@@ -193,7 +198,7 @@ def test_from_targets_refuses_bad_draws():
                     "q_on" if "q_on" in valid else "gm0"]
 
         def build(f0, lsrr, q_off, **kw):
-            return AsrrState.from_targets(f0, lsrr, q_off, **kw)
+            return AsrrState.from_targets(f0, lsrr, q_off, line=REFERENCE_LINE, **kw)
 
         refuses(rng, build, valid, positive, {"k": bad_coupling})
 
@@ -245,6 +250,7 @@ def test_boost_is_built_exactly_or_refused_by_name():
             continue
         build = dict(f0=rng.uniform(50e9, 300e9), lsrr=rng.uniform(20e-12, 200e-12),
                      q_off=q_off, q_on=q_off * boost, k=rng.uniform(0.02, 0.25))
+        build["line"] = REFERENCE_LINE
         if boost <= MAX_BOOST:
             assert q_on(AsrrState.from_targets(**build)) == pytest.approx(q_off * boost, rel=1e-6)
         else:
@@ -266,7 +272,7 @@ def test_boost_is_built_exactly_or_refused_by_name():
             continue
         assert result.q_on / spec.q_off <= MAX_BOOST
         # the pixel its gm builds has the boost the design reports
-        state = AsrrState.from_targets(spec.f0, result.l_srr, spec.q_off,
+        state = AsrrState.from_targets(spec.f0, result.l_srr, spec.q_off, line=spec.line,
                                        gm0=result.gm_required, k=result.k,
                                        c_asrr=result.c_asrr)
         assert q_on(state) == pytest.approx(result.q_on, rel=1e-6)

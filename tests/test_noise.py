@@ -26,7 +26,10 @@ class TestWhiteNoise:
         import dataclasses
 
         gm_same = dataclasses.replace(gm_fixed)
-        st2 = active.AsrrState(srr=st2_srr, gm=gm_same)
+        st2 = active.AsrrState(srr=st2_srr, gm=gm_same, line=st1.line)
+        # k back on the matched locus at the new Q_on, the density's domain
+        k2 = resonator.optimum_k_for_q(active.q_on(st2), st2.line, st2.w0)
+        st2 = dataclasses.replace(st2, srr=dataclasses.replace(st2_srr, k=k2))
         ctx1 = make_ctx(fx, state=st1)
         ctx2 = make_ctx(fx, state=st2)
         ratio = noise.white_output_noise_density(ctx2) / noise.white_output_noise_density(ctx1)
@@ -37,7 +40,7 @@ class TestWhiteNoise:
         import dataclasses
 
         cold_gm = dataclasses.replace(fx.state.gm, gamma=1e-20)
-        ctx_cold = make_ctx(fx, state=active.AsrrState(srr=fx.state.srr, gm=cold_gm))
+        ctx_cold = make_ctx(fx, state=dataclasses.replace(fx.state, gm=cold_gm))
         assert noise.white_output_noise_density(ctx_cold) \
             == pytest.approx(noise.white_output_noise_density(ctx_hot) * 1e-20, rel=1e-9)
 
@@ -103,7 +106,7 @@ class TestSlopeSensitivities:
 
         st = fx.state
         doubled = dataclasses.replace(st.gm, kn_wl=2 * st.gm.kn_wl, kp_wl=2 * st.gm.kp_wl)
-        st2 = active.AsrrState(srr=st.srr, gm=doubled)
+        st2 = dataclasses.replace(st, gm=doubled)
         assert noise.flicker_sres_sensitivity(st2) \
             == pytest.approx(2 * noise.flicker_sres_sensitivity(st), rel=1e-12)
 
@@ -139,7 +142,7 @@ class TestSlopeSensitivities:
 
         st = fx.state
         gm_lam = dataclasses.replace(st.gm, lam=0.1)
-        st_lam = active.AsrrState(srr=st.srr, gm=gm_lam)
+        st_lam = dataclasses.replace(st, gm=gm_lam)
         factor_vgs = 1 + 0.1 * (st.gm.vdd - st.gm.vth)
         factor_vdd = (0.5 + 0.05 * (st.gm.vdd - st.gm.vth)) / 0.5
         assert noise.gm_slope_vgs(st_lam, "n") == pytest.approx(
@@ -312,7 +315,7 @@ class TestSnr:
 
         srr2 = SrrParams(st.srr.lsrr * 2, st.srr.csrr, st.srr.q_off, st.srr.k)
         gm2 = dataclasses.replace(st.gm, gm0=st.gm.gm0 / 2.075)  # keep it stable
-        st2 = active.AsrrState(srr=srr2, gm=gm2)
+        st2 = dataclasses.replace(st, srr=srr2, gm=gm2)
         ratio = noise.snr_delta_r(st2, st.gm.kf, band, 1.0) / base
         assert ratio == pytest.approx((st.r_srr_parallel() / st2.r_srr_parallel()) ** 2, rel=1e-9)
 
