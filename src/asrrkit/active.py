@@ -64,7 +64,7 @@ class AsrrState:
     line: TransmissionLineSection
 
     def __post_init__(self):
-        loop_gain = self.gm.gm0 * self.r_srr_parallel()
+        loop_gain = self.gm.gm0 * self.srr.r_parallel()
         if loop_gain >= 1.0:
             raise OscillationError("oscillation: loop gain >= 1 (gm * R >= 1)")
         boost = 1.0 / (1.0 - loop_gain)
@@ -104,7 +104,7 @@ class AsrrState:
                            vdd=vdd, vth=vth, **device)
         state = cls(srr=srr, gm=gm, line=line)
         if k is None:  # the boost does not depend on k; effective_srr() carries Q_on
-            k = optimum_k_for_q(state.effective_srr().q_off, line, state.w0)
+            k = optimum_k_for_q(state.effective_srr().q_off, line, srr.w0)
             state = replace(state, srr=replace(srr, k=k))
         return state
 
@@ -112,20 +112,6 @@ class AsrrState:
     def rho(self) -> float:
         """Coupling ratio R'/z0 of the boosted ring: what every law reads."""
         return coupling_ratio(self.effective_srr(), self.line)
-
-    @property
-    def c_asrr(self) -> float:
-        """Total resonating capacitance: ring plus block parasitics [F]."""
-        return self.srr.csrr
-
-    @property
-    def w0(self) -> float:
-        """Loaded resonance frequency [rad/s]."""
-        return self.srr.w0
-
-    def r_srr_parallel(self) -> float:
-        """Unboosted parallel loss at the loaded resonance [ohm]."""
-        return self.srr.r_parallel()
 
     def effective_srr(self) -> SrrParams:
         """The resonator as the line sees it with the block enabled: the
@@ -135,31 +121,19 @@ class AsrrState:
 
 def boosted_resistance(state: AsrrState) -> float:
     """Boosted parallel resistance R/(1 - gm*R) [ohm]."""
-    r = state.r_srr_parallel()
+    r = state.srr.r_parallel()
     return r / (1.0 - state.gm.gm0 * r)
 
 
 def q_on(state: AsrrState) -> float:
     """Boosted quality factor Q_off/(1 - gm*R)."""
-    return state.srr.q_off / (1.0 - state.gm.gm0 * state.r_srr_parallel())
+    return state.srr.q_off / (1.0 - state.gm.gm0 * state.srr.r_parallel())
 
 
 def loss_amplification(state: AsrrState, delta_r: float) -> float:
     """Boosted-resistance shift for a ring-loss shift delta_r: the Q-boost
     ratio squared amplifies it."""
     return (q_on(state) / state.srr.q_off) ** 2 * delta_r
-
-
-@dataclass(frozen=True)
-class SampleDelta:
-    """Shift a sample induces in the ring: capacitance and parallel loss."""
-
-    delta_c: float  # [F], either sign
-    delta_r: float  # [ohm], either sign
-
-    def __post_init__(self):
-        if not (math.isfinite(self.delta_c) and math.isfinite(self.delta_r)):
-            raise ValueError("sample shifts must be finite")
 
 
 @dataclass(frozen=True)
@@ -170,22 +144,26 @@ class SampleResponse:
     d_phase_slope_term: float  # output phase shift via the slope change [rad]
 
 
-def sample_response(state: AsrrState, delta: SampleDelta) -> SampleResponse:
-    """First-order pixel response to a sample.
+def sample_response(state: AsrrState, delta_c: float, delta_r: float) -> SampleResponse:
+    """First-order pixel response to a sample that shifts the ring's
+    capacitance by delta_c [F] and its parallel loss by delta_r [ohm],
+    either sign; non-finite shifts raise ValueError.
 
     d_w0 = -dC/(2C) * w0; the slope shift is LS*C*(Q_on/Q_off)^2*dR; the
     output-phase terms are (P/2)*Q_on*(dC/C) and (LS/2)*(Q_on/Q_off)^2*w0*dR*dC;
     LS and P are the loss- and phase-slope factors at state.rho, 10/9 and
     2/3 matched.  Valid for |dC| << C.
     """
-    c = state.c_asrr
-    w0 = state.w0
+    if not (math.isfinite(delta_c) and math.isfinite(delta_r)):
+        raise ValueError("sample shifts must be finite")
+    c = state.srr.csrr
+    w0 = state.srr.w0
     loss_slope = loss_slope_factor(state.rho)
-    d_r_boosted = loss_amplification(state, delta.delta_r)
-    d_w0 = -delta.delta_c / (2.0 * c) * w0
+    d_r_boosted = loss_amplification(state, delta_r)
+    d_w0 = -delta_c / (2.0 * c) * w0
     d_slope = loss_slope * c * d_r_boosted
-    d_phase_freq = (q_on(state) / (2.0 / phase_slope_factor(state.rho))) * (delta.delta_c / c)
-    d_phase_slope_term = (loss_slope / 2.0) * w0 * d_r_boosted * delta.delta_c
+    d_phase_freq = (q_on(state) / (2.0 / phase_slope_factor(state.rho))) * (delta_c / c)
+    d_phase_slope_term = (loss_slope / 2.0) * w0 * d_r_boosted * delta_c
     return SampleResponse(d_w0, d_slope, d_phase_freq, d_phase_slope_term)
 
 
@@ -199,7 +177,7 @@ def asrr_voltage_swing(state: AsrrState, p_in: float, q=None) -> float:
     if p_in < 0:
         raise ValueError("p_in must be non-negative")
     q_val = q_on(state) if q is None else q
-    r_asrr = state.w0 * state.srr.lsrr * q_val
+    r_asrr = state.srr.w0 * state.srr.lsrr * q_val
     p_srr = absorbed_power_fraction(state.rho) * p_in
     return math.sqrt(2.0 * r_asrr * p_srr)
 
@@ -208,7 +186,7 @@ def linear_power_limit(state: AsrrState) -> float:
     """Input power at which the swing reaches vth and compression starts:
     (1/(2A)) * vth^2 / (w0 * L * Q_on) [W], A at state.rho, 4/9 matched."""
     return ((1.0 / (2.0 * absorbed_power_fraction(state.rho))) * state.gm.vth**2
-            / (state.w0 * state.srr.lsrr * q_on(state)))
+            / (state.srr.w0 * state.srr.lsrr * q_on(state)))
 
 
 def conduction_angle(v_asrr: float, vth: float) -> float:
@@ -282,7 +260,7 @@ def q_on_nonlinear(state: AsrrState, p_in: float):
         raise ValueError("p_in must be positive")
     p = state.gm
     check_compression_domain(p)
-    r = state.r_srr_parallel()
+    r = state.srr.r_parallel()
 
     def q_of_v(v):
         return state.srr.q_off / (1.0 - block_gm_avg(v, p) * r)

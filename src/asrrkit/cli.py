@@ -180,7 +180,7 @@ def cmd_noise(args, cfg):
         temperature=optional(cfg, "temperature", 290.0),
         delta_omega_s=2.0 * math.pi * optional(cfg, "delta_f_s", 20e6),
     )
-    q = active.q_on(state)
+    q, w0 = active.q_on(state), state.srr.w0
     results = []
     offset_min = optional(cfg, "offset_min", 100.0)
     offset_max = optional(cfg, "offset_max", 1e8)
@@ -199,7 +199,7 @@ def cmd_noise(args, cfg):
         results.append(noise.PhaseNoiseResult(off, white, "white"))
         results.append(noise.PhaseNoiseResult(
             off, noise.flicker_phase_noise(ctx, off), "flicker"))
-        gain_db = 10.0 * math.log10(noise.input_phase_transfer(q, state.w0, 2 * math.pi * off))
+        gain_db = 10.0 * math.log10(noise.input_phase_transfer(q, w0, 2 * math.pi * off))
         results.append(noise.PhaseNoiseResult(off, gain_db, "input"))
         if supply_psd is not None:
             results.append(noise.PhaseNoiseResult(off, supply, "supply"))
@@ -208,13 +208,13 @@ def cmd_noise(args, cfg):
     # before either file is written, so that a failure leaves neither
     pm_am_offset = optional(cfg, "pm_am_offset", 1e6)
     require_positive(pm_am_offset=pm_am_offset)
-    w_in = state.w0 + np.arange(-39, 40) * (state.w0 / (20.0 * q))
+    w_in = w0 + np.arange(-39, 40) * (w0 / (20.0 * q))
     if not np.all(np.diff(w_in) > 0):
         raise ConfigError(f"Q = {q:g} is too high for the PM-to-AM table: its rows "
                           f"w0 + j*w0/(20*Q) are not distinct doubles")
     gains = noise.pm_to_am_gain(state.effective_srr(), pixel.line, pixel.z0, w_in,
                                 2.0 * math.pi * pm_am_offset)
-    rows = zip((w_in - state.w0) / (2 * math.pi), np.where(np.isfinite(gains), gains, -300.0))
+    rows = zip((w_in - w0) / (2 * math.pi), np.where(np.isfinite(gains), gains, -300.0))
 
     out = _outdir(args)
     noise_path = os.path.join(out, "phase_noise.csv")

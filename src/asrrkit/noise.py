@@ -86,7 +86,7 @@ def white_output_noise_density(ctx: NoiseContext) -> float:
         raise ValueError(f"k = {st.srr.k:g} is off the matched locus: |beta_l*k^2*q_on - 1| = "
                          f"{off_locus:.3g}; the white noise density assumes matched coupling")
     i2 = 4.0 * BOLTZMANN * ctx.temperature * st.gm.gamma * st.gm.gm0
-    return ((absorbed_power_fraction(st.rho) / 4.0) * q_on(st) * st.w0 * st.srr.lsrr
+    return ((absorbed_power_fraction(st.rho) / 4.0) * q_on(st) * st.srr.w0 * st.srr.lsrr
             * ctx.z0 * i2)
 
 
@@ -241,4 +241,4 @@ def snr_delta_r(state: AsrrState, kf: float, band, delta_r: float) -> float:
     (LS/4)*delta_r/(alpha * v_rms * R_ring^2), LS at state.rho (LS/4 = 5/18
     matched).  Detuning-independent, like the capacitive case."""
     return ((loss_slope_factor(state.rho) / 4.0) * delta_r
-            / (alpha_flicker(state) * flicker_rms(kf, band) * state.r_srr_parallel() ** 2))
+            / (alpha_flicker(state) * flicker_rms(kf, band) * state.srr.r_parallel() ** 2))

@@ -60,22 +60,18 @@ def solve_linear(a, b):
     """Solve a dense complex system, or a stack of them, with numpy's LU
     solver.
 
-    a has shape (..., n, n).  b has shape (..., n) for one right-hand side
-    per system, or (..., n, m) for m of them as columns.  A singular system
-    -- one that LAPACK refuses or whose solution is not finite -- raises
-    ValueError: that is where the negative conductance cancels the ring
-    loss exactly.
+    a has shape (..., n, n) and b shape (..., n, m): m right-hand sides per
+    system, as columns.  A singular system -- one that LAPACK refuses or
+    whose solution is not finite -- raises ValueError: that is where the
+    negative conductance cancels the ring loss exactly.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    vector = b.ndim == a.ndim - 1
     try:
-        x = np.linalg.solve(a, b[..., None] if vector else b)
+        x = np.linalg.solve(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
         if not np.all(np.isfinite(x)):
             raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
         raise ValueError("singular system at the active-instability boundary") from None
-    return x[..., 0] if vector else x
+    return x
 
 
 def solve_two_port(circ: MeshCircuit, w) -> np.ndarray:
@@ -119,11 +115,12 @@ def sweep_two_port(circ: MeshCircuit, freqs) -> TwoPortSweep:
     return TwoPortSweep(freqs=freqs, s11=s[:, 0, 0], s21=s[:, 1, 0], z0_ref=circ.z0)
 
 
-def brent(f, a, b, xtol=1e-12, max_iter=200):
+def brent(f, a, b, xtol=1e-12):
     """Find a root of f in [a, b] by Brent's method.
 
     f(a) and f(b) must have opposite signs.  Returns x with the bracket
-    narrowed below xtol (plus machine-epsilon scaled slack).
+    narrowed below xtol (plus machine-epsilon scaled slack), or the last
+    iterate after 200 iterations.
     """
     fa, fb = f(a), f(b)
     if fa == 0.0:
@@ -135,7 +132,7 @@ def brent(f, a, b, xtol=1e-12, max_iter=200):
     c, fc = a, fa
     d = e = b - a
     eps = np.finfo(float).eps
-    for _ in range(max_iter):
+    for _ in range(200):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb

@@ -136,11 +136,6 @@ class TwoPortSweep:
         """Unwrapped transmission phase [rad]."""
         return np.unwrap(np.angle(self.s21))
 
-    def passivity_defect(self) -> float:
-        """max(|S11|^2 + |S21|^2 - 1) over the sweep; <= 0 for a passive
-        network up to rounding."""
-        return float(np.max(np.abs(self.s11) ** 2 + np.abs(self.s21) ** 2 - 1.0))
-
 
 def mutual_inductance(srr: SrrParams, line: TransmissionLineSection) -> float:
     """M = k*sqrt(L_line * L_ring) [H]."""

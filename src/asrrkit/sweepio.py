@@ -50,6 +50,7 @@ _EXP_MIN, _EXP_MAX = -11, 33
 # the bytes a %g layout takes from outside the digits: NUL pads a cell, and
 # the last NUL makes a row of digits and literals whole uint32 words
 _LITERALS = b"\0-.e+0123456789\0"
+_KEYS = (_EXP_MAX + 2 - _EXP_MIN) * 12 * 2  # (exponent, trailing zeros, sign)
 _CELL = 20  # bytes per formatted cell: "-1.23456789012e-308" is 19
 # each literal character's place in a row of the kernel: 12 plus its first
 # index in _LITERALS
@@ -74,19 +75,18 @@ def _layout(exp, nd, neg):
 def _tables():
     """The kernel's tables, built on the first sweep write: each 4-digit
     group's ASCII bytes as one uint32 and its trailing zero count, the
-    factors and divisors 10**(11 - e), and one layout per (exponent,
-    trailing zeros, sign)."""
+    factors and divisors 10**(11 - e), and room for one layout per key
+    ((exponent - _EXP_MIN)*12 + trailing zeros)*2 + sign, with a flag per
+    key for the rows filled so far."""
     groups = np.arange(10_000)
     digits4 = (groups[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
     zeros4 = sum(groups % 10**k == 0 for k in range(1, 5))
     shifts = range(11 - _EXP_MAX, 12 - _EXP_MIN)
     scale = np.array([[float(10 ** max(s, 0)), float(10 ** max(-s, 0))] for s in shifts])
-    layouts = np.array([_layout(exp, 12 - tz, neg) for exp in range(_EXP_MIN, _EXP_MAX + 2)
-                        for tz in range(12) for neg in (0, 1)], dtype=np.intp)
-    tables = digits4.view(np.uint32).ravel(), zeros4, scale, layouts
+    tables = digits4.view(np.uint32).ravel(), zeros4, scale
     for table in tables:
         table.flags.writeable = False  # shared by every call in the process
-    return tables
+    return *tables, np.empty((_KEYS, _CELL), np.intp), np.zeros(_KEYS, bool)
 
 
 def _format_each(values):
@@ -98,7 +98,7 @@ def _format_12g(values) -> np.ndarray:
     """b"%.12g" % v for every double v of values, as an S20 array of the
     same shape (NUL-padded; .tolist() strips the padding).  See the module
     docstring for why the fast path is exact and what falls back."""
-    digits4, zeros4, scale, layouts = _tables()
+    digits4, zeros4, scale, layouts, filled = _tables()
     values = np.asarray(values, dtype=float)
     x = values.ravel()
     a = np.abs(x)
@@ -135,6 +135,15 @@ def _format_12g(values) -> np.ndarray:
     src = np.empty((n, width // 4), np.uint32)
     src[:, 0], src[:, 1], src[:, 2] = digits4[hi], digits4[mid], digits4[lo]
     src[:, 3:] = np.frombuffer(_LITERALS, np.uint32)
+    # a layout row is filled the first time a chunk holds its key: a sweep
+    # needs a few dozen of the 1104.  A row depends on its key alone, so
+    # every call shares it
+    held = np.zeros(_KEYS, bool)
+    held[key] = True
+    for k in np.flatnonzero(held & ~filled).tolist():
+        exp_tz, neg = divmod(k, 2)
+        layouts[k] = _layout(exp_tz // 12 + _EXP_MIN, 12 - exp_tz % 12, neg)
+        filled[k] = True
     index = layouts.take(key, axis=0)
     index += np.arange(0, n * width, width)[:, None]
     cells = src.view(np.uint8).ravel().take(index).view(f"S{_CELL}").ravel()

@@ -22,8 +22,8 @@ def report(criterion, res, budget=None):
 
 
 def test_criterion_01_matched_coupling_anchor():
-    # 100 random matched instances: |S11| = 1/3 +/- 1e-3 and
-    # |S21| = -3.52 dB +/- 0.05 dB at resonance, under 5 s
+    # 100 random matched instances: |S11| = 1/3 +/- 1e-13 and
+    # |S21| = -3.52 dB +/- 1e-12 dB at resonance, under 5 s
     report(1, validate.run_check(validate.check_matched_anchor, Fixture()), budget=5.0)
 
 
@@ -41,7 +41,7 @@ def test_criterion_03_sensitivity_anchors():
 
 def test_criterion_04_phase_slope_law():
     # slope (2/3)Q/w0 within 1% by finite difference and Q_out = Q/3 within
-    # 1e-6, over Q in {20, 50, 100, 250}
+    # 1e-12, over Q in {20, 50, 100, 250}
     report(4, validate.run_check(validate.check_phase_slope_law, Fixture()))
 
 
@@ -54,7 +54,7 @@ def test_criterion_05_detection_band():
 def test_criterion_06_nonlinear_gm():
     # cycle-average vs Gauss-Legendre quadrature within 1e-12 on
     # [0, 3vth]; segmented shortcut within 5% at 4vth; compressed Q
-    # linear below the compression power within 1e-6 and never rising
+    # linear below the compression power within 1e-12 and never rising
     # with power by more than 1e-12 relative
     report(6, validate.run_check(validate.check_nonlinear_gm, Fixture()))
 
@@ -82,8 +82,8 @@ def test_criterion_09_snr_detuning_invariance():
 def test_criterion_10_design_roundtrip():
     # synthesize -> re-analyze reproduces SNRs to 1e-12, and a spec whose
     # targets lower the ring loss lands its binding SNR on target to 1e-12;
-    # matched locus to 1e-9; infeasible coupling produces a named
-    # structured failure
+    # matched locus to 1e-9; gm*R = 1 - 10/54 to 1e-12; infeasible
+    # coupling produces a named structured failure
     report(10, validate.run_check(validate.check_design_roundtrip, Fixture()))
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from asrrkit import active
-from asrrkit.active import AsrrState, GmBlockParams, SampleDelta
+from asrrkit.active import AsrrState, GmBlockParams
 from asrrkit.oracle import MeshCircuit, brent, time_avg_gm
 from asrrkit.resonator import MATCHED_RHO, SrrParams, absorbed_power_fraction, coupling_ratio
 from asrrkit.validate import Fixture
@@ -21,27 +21,27 @@ class TestBoost:
     def test_passive_limit(self, fx):
         # a vanishing block leaves the ring as it is
         st = with_gm0(fx.state, 1e-300)
-        r = st.r_srr_parallel()
+        r = st.srr.r_parallel()
         assert active.boosted_resistance(st) == pytest.approx(r, rel=1e-12)
         assert active.q_on(st) == pytest.approx(st.srr.q_off, rel=1e-12)
 
     def test_reference_boost_10_to_54(self, fx):
         # gm * R = 1 - 10/54 boosts Q from 10 to 54
         st = fx.state
-        assert st.gm.gm0 * st.r_srr_parallel() == pytest.approx(1 - 10 / 54, rel=1e-12)
+        assert st.gm.gm0 * st.srr.r_parallel() == pytest.approx(1 - 10 / 54, rel=1e-12)
         assert active.q_on(st) == pytest.approx(54.0, rel=1e-12)
 
     def test_ratio_identity(self, fx):
         st = fx.state
         q_ratio = active.q_on(st) / st.srr.q_off
-        r_ratio = active.boosted_resistance(st) / st.r_srr_parallel()
+        r_ratio = active.boosted_resistance(st) / st.srr.r_parallel()
         assert q_ratio == pytest.approx(r_ratio, rel=1e-12)
 
     def test_oscillation_guard(self, fx):
         # the one guard: an unstable state cannot be constructed, so q_on and
         # boosted_resistance never see gm * R >= 1
         st = fx.state
-        r = st.r_srr_parallel()
+        r = st.srr.r_parallel()
         # (1/r)*r rounds one ulp below 1 for this r: the next double up is
         # the first gm0 whose loop gain reaches 1
         for gm0 in (math.nextafter(1.0 / r, math.inf), 1.5 / r):
@@ -53,7 +53,7 @@ class TestBoost:
 
     def test_guard_on_random_inputs(self, fx, rng):
         st = fx.state
-        r = st.r_srr_parallel()
+        r = st.srr.r_parallel()
         for _ in range(50):
             loop = rng.uniform(1.0, 3.0)
             with pytest.raises(ValueError, match="oscillation"):
@@ -74,7 +74,7 @@ class TestLossAmplification:
         # d R_boost / d R_ring at fixed gm equals the squared boost ratio
         st = fx.state
         gm0 = st.gm.gm0
-        r0 = st.r_srr_parallel()
+        r0 = st.srr.r_parallel()
         d = 1e-5
 
         def boosted(r):
@@ -88,12 +88,12 @@ class TestSampleResponse:
     def test_resonance_shift_anchor(self, fx):
         # dw0/dC = -w0/(2C) = -5.37e25 rad/(s F) for the 200 GHz pixel
         st = fx.state
-        resp = active.sample_response(st, SampleDelta(delta_c=1e-18, delta_r=0.0))
+        resp = active.sample_response(st, 1e-18, 0.0)
         assert resp.d_w0 / 1e-18 == pytest.approx(-5.35e25, rel=0.02)
 
     def test_slope_shift_anchors(self, fx):
         st = fx.state
-        resp = active.sample_response(st, SampleDelta(delta_c=0.0, delta_r=1.0))
+        resp = active.sample_response(st, 0.0, 1.0)
         # passive prefactor (10/9)*C = 13e-15, boosted by (54/10)^2 to 380e-15
         assert resp.d_phase_slope / (54 / 10) ** 2 == pytest.approx(13e-15, rel=0.02)
         assert resp.d_phase_slope == pytest.approx(380e-15, rel=0.02)
@@ -101,11 +101,11 @@ class TestSampleResponse:
     def test_phase_terms(self, fx):
         st = fx.state
         dc, dr = 1e-17, 2.0
-        resp = active.sample_response(st, SampleDelta(dc, dr))
+        resp = active.sample_response(st, dc, dr)
         q = active.q_on(st)
-        assert resp.d_phase_freq == pytest.approx(q / 3 * dc / st.c_asrr, rel=1e-12)
+        assert resp.d_phase_freq == pytest.approx(q / 3 * dc / st.srr.csrr, rel=1e-12)
         assert resp.d_phase_slope_term == pytest.approx(
-            (5 / 9) * (q / st.srr.q_off) ** 2 * st.w0 * dr * dc, rel=1e-12
+            (5 / 9) * (q / st.srr.q_off) ** 2 * st.srr.w0 * dr * dc, rel=1e-12
         )
 
     def test_phase_term_against_full_model(self, fx):
@@ -121,7 +121,7 @@ class TestSampleResponse:
 
         phase0 = -np.angle(reflected_impedance(srr0, line, fx.w0) + 2 * z0)
         phase1 = -np.angle(reflected_impedance(srr_p, line, fx.w0) + 2 * z0)
-        predicted = active.sample_response(st, SampleDelta(dc, 0.0)).d_phase_freq
+        predicted = active.sample_response(st, dc, 0.0).d_phase_freq
         assert phase1 - phase0 == pytest.approx(predicted, rel=0.02)
 
 
@@ -175,7 +175,7 @@ class TestVoltageSwing:
         b = np.array([v_src / circ.z0, 0, 0, 0], dtype=complex)
         from asrrkit.oracle import solve_linear
 
-        x = solve_linear(a, b)
+        x = solve_linear(a, b[:, None])[:, 0]
         v_cap = abs(x[3] / (1j * w0 * circ.csrr))
         assert v_cap == pytest.approx(active.asrr_voltage_swing(st, p_in), rel=0.02)
 
@@ -281,7 +281,7 @@ class TestNonlinearQ:
     def test_root_agrees_with_brent(self, fx, boost):
         # boost 100 is Q_on = 1000, where a damped fixed point used to stall
         st = fx.at_q(boost * fx.cfg["q_off"]).state
-        r = st.r_srr_parallel()
+        r = st.srr.r_parallel()
         p_lin = active.linear_power_limit(st)
         for p_in in np.geomspace(1.5 * p_lin, 30 * p_lin, 9):
             def h(v):
@@ -315,9 +315,10 @@ class TestNonlinearQ:
 
 
 class TestArgumentGuards:
-    def test_sample_delta_must_be_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            SampleDelta(delta_c=math.nan, delta_r=0.0)
+    def test_sample_delta_must_be_finite(self, fx):
+        for shifts in ((math.nan, 0.0), (0.0, math.inf)):
+            with pytest.raises(ValueError, match="sample shifts must be finite"):
+                active.sample_response(fx.state, *shifts)
 
     def test_negative_power_rejected(self, fx):
         with pytest.raises(ValueError, match="p_in"):
@@ -363,7 +364,7 @@ class TestFromTargets:
 
     def test_default_k_is_matched_at_the_realized_boost(self, fx):
         st = AsrrState.from_targets(*targets(fx), q_on=80.0, line=fx.line)
-        locus = fx.line.beta_l(st.w0) * st.srr.k**2 * active.q_on(st)
+        locus = fx.line.beta_l(st.srr.w0) * st.srr.k**2 * active.q_on(st)
         assert locus == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(TypeError, match="line"):
             AsrrState.from_targets(*targets(fx), q_on=80.0)
@@ -372,7 +373,7 @@ class TestFromTargets:
         st = AsrrState.from_targets(*targets(fx), line=fx.line, q_on=54.0, k=0.2, vdd=0.5)
         c_total = 1.0 / ((2 * math.pi * fx.cfg["f0"]) ** 2 * fx.cfg["lsrr"])
         # the ring holds the total capacitance; the block has no share to set
-        assert st.srr.csrr == st.c_asrr == c_total
+        assert st.srr.csrr == c_total
         # no overdrive (vdd/2 <= vth): the device slopes fall back to 1e-3
         assert st.gm.kn_wl == st.gm.kp_wl == 1e-3
         with pytest.raises(TypeError, match="c_gm"):
@@ -383,7 +384,7 @@ class TestFromTargets:
         # a configured k is dropped when the fixture moves to another Q
         for pixel in (fx, fx.at_q(100.0), Fixture({"k": 0.2}).at_q(100.0)):
             st = pixel.state
-            locus = pixel.line.beta_l(st.w0) * st.srr.k**2 * active.q_on(st)
+            locus = pixel.line.beta_l(st.srr.w0) * st.srr.k**2 * active.q_on(st)
             assert locus == pytest.approx(1.0, abs=1e-12)
             assert pixel.ring.k == pytest.approx(st.srr.k, rel=1e-14)
 
@@ -391,8 +392,8 @@ class TestFromTargets:
 class TestParasiticCapacitance:
     def test_state_total_capacitance(self, fx):
         st = fx.state
-        assert st.c_asrr == st.srr.csrr == fx.ring.csrr
-        assert st.w0 == pytest.approx(fx.w0, rel=1e-12)
+        assert st.srr.csrr == fx.ring.csrr
+        assert st.srr.w0 == pytest.approx(fx.w0, rel=1e-12)
 
     def test_boost_never_below_unloaded_q(self, fx, rng):
         for q_target in rng.uniform(10.0 + 1e-9, 400.0, size=25):

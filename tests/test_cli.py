@@ -396,7 +396,7 @@ class TestMatchedCommands:
             v_rms = noise.flicker_rms(state.gm.kf, noise.FLICKER_BAND)
             snr_c = resonator.phase_slope_factor(rho) / (4.0 * alpha * v_rms * r_on)
             snr_r = (resonator.loss_slope_factor(rho) / 4.0
-                     / (alpha * v_rms * state.r_srr_parallel() ** 2))
+                     / (alpha * v_rms * state.srr.r_parallel() ** 2))
             assert float(values["snr_delta_c"]) == pytest.approx(snr_c, rel=1e-11)
             assert float(values["snr_delta_r"]) == pytest.approx(snr_r, rel=1e-11)
             assert float(values["p_in_lin_w"]) == pytest.approx(p_lin, rel=1e-11)
@@ -686,7 +686,7 @@ class TestConfigKeys:
         pixel = Pixel(parse_config_file(write_config(tmp_path, text)))
         ring, state = pixel.ring, pixel.state
         assert ring.csrr == state.srr.csrr == pixel.cfg["c_asrr"]
-        assert ring.w0 == state.w0 == pytest.approx(2 * math.pi * 197.484e9, rel=1e-6)
+        assert ring.w0 == state.srr.w0 == pytest.approx(2 * math.pi * 197.484e9, rel=1e-6)
         assert ring == state.effective_srr()
         assert active.q_on(state) == pytest.approx(54.0, rel=1e-14)
         assert ring.k == pytest.approx(0.231482, abs=5e-7)

@@ -322,6 +322,16 @@ def kernel_cases(rng):
     return np.concatenate([values, -values])
 
 
+def every_layout_key():
+    """One value per layout key of the kernel: each decimal exponent it
+    scales, 1 to 12 significant digits (12 to 0 trailing zeros) and either
+    sign, and the values that carry past its largest exponent to 1e+34."""
+    digits = "123456789123"
+    values = [float(f"{digits[0]}.{digits[1:nd]}e{exp}") for exp in range(-11, 34)
+              for nd in range(1, 13)] + [np.nextafter(1e34, 0)]
+    return np.array(values + [-v for v in values])
+
+
 def test_kernel_writes_the_bytes_of_percent_12g(monkeypatch):
     values = kernel_cases(np.random.default_rng(2024))
     assert values.size >= 1_000_000
@@ -330,3 +340,8 @@ def test_kernel_writes_the_bytes_of_percent_12g(monkeypatch):
     assert got == [b"%.12g" % v for v in values.tolist()]
     # both paths ran: most values on the numpy path, the rest through %
     assert 0 < sum(fallbacks) < values.size / 2
+    # every (exponent, trailing zeros, sign) layout, each on the numpy path
+    keyed = every_layout_key()
+    fallbacks.clear()
+    assert sweepio._format_12g(keyed).tolist() == [b"%.12g" % v for v in keyed.tolist()]
+    assert not fallbacks

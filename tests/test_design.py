@@ -39,7 +39,7 @@ class TestSynthesize:
         snr_r = noise.snr_delta_r(state, result.kf_device, spec.flicker_band, spec.delta_r_ref)
         assert snr_c == pytest.approx(result.snr_dc, rel=1e-6)
         assert snr_r == pytest.approx(result.snr_dr, rel=1e-6)
-        assert state.w0 == pytest.approx(2 * math.pi * spec.f0, rel=1e-9)
+        assert state.srr.w0 == pytest.approx(2 * math.pi * spec.f0, rel=1e-9)
 
     def test_step_chain_is_feed_forward(self, spec):
         # every stage is recomputable from earlier stages alone

@@ -2,15 +2,17 @@
 independent second route to every closed form.  The CLI's start-up
 imports stay lean: importing the package loads no module, each command
 loads only the modules it runs (no command but validate loads validate
-and oracle), and validate builds its pixel without loading the CLI.  And
-every function the benchmark's tracer wraps exists, with the parameters
-its counters read."""
+and oracle), and validate builds its pixel without loading the CLI.
+Every function the benchmark's tracer wraps exists, with the parameters
+its counters read.  And every public function has a caller outside the
+tests."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
 import os
+import re
 import subprocess
 import sys
 from collections import defaultdict
@@ -174,6 +176,32 @@ def test_bench_import_layer_finds_numpy_under_the_cli_import(tmp_path, monkeypat
     layer = run.import_layer(str(tmp_path / "child.log"))
     assert set(layer) == {"import.python_s", "import.numpy_s", "import.asrrkit_s"}
     assert layer["import.numpy_s"] > 0
+
+
+def test_every_public_function_has_a_caller():
+    # code that only its own unit test uses has to justify itself: each
+    # public function, method and property of the package is named by the
+    # package, the benchmark or the README's code blocks, beyond its def
+    root = Path(__file__).parents[1]
+    package = sorted(Path(asrrkit.__file__).parent.glob("*.py"))
+    named, defined = set(), []
+    for path in package + sorted((root / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                named.add(node.id if isinstance(node, ast.Name) else node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)  # the tracer names its targets as strings
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", (root / "README.md").read_text(), re.S | re.M)
+    named.update(re.findall(r"\w+", "\n".join(blocks)))
+    for path in package:
+        body = ast.parse(path.read_text()).body
+        scopes = [(path.stem, body)] + [(f"{path.stem}.{node.name}", node.body) for node in body
+                                        if isinstance(node, ast.ClassDef)
+                                        and not node.name.startswith("_")]
+        defined += [(owner, node.name) for owner, nodes in scopes for node in nodes
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert len(defined) > 100
+    assert [f"{owner}.{name}" for owner, name in defined if name not in named] == []
 
 
 class _AnyArgument:

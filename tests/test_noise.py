@@ -28,7 +28,7 @@ class TestWhiteNoise:
         gm_same = dataclasses.replace(gm_fixed)
         st2 = active.AsrrState(srr=st2_srr, gm=gm_same, line=st1.line)
         # k back on the matched locus at the new Q_on, the density's domain
-        k2 = resonator.optimum_k_for_q(active.q_on(st2), st2.line, st2.w0)
+        k2 = resonator.optimum_k_for_q(active.q_on(st2), st2.line, st2.srr.w0)
         st2 = dataclasses.replace(st2, srr=dataclasses.replace(st2_srr, k=k2))
         ctx1 = make_ctx(fx, state=st1)
         ctx2 = make_ctx(fx, state=st2)
@@ -60,7 +60,7 @@ class TestWhiteNoise:
             dtype=complex,
         )
         b = np.array([1.0, -1.0], dtype=complex)  # unit source across the resonator
-        v1, v2 = solve_linear(a, b)
+        v1, v2 = solve_linear(a, b[:, None])[:, 0]
         transfer_v2_per_i2 = abs(v2) ** 2  # |V_out|^2 per unit injected current^2
         # current density referred into the line picks up R_boost/z0
         i2_referred = active.boosted_resistance(st) / z0
@@ -126,7 +126,7 @@ class TestSlopeSensitivities:
         st = fx.state
         line = fx.line
         v_fn = 1e-4
-        r = st.r_srr_parallel()
+        r = st.srr.r_parallel()
         dgm = (noise.gm_slope_vgs(st, "n") + noise.gm_slope_vgs(st, "p")) / 8 * v_fn
 
         def slope_for(gm_val):
@@ -153,7 +153,7 @@ class TestSlopeSensitivities:
     def test_supply_against_perturbation_chain(self, fx):
         st = fx.state
         line = fx.line
-        r = st.r_srr_parallel()
+        r = st.srr.r_parallel()
         v_dd = 1e-4
         dgm = (noise.gm_slope_vdd(st, "n") + noise.gm_slope_vdd(st, "p")) / 2 * v_dd
 
@@ -317,7 +317,7 @@ class TestSnr:
         gm2 = dataclasses.replace(st.gm, gm0=st.gm.gm0 / 2.075)  # keep it stable
         st2 = dataclasses.replace(st, srr=srr2, gm=gm2)
         ratio = noise.snr_delta_r(st2, st.gm.kf, band, 1.0) / base
-        assert ratio == pytest.approx((st.r_srr_parallel() / st2.r_srr_parallel()) ** 2, rel=1e-9)
+        assert ratio == pytest.approx((st.srr.r_parallel() / st2.srr.r_parallel()) ** 2, rel=1e-9)
 
 
 class TestResultRecord:

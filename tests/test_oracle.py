@@ -20,7 +20,7 @@ class TestSolveLinear:
         for n in (2, 3, 4, 6):
             a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             b = rng.normal(size=n) + 1j * rng.normal(size=n)
-            x = solve_linear(a, b)
+            x = solve_linear(a, b[:, None])[:, 0]
             assert np.max(np.abs(x - np.linalg.solve(a, b))) < 1e-12 * np.max(np.abs(x))
 
     def test_multiple_rhs(self, rng):
@@ -31,17 +31,17 @@ class TestSolveLinear:
 
     def test_pivoting_handles_zero_diagonal(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        x = solve_linear(a, np.array([2.0, 3.0], dtype=complex))
-        assert x == pytest.approx(np.array([3.0, 2.0]))
+        x = solve_linear(a, np.array([[2.0], [3.0]], dtype=complex))
+        assert x[:, 0] == pytest.approx(np.array([3.0, 2.0]))
 
     def test_singular_raises(self):
         a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
         with pytest.raises(ValueError, match="singular"):
-            solve_linear(a, np.array([1.0, 1.0], dtype=complex))
+            solve_linear(a, np.ones((2, 1), dtype=complex))
 
     def test_stack_against_numpy(self, rng):
         a = rng.normal(size=(7, 4, 4)) + 1j * rng.normal(size=(7, 4, 4))
-        for shape in ((7, 4), (7, 4, 2)):
+        for shape in ((7, 4, 1), (7, 4, 2)):
             b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             x = solve_linear(a, b)
             ref = np.stack([np.linalg.solve(ai, bi) for ai, bi in zip(a, b)])
@@ -52,7 +52,7 @@ class TestSolveLinear:
         a = rng.normal(size=(5, 3, 3)) + 0j
         a[2] = [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]
         with pytest.raises(ValueError, match="singular"):
-            solve_linear(a, np.ones((5, 3)))
+            solve_linear(a, np.ones((5, 3, 1)))
 
 
 class TestMesh:
@@ -102,7 +102,7 @@ class TestMesh:
             circ = MeshCircuit.from_parts(srr, line)
             span = 3 * w0 / srr.q_off
             sweep = oracle.sweep_two_port(circ, np.linspace(w0 - span, w0 + span, 31))
-            assert sweep.passivity_defect() <= 1e-9
+            assert np.max(np.abs(sweep.s11) ** 2 + np.abs(sweep.s21) ** 2 - 1.0) <= 1e-9
 
     def test_matches_closed_form_to_machine_precision(self, fx, rng):
         srr, line = matched_parts(fx)

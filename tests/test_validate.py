@@ -74,7 +74,7 @@ class TestFixtureFromConfig:
         with pytest.raises(ValueError, match="validate checks Q_on up to 10000"):
             validate.run_all({"q_on": validate.Q_ON_MAX * (1 + 1e-9)})
         with pytest.raises(ValueError, match="q_on = 20000"):
-            validate.run_all({"gm0": (1 - 10 / 2e4) / Fixture().state.r_srr_parallel()})
+            validate.run_all({"gm0": (1 - 10 / 2e4) / Fixture().state.srr.r_parallel()})
 
     def test_q_on_at_the_domain_edge_passes_every_check(self):
         assert all(r.passed for r in validate.run_all({"q_on": validate.Q_ON_MAX}))
@@ -84,7 +84,7 @@ class TestFixtureFromConfig:
         assert fx.cfg == {**REFERENCE_CONFIG, "lsrr": 60e-12, "vdd": 1.2, "c_asrr": 12e-15}
         assert fx.ring.lsrr == fx.state.srr.lsrr == 60e-12
         assert fx.state.gm.vdd == 1.2
-        assert fx.w0 == fx.state.w0 == 1.0 / math.sqrt(60e-12 * 12e-15)
+        assert fx.w0 == fx.state.srr.w0 == 1.0 / math.sqrt(60e-12 * 12e-15)
 
     def test_gm0_replaces_the_reference_q_on(self):
         fx = Fixture({"gm0": 1e-3})
