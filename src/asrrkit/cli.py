@@ -103,7 +103,7 @@ def cmd_sweep(args, cfg):
     pixel = Pixel(cfg)
     srr = pixel.ring
     grid = _grid(args, srr.w0, srr.q_off)
-    sweep = resonator.s_parameters(srr, pixel.line, grid, z0_ref=pixel.z0)
+    sweep = resonator.s_parameters(srr, pixel.line, grid)
     if not (np.all(np.isfinite(sweep.s11)) and np.all(np.isfinite(sweep.s21))):
         raise ConfigError("sweep S-parameters must be finite: the model overflows on this grid")
     out = _outdir(args)
@@ -171,11 +171,9 @@ def cmd_nonlin(args, cfg):
 def cmd_noise(args, cfg):
     from . import noise
 
-    pixel = Pixel(cfg)
-    state = pixel.state
+    state = Pixel(cfg).state
     ctx = noise.NoiseContext(
         state=state,
-        z0=pixel.z0,
         p_in=optional(cfg, "p_in", 10e-6),
         temperature=optional(cfg, "temperature", 290.0),
         delta_omega_s=2.0 * math.pi * optional(cfg, "delta_f_s", 20e6),
@@ -212,7 +210,7 @@ def cmd_noise(args, cfg):
     if not np.all(np.diff(w_in) > 0):
         raise ConfigError(f"Q = {q:g} is too high for the PM-to-AM table: its rows "
                           f"w0 + j*w0/(20*Q) are not distinct doubles")
-    gains = noise.pm_to_am_gain(state.effective_srr(), pixel.line, pixel.z0, w_in,
+    gains = noise.pm_to_am_gain(state.effective_srr(), state.line, w_in,
                                 2.0 * math.pi * pm_am_offset)
     rows = zip((w_in - w0) / (2 * math.pi), np.where(np.isfinite(gains), gains, -300.0))
 
@@ -251,7 +249,7 @@ def cmd_snr(args, cfg):
 def cmd_design(args, cfg):
     from .design import DesignSpec, InfeasibleDesignError, synthesize
 
-    pixel = Pixel(cfg)
+    line = Pixel(cfg).line
     spec = DesignSpec(
         f0=require(cfg, "f0"),
         n_pixels=_count("n_pixels", optional(cfg, "n_pixels", 1)),
@@ -259,8 +257,8 @@ def cmd_design(args, cfg):
         snr_dc_target=require(cfg, "snr_dc_target"),
         snr_dr_target=require(cfg, "snr_dr_target"),
         delta_r_ref=optional(cfg, "delta_r_ref", 1.0),
-        z0=pixel.z0,
-        line=pixel.line,
+        z0=line.z0,
+        line=line,
         kn=require(cfg, "kn"),
         kp=require(cfg, "kp"),
         vth=require(cfg, "vth"),

@@ -34,7 +34,8 @@ _PREFIXES = {
 # leading unit only
 _UNITS = {"Hz", "H", "F", "Ohm", "ohm", "Ω", "V", "W", "S", "A", "m", "rad", "s", "K"}
 
-_NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+# a number and its unit; an empty unit means the number is already SI
+_QUANTITY = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*(.*)$")
 
 
 def _unit_multiplier(token: str) -> float:
@@ -50,14 +51,11 @@ def parse_quantity(text: str) -> float:
     """`"200 GHz"` -> 2e11; `"54.1pH"` -> 5.41e-11; bare numbers pass through.
     A value that overflows to infinity is refused."""
     text = text.strip()
-    if _NUMBER.match(text):
-        value = float(text)
-    else:
-        m = re.match(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*(.+)$", text)
-        if not m:
-            raise ConfigError(f"cannot parse quantity {text!r}")
-        number, unit = m.groups()
-        value = float(number) * _unit_multiplier(unit.strip())
+    m = _QUANTITY.match(text)
+    if not m:
+        raise ConfigError(f"cannot parse quantity {text!r}")
+    number, unit = m.groups()
+    value = float(number) * (_unit_multiplier(unit) if unit else 1.0)
     if not math.isfinite(value):
         raise ConfigError(f"quantity {text!r} is not finite")
     return value
@@ -113,16 +111,15 @@ def optional(cfg: dict, key: str, default):
 class Pixel:
     """The pixel a config describes, built this one way by every command
     and by the validation suite: the host line at f0 from z0 and beta_l,
-    and the z0 every port is referenced to.  The ring and the active state
+    which keeps the z0 every port is referenced to.  The ring and the active state
     are built when first read, so a command that needs only the line reads
     no pixel keys."""
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
-        f0, beta_l = require(cfg, "f0"), require(cfg, "beta_l")
-        self.z0 = optional(cfg, "z0", 50.0)
-        require_positive(f0=f0, z0=self.z0, beta_l=beta_l)
-        self.line = TransmissionLineSection.from_electrical(self.z0, beta_l, 2.0 * math.pi * f0)
+        f0, beta_l, z0 = require(cfg, "f0"), require(cfg, "beta_l"), optional(cfg, "z0", 50.0)
+        require_positive(f0=f0, z0=z0, beta_l=beta_l)
+        self.line = TransmissionLineSection.from_electrical(z0, beta_l, 2.0 * math.pi * f0)
 
     @cached_property
     def state(self) -> AsrrState:

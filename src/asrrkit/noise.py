@@ -13,6 +13,9 @@ closed forms take A, T, P and LS (absorbed and transmitted power
 fractions, phase- and loss-slope factors) from resonator at the state's
 coupling ratio state.rho, so they hold at any coupling, except the white
 output noise density: its domain is the matched locus rho = MATCHED_RHO.
+Every law reads the port impedance from the state's line and the device
+slope from alpha_flicker, whose channel-length modulation factor
+1 + lam*(vdd - vth) therefore enters the phase noise and both SNRs alike.
 """
 
 from __future__ import annotations
@@ -44,16 +47,16 @@ def check_flicker_band(band):
 
 @dataclass(frozen=True)
 class NoiseContext:
-    """Operating point for the noise budget of one pixel."""
+    """Operating point for the noise budget of one pixel; the ports are
+    referenced to the z0 of the state's line."""
 
     state: AsrrState
-    z0: float  # port impedance [ohm]
     p_in: float  # incident carrier power [W]
     temperature: float = 290.0  # [K]
     delta_omega_s: float = 0.0  # sample-induced resonance offset [rad/s]
 
     def __post_init__(self):
-        check_positive(self, "temperature", "p_in", "z0")
+        check_positive(self, "temperature", "p_in")
         if not math.isfinite(self.delta_omega_s):
             raise ValueError("delta_omega_s must be finite")
 
@@ -87,7 +90,7 @@ def white_output_noise_density(ctx: NoiseContext) -> float:
                          f"{off_locus:.3g}; the white noise density assumes matched coupling")
     i2 = 4.0 * BOLTZMANN * ctx.temperature * st.gm.gamma * st.gm.gm0
     return ((absorbed_power_fraction(st.rho) / 4.0) * q_on(st) * st.srr.w0 * st.srr.lsrr
-            * ctx.z0 * i2)
+            * st.line.z0 * i2)
 
 
 def detected_power(ctx: NoiseContext) -> float:
@@ -100,52 +103,28 @@ def white_ssb_phase_noise(ctx: NoiseContext) -> float:
     """SSB phase noise from white noise [dBc/Hz]: half the additive noise
     power (the PM share) over the detected carrier power in z0."""
     v2 = white_output_noise_density(ctx)
-    return 10.0 * math.log10(0.5 * v2 / (ctx.z0 * detected_power(ctx)))
-
-
-def gm_slope_vgs(state: AsrrState, which: str) -> float:
-    """Transconductance sensitivity to gate-source voltage, K(W/L)*(1 +
-    lam*(vdd - vth)) with the device biased at vdd/2."""
-    p = state.gm
-    kwl = p.kn_wl if which == "n" else p.kp_wl
-    return kwl * (1.0 + p.lam * (p.vdd - p.vth))
-
-
-def gm_slope_vdd(state: AsrrState, which: str) -> float:
-    """Transconductance sensitivity to the supply, K(W/L)*(1/2 +
-    (lam/2)*(vdd - vth)): a supply wiggle moves the internal nodes by
-    half."""
-    p = state.gm
-    kwl = p.kn_wl if which == "n" else p.kp_wl
-    return kwl * (0.5 + (p.lam / 2.0) * (p.vdd - p.vth))
+    return 10.0 * math.log10(0.5 * v2 / (ctx.state.line.z0 * detected_power(ctx)))
 
 
 def flicker_sres_sensitivity(state: AsrrState) -> float:
     """Phase-slope sensitivity to one device's gate noise voltage
-    [s/(rad*V)]: (LS/8) * L * Q_on^2 * (slope_n + slope_p), LS at state.rho.
+    [s/(rad*V)]: alpha_flicker * L * Q_on^2.
 
     Chain: the resonator shorts the block at low frequency, so the four
     devices split one's gate noise v as (3/4, -1/4, -1/4, -1/4)*v, which
-    redistributes the block gm by (slope_n + slope_p)/8; the boosted loss
-    responds as R^2/(1 - gm*R)^2, and the phase slope to it as LS*C.
+    redistributes the block gm by (slope_n + slope_p)/8 with the device
+    slopes K(W/L)*(1 + lam*(vdd - vth)); the boosted loss responds as
+    R^2/(1 - gm*R)^2, and the phase slope to it as LS*C.
     """
-    return (
-        (loss_slope_factor(state.rho) / 8.0)
-        * state.srr.lsrr
-        * q_on(state) ** 2
-        * (gm_slope_vgs(state, "n") + gm_slope_vgs(state, "p"))
-    )
+    return alpha_flicker(state) * state.srr.lsrr * q_on(state) ** 2
 
 
 def supply_sres_sensitivity(state: AsrrState) -> float:
-    """Phase-slope sensitivity to supply noise [s/(rad*V)]: (LS/2) * L *
-    Q_on^2 * (slope_n + slope_p) with the supply slopes, LS at state.rho."""
-    return (
-        (loss_slope_factor(state.rho) / 2.0)
-        * state.srr.lsrr
-        * q_on(state) ** 2
-        * (gm_slope_vdd(state, "n") + gm_slope_vdd(state, "p"))
-    )
+    """Phase-slope sensitivity to supply noise [s/(rad*V)]: twice the
+    flicker one.  A supply wiggle v moves the internal nodes by v/2, which
+    shifts the block gm by (slope_n + slope_p)/4 * v, twice the
+    (slope_n + slope_p)/8 * v of one device's gate noise."""
+    return 2.0 * flicker_sres_sensitivity(state)
 
 
 def supply_phase_noise(ctx: NoiseContext, supply_psd: float) -> float:
@@ -187,14 +166,15 @@ def input_phase_transfer(q_on_val: float, w0: float, offset) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def pm_to_am_gain(srr: SrrParams, line: TransmissionLineSection, z0: float, w_in, offset: float):
+def pm_to_am_gain(srr: SrrParams, line: TransmissionLineSection, w_in, offset: float):
     """PM-to-AM conversion gain [dB relative to the input phase noise] of
     the ring-loaded section at carrier frequency w_in (a scalar or an array).
 
     The two phase sidebands see slightly different transmission magnitudes;
     the residue is amplitude noise: 20*log10(|d|S21|/dw| * offset /
-    |S21(w_in)|).  S21 = 2*z0/D with D = Z + 2*z0 and Z = (wM)^2/Z_b the
-    reflected impedance is rational in w, so the slope is exact:
+    |S21(w_in)|).  S21 = 2*z0/D with z0 the line's, D = Z + 2*z0 and
+    Z = (wM)^2/Z_b the reflected impedance is rational in w, so the slope
+    is exact:
     d|S21|/dw = -|S21| * Re(conj(D)*Z')/|D|^2, with
     Z' = 2wM^2/Z_b - (wM)^2*Z_b'/Z_b^2 = Z*(2/w - Z_b'/Z_b) and
     Z_b' = jL - jC/yc^2 (yc = jwC).  Returns -inf where the slope vanishes:
@@ -205,7 +185,7 @@ def pm_to_am_gain(srr: SrrParams, line: TransmissionLineSection, z0: float, w_in
     z = reflected_impedance(srr, line, w)
     yc = 1j * w * srr.csrr
     dz = z * (2.0 / w - (1j * srr.lsrr - 1j * srr.csrr / yc**2) / srr_branch_impedance(srr, w))
-    d = z + 2.0 * z0
+    d = z + 2.0 * line.z0
     with np.errstate(divide="ignore"):
         out = 20.0 * np.log10(np.abs(np.real(np.conj(d) * dz)) * offset / np.abs(d) ** 2)
     return float(out) if out.ndim == 0 else out
@@ -220,9 +200,12 @@ def flicker_rms(kf: float, band) -> float:
 
 
 def alpha_flicker(state: AsrrState) -> float:
-    """Flicker sensitivity parameter (LS/8)*(Kn*(W/L) + Kp*(W/L)), LS at
-    state.rho, channel length modulation neglected."""
-    return (loss_slope_factor(state.rho) / 8.0) * (state.gm.kn_wl + state.gm.kp_wl)
+    """Flicker sensitivity parameter (LS/8)*(Kn*(W/L) + Kp*(W/L))*(1 +
+    lam*(vdd - vth)), LS at state.rho: the devices' summed gm slope to
+    their gate voltage, biased at vdd/2, with channel-length modulation."""
+    p = state.gm
+    return ((loss_slope_factor(state.rho) / 8.0) * (p.kn_wl + p.kp_wl)
+            * (1.0 + p.lam * (p.vdd - p.vth)))
 
 
 def snr_delta_c(state: AsrrState, kf: float, band) -> float:

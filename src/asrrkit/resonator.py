@@ -41,19 +41,20 @@ def check_positive(obj, *names):
 
 @dataclass(frozen=True)
 class TransmissionLineSection:
-    """Lumped model of the line segment a single resonator couples to."""
+    """Lumped model of the line segment a single resonator couples to.  z0
+    is the impedance the section was built from, kept bit for bit: every
+    port, law and mesh reads it, none re-derives it from ltl and ctl."""
 
+    z0: float  # characteristic impedance [ohm], sqrt(ltl/ctl) to rounding
     ltl: float  # segment inductance [H]
     ctl: float  # segment capacitance [F]
     length: float  # physical segment length [m]; no model reads it
 
     def __post_init__(self):
-        check_positive(self, "ltl", "ctl", "length")
-
-    @property
-    def z0(self) -> float:
-        """Characteristic impedance sqrt(L/C) [ohm]."""
-        return float(np.sqrt(self.ltl / self.ctl))
+        check_positive(self, "z0", "ltl", "ctl", "length")
+        if not math.isclose(self.z0 * self.z0 * self.ctl, self.ltl, rel_tol=1e-12):
+            raise ValueError(f"z0 = {self.z0!r} ohm is not sqrt(ltl/ctl) = "
+                             f"{math.sqrt(self.ltl / self.ctl)!r} ohm")
 
     def beta_l(self, w):
         """Electrical length beta*l [rad] of the segment at w."""
@@ -67,7 +68,7 @@ class TransmissionLineSection:
             raise ValueError("z0, beta_l and w must be positive")
         ltl = z0 * beta_l / w
         ctl = beta_l / (z0 * w)
-        return cls(ltl=ltl, ctl=ctl, length=length)
+        return cls(z0=float(z0), ltl=ltl, ctl=ctl, length=length)
 
 
 @dataclass(frozen=True)

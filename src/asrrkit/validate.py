@@ -29,6 +29,9 @@ SEED = 20260808
 # grows with Q, reaches 0.95 of its tolerance below it and first fails near
 # 1.1e4, sensitivity-anchors by 5e4 and snr-invariance by 1e5
 Q_ON_MAX = 1e4
+# the boosted Q_on/q_off at which phase-slope-law and detection-band check
+# a pixel: on the reference (q_off = 10) Q_on = 20, 50, 100 and 250
+Q_LADDER = (2.0, 5.0, 10.0, 25.0)
 Record = tuple[str, float, float]  # (metric, value, tol)
 # A tol commented "worst X" is 100 X rounded up to a power of ten (1e-12
 # for X = 0), X the worst value over seeds 1-60, 7129031 and SEED and over
@@ -76,8 +79,8 @@ beta_l = 0.35 rad
 class Fixture(Pixel):
     """The pixel the checks take: REFERENCE_CONFIG with a configured file's
     keys over it, a configured gm0 replacing the reference q_on.  Its line,
-    z0, ring and state are the ones every command builds from that config;
-    its w0 is the ring's own resonance."""
+    ring and state are the ones every command builds from that config; its
+    w0 is the ring's own resonance and its q_off the configured one."""
 
     def __init__(self, config: dict | None = None):
         config = config or {}
@@ -89,6 +92,10 @@ class Fixture(Pixel):
     def w0(self) -> float:
         return self.ring.w0
 
+    @property
+    def q_off(self) -> float:
+        return self.state.srr.q_off
+
     def at_q(self, q_on: float, **keys) -> Fixture:
         """This pixel boosted to q_on, with keys set: a configured k or gm0
         is dropped, so the coupling is matched at the new Q."""
@@ -96,16 +103,16 @@ class Fixture(Pixel):
         return Fixture({**config, "q_on": q_on, **keys})
 
 
-def _phase_at(srr, line, w, z0):
+def _phase_at(srr, line, w):
     """Transmission phase of the resonator-loaded section at one frequency."""
     z = resonator.reflected_impedance(srr, line, w)
-    return -np.angle(z + 2.0 * z0)
+    return -np.angle(z + 2.0 * line.z0)
 
 
-def _numeric_resonance(srr, line, z0, w_guess):
+def _numeric_resonance(srr, line, w_guess):
     """Frequency where the transmission phase crosses zero."""
     lo, hi = w_guess * 0.99, w_guess * 1.01
-    return oracle.brent(lambda w: _phase_at(srr, line, w, z0), lo, hi, xtol=1e-10 * w_guess)
+    return oracle.brent(lambda w: _phase_at(srr, line, w), lo, hi, xtol=1e-10 * w_guess)
 
 
 def _random_matched(rng, rho=resonator.MATCHED_RHO):
@@ -121,7 +128,7 @@ def _random_matched(rng, rho=resonator.MATCHED_RHO):
     lsrr = rng.uniform(20e-12, 200e-12)
     srr = SrrParams(lsrr=lsrr, csrr=1.0 / (w0**2 * lsrr), q_off=q,
                     k=resonator.optimum_k_for_q(q, line, w0) * math.sqrt(rho))
-    return srr, line, w0, z0
+    return srr, line, w0
 
 
 def _random_off_locus(rng):
@@ -133,9 +140,10 @@ def _random_off_locus(rng):
 def check_matched_anchor(rng, fx: Fixture) -> list[Record]:
     """Matched coupling pins |S11(w0)| = 1/3 and |S21(w0)| = -3.52 dB."""
     worst_s11 = worst_s21 = 0.0
-    cases = [(fx.ring, fx.line, fx.w0, fx.z0)]
+    cases = [(fx.ring, fx.line, fx.w0)]
     cases += [_random_matched(rng) for _ in range(100)]
-    for srr, line, w0, z0 in cases:
+    for srr, line, w0 in cases:
+        z0 = line.z0
         z = resonator.reflected_impedance(srr, line, w0)
         s11 = abs(z / (z + 2.0 * z0))
         s21_db = 20.0 * math.log10(abs(2.0 * z0 / (z + 2.0 * z0)))
@@ -167,8 +175,7 @@ def check_oracle_equivalence(rng, fx: Fixture) -> list[Record]:
             q_eff = q_off / (1.0 - loop)
         span = 3.0 * w0 / q_eff
         freqs = np.linspace(w0 - span, w0 + span, 121)
-        analytic = resonator.s_parameters(srr, line, freqs, z0_ref=z0,
-                                          include_line=True, gm_neg=gm_neg)
+        analytic = resonator.s_parameters(srr, line, freqs, include_line=True, gm_neg=gm_neg)
         circ = oracle.MeshCircuit.from_parts(srr, line, gm_neg=gm_neg)
         mesh = oracle.sweep_two_port(circ, freqs)
         worst = max(worst, float(np.max(np.abs(analytic.s11 - mesh.s11))),
@@ -183,13 +190,13 @@ def check_mesh_properties(rng, fx: Fixture) -> list[Record]:
     worst_passive = -1.0
     worst_closed = 0.0
     for _ in range(20):
-        srr, line, w0, z0 = _random_matched(rng)
+        srr, line, w0 = _random_matched(rng)
         span = 3.0 * w0 / srr.q_off
         w = np.linspace(w0 - span, w0 + span, 21)
         s = oracle.solve_two_port(oracle.MeshCircuit.from_parts(srr, line), w)
         s11, s12, s21 = s[:, 0, 0], s[:, 0, 1], s[:, 1, 0]
         z1 = resonator.series_loading_impedance(srr, line, w)
-        s21_closed = 2.0 * z0 / (z1 + 2.0 * z0)
+        s21_closed = 2.0 * line.z0 / (z1 + 2.0 * line.z0)
         worst_recip = max(worst_recip, float(np.max(np.abs(s12 - s21))))
         worst_passive = max(worst_passive,
                             float(np.max(np.abs(s11) ** 2 + np.abs(s21) ** 2 - 1.0)))
@@ -197,14 +204,15 @@ def check_mesh_properties(rng, fx: Fixture) -> list[Record]:
                            float(np.max(np.abs(s21 - s21_closed) / np.abs(s21_closed))))
     # energy split at resonance for the matched fixture
     z = resonator.reflected_impedance(fx.ring, fx.line, fx.w0)
-    s11 = abs(z / (z + 2 * fx.z0))
-    s21 = abs(2 * fx.z0 / (z + 2 * fx.z0))
+    z0 = fx.line.z0
+    s11 = abs(z / (z + 2 * z0))
+    s21 = abs(2 * z0 / (z + 2 * z0))
     split_err = abs((1.0 - s11**2 - s21**2) - 4.0 / 9.0)
     # off the locus: the share the ring absorbs at its resonance, read off
     # the mesh with the segment's own jwL_line taken off S21 as in
     # pm-to-am, is A(rho); the swing and linear_power_limit scale with it
     worst_absorbed = 0.0
-    for srr, line, w0, _ in _random_off_locus(rng):
+    for srr, line, w0 in _random_off_locus(rng):
         circ = oracle.MeshCircuit.from_parts(srr, line)
         s21 = 1.0 / (1.0 / oracle.solve_two_port(circ, w0)[1, 0]
                      - 1j * w0 * line.ltl / (2.0 * circ.z0))
@@ -227,7 +235,7 @@ def check_impedance_transform(rng, fx: Fixture) -> list[Record]:
     coupling ratio, so the transform keeps the resonance."""
     worst = worst_r = 0.0
     for _ in range(50):
-        srr, line, w0, z0 = _random_matched(rng)
+        srr, line, w0 = _random_matched(rng)
         m2 = resonator.mutual_inductance(srr, line) ** 2
 
         def transformed(w):
@@ -241,7 +249,7 @@ def check_impedance_transform(rng, fx: Fixture) -> list[Record]:
         direct = resonator.series_loading_impedance(srr, line, w)
         other = 1j * w * line.ltl + transformed(w)
         worst = max(worst, float(np.max(np.abs(direct - other) / np.abs(direct))))
-        r_rho = resonator.coupling_ratio(srr, line) * z0
+        r_rho = resonator.coupling_ratio(srr, line) * line.z0
         worst_r = max(worst_r, abs(transformed(srr.w0) - r_rho) / r_rho)
     return [("direct vs transformed", worst, 1e-10),  # worst 1.1e-13
             ("R'(w0) vs rho*z0", worst_r, 1e-9)]
@@ -251,7 +259,7 @@ def check_sensitivity_anchors(rng, fx: Fixture) -> list[Record]:
     """Pixel sensitivities, each cross-checked by finite difference on the
     transmission model, and against its documented value when the fixture
     is the reference pixel."""
-    w0, z0, line, srr0 = fx.w0, fx.z0, fx.line, fx.ring
+    w0, line, srr0 = fx.w0, fx.line, fx.ring
     state = fx.state
 
     def rel(val, ref):
@@ -260,16 +268,16 @@ def check_sensitivity_anchors(rng, fx: Fixture) -> list[Record]:
     # resonance shift per unit capacitance, against a numeric phase-zero root
     slope = active.sample_response(state, 1e-18, 0.0).d_w0 / 1e-18
     dc = 1e-3 * srr0.csrr
-    fd = (_numeric_resonance(replace(srr0, csrr=srr0.csrr + dc), line, z0, w0 * 0.9995)
-          - _numeric_resonance(replace(srr0, csrr=srr0.csrr - dc), line, z0, w0 * 1.0005)
+    fd = (_numeric_resonance(replace(srr0, csrr=srr0.csrr + dc), line, w0 * 0.9995)
+          - _numeric_resonance(replace(srr0, csrr=srr0.csrr - dc), line, w0 * 1.0005)
           ) / (2.0 * dc)
 
     # phase-slope sensitivity to the ring loss: passive (Q=54) and boosted;
     # the r step is 1e-4 of r or, if nearer, of its distance to the boost pole r_pole
-    def fd_slope_vs_r(srr_q, q_on_of, line, z0, r_pole=math.inf):
+    def fd_slope_vs_r(srr_q, q_on_of, line, r_pole=math.inf):
         def slope_at(r):
             srr_eff = SrrParams(srr_q.lsrr, srr_q.csrr, q_on_of(r), srr_q.k)
-            return oracle.central_difference(lambda w: _phase_at(srr_eff, line, w, z0), srr_q.w0)
+            return oracle.central_difference(lambda w: _phase_at(srr_eff, line, w), srr_q.w0)
         r0 = srr_q.w0 * srr_q.lsrr * srr_q.q_off
         return oracle.central_difference(slope_at, r0, 1e-4 * min(1.0, (r_pole - r0) / r0))
 
@@ -278,15 +286,15 @@ def check_sensitivity_anchors(rng, fx: Fixture) -> list[Record]:
 
     # the boosted ring taken as-is, and the ring at q_off under the block
     anal_passive = resonator.phase_slope_vs_resistance(srr0, line)
-    fd_passive = fd_slope_vs_r(srr0, passive_q(srr0), line, z0)
+    fd_passive = fd_slope_vs_r(srr0, passive_q(srr0), line)
     gm0 = state.gm.gm0
     anal_boost = anal_passive * (srr0.q_off / state.srr.q_off) ** 2
     fd_boost = fd_slope_vs_r(state.srr, lambda r: r / (1.0 - gm0 * r) / (w0 * srr0.lsrr),
-                             line, z0, 1 / gm0)
+                             line, 1 / gm0)
     # LS(rho)*C for passive rings off the locus
-    worst_off = max(rel(fd_slope_vs_r(srr, passive_q(srr), ln, z),
+    worst_off = max(rel(fd_slope_vs_r(srr, passive_q(srr), ln),
                         resonator.phase_slope_vs_resistance(srr, ln))
-                    for srr, ln, _, z in _random_off_locus(rng))
+                    for srr, ln, _ in _random_off_locus(rng))
     records = [
         ("dw0/dC anchor", rel(slope, -5.35e25), 0.02),
         ("dw0/dC fd", rel(slope, fd), 0.01),
@@ -305,20 +313,21 @@ def check_sensitivity_anchors(rng, fx: Fixture) -> list[Record]:
 
 def check_phase_slope_law(rng, fx: Fixture) -> list[Record]:
     """Matched phase slope (2/3)Q/w0 by finite difference, and the
-    effective quality factor slope*w0/2 = Q/3, with k matched at each Q;
-    off the locus, the finite-difference slope against P(rho)*Q/w0."""
+    effective quality factor slope*w0/2 = Q/3, with k matched at each Q
+    of a ladder 2-25 times q_off; off the locus, the finite-difference
+    slope against P(rho)*Q/w0."""
     worst_fd = worst_q = 0.0
-    for q in (20.0, 50.0, 100.0, 250.0):
+    for q in [ratio * fx.q_off for ratio in Q_LADDER]:
         fxq = fx.at_q(q)
         srr, line = fxq.ring, fxq.line
         expect = (2.0 / 3.0) * q / fxq.w0
-        fd = oracle.central_difference(lambda w: _phase_at(srr, line, w, fxq.z0), fxq.w0)
+        fd = oracle.central_difference(lambda w: _phase_at(srr, line, w), fxq.w0)
         worst_fd = max(worst_fd, abs(fd - expect) / expect)
         q_out = resonator.output_phase_slope(srr, line) * fxq.w0 / 2.0
         worst_q = max(worst_q, abs(q_out / (q / 3.0) - 1.0))
     worst_off = 0.0
-    for srr, line, w0, z0 in _random_off_locus(rng):
-        fd = oracle.central_difference(lambda w: _phase_at(srr, line, w, z0), w0)
+    for srr, line, w0 in _random_off_locus(rng):
+        fd = oracle.central_difference(lambda w: _phase_at(srr, line, w), w0)
         worst_off = max(worst_off, abs(fd / resonator.output_phase_slope(srr, line) - 1.0))
     # off the locus: measured 3.1e-7, the difference's truncation; 3.2e-7
     # the worst over 40 seeds
@@ -329,9 +338,10 @@ def check_phase_slope_law(rng, fx: Fixture) -> list[Record]:
 
 def check_detection_band(rng, fx: Fixture) -> list[Record]:
     """Closed-form band edges against numeric slope-sign roots of the
-    linearized detection phase, plus the bandwidth limit law."""
+    linearized detection phase, plus the bandwidth limit law, over the Q
+    ladder."""
     worst_edge = worst_bw = 0.0
-    for q in (20.0, 50.0, 100.0, 250.0):
+    for q in [ratio * fx.q_off for ratio in Q_LADDER]:
         fxq = fx.at_q(q)
         w0 = fxq.w0
         w_lo, w_hi, bw = resonator.detection_band(w0, q)
@@ -377,8 +387,8 @@ def check_noise_laws(rng, fx: Fixture) -> list[Record]:
     """Quadratic Q scaling of the slope sensitivities and the dB laws of
     the phase-noise transfers."""
     kwl = fx.state.gm.kn_wl  # device geometry fixed, bias tunes the boost
-    st1 = fx.at_q(50.0, kn_wl=kwl, kp_wl=kwl).state
-    st2 = fx.at_q(100.0, kn_wl=kwl, kp_wl=kwl).state
+    st1 = fx.at_q(5.0 * fx.q_off, kn_wl=kwl, kp_wl=kwl).state
+    st2 = fx.at_q(10.0 * fx.q_off, kn_wl=kwl, kp_wl=kwl).state
     q1, q2 = active.q_on(st1), active.q_on(st2)
     r_fl = noise.flicker_sres_sensitivity(st2) / noise.flicker_sres_sensitivity(st1)
     r_sp = noise.supply_sres_sensitivity(st2) / noise.supply_sres_sensitivity(st1)
@@ -386,7 +396,7 @@ def check_noise_laws(rng, fx: Fixture) -> list[Record]:
     err_fl = abs(r_fl / qq - 1.0)
     err_sp = abs(r_sp / qq - 1.0)
 
-    ctx = noise.NoiseContext(state=st2, z0=fx.z0, p_in=10e-6,
+    ctx = noise.NoiseContext(state=st2, p_in=10e-6,
                              delta_omega_s=2.0 * math.pi * 20e6)
     ctx2 = replace(ctx, delta_omega_s=2.0 * ctx.delta_omega_s)
     d_double = noise.flicker_phase_noise(ctx2, 1e3, floor_at_white=False) - \
@@ -433,7 +443,7 @@ def check_pm_to_am(rng, fx: Fixture) -> list[Record]:
     lo, hi = mesh[0::2], mesh[1::2]
     slope, mag = (hi - lo) / (2.0 * h), (hi + lo) / 2.0
     numeric = np.abs(slope) * offset / mag
-    closed = 10.0 ** (noise.pm_to_am_gain(srr, line, circ.z0, grid, offset) / 20.0)
+    closed = 10.0 ** (noise.pm_to_am_gain(srr, line, grid, offset) / 20.0)
     w_extremum = min(oracle.derivative_sign_roots(grid, mag), key=lambda w: abs(w - w0))
     upper = grid > w0 + 2 * step
     w_peak = grid[upper][np.argmax((closed * mag)[upper])]
@@ -447,7 +457,7 @@ def check_pm_to_am(rng, fx: Fixture) -> list[Record]:
         ("max conversion closed vs mesh / max",
          float(np.max(np.abs(closed - numeric)) / np.max(numeric)), 5e-8),
         # the largest float below -60 keeps the gate strict: gain < -60 dB
-        ("gain at resonance dB", noise.pm_to_am_gain(srr, line, circ.z0, w_extremum, offset),
+        ("gain at resonance dB", noise.pm_to_am_gain(srr, line, w_extremum, offset),
          math.nextafter(-60.0, -math.inf)),
         ("peak-to-inflection steps", abs(w_peak - w_inflect) / step, 1.000001),
     ]
@@ -475,7 +485,7 @@ def check_snr_invariance(rng, fx: Fixture) -> list[Record]:
     worst = 0.0
     psd_gaps = []
     for df in (1e6, 10e6, 100e6):
-        ctx = noise.NoiseContext(state=state, z0=fx.z0, p_in=10e-6,
+        ctx = noise.NoiseContext(state=state, p_in=10e-6,
                                  delta_omega_s=2.0 * math.pi * df)
         dw = ctx.delta_omega_s
         noise_phase = wobble * dw
@@ -506,7 +516,7 @@ def reference_design_spec() -> DesignSpec:
         snr_dc_target=500.0,
         snr_dr_target=10.0,
         delta_r_ref=1.0,
-        z0=fx.z0,
+        z0=fx.line.z0,
         line=fx.line,
         kn=250e-6,
         kp=250e-6,
@@ -602,5 +612,5 @@ def run_all(config: dict | None = None, seed: int = SEED) -> list[CheckResult]:
     if not q <= Q_ON_MAX:
         raise ValueError(f"validate checks Q_on up to {Q_ON_MAX:g}, where pm-to-am's mesh "
                          f"difference still rounds within its tolerance; this pixel has "
-                         f"q_on = {q:g}")
+                         f"q_on = {q!r}")
     return [run_check(fn, fx, seed) for fn in ALL_CHECKS]

@@ -113,7 +113,7 @@ class TestSampleResponse:
         # resonance matches (Q/3)(dC/C) within 2%
         st = fx.state
         line = fx.line
-        z0 = fx.z0
+        z0 = fx.line.z0
         dc = 1e-3 * fx.ring.csrr
         srr0 = fx.ring
         srr_p = SrrParams(srr0.lsrr, srr0.csrr + dc, srr0.q_off, srr0.k)
@@ -159,7 +159,7 @@ class TestVoltageSwing:
         srr = fx.ring
         w0 = fx.w0
         p_in = 1e-6
-        v_src = math.sqrt(8.0 * fx.z0 * p_in)  # peak amplitude behind z0
+        v_src = math.sqrt(8.0 * fx.line.z0 * p_in)  # peak amplitude behind z0
         circ = MeshCircuit.from_parts(srr, line)
         y_shunt = 0.0
         z_ring = circ.r_srr + 1j * w0 * circ.lsrr + 1.0 / (1j * w0 * circ.csrr)
@@ -412,6 +412,6 @@ class TestPassiveRecovery:
         passive = SrrParams(st.srr.lsrr, fx.ring.csrr, st.srr.q_off, fx.ring.k)
         off = with_gm0(st, 1e-300).effective_srr()
         grid = np.linspace(0.98 * fx.w0, 1.02 * fx.w0, 41)
-        a = s_parameters(passive, line, grid, z0_ref=fx.z0)
-        b = s_parameters(off, line, grid, z0_ref=fx.z0)
+        a = s_parameters(passive, line, grid, z0_ref=fx.line.z0)
+        b = s_parameters(off, line, grid, z0_ref=fx.line.z0)
         assert np.max(np.abs(a.s21 - b.s21)) < 1e-15

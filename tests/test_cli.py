@@ -518,6 +518,43 @@ class TestValidateCmd:
         assert [r.name for r in results] == names
         assert not any(r.passed for r in results)
 
+    def test_q_on_refusal_shows_the_rebuilt_value(self, tmp_path, capsys):
+        # q_on = 1e4 over q_off = 2 is rebuilt through gm0 a few ulps above
+        # Q_ON_MAX: the gate refuses it, and the message shows the value
+        # it refused rather than one that reads as inside the limit
+        cfg = write_config(tmp_path, "q_off = 2\nq_on = 1e4\n", name="edge.cfg")
+        q = active.q_on(validate.Fixture(parse_config_file(cfg)).state)
+        assert q > validate.Q_ON_MAX
+        assert main(["validate", "--config", cfg, "--quiet"]) == 1
+        assert f"this pixel has q_on = {q!r}" in capsys.readouterr().err
+
+    def test_channel_length_modulation_enters_both_snrs(self, tmp_path, capsys):
+        # lambda scales the devices' gm slope by 1 + lambda*(vdd - vth), 1.35
+        # at lambda = 0.5: both SNRs fall by it, as the flicker phase noise
+        # rises by it, so snr-invariance holds
+        band = noise.FLICKER_BAND
+        plain, lam = validate.Fixture().state, validate.Fixture({"lambda": 0.5}).state
+        assert noise.snr_delta_c(lam, lam.gm.kf, band) == pytest.approx(
+            noise.snr_delta_c(plain, plain.gm.kf, band) / 1.35, rel=1e-12)
+        assert noise.snr_delta_r(lam, lam.gm.kf, band, 1.0) == pytest.approx(
+            noise.snr_delta_r(plain, plain.gm.kf, band, 1.0) / 1.35, rel=1e-12)
+        cfg = write_config(tmp_path, REFERENCE_CONFIG + "lambda = 0.5\n")
+        assert main(["validate", "--config", cfg]) == 0
+        assert "12/12 checks passed" in capsys.readouterr().out
+
+    def test_bench_pixels_of_seed_1_pass(self, tmp_path, monkeypatch, capsys):
+        # the Q ladders of phase-slope-law, detection-band and noise-laws
+        # are multiples of the pixel's q_off, so a pixel with q_off above 20
+        # is checked too
+        inputs = load_bench_inputs(monkeypatch)
+        texts = [text for _, text in inputs.cli_mix_pixels(1)]
+        texts.append(inputs.export_input(1).pixel.text)
+        assert max(config.parse_config_text(text)["q_off"] for text in texts) > 20
+        for i, text in enumerate(texts):
+            cfg = write_config(tmp_path, text, name=f"pixel{i}.cfg")
+            assert main(["validate", "--config", cfg]) == 0
+            assert "12/12 checks passed" in capsys.readouterr().out
+
 
 # sha256 of the CLI outputs for REFERENCE_CONFIG (DESIGN_CONFIG for
 # design), as listed with the "reference" and "design" rows in CHANGES.md
@@ -697,8 +734,8 @@ class TestConfigKeys:
         assert main(["snr", "--config", far, "--out", str(tmp_path / "far"), "--quiet"]) == 0
 
     def test_sweep_ring_is_the_matched_state_ring(self, monkeypatch):
-        # Pixel.ring of a boosted config is state.effective_srr(), bit for
-        # bit, over the reference config and the bench's cli-mix and export
+        # Pixel.ring of a boosted config is state.effective_srr(), and its
+        # line's z0 the configured one, bit for bit, over the reference config and the bench's cli-mix and export
         # pixels of seeds 1-60 and 7129031.  Before the two were one, the
         # ring took Q as the configured q_on and 136 of these 245 rings
         # differed from the state's by up to 7 ulps in Q and 6 in k
@@ -709,8 +746,12 @@ class TestConfigKeys:
             texts.append(inputs.export_input(seed).pixel.text)
         assert len(texts) == 245
         for text in texts:
-            pixel = Pixel(config.parse_config_text(text))
+            cfg = config.parse_config_text(text)
+            pixel = Pixel(cfg)
             assert pixel.ring == pixel.state.effective_srr()
+            # the line keeps the configured z0 the ports are referenced to;
+            # sqrt(ltl/ctl) differed from it by an ulp on 27 of these
+            assert pixel.line.z0 == cfg["z0"]
 
     @pytest.mark.parametrize("command", ["sweep", "match", "nonlin", "noise", "snr", "design"])
     def test_one_config_serves_every_command(self, tmp_path, command):

@@ -87,7 +87,7 @@ def small_sweep(fx):
     srr = fx.ring
     line = fx.line
     grid = np.linspace(fx.w0 * 0.99, fx.w0 * 1.01, 21)
-    return s_parameters(srr, line, grid, z0_ref=fx.z0)
+    return s_parameters(srr, line, grid, z0_ref=fx.line.z0)
 
 
 class TestSweepFiles:

@@ -164,9 +164,9 @@ def test_srr_params_refuse_bad_draws():
 def test_line_section_refuses_bad_draws():
     rng = np.random.default_rng(20260504)
     for _ in range(DRAWS):
-        valid = dict(ltl=rng.uniform(1e-13, 1e-10), ctl=rng.uniform(1e-17, 1e-14),
-                     length=rng.uniform(1e-6, 1e-3))
-        refuses(rng, TransmissionLineSection, valid, ("ltl", "ctl", "length"))
+        ltl, ctl = rng.uniform(1e-13, 1e-10), rng.uniform(1e-17, 1e-14)
+        valid = dict(z0=math.sqrt(ltl / ctl), ltl=ltl, ctl=ctl, length=rng.uniform(1e-6, 1e-3))
+        refuses(rng, TransmissionLineSection, valid, ("z0", "ltl", "ctl", "length"))
 
 
 def test_gm_block_refuses_bad_draws():
@@ -229,10 +229,10 @@ def test_noise_context_refuses_bad_draws():
     rng = np.random.default_rng(20260508)
     states = [draw_state(rng) for _ in range(8)]
     for _ in range(DRAWS):
-        valid = dict(state=states[rng.integers(len(states))], z0=rng.uniform(40, 75),
+        valid = dict(state=states[rng.integers(len(states))],
                      p_in=10.0 ** rng.uniform(-9, -3), temperature=rng.uniform(4, 400),
                      delta_omega_s=rng.normal() * 1e9)
-        refuses(rng, NoiseContext, valid, ("z0", "p_in", "temperature"), {
+        refuses(rng, NoiseContext, valid, ("p_in", "temperature"), {
             "delta_omega_s": lambda r: [math.nan, math.inf, -math.inf][r.integers(3)],
         })
 

@@ -4,8 +4,8 @@ imports stay lean: importing the package loads no module, each command
 loads only the modules it runs (no command but validate loads validate
 and oracle), and validate builds its pixel without loading the CLI.
 Every function the benchmark's tracer wraps exists, with the parameters
-its counters read.  And every public function has a caller outside the
-tests."""
+its counters read.  Every public function has a caller outside the tests,
+and none takes a z0 beside the line that already holds one."""
 
 import ast
 import importlib
@@ -202,6 +202,34 @@ def test_every_public_function_has_a_caller():
                     if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
     assert len(defined) > 100
     assert [f"{owner}.{name}" for owner, name in defined if name not in named] == []
+
+
+def _is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def test_no_public_api_takes_a_second_z0():
+    # a line keeps the z0 it was built from, and a state or noise context
+    # holds its line, so a z0 passed beside one is a second copy that can
+    # disagree with it.  The two left bind the benchmark: bench/workloads.py
+    # calls s_parameters(z0_ref=) and bench/inputs.py builds DesignSpec(z0=);
+    # they go with the next change to the benchmark
+    found = []
+    for path in sorted(Path(asrrkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                names = {stmt.target.id for stmt in node.body if isinstance(stmt, ast.AnnAssign)}
+            else:
+                continue
+            if (not node.name.startswith("_") and names & {"z0", "z0_ref"}
+                    and names & {"line", "state", "ctx"}):
+                found.append(f"{path.stem}.{node.name}")
+    assert sorted(found) == ["design.DesignSpec", "resonator.s_parameters"]
 
 
 class _AnyArgument:

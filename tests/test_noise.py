@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,8 +10,19 @@ from asrrkit.oracle import solve_linear
 from asrrkit.resonator import SrrParams
 
 
+def device_slopes(st):
+    """K(W/L)*(1 + lam*(vdd - vth)) summed over the NMOS and PMOS: the
+    devices' gm slope to their gate voltage, biased at vdd/2."""
+    p = st.gm
+    return (p.kn_wl + p.kp_wl) * (1 + p.lam * (p.vdd - p.vth))
+
+
+def with_lam(st, lam):
+    return dataclasses.replace(st, gm=dataclasses.replace(st.gm, lam=lam))
+
+
 def make_ctx(fx, **kw):
-    defaults = dict(state=fx.state, z0=fx.z0, p_in=10e-6,
+    defaults = dict(state=fx.state, p_in=10e-6,
                     delta_omega_s=2 * math.pi * 20e6)
     defaults.update(kw)
     return NoiseContext(**defaults)
@@ -50,7 +62,7 @@ class TestWhiteNoise:
         st = fx.state
         ctx = make_ctx(fx, state=st)
         line = fx.line
-        z0 = fx.z0
+        z0 = fx.line.z0
         z_res = resonator.coupling_ratio(fx.ring, line) * z0  # real R' at resonance
         a = np.array(
             [
@@ -111,59 +123,66 @@ class TestSlopeSensitivities:
             == pytest.approx(2 * noise.flicker_sres_sensitivity(st), rel=1e-12)
 
     def test_supply_slope_lambda_zero(self, fx):
+        # without channel-length modulation a supply wiggle moves each
+        # device's gm by K(W/L)/2 per volt
         st = fx.state
-        assert noise.gm_slope_vdd(st, "n") == pytest.approx(st.gm.kn_wl / 2, rel=1e-12)
+        assert st.gm.lam == 0.0
+        chain = (resonator.loss_slope_factor(st.rho) / 2 * st.srr.lsrr * active.q_on(st) ** 2
+                 * (st.gm.kn_wl / 2 + st.gm.kp_wl / 2))
+        assert noise.supply_sres_sensitivity(st) == pytest.approx(chain, rel=1e-12)
 
     def test_supply_to_flicker_prefactor_ratio(self, fx):
-        st = fx.state
-        slopes_vgs = noise.gm_slope_vgs(st, "n") + noise.gm_slope_vgs(st, "p")
-        slopes_vdd = noise.gm_slope_vdd(st, "n") + noise.gm_slope_vdd(st, "p")
-        got = noise.supply_sres_sensitivity(st) / noise.flicker_sres_sensitivity(st)
-        assert got == pytest.approx(4.0 * slopes_vdd / slopes_vgs, rel=1e-12)
+        for st in (fx.state, with_lam(fx.state, 0.1)):
+            slopes_vgs = device_slopes(st)
+            slopes_vdd = device_slopes(st) / 2
+            got = noise.supply_sres_sensitivity(st) / noise.flicker_sres_sensitivity(st)
+            assert got == pytest.approx(4.0 * slopes_vdd / slopes_vgs, rel=1e-12)
 
     def test_flicker_against_perturbation_chain(self, fx):
         # gate offset -> block gm shift -> boosted loss -> phase slope
-        st = fx.state
         line = fx.line
         v_fn = 1e-4
-        r = st.srr.r_parallel()
-        dgm = (noise.gm_slope_vgs(st, "n") + noise.gm_slope_vgs(st, "p")) / 8 * v_fn
+        for st in (fx.state, with_lam(fx.state, 0.1)):
+            r = st.srr.r_parallel()
+            dgm = device_slopes(st) / 8 * v_fn
 
-        def slope_for(gm_val):
-            q = st.srr.q_off / (1 - gm_val * r)
-            srr_q = SrrParams(st.srr.lsrr, fx.ring.csrr, q, fx.ring.k)
-            return resonator.output_phase_slope(srr_q, line)
+            def slope_for(gm_val):
+                q = st.srr.q_off / (1 - gm_val * r)
+                srr_q = SrrParams(st.srr.lsrr, fx.ring.csrr, q, fx.ring.k)
+                return resonator.output_phase_slope(srr_q, line)
 
-        fd = (slope_for(st.gm.gm0 + dgm) - slope_for(st.gm.gm0 - dgm)) / (2 * v_fn)
-        assert fd == pytest.approx(noise.flicker_sres_sensitivity(st), rel=0.01)
+            fd = (slope_for(st.gm.gm0 + dgm) - slope_for(st.gm.gm0 - dgm)) / (2 * v_fn)
+            assert fd == pytest.approx(noise.flicker_sres_sensitivity(st), rel=0.01)
 
     def test_channel_length_modulation_enters_slopes(self, fx):
-        import dataclasses
-
         st = fx.state
-        gm_lam = dataclasses.replace(st.gm, lam=0.1)
-        st_lam = dataclasses.replace(st, gm=gm_lam)
+        st_lam = with_lam(st, 0.1)
         factor_vgs = 1 + 0.1 * (st.gm.vdd - st.gm.vth)
         factor_vdd = (0.5 + 0.05 * (st.gm.vdd - st.gm.vth)) / 0.5
-        assert noise.gm_slope_vgs(st_lam, "n") == pytest.approx(
-            st.gm.kn_wl * factor_vgs, rel=1e-12)
+        assert device_slopes(st_lam) == pytest.approx(
+            (st.gm.kn_wl + st.gm.kp_wl) * factor_vgs, rel=1e-12)
+        assert noise.alpha_flicker(st_lam) == pytest.approx(
+            noise.alpha_flicker(st) * factor_vgs, rel=1e-12)
+        assert noise.flicker_sres_sensitivity(st_lam) == pytest.approx(
+            noise.flicker_sres_sensitivity(st) * factor_vgs, rel=1e-12)
         assert noise.supply_sres_sensitivity(st_lam) == pytest.approx(
             noise.supply_sres_sensitivity(st) * factor_vdd, rel=1e-12)
 
     def test_supply_against_perturbation_chain(self, fx):
-        st = fx.state
         line = fx.line
-        r = st.srr.r_parallel()
         v_dd = 1e-4
-        dgm = (noise.gm_slope_vdd(st, "n") + noise.gm_slope_vdd(st, "p")) / 2 * v_dd
+        for st in (fx.state, with_lam(fx.state, 0.1)):
+            r = st.srr.r_parallel()
+            # a supply wiggle moves the internal nodes, so each device slope, by half
+            dgm = device_slopes(st) / 2 / 2 * v_dd
 
-        def slope_for(gm_val):
-            q = st.srr.q_off / (1 - gm_val * r)
-            srr_q = SrrParams(st.srr.lsrr, fx.ring.csrr, q, fx.ring.k)
-            return resonator.output_phase_slope(srr_q, line)
+            def slope_for(gm_val):
+                q = st.srr.q_off / (1 - gm_val * r)
+                srr_q = SrrParams(st.srr.lsrr, fx.ring.csrr, q, fx.ring.k)
+                return resonator.output_phase_slope(srr_q, line)
 
-        fd = (slope_for(st.gm.gm0 + dgm) - slope_for(st.gm.gm0 - dgm)) / (2 * v_dd)
-        assert fd == pytest.approx(noise.supply_sres_sensitivity(st), rel=0.01)
+            fd = (slope_for(st.gm.gm0 + dgm) - slope_for(st.gm.gm0 - dgm)) / (2 * v_dd)
+            assert fd == pytest.approx(noise.supply_sres_sensitivity(st), rel=0.01)
 
 
 class TestFlickerPhaseNoise:
@@ -226,20 +245,20 @@ class TestPmToAm:
     OFFSET = 2 * math.pi * 1e6
 
     def test_null_at_resonance(self, fx):
-        assert noise.pm_to_am_gain(fx.ring, fx.line, fx.z0, fx.w0, self.OFFSET) < -60.0
+        assert noise.pm_to_am_gain(fx.ring, fx.line, fx.w0, self.OFFSET) < -60.0
 
     def test_six_db_per_offset_doubling(self, fx):
         w_in = fx.w0 * (1 + 0.3 / fx.cfg["q_on"])
-        d = (noise.pm_to_am_gain(fx.ring, fx.line, fx.z0, w_in, 2e6)
-             - noise.pm_to_am_gain(fx.ring, fx.line, fx.z0, w_in, 1e6))
+        d = (noise.pm_to_am_gain(fx.ring, fx.line, w_in, 2e6)
+             - noise.pm_to_am_gain(fx.ring, fx.line, w_in, 1e6))
         assert d == pytest.approx(20 * math.log10(2.0), abs=1e-9)
 
     def test_null_sits_at_the_s21_minimum_just_above_resonance(self, fx):
         # the (wM)^2 factor puts the |S21| minimum ~0.3/Q^2 above w0, so the
         # gain at w0 is finite and the null sits at the minimum
         w = fx.w0 * (1 + np.linspace(0.0, 2e-4, 2001))
-        mag = np.abs(resonator.s_parameters(fx.ring, fx.line, w, z0_ref=fx.z0).s21)
-        gain = noise.pm_to_am_gain(fx.ring, fx.line, fx.z0, w, self.OFFSET)
+        mag = np.abs(resonator.s_parameters(fx.ring, fx.line, w).s21)
+        gain = noise.pm_to_am_gain(fx.ring, fx.line, w, self.OFFSET)
         assert np.argmin(mag) * 1e-7 == pytest.approx(0.3 / fx.cfg["q_on"] ** 2, rel=0.02)
         assert abs(int(np.argmin(gain)) - int(np.argmin(mag))) <= 1
         assert gain[0] == pytest.approx(-109.54, abs=0.01)
@@ -249,15 +268,15 @@ class TestPmToAm:
         # analytic |S21| over seeded matched pixels
         worst = 0.0
         for _ in range(50):
-            srr, line, w0, z0 = validate._random_matched(rng)
+            srr, line, w0 = validate._random_matched(rng)
             w = w0 + np.arange(-39, 40) * (w0 / (20.0 * srr.q_off))
             h = 1e-5 * w0 / srr.q_off
 
             def mag(x):
-                return np.abs(resonator.s_parameters(srr, line, x, z0_ref=z0).s21)
+                return np.abs(resonator.s_parameters(srr, line, x).s21)
 
             numeric = np.abs(mag(w + h) - mag(w - h)) / (2 * h) * self.OFFSET / mag(w)
-            closed = 10 ** (noise.pm_to_am_gain(srr, line, z0, w, self.OFFSET) / 20)
+            closed = 10 ** (noise.pm_to_am_gain(srr, line, w, self.OFFSET) / 20)
             worst = max(worst, float(np.max(np.abs(closed - numeric)) / np.max(numeric)))
         assert worst < 1e-8  # measured 4.1e-9
 
@@ -336,7 +355,7 @@ class TestContextGuards:
             make_ctx(fx, p_in=0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    @pytest.mark.parametrize("field", ["temperature", "p_in", "z0", "delta_omega_s"])
+    @pytest.mark.parametrize("field", ["temperature", "p_in", "delta_omega_s"])
     def test_context_rejects_non_finite(self, fx, field, bad):
         with pytest.raises(ValueError, match=field):
             make_ctx(fx, **{field: bad})

@@ -156,7 +156,7 @@ class TestPhaseExtrema:
     def _frozen_sweep(self, fx, q, span_bw=4.0, n=4001):
         # the fixed-value parallel RLC R'/(1 + jQ(w/w0 - w0/w)), R' = rho*z0
         srr, line = matched_parts(fx, q=q)
-        rho, w0, z0 = resonator.coupling_ratio(srr, line), fx.w0, fx.z0
+        rho, w0, z0 = resonator.coupling_ratio(srr, line), fx.w0, fx.line.z0
         grid = np.linspace(w0 * (1 - span_bw / q), w0 * (1 + span_bw / q), n)
         z = rho * z0 / (1 + 1j * q * (grid / w0 - w0 / grid))
         return rho, TwoPortSweep(freqs=grid, s11=z / (z + 2 * z0),
@@ -213,7 +213,7 @@ class TestPhaseExtrema:
         srr, line = matched_parts(fx, q=100.0)
         w0 = fx.w0
         grid = np.linspace(w0 * (1 + 0.02), w0 * (1 + 0.03), 101)  # beyond both edges
-        sweep = resonator.s_parameters(srr, line, grid, z0_ref=fx.z0)
+        sweep = resonator.s_parameters(srr, line, grid, z0_ref=fx.line.z0)
         assert self._phase_extrema(sweep) == []
 
 

@@ -25,8 +25,10 @@ def matched_instance(f0=200e9, z0=50.0, beta_l=0.35, q=54.0, lsrr=54.124e-12):
 
 class TestTypes:
     def test_line_z0_identity(self):
-        line = TransmissionLineSection(ltl=1.4e-11, ctl=5.6e-15, length=30e-6)
+        line = TransmissionLineSection(z0=50.0, ltl=1.4e-11, ctl=5.6e-15, length=30e-6)
         assert line.z0 == pytest.approx(math.sqrt(1.4e-11 / 5.6e-15), rel=1e-12)
+        with pytest.raises(ValueError, match="is not sqrt"):
+            TransmissionLineSection(z0=50.0 * (1 + 1e-9), ltl=1.4e-11, ctl=5.6e-15, length=30e-6)
 
     def test_line_beta_positive_and_scales(self):
         line = make_line(50.0, 0.35, 2 * math.pi * 200e9)
@@ -57,8 +59,10 @@ class TestTypes:
         (SrrParams, dict(lsrr=54e-12, csrr=11.7e-15, q_off=10.0, k=0.2), "csrr"),
         (SrrParams, dict(lsrr=54e-12, csrr=11.7e-15, q_off=10.0, k=0.2), "q_off"),
         (SrrParams, dict(lsrr=54e-12, csrr=11.7e-15, q_off=10.0, k=0.2), "k"),
-        (TransmissionLineSection, dict(ltl=1.4e-11, ctl=5.6e-15, length=30e-6), "ltl"),
-        (TransmissionLineSection, dict(ltl=1.4e-11, ctl=5.6e-15, length=30e-6), "length"),
+        (TransmissionLineSection, dict(z0=50.0, ltl=1.4e-11, ctl=5.6e-15, length=30e-6), "ltl"),
+        (TransmissionLineSection, dict(z0=50.0, ltl=1.4e-11, ctl=5.6e-15, length=30e-6),
+         "length"),
+        (TransmissionLineSection, dict(z0=50.0, ltl=1.4e-11, ctl=5.6e-15, length=30e-6), "z0"),
     ])
     def test_non_finite_rejected(self, cls, good, name, bad):
         with pytest.raises(ValueError):
@@ -212,7 +216,7 @@ class TestInsertionLoss:
         # construct r_off = 10 ohm against z0 = 50: IL = 10/110
         w0 = 1e12
         ltl = 1e-11
-        line = TransmissionLineSection(ltl=ltl, ctl=ltl / 2500.0, length=30e-6)
+        line = TransmissionLineSection(z0=50.0, ltl=ltl, ctl=ltl / 2500.0, length=30e-6)
         q_off = 10.0
         k = math.sqrt(10.0 / (w0 * q_off * ltl))
         lsrr = 50e-12
