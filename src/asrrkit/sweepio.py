@@ -3,9 +3,11 @@
 Floats are written with 12 significant digits, exactly as ``"%.12g"``
 writes them, so identical inputs produce byte-identical files.  Writes go
 to a temp file first and are renamed into place.  Sweep files are
-streamed a chunk of rows at a time, so their text (not the TwoPortSweep,
-held whole) stays at one chunk, and one pass serves the CSV and the
-Touchstone file together: the columns they share are formatted once.
+written a chunk of rows at a time, and one pass serves the CSV and the
+Touchstone file together: the columns they share are formatted once.  The
+chunks are packed on every usable core and written in order, so at most
+one chunk per core, plus one, is held as text (the TwoPortSweep is held
+whole).
 
 A sweep's columns are formatted by a numpy kernel, ``_format_12g``, a
 whole chunk at a time.  It is exact because it only decides what it can
@@ -21,15 +23,18 @@ them) and the near-ties, which include every exact tie, where ``%``
 rounds half to even.
 
 The kernel's cells are NUL-padded S20 values, and each file's rows are
-assembled from them in numpy (see ``write_sweep``), so no bytes object is
-made per cell and no row is joined in Python.
+assembled and packed from them in numpy (see ``write_sweep``), so no bytes
+object is made per cell, no row is joined in Python, and the packing runs
+in numpy calls that release the GIL.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import os
+import threading
 
 import numpy as np
 
@@ -77,7 +82,7 @@ def _tables():
     group's ASCII bytes as one uint32 and its trailing zero count, the
     factors and divisors 10**(11 - e), and room for one layout per key
     ((exponent - _EXP_MIN)*12 + trailing zeros)*2 + sign, with a flag per
-    key for the rows filled so far."""
+    key for the rows filled so far and the lock that guards both."""
     groups = np.arange(10_000)
     digits4 = (groups[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
     zeros4 = sum(groups % 10**k == 0 for k in range(1, 5))
@@ -86,7 +91,7 @@ def _tables():
     tables = digits4.view(np.uint32).ravel(), zeros4, scale
     for table in tables:
         table.flags.writeable = False  # shared by every call in the process
-    return *tables, np.empty((_KEYS, _CELL), np.intp), np.zeros(_KEYS, bool)
+    return *tables, np.empty((_KEYS, _CELL), np.intp), np.zeros(_KEYS, bool), threading.Lock()
 
 
 def _format_each(values):
@@ -98,7 +103,7 @@ def _format_12g(values) -> np.ndarray:
     """b"%.12g" % v for every double v of values, as an S20 array of the
     same shape (NUL-padded; .tolist() strips the padding).  See the module
     docstring for why the fast path is exact and what falls back."""
-    digits4, zeros4, scale, layouts, filled = _tables()
+    digits4, zeros4, scale, layouts, filled, lock = _tables()
     values = np.asarray(values, dtype=float)
     x = values.ravel()
     a = np.abs(x)
@@ -137,13 +142,15 @@ def _format_12g(values) -> np.ndarray:
     src[:, 3:] = np.frombuffer(_LITERALS, np.uint32)
     # a layout row is filled the first time a chunk holds its key: a sweep
     # needs a few dozen of the 1104.  A row depends on its key alone, so
-    # every call shares it
+    # every call shares it, and calls on other threads fill rows under the
+    # lock; a row is only read once it is filled
     held = np.zeros(_KEYS, bool)
     held[key] = True
-    for k in np.flatnonzero(held & ~filled).tolist():
-        exp_tz, neg = divmod(k, 2)
-        layouts[k] = _layout(exp_tz // 12 + _EXP_MIN, 12 - exp_tz % 12, neg)
-        filled[k] = True
+    with lock:
+        for k in np.flatnonzero(held & ~filled).tolist():
+            exp_tz, neg = divmod(k, 2)
+            layouts[k] = _layout(exp_tz // 12 + _EXP_MIN, 12 - exp_tz % 12, neg)
+            filled[k] = True
     index = layouts.take(key, axis=0)
     index += np.arange(0, n * width, width)[:, None]
     cells = src.view(np.uint8).ravel().take(index).view(f"S{_CELL}").ravel()
@@ -193,31 +200,66 @@ SWEEP_LAYOUTS = {"csv": (b",", range(7)), "s2p": (b" ", (0, 1, 2, 3, 4, 3, 4, 1,
 
 def write_sweep(sweep: TwoPortSweep, paths):
     """Write the sweep to paths, a dict from format ("csv", Touchstone v1
-    "s2p") to file path, in one pass.  Rows go out CHUNK_ROWS at a time;
-    each column of a chunk is formatted once by _format_12g, however many
-    files and layouts name it, so memory stays at one chunk's text however
-    long the sweep is.  Each file's rows for the chunk are assembled in
-    numpy: its cells are copied into a (rows, columns, 21) byte buffer
-    whose last byte per cell is the separator, or the newline after a
-    row's last cell, and one bytes.translate drops the cells' NUL padding."""
+    "s2p") to file path, in one pass.  Rows go out CHUNK_ROWS at a time.
+    One job turns a chunk into each file's bytes: each column is formatted
+    once by _format_12g, however many files and layouts name it; each
+    file's cells are copied into a (rows, columns, 21) byte buffer whose
+    last byte per cell is the separator, or the newline after a row's last
+    cell; and the cells' NUL padding is dropped by a boolean mask.  A pool
+    with one thread per usable core runs the jobs, at most one more than
+    there are threads in flight, and this thread writes their bytes in
+    chunk order, so memory stays at that many chunks' text however long
+    the sweep is.  A sweep of one chunk runs its job here and starts no
+    thread.  On a failure the pending jobs are cancelled and no file is
+    touched."""
+    from concurrent.futures import ThreadPoolExecutor
+
     headers = {"csv": SWEEP_COLUMNS, "s2p": f"# Hz S RI R {fmt(sweep.z0_ref)}"}
     columns = [sweep.freqs_hz, sweep.s11.real, sweep.s11.imag, sweep.s21.real, sweep.s21.imag]
     if "csv" in paths:
         columns += [sweep.s21_db(), np.degrees(sweep.s21_phase())]
     layouts = [SWEEP_LAYOUTS[kind] for kind in paths]
+    starts = range(0, len(columns[0]), CHUNK_ROWS)
+    _tables()  # built before the jobs start, or two first calls could each build one
+
+    def pack(i):
+        cells = _format_12g(np.stack([col[i:i + CHUNK_ROWS] for col in columns], axis=1))
+        cells = cells.view(np.uint8).reshape(*cells.shape, _CELL)
+        packed = []
+        for sep, layout in layouts:
+            rows = np.empty((len(cells), len(layout), _CELL + 1), np.uint8)
+            rows[:, :, :_CELL] = cells.take(layout, axis=1)
+            rows[:, :, _CELL] = ord(sep)
+            rows[:, -1, _CELL] = ord("\n")
+            flat = rows.ravel()
+            packed.append(flat[flat != 0])
+        return packed
 
     def write(*handles):
         for fh, kind in zip(handles, paths):
             fh.write(headers[kind].encode() + b"\n")
-        for i in range(0, len(columns[0]), CHUNK_ROWS):
-            cells = _format_12g(np.stack([col[i:i + CHUNK_ROWS] for col in columns], axis=1))
-            cells = cells.view(np.uint8).reshape(*cells.shape, _CELL)
-            for fh, (sep, layout) in zip(handles, layouts):
-                rows = np.empty((len(cells), len(layout), _CELL + 1), np.uint8)
-                rows[:, :, :_CELL] = cells.take(layout, axis=1)
-                rows[:, :, _CELL] = ord(sep)
-                rows[:, -1, _CELL] = ord("\n")
-                fh.write(rows.tobytes().translate(None, b"\0"))
+
+        def emit(packed):
+            for fh, data in zip(handles, packed):
+                fh.write(data)
+
+        if len(starts) <= 1:
+            for i in starts:
+                emit(pack(i))
+            return
+        workers = len(os.sched_getaffinity(0))
+        pool = ThreadPoolExecutor(workers)
+        pending = collections.deque()
+        try:
+            for i in starts:
+                pending.append(pool.submit(pack, i))
+                if len(pending) > workers:
+                    emit(pending.popleft().result())
+            while pending:
+                emit(pending.popleft().result())
+        finally:
+            # cancels the jobs not yet started and joins the threads
+            pool.shutdown(cancel_futures=True)
 
     _write_atomic(list(paths.values()), write)
 

@@ -29,8 +29,9 @@ SEED = 20260808
 # grows with Q, reaches 0.95 of its tolerance below it and first fails near
 # 1.1e4, sensitivity-anchors by 5e4 and snr-invariance by 1e5
 Q_ON_MAX = 1e4
-# the boosted Q_on/q_off at which phase-slope-law and detection-band check
-# a pixel: on the reference (q_off = 10) Q_on = 20, 50, 100 and 250
+# the boosted Q_on/Fixture.q_base at which phase-slope-law and
+# detection-band check a pixel: on the reference (q_base = q_off = 10)
+# Q_on = 20, 50, 100 and 250
 Q_LADDER = (2.0, 5.0, 10.0, 25.0)
 Record = tuple[str, float, float]  # (metric, value, tol)
 # A tol commented "worst X" is 100 X rounded up to a power of ten (1e-12
@@ -95,6 +96,13 @@ class Fixture(Pixel):
     @property
     def q_off(self) -> float:
         return self.state.srr.q_off
+
+    @property
+    def q_base(self) -> float:
+        """The Q the checks' ladders are multiples of: q_off, or 1/beta_l
+        on a line too short for it, so that the matched k at twice it,
+        1/sqrt(2*beta_l*q_base), is at most 1/sqrt(2)."""
+        return max(self.q_off, 1.0 / self.line.beta_l(self.w0))
 
     def at_q(self, q_on: float, **keys) -> Fixture:
         """This pixel boosted to q_on, with keys set: a configured k or gm0
@@ -314,10 +322,10 @@ def check_sensitivity_anchors(rng, fx: Fixture) -> list[Record]:
 def check_phase_slope_law(rng, fx: Fixture) -> list[Record]:
     """Matched phase slope (2/3)Q/w0 by finite difference, and the
     effective quality factor slope*w0/2 = Q/3, with k matched at each Q
-    of a ladder 2-25 times q_off; off the locus, the finite-difference
+    of a ladder 2-25 times q_base; off the locus, the finite-difference
     slope against P(rho)*Q/w0."""
     worst_fd = worst_q = 0.0
-    for q in [ratio * fx.q_off for ratio in Q_LADDER]:
+    for q in [ratio * fx.q_base for ratio in Q_LADDER]:
         fxq = fx.at_q(q)
         srr, line = fxq.ring, fxq.line
         expect = (2.0 / 3.0) * q / fxq.w0
@@ -341,7 +349,7 @@ def check_detection_band(rng, fx: Fixture) -> list[Record]:
     linearized detection phase, plus the bandwidth limit law, over the Q
     ladder."""
     worst_edge = worst_bw = 0.0
-    for q in [ratio * fx.q_off for ratio in Q_LADDER]:
+    for q in [ratio * fx.q_base for ratio in Q_LADDER]:
         fxq = fx.at_q(q)
         w0 = fxq.w0
         w_lo, w_hi, bw = resonator.detection_band(w0, q)
@@ -387,8 +395,8 @@ def check_noise_laws(rng, fx: Fixture) -> list[Record]:
     """Quadratic Q scaling of the slope sensitivities and the dB laws of
     the phase-noise transfers."""
     kwl = fx.state.gm.kn_wl  # device geometry fixed, bias tunes the boost
-    st1 = fx.at_q(5.0 * fx.q_off, kn_wl=kwl, kp_wl=kwl).state
-    st2 = fx.at_q(10.0 * fx.q_off, kn_wl=kwl, kp_wl=kwl).state
+    st1 = fx.at_q(5.0 * fx.q_base, kn_wl=kwl, kp_wl=kwl).state
+    st2 = fx.at_q(10.0 * fx.q_base, kn_wl=kwl, kp_wl=kwl).state
     q1, q2 = active.q_on(st1), active.q_on(st2)
     r_fl = noise.flicker_sres_sensitivity(st2) / noise.flicker_sres_sensitivity(st1)
     r_sp = noise.supply_sres_sensitivity(st2) / noise.supply_sres_sensitivity(st1)

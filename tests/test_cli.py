@@ -542,10 +542,19 @@ class TestValidateCmd:
         assert main(["validate", "--config", cfg]) == 0
         assert "12/12 checks passed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("beta_l", ["0.05 rad", "0.02 rad"])
+    def test_short_line_passes(self, tmp_path, capsys, beta_l):
+        # with q_off = 10, ladders based on q_off would need k >= 1 at their
+        # lowest rungs (Q = 20, and at beta_l = 0.02 also noise-laws' Q = 50);
+        # based on 1/beta_l the matched k there is at most 1/sqrt(2)
+        cfg = write_config(tmp_path, REFERENCE_CONFIG + f"beta_l = {beta_l}\n")
+        assert main(["validate", "--config", cfg]) == 0
+        assert "12/12 checks passed" in capsys.readouterr().out
+
     def test_bench_pixels_of_seed_1_pass(self, tmp_path, monkeypatch, capsys):
         # the Q ladders of phase-slope-law, detection-band and noise-laws
-        # are multiples of the pixel's q_off, so a pixel with q_off above 20
-        # is checked too
+        # are multiples of the pixel's q_off (or 1/beta_l if larger), so a
+        # pixel with q_off above 20 is checked too
         inputs = load_bench_inputs(monkeypatch)
         texts = [text for _, text in inputs.cli_mix_pixels(1)]
         texts.append(inputs.export_input(1).pixel.text)

@@ -1,5 +1,10 @@
+import functools
 import math
 import os
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -297,6 +302,102 @@ class TestStreamedWriter:
         with pytest.raises(OSError, match="second temp file"), np.errstate(all="ignore"):
             write_sweep(extreme_sweep(2 * CHUNK_ROWS), paths)
         assert len(calls) == 2
+        assert_old_sweep_files(tmp_path, paths)
+
+
+def late_key_sweep(chunks, seed=9):
+    """A sweep of chunks chunks.  All but the last hold random values over
+    the kernel's exponent window, both signs; the last holds a value of
+    every layout key (1 to 12 significant digits), EXTREMES, subnormals
+    and ties in S11, so most keys first appear there.  S21 holds no zero,
+    nan or infinity, whose dB and phase would warn."""
+    rng = np.random.default_rng(seed)
+    n = chunks * CHUNK_ROWS
+    sign = rng.choice([-1.0, 1.0], (4, n))
+    values = sign * rng.uniform(1, 10, (4, n)) * 10.0 ** rng.integers(-11, 34, (4, n))
+    late = np.concatenate([every_layout_key(), EXTREMES, [5e-324, -2.5e-310, 123456789012.5,
+                                                         -12345678901.25]])
+    values[:2, n - len(late):] = rng.permutation(late), rng.permutation(late)
+    values[2:, n - 4:] = [[5e-324, -1e-320, 123456789012.5, -0.5]] * 2
+    re11, im11, re21, im21 = values
+    return TwoPortSweep(freqs=np.linspace(1e9, 2e12, n),
+                        s11=list(map(complex, re11, im11)), s21=list(map(complex, re21, im21)),
+                        z0_ref=50.0)
+
+
+class TestParallelWriter:
+    def test_bytes_match_with_every_core_and_late_layout_keys(self, tmp_path, monkeypatch):
+        # the chunk jobs run on pool threads, which do not inherit numpy's
+        # errstate (a context variable), so the job itself must raise no
+        # floating-point warning: none is silenced here
+        workers = len(os.sched_getaffinity(0))
+        sweep = late_key_sweep(3 * workers + 1)
+        head = 3 * workers * CHUNK_ROWS
+        early = TwoPortSweep(freqs=sweep.freqs[:head], s11=sweep.s11[:head],
+                             s21=sweep.s21[:head], z0_ref=50.0)
+        monkeypatch.setattr(sweepio, "_tables", functools.cache(sweepio._tables.__wrapped__))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_sweep(early, {"csv": tmp_path / "early.csv", "s2p": tmp_path / "early.s2p"})
+            filled_early = int(sweepio._tables()[4].sum())
+            write_sweep(sweep, {"csv": tmp_path / "s.csv", "s2p": tmp_path / "s.s2p"})
+            csv, touchstone = reference_csv(sweep), reference_touchstone(sweep)
+        assert filled_early < int(sweepio._tables()[4].sum())  # keys first seen late
+        assert (tmp_path / "s.csv").read_bytes() == csv
+        assert (tmp_path / "s.s2p").read_bytes() == touchstone
+        assert (tmp_path / "early.csv").read_bytes() == reference_csv(early)
+
+    def test_threads_racing_to_fill_the_layouts_write_percent_12g(self, monkeypatch):
+        # more threads than cores, switching often, each the first to need
+        # every layout key: a row read before it is filled would show
+        monkeypatch.setattr(sweepio, "_tables", functools.cache(sweepio._tables.__wrapped__))
+        sweepio._tables()
+        keyed = every_layout_key()
+        expect = [b"%.12g" % v for v in keyed.tolist()]
+        results = []
+        threads = [threading.Thread(target=lambda: results.append(sweepio._format_12g(keyed)))
+                   for _ in range(4 * len(os.sched_getaffinity(0)))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == len(threads)
+        assert all(cells.tolist() == expect for cells in results)
+
+    def test_failing_job_reaches_the_caller_and_stops_the_pool(self, tmp_path, monkeypatch):
+        # at most workers + 1 chunks are in flight: while the first job
+        # sleeps, the idle threads start no chunk past that window, and once
+        # the third fails no more than workers + 3 of the sweep's chunks start
+        paths = old_sweep_files(tmp_path)
+        workers = len(os.sched_getaffinity(0))
+        sweep = late_key_sweep(2 * workers + 4)
+        real_format_12g, lock = sweepio._format_12g, threading.Lock()
+        started, started_while_first_slept = [], []
+
+        def first_call_slow_third_fails(values):
+            with lock:
+                started.append(values)
+                call = len(started)
+            if call == 1:
+                time.sleep(0.2)
+                started_while_first_slept.append(len(started))
+            if call == 3:
+                raise RuntimeError("third chunk")
+            return real_format_12g(values)
+
+        monkeypatch.setattr(sweepio, "_format_12g", first_call_slow_third_fails)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="third chunk"):
+            write_sweep(sweep, paths)
+        assert threading.active_count() == threads
+        assert started_while_first_slept[0] <= workers + 1
+        assert len(started) <= workers + 3
         assert_old_sweep_files(tmp_path, paths)
 
 

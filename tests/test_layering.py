@@ -2,7 +2,8 @@
 independent second route to every closed form.  The CLI's start-up
 imports stay lean: importing the package loads no module, each command
 loads only the modules it runs (no command but validate loads validate
-and oracle), and validate builds its pixel without loading the CLI.
+and oracle), importing the CLI loads no thread pool and a one-chunk sweep
+starts no thread, and validate builds its pixel without loading the CLI.
 Every function the benchmark's tracer wraps exists, with the parameters
 its counters read.  Every public function has a caller outside the tests,
 and none takes a z0 beside the line that already holds one."""
@@ -15,9 +16,11 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import asrrkit
@@ -79,6 +82,46 @@ def test_cli_import_leaves_validate_and_oracle_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
     assert out == ["False", "False", "True", "True"]
+
+
+def test_cli_import_leaves_concurrent_futures_unloaded(tmp_path):
+    # sweepio imports its thread pool inside write_sweep, so no CLI start
+    # pays for it; a sweep of more than one chunk loads it
+    probe = ("import sys, numpy as np, asrrkit.cli\n"
+             "from asrrkit.resonator import TwoPortSweep\n"
+             "from asrrkit.sweepio import CHUNK_ROWS, write_sweep\n"
+             "print('concurrent.futures' in sys.modules)\n"
+             "x = np.linspace(1.0, 2.0, 2 * CHUNK_ROWS)\n"
+             "write_sweep(TwoPortSweep(x, x + 0j, x + 0j, 50.0),\n"
+             f"            {{'csv': {str(tmp_path / 's.csv')!r}}})\n"
+             "print('concurrent.futures' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(asrrkit.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["False", "True"]
+
+
+def test_one_chunk_sweep_starts_no_thread(tmp_path, monkeypatch):
+    # the README's reference config sweeps its 601-point auto grid, one
+    # chunk, in the calling thread; a two-chunk sweep shows the probe
+    # counts the pool's threads
+    from asrrkit import cli, sweepio
+    from asrrkit.resonator import TwoPortSweep
+
+    starts = []
+    real_start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: starts.append(thread) or real_start(thread))
+    config = tmp_path / "pixel.cfg"
+    config.write_text("f0 = 200 GHz\nlsrr = 54.12456 pH\nq_off = 10\nq_on = 54\n"
+                      "z0 = 50 ohm\nbeta_l = 0.35 rad\n")
+    assert cli.main(["sweep", "--config", str(config), "--out", str(tmp_path),
+                     "--format", "both", "--quiet"]) == 0
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 602
+    assert starts == []
+    x = np.linspace(1.0, 2.0, 2 * sweepio.CHUNK_ROWS)
+    sweepio.write_sweep(TwoPortSweep(x, x + 0j, x + 0j, 50.0), {"csv": tmp_path / "two.csv"})
+    assert starts
 
 
 def test_package_import_loads_no_submodule():
