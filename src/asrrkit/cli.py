@@ -10,9 +10,21 @@ failure.
 
 Each command imports the modules that only it runs (noise, design,
 validate) when it runs, so no other command pays to load them.
+
+The program (``python -m asrrkit.cli`` or the ``asrrkit`` script) enters
+through run(); main() is the in-process API and leaves the garbage
+collector alone, as importing this module does.
 """
 
 from __future__ import annotations
+
+import gc
+
+if __name__ == "__main__":
+    # the program's imports make objects that live until exit, so a
+    # collection during them finds nothing to free; run() turns the
+    # collector back on once they are frozen
+    gc.disable()
 
 import argparse
 import dataclasses
@@ -62,7 +74,10 @@ def _say(args, msg):
 
 def _outdir(args) -> str:
     out = args.out or os.environ.get("ASRRKIT_OUT") or "."
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {out}: {exc.strerror}") from exc
     return out
 
 
@@ -387,7 +402,19 @@ def main(argv=None) -> int:
     except (RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:  # an output file: the config and --out raise ConfigError
+        print(f"config error: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
+
+
+def run() -> int:
+    """The program: main() on sys.argv, with every object made so far (the
+    imports', alive until exit) frozen out of the cyclic collector, so its
+    collections, the one at exit included, walk only the command's own."""
+    gc.freeze()
+    gc.enable()
+    return main()
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -165,7 +165,8 @@ def _write_atomic(paths, write):
     rename them all into place.  Each temp file is created as open()
     creates a file, mode 0666 less the umask (mkstemp would make it 0600),
     under a random name that O_EXCL refuses to reuse; on any failure every
-    temp file is removed and no path is touched."""
+    temp file is removed and no path is touched, and an OSError is raised
+    again naming the paths, not the temp file."""
     tmps = []
     try:
         with contextlib.ExitStack() as stack:
@@ -179,10 +180,13 @@ def _write_atomic(paths, write):
             write(*handles)
         for tmp, path in zip(tmps, paths):
             os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         for tmp in tmps:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, f"cannot write {', '.join(map(str, paths))}: "
+                                     f"{exc.strerror or exc}") from exc
         raise
 
 
@@ -212,8 +216,6 @@ def write_sweep(sweep: TwoPortSweep, paths):
     the sweep is.  A sweep of one chunk runs its job here and starts no
     thread.  On a failure the pending jobs are cancelled and no file is
     touched."""
-    from concurrent.futures import ThreadPoolExecutor
-
     headers = {"csv": SWEEP_COLUMNS, "s2p": f"# Hz S RI R {fmt(sweep.z0_ref)}"}
     columns = [sweep.freqs_hz, sweep.s11.real, sweep.s11.imag, sweep.s21.real, sweep.s21.imag]
     if "csv" in paths:
@@ -247,6 +249,9 @@ def write_sweep(sweep: TwoPortSweep, paths):
             for i in starts:
                 emit(pack(i))
             return
+        # imported here, so a sweep that starts no pool does not load it
+        from concurrent.futures import ThreadPoolExecutor
+
         workers = len(os.sched_getaffinity(0))
         pool = ThreadPoolExecutor(workers)
         pending = collections.deque()

@@ -392,8 +392,10 @@ def check_nonlinear_gm(rng, fx: Fixture) -> list[Record]:
 
 
 def check_noise_laws(rng, fx: Fixture) -> list[Record]:
-    """Quadratic Q scaling of the slope sensitivities and the dB laws of
-    the phase-noise transfers."""
+    """Quadratic Q scaling of the slope sensitivities, the dB laws of the
+    phase-noise transfers, and the flicker RMS against the oracle's
+    quadrature of kf/f over the default band and five seeded ones, each
+    one to eight decades wide from f_lo in [0.01, 100] Hz."""
     kwl = fx.state.gm.kn_wl  # device geometry fixed, bias tunes the boost
     st1 = fx.at_q(5.0 * fx.q_base, kn_wl=kwl, kp_wl=kwl).state
     st2 = fx.at_q(10.0 * fx.q_base, kn_wl=kwl, kp_wl=kwl).state
@@ -417,6 +419,14 @@ def check_noise_laws(rng, fx: Fixture) -> list[Record]:
     err_carrier = abs(noise.white_ssb_phase_noise(replace(ctx, p_in=ctx.p_in / 2.0))
                       - noise.white_ssb_phase_noise(ctx) - 10.0 * math.log10(2.0))
 
+    kf = fx.state.gm.kf
+    worst_rms = 0.0
+    bands = [noise.FLICKER_BAND] + [(f, f * 10.0 ** rng.uniform(1.0, 8.0))
+                                    for f in 10.0 ** rng.uniform(-2.0, 2.0, 5)]
+    for band in bands:
+        quad = math.sqrt(oracle.flicker_power(kf, band))
+        worst_rms = max(worst_rms, abs(noise.flicker_rms(kf, band) / quad - 1.0))
+
     w0 = fx.w0
     err_dc = abs(noise.input_phase_transfer(q2, w0, 0.0) - 1.0)
     err_corner = abs(noise.input_phase_transfer(q2, w0, w0 / (2.0 * q2)) - 2.0)
@@ -427,6 +437,7 @@ def check_noise_laws(rng, fx: Fixture) -> list[Record]:
         ("decade dB", err_decade, 1e-9),
         ("carrier dB", err_carrier, 1e-9),
         ("transfer dc/corner", max(err_dc, err_corner), 1e-9),
+        ("flicker rms vs quadrature", worst_rms, 1e-13),  # worst 6.7e-16
     ]
 
 

@@ -62,7 +62,7 @@ def test_criterion_06_nonlinear_gm():
 def test_criterion_07_noise_laws():
     # Q^2 sensitivity scaling, 6.02 dB per detuning doubling, -10 dB per
     # offset decade, dB-for-dB carrier tracking, unity/2x transfer points,
-    # all to 1e-9
+    # all to 1e-9; the flicker RMS against a quadrature of kf/f to 1e-13
     report(7, validate.run_check(validate.check_noise_laws, Fixture()))
 
 

@@ -816,6 +816,32 @@ class TestConfigKeys:
         assert {key: d for key, d in defaults.items() if len(d) > 1} == {}
 
 
+class TestOutputDirectory:
+    @pytest.mark.parametrize("via", ["--out", "ASRRKIT_OUT"])
+    def test_unusable_directory_is_config_error(self, tmp_path, monkeypatch, capsys, via):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub"
+        argv = ["snr", "--config", write_config(tmp_path), "--quiet"]
+        if via == "--out":
+            argv += ["--out", str(out)]
+        else:
+            monkeypatch.setenv("ASRRKIT_OUT", str(out))
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (f"config error: cannot use output directory "
+                                           f"{out}: Not a directory\n")
+
+    def test_unwritable_output_file_is_config_error(self, tmp_path, capsys):
+        # a directory where the output file goes: the rename onto it fails
+        out = tmp_path / "out"
+        (out / "snr.txt").mkdir(parents=True)
+        assert main(["snr", "--config", write_config(tmp_path), "--out", str(out),
+                     "--quiet"]) == 1
+        assert capsys.readouterr().err == (f"config error: cannot write {out / 'snr.txt'}: "
+                                           f"Is a directory\n")
+        assert [p.name for p in out.iterdir()] == ["snr.txt"]
+
+
 class TestOutputMode:
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
                              ids=["umask022", "umask077"])

@@ -2,11 +2,13 @@
 independent second route to every closed form.  The CLI's start-up
 imports stay lean: importing the package loads no module, each command
 loads only the modules it runs (no command but validate loads validate
-and oracle), importing the CLI loads no thread pool and a one-chunk sweep
-starts no thread, and validate builds its pixel without loading the CLI.
-Every function the benchmark's tracer wraps exists, with the parameters
-its counters read.  Every public function has a caller outside the tests,
-and none takes a z0 beside the line that already holds one."""
+and oracle), neither importing the CLI nor a one-chunk sweep loads a
+thread pool and such a sweep starts no thread, and validate builds its
+pixel without loading the CLI.  Only the program entry touches the
+garbage collector, and the console script is that entry.  Every function
+the benchmark's tracer wraps exists, with the parameters its counters
+read.  Every public function has a caller outside the tests, and none
+takes a z0 beside the line that already holds one."""
 
 import ast
 import importlib
@@ -26,6 +28,10 @@ import pytest
 import asrrkit
 
 ANALYTIC = ["resonator", "active", "noise", "design", "config", "sweepio"]
+
+# the README's reference pixel, matched coupling
+README_CONFIG = ("f0 = 200 GHz\nlsrr = 54.12456 pH\nq_off = 10\nq_on = 54\n"
+                 "z0 = 50 ohm\nbeta_l = 0.35 rad\n")
 
 
 def imported_modules(path: Path) -> set[str]:
@@ -85,11 +91,17 @@ def test_cli_import_leaves_validate_and_oracle_unloaded():
 
 
 def test_cli_import_leaves_concurrent_futures_unloaded(tmp_path):
-    # sweepio imports its thread pool inside write_sweep, so no CLI start
+    # sweepio imports its thread pool where it starts one, so neither a CLI
+    # start nor a one-chunk sweep (the README config's 601-point auto grid)
     # pays for it; a sweep of more than one chunk loads it
+    config = tmp_path / "pixel.cfg"
+    config.write_text(README_CONFIG)
     probe = ("import sys, numpy as np, asrrkit.cli\n"
              "from asrrkit.resonator import TwoPortSweep\n"
              "from asrrkit.sweepio import CHUNK_ROWS, write_sweep\n"
+             "print('concurrent.futures' in sys.modules)\n"
+             f"assert asrrkit.cli.main(['sweep', '--config', {str(config)!r},\n"
+             f"                         '--out', {str(tmp_path)!r}, '--quiet']) == 0\n"
              "print('concurrent.futures' in sys.modules)\n"
              "x = np.linspace(1.0, 2.0, 2 * CHUNK_ROWS)\n"
              "write_sweep(TwoPortSweep(x, x + 0j, x + 0j, 50.0),\n"
@@ -98,7 +110,7 @@ def test_cli_import_leaves_concurrent_futures_unloaded(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(asrrkit.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
-    assert out == ["False", "True"]
+    assert out == ["False", "False", "True"]
 
 
 def test_one_chunk_sweep_starts_no_thread(tmp_path, monkeypatch):
@@ -113,8 +125,7 @@ def test_one_chunk_sweep_starts_no_thread(tmp_path, monkeypatch):
     monkeypatch.setattr(threading.Thread, "start",
                         lambda thread: starts.append(thread) or real_start(thread))
     config = tmp_path / "pixel.cfg"
-    config.write_text("f0 = 200 GHz\nlsrr = 54.12456 pH\nq_off = 10\nq_on = 54\n"
-                      "z0 = 50 ohm\nbeta_l = 0.35 rad\n")
+    config.write_text(README_CONFIG)
     assert cli.main(["sweep", "--config", str(config), "--out", str(tmp_path),
                      "--format", "both", "--quiet"]) == 0
     assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 602
@@ -137,8 +148,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     # one interpreter; the line after noise and snr shows the probe sees a
     # lazily imported module
     config = tmp_path / "pixel.cfg"
-    config.write_text("f0 = 200 GHz\nlsrr = 54.12456 pH\nq_off = 10\nq_on = 54\n"
-                      "z0 = 50 ohm\nbeta_l = 0.35 rad\n")
+    config.write_text(README_CONFIG)
     probe = ("import runpy, sys\n"
              "def run(command):\n"
              f"    sys.argv = ['asrrkit', command, '--config', {str(config)!r},\n"
@@ -155,6 +165,57 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout.split("\n")
     assert out[:2] == ["False False", "True False"]
+
+
+def test_program_entry_freezes_its_imports_and_collects_the_rest(tmp_path):
+    # `python -m asrrkit.cli` as runpy runs it: no collection starts while
+    # the program imports (numpy loaded, nothing frozen yet), and the
+    # command runs with the import-time objects frozen, the collector on
+    config = tmp_path / "pixel.cfg"
+    config.write_text(README_CONFIG)
+    probe = ("import gc, runpy, sys\n"
+             "during_import = []\n"
+             "gc.callbacks.append(lambda phase, info: during_import.append(phase)\n"
+             "                    if phase == 'start' and 'numpy' in sys.modules\n"
+             "                    and not gc.get_freeze_count() else None)\n"
+             f"sys.argv = ['asrrkit', 'sweep', '--config', {str(config)!r},\n"
+             f"            '--out', {str(tmp_path)!r}, '--quiet']\n"
+             "try:\n"
+             "    runpy.run_module('asrrkit.cli', run_name='__main__', alter_sys=True)\n"
+             "except SystemExit as done:\n"
+             "    assert done.code == 0\n"
+             "print(gc.isenabled(), gc.get_freeze_count() > 0, len(during_import))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(asrrkit.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["True", "True", "0"]
+
+
+def test_library_use_leaves_the_collector_alone(tmp_path):
+    # importing the package's modules and calling main() in process touch
+    # no collector state: only the program entry, run(), does
+    config = tmp_path / "pixel.cfg"
+    config.write_text(README_CONFIG)
+    probe = ("import gc, asrrkit.cli, asrrkit.validate\n"
+             "print(gc.isenabled(), gc.get_freeze_count())\n"
+             f"assert asrrkit.cli.main(['snr', '--config', {str(config)!r},\n"
+             f"                         '--out', {str(tmp_path)!r}, '--quiet']) == 0\n"
+             "print(gc.isenabled(), gc.get_freeze_count())\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(asrrkit.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["True", "0", "True", "0"]
+
+
+def test_console_script_is_the_program_entry():
+    # the installed `asrrkit` runs what `python -m asrrkit.cli` runs
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["asrrkit"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert callable(entry)
+    assert entry is sys.modules["asrrkit.cli"].run
 
 
 def test_validate_import_leaves_the_cli_unloaded():

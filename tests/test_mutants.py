@@ -40,7 +40,6 @@ SURVIVORS = {
     "white_output_noise_density",
     "detected_power",
     "supply_sres_sensitivity",
-    "flicker_rms",
     "power_from_gm_slope",
 }
 
