@@ -210,8 +210,9 @@ def cmd_noise(args, cfg):
                               f"is {supply:g} dBc/Hz")
     for off in offsets:
         results.append(noise.PhaseNoiseResult(off, white, "white"))
+        # the flicker notch bottoms out at the white level, not at -inf
         results.append(noise.PhaseNoiseResult(
-            off, noise.flicker_phase_noise(ctx, off), "flicker"))
+            off, max(noise.flicker_phase_noise(ctx, off), white), "flicker"))
         gain_db = 10.0 * math.log10(noise.input_phase_transfer(q, w0, 2 * math.pi * off))
         results.append(noise.PhaseNoiseResult(off, gain_db, "input"))
         if supply_psd is not None:

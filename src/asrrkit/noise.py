@@ -140,21 +140,18 @@ def supply_phase_noise(ctx: NoiseContext, supply_psd: float) -> float:
     return 10.0 * math.log10(s_phi) if s_phi > 0.0 else -math.inf
 
 
-def flicker_phase_noise(ctx: NoiseContext, offset_freq: float, floor_at_white=True) -> float:
+def flicker_phase_noise(ctx: NoiseContext, offset_freq: float) -> float:
     """SSB phase noise from the four devices' flicker noise [dBc/Hz].
 
     S_phi = 4 * (dS/dv)^2 * (kf/offset) * delta_omega_s^2 -- quadratic in
-    the sample-induced detuning, so it notches at resonance; the notch
-    bottom is reported at the white-noise level rather than -inf.
+    the sample-induced detuning, so it notches at resonance: -inf at zero
+    detuning.
     """
     if offset_freq <= 0:
         raise ValueError("offset frequency must be positive")
     dsdv = flicker_sres_sensitivity(ctx.state)
     s_phi = 4.0 * dsdv**2 * (ctx.state.gm.kf / offset_freq) * ctx.delta_omega_s**2
-    ssb = 10.0 * math.log10(s_phi) if s_phi > 0.0 else -math.inf
-    if floor_at_white:
-        return max(ssb, white_ssb_phase_noise(ctx))
-    return ssb
+    return 10.0 * math.log10(s_phi) if s_phi > 0.0 else -math.inf
 
 
 def input_phase_transfer(q_on_val: float, w0: float, offset) -> float:

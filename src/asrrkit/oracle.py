@@ -45,7 +45,7 @@ class MeshCircuit:
 
     @classmethod
     def from_parts(cls, srr: SrrParams, line: TransmissionLineSection, include_ctl=False, gm_neg=0.0):
-        m = srr.k * float(np.sqrt(line.ltl * srr.lsrr))
+        m = srr.k * math.sqrt(line.ltl * srr.lsrr)
         return cls(
             ltl=line.ltl,
             lsrr=srr.lsrr,

@@ -58,7 +58,7 @@ class TransmissionLineSection:
 
     def beta_l(self, w):
         """Electrical length beta*l [rad] of the segment at w."""
-        return w * np.sqrt(self.ltl * self.ctl)
+        return w * math.sqrt(self.ltl * self.ctl)
 
     @classmethod
     def from_electrical(cls, z0, beta_l, w, length=1.0):
@@ -140,7 +140,7 @@ class TwoPortSweep:
 
 def mutual_inductance(srr: SrrParams, line: TransmissionLineSection) -> float:
     """M = k*sqrt(L_line * L_ring) [H]."""
-    return srr.k * float(np.sqrt(line.ltl * srr.lsrr))
+    return srr.k * math.sqrt(line.ltl * srr.lsrr)
 
 
 def coupling_ratio(srr: SrrParams, line: TransmissionLineSection) -> float:
@@ -228,7 +228,7 @@ def optimum_k_for_q(q_on: float, line: TransmissionLineSection, w0: float) -> fl
     """Coupling coefficient that matches the given boosted quality factor."""
     if q_on <= 0:
         raise ValueError("q_on must be positive")
-    k = 1.0 / float(np.sqrt(line.beta_l(w0) * q_on))
+    k = 1.0 / math.sqrt(line.beta_l(w0) * q_on)
     if k >= 1.0:
         raise ValueError(f"coupling unrealizable: matching Q={q_on:g} needs k={k:.3f} >= 1")
     return k
@@ -260,7 +260,7 @@ def k_max_for_il(
     if per_pixel >= 1.0:
         raise ValueError("per-pixel loss budget must be below 1")
     r_off = 2.0 * line.z0 * per_pixel / (1.0 - per_pixel)
-    return float(np.sqrt(r_off / (w0 * q_off * line.ltl)))
+    return math.sqrt(r_off / (w0 * q_off * line.ltl))
 
 
 # The line-coupling laws: at resonance the reflected R' sits in series with
@@ -318,9 +318,9 @@ def detection_band(w0: float, q_on: float):
     if q_on <= 1.0:
         raise ValueError("detection band needs q_on > 1")
     a = 1.0 / (q_on * q_on)
-    half = (1.0 / q_on) * float(np.sqrt(4.0 + a))
-    w_hi = w0 * float(np.sqrt((2.0 + a + half) / 2.0))
-    w_lo = w0 * float(np.sqrt((2.0 + a - half) / 2.0))
+    half = (1.0 / q_on) * math.sqrt(4.0 + a)
+    w_hi = w0 * math.sqrt((2.0 + a + half) / 2.0)
+    w_lo = w0 * math.sqrt((2.0 + a - half) / 2.0)
     return w_lo, w_hi, w_hi - w_lo
 
 

@@ -17,24 +17,26 @@ double, so the one rounding moves the product by at most 2**-53 of it,
 under 1.2e-4.  The nearest integer to the product is then the 12-digit
 significand ``%`` would round to, unless the product lies within 1e-3 of
 a half-integer.  The digits go into place through a table of the ``%g``
-layouts.  Everything else falls back to ``%``, one value at a time:
-zeros, nan, infinities, magnitudes outside that window (subnormals among
-them) and the near-ties, which include every exact tie, where ``%``
-rounds half to even.
+layouts, one row per (exponent, trailing zeros, sign).  Everything else
+falls back to ``%``, one value at a time: zeros, nan, infinities,
+magnitudes outside that window (subnormals among them) and the near-ties,
+which include every exact tie, where ``%`` rounds half to even.
 
 The kernel's cells are NUL-padded S20 values, and each file's rows are
 assembled and packed from them in numpy (see ``write_sweep``), so no bytes
 object is made per cell, no row is joined in Python, and the packing runs
-in numpy calls that release the GIL.
+in numpy calls that release the GIL.  The kernel's tables are built whole
+on the first sweep write and are read-only, so the chunk jobs on the
+pool's threads share nothing that any thread writes.
 """
 
 from __future__ import annotations
 
 import collections
 import contextlib
+import errno
 import functools
 import os
-import threading
 
 import numpy as np
 
@@ -78,20 +80,22 @@ def _layout(exp, nd, neg):
 
 @functools.cache
 def _tables():
-    """The kernel's tables, built on the first sweep write: each 4-digit
-    group's ASCII bytes as one uint32 and its trailing zero count, the
-    factors and divisors 10**(11 - e), and room for one layout per key
-    ((exponent - _EXP_MIN)*12 + trailing zeros)*2 + sign, with a flag per
-    key for the rows filled so far and the lock that guards both."""
+    """The kernel's tables, built on the first sweep write and read-only, so
+    that calls on any thread share them: each 4-digit group's ASCII bytes as
+    one uint32 and its trailing zero count, the factors and divisors
+    10**(11 - e), and the layout of every key
+    ((exponent - _EXP_MIN)*12 + trailing zeros)*2 + sign."""
     groups = np.arange(10_000)
     digits4 = (groups[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
     zeros4 = sum(groups % 10**k == 0 for k in range(1, 5))
     shifts = range(11 - _EXP_MAX, 12 - _EXP_MIN)
     scale = np.array([[float(10 ** max(s, 0)), float(10 ** max(-s, 0))] for s in shifts])
-    tables = digits4.view(np.uint32).ravel(), zeros4, scale
+    layouts = np.array([_layout(k // 24 + _EXP_MIN, 12 - k // 2 % 12, k % 2)
+                        for k in range(_KEYS)], np.intp)
+    tables = digits4.view(np.uint32).ravel(), zeros4, scale, layouts
     for table in tables:
-        table.flags.writeable = False  # shared by every call in the process
-    return *tables, np.empty((_KEYS, _CELL), np.intp), np.zeros(_KEYS, bool), threading.Lock()
+        table.flags.writeable = False
+    return tables
 
 
 def _format_each(values):
@@ -103,7 +107,7 @@ def _format_12g(values) -> np.ndarray:
     """b"%.12g" % v for every double v of values, as an S20 array of the
     same shape (NUL-padded; .tolist() strips the padding).  See the module
     docstring for why the fast path is exact and what falls back."""
-    digits4, zeros4, scale, layouts, filled, lock = _tables()
+    digits4, zeros4, scale, layouts = _tables()
     values = np.asarray(values, dtype=float)
     x = values.ravel()
     a = np.abs(x)
@@ -140,17 +144,6 @@ def _format_12g(values) -> np.ndarray:
     src = np.empty((n, width // 4), np.uint32)
     src[:, 0], src[:, 1], src[:, 2] = digits4[hi], digits4[mid], digits4[lo]
     src[:, 3:] = np.frombuffer(_LITERALS, np.uint32)
-    # a layout row is filled the first time a chunk holds its key: a sweep
-    # needs a few dozen of the 1104.  A row depends on its key alone, so
-    # every call shares it, and calls on other threads fill rows under the
-    # lock; a row is only read once it is filled
-    held = np.zeros(_KEYS, bool)
-    held[key] = True
-    with lock:
-        for k in np.flatnonzero(held & ~filled).tolist():
-            exp_tz, neg = divmod(k, 2)
-            layouts[k] = _layout(exp_tz // 12 + _EXP_MIN, 12 - exp_tz % 12, neg)
-            filled[k] = True
     index = layouts.take(key, axis=0)
     index += np.arange(0, n * width, width)[:, None]
     cells = src.view(np.uint8).ravel().take(index).view(f"S{_CELL}").ravel()
@@ -166,7 +159,10 @@ def _write_atomic(paths, write):
     creates a file, mode 0666 less the umask (mkstemp would make it 0600),
     under a random name that O_EXCL refuses to reuse; on any failure every
     temp file is removed and no path is touched, and an OSError is raised
-    again naming the paths, not the temp file."""
+    again naming the paths, not the temp file.  A path that is a directory
+    is refused before the first rename, so several paths commit together
+    unless a rename itself fails part way; the commands that write two
+    files by two calls (noise, match, design) still commit them apart."""
     tmps = []
     try:
         with contextlib.ExitStack() as stack:
@@ -178,6 +174,9 @@ def _write_atomic(paths, write):
                 tmps.append(tmp)
                 handles.append(stack.enter_context(os.fdopen(fd, "wb")))
             write(*handles)
+        for path in paths:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         for tmp, path in zip(tmps, paths):
             os.replace(tmp, path)
     except BaseException as exc:
@@ -222,7 +221,6 @@ def write_sweep(sweep: TwoPortSweep, paths):
         columns += [sweep.s21_db(), np.degrees(sweep.s21_phase())]
     layouts = [SWEEP_LAYOUTS[kind] for kind in paths]
     starts = range(0, len(columns[0]), CHUNK_ROWS)
-    _tables()  # built before the jobs start, or two first calls could each build one
 
     def pack(i):
         cells = _format_12g(np.stack([col[i:i + CHUNK_ROWS] for col in columns], axis=1))

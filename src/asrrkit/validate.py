@@ -409,11 +409,9 @@ def check_noise_laws(rng, fx: Fixture) -> list[Record]:
     ctx = noise.NoiseContext(state=st2, p_in=10e-6,
                              delta_omega_s=2.0 * math.pi * 20e6)
     ctx2 = replace(ctx, delta_omega_s=2.0 * ctx.delta_omega_s)
-    d_double = noise.flicker_phase_noise(ctx2, 1e3, floor_at_white=False) - \
-        noise.flicker_phase_noise(ctx, 1e3, floor_at_white=False)
+    d_double = noise.flicker_phase_noise(ctx2, 1e3) - noise.flicker_phase_noise(ctx, 1e3)
     err_double = abs(d_double - 10.0 * math.log10(4.0))
-    d_decade = noise.flicker_phase_noise(ctx, 1e4, floor_at_white=False) - \
-        noise.flicker_phase_noise(ctx, 1e3, floor_at_white=False)
+    d_decade = noise.flicker_phase_noise(ctx, 1e4) - noise.flicker_phase_noise(ctx, 1e3)
     err_decade = abs(d_decade + 10.0)
 
     err_carrier = abs(noise.white_ssb_phase_noise(replace(ctx, p_in=ctx.p_in / 2.0))
@@ -510,8 +508,7 @@ def check_snr_invariance(rng, fx: Fixture) -> list[Record]:
         noise_phase = wobble * dw
         worst = max(worst, abs(slope_c * dw / noise_phase / snr_c - 1.0),
                     abs(slope_r * dw / noise_phase / snr_r - 1.0))
-        psd_gaps.append(noise.flicker_phase_noise(ctx, 1e3, floor_at_white=False)
-                        - 20.0 * math.log10(noise_phase))
+        psd_gaps.append(noise.flicker_phase_noise(ctx, 1e3) - 20.0 * math.log10(noise_phase))
     spread = max(psd_gaps) - min(psd_gaps)
     # and the direct identity 1/(6 a v R)
     ident = 1.0 / (6.0 * noise.alpha_flicker(state) * v_rms * active.boosted_resistance(state))

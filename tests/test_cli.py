@@ -244,6 +244,15 @@ class TestNoiseCmd:
         mid = np.argmin(np.abs(data[:, 0]))
         assert data[mid, 1] < np.max(data[:, 1]) - 20
 
+    def test_flicker_notch_floors_at_white(self, tmp_path):
+        # at zero detuning the flicker level is -inf; the table writes white
+        cfg = write_config(tmp_path, REFERENCE_CONFIG + "delta_f_s = 0\n")
+        assert main(["noise", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        rows = [ln.split(",") for ln in (tmp_path / "phase_noise.csv").read_text().splitlines()]
+        white = [(off, v) for off, who, v in rows[1:] if who == "white"]
+        assert len(white) == 31
+        assert [(off, v) for off, who, v in rows[1:] if who == "flicker"] == white
+
     def test_high_q_table_has_79_distinct_rows(self, tmp_path):
         # a boost of 3e6 narrows the band to 6.7 kHz at 200 GHz: the rows
         # j*w0/(20*Q_on), j = -39..39, stay distinct doubles
@@ -840,6 +849,23 @@ class TestOutputDirectory:
         assert capsys.readouterr().err == (f"config error: cannot write {out / 'snr.txt'}: "
                                            f"Is a directory\n")
         assert [p.name for p in out.iterdir()] == ["snr.txt"]
+
+    @pytest.mark.parametrize("old_csv", [None, b"old sweep\n"], ids=["no-csv", "old-csv"])
+    def test_two_file_sweep_commits_neither_when_one_cannot_be_written(self, tmp_path, capsys,
+                                                                       old_csv):
+        # a directory where sweep.s2p goes: sweep.csv stays as it was
+        out = tmp_path / "out"
+        (out / "sweep.s2p").mkdir(parents=True)
+        if old_csv is not None:
+            (out / "sweep.csv").write_bytes(old_csv)
+        assert main(["sweep", "--config", write_config(tmp_path), "--out", str(out),
+                     "--quiet", "--format", "both"]) == 1
+        assert capsys.readouterr().err == (f"config error: cannot write {out / 'sweep.csv'}, "
+                                           f"{out / 'sweep.s2p'}: Is a directory\n")
+        assert sorted(p.name for p in out.iterdir()) == (
+            ["sweep.s2p"] if old_csv is None else ["sweep.csv", "sweep.s2p"])
+        if old_csv is not None:
+            assert (out / "sweep.csv").read_bytes() == old_csv
 
 
 class TestOutputMode:
