@@ -39,11 +39,13 @@ from .config import STATE_KEYS, ConfigError, Pixel, optional, parse_config_file,
 from .resonator import require_positive
 from .sweepio import (
     fmt,
+    keyvalue_lines,
+    noise_csv_lines,
+    table_csv_lines,
     write_keyvalues,
-    write_lines,
-    write_noise_csv,
     write_sweep,
     write_table_csv,
+    write_text_files,
 )
 
 EXIT_OK = 0
@@ -147,14 +149,15 @@ def cmd_match(args, cfg):
     def row(k, q):
         return k, q, 20.0 * math.log10(resonator.reflected_amplitude(beta_l * k**2 * q))
 
+    header = ("k", "q_on", "s11_db_at_f0")
     locus_path = os.path.join(out, "match_locus.csv")
-    write_table_csv(locus_path, ("k", "q_on", "s11_db_at_f0"),
-                    [row(k, resonator.optimum_q_for_k(k, line, w0))
-                     for k in np.linspace(0.02, 0.3, 57)])
     contour_path = os.path.join(out, "s11_contours.csv")
-    write_table_csv(contour_path, ("k", "q_on", "s11_db_at_f0"),
-                    [row(k, q) for k in np.linspace(0.02, 0.3, 29)
-                     for q in np.geomspace(5.0, 500.0, 25)])
+    write_text_files({
+        locus_path: table_csv_lines(header, [row(k, resonator.optimum_q_for_k(k, line, w0))
+                                             for k in np.linspace(0.02, 0.3, 57)]),
+        contour_path: table_csv_lines(header, [row(k, q) for k in np.linspace(0.02, 0.3, 29)
+                                               for q in np.geomspace(5.0, 500.0, 25)]),
+    })
     _say(args, f"wrote {locus_path}, {contour_path}")
     return EXIT_OK
 
@@ -232,9 +235,9 @@ def cmd_noise(args, cfg):
 
     out = _outdir(args)
     noise_path = os.path.join(out, "phase_noise.csv")
-    write_noise_csv(noise_path, results)
     pm_path = os.path.join(out, "pm_to_am.csv")
-    write_table_csv(pm_path, ("detune_hz", "conversion_db"), rows)
+    write_text_files({noise_path: noise_csv_lines(results),
+                      pm_path: table_csv_lines(("detune_hz", "conversion_db"), rows)})
     _say(args, f"wrote {noise_path}, {pm_path}")
     return EXIT_OK
 
@@ -294,8 +297,6 @@ def cmd_design(args, cfg):
         return EXIT_NUMERIC
     out = _outdir(args)
     machine = os.path.join(out, "design.txt")
-    write_keyvalues(machine, [(f.name, getattr(result, f.name))
-                              for f in dataclasses.fields(result) if f.name != "notes"])
     report = os.path.join(out, "design_report.txt")
     lines = [
         "pixel design report",
@@ -314,7 +315,10 @@ def cmd_design(args, cfg):
     ]
     for note in result.notes:
         lines.append(f"  note: {note}")
-    write_lines(report, lines)
+    write_text_files({machine: keyvalue_lines([(f.name, getattr(result, f.name))
+                                               for f in dataclasses.fields(result)
+                                               if f.name != "notes"]),
+                      report: lines})
     _say(args, f"wrote {machine}, {report}")
     return EXIT_OK
 

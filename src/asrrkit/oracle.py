@@ -1,7 +1,8 @@
 """Independent numerical verifiers for the analytic models.
 
 A direct frequency-domain solve of the coupled circuit (no closed-form
-transforms; one stacked numpy solve per frequency grid), a Brent root
+transforms; one stacked numpy solve per frequency grid, or per block of
+circuits each on its own grid), a Brent root
 finder, a central difference, derivative sign roots of sampled curves, a
 Gauss-Legendre cycle average of the segmented large-signal
 transconductance and a Gauss-Legendre integral of a kf/f flicker density.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,7 +29,10 @@ class MeshCircuit:
     """Coupled two-loop network: line segment inductance magnetically
     coupled to a series-RLC ring, between z0 ports.  Options: split shunt
     capacitance ctl/2 at each port, and a negative conductance across the
-    ring capacitor."""
+    ring capacitor.
+
+    The fields may instead be arrays of one shape, one entry per circuit
+    (see stack): solve_two_port then solves the whole stack at once."""
 
     ltl: float  # line segment inductance [H]
     lsrr: float  # ring inductance [H]
@@ -40,7 +44,7 @@ class MeshCircuit:
     gm_neg: float = 0.0  # negative conductance across the ring capacitor [S]
 
     def __post_init__(self):
-        if self.m * self.m > self.ltl * self.lsrr:
+        if np.any(self.m * self.m > self.ltl * self.lsrr):
             raise ValueError("inductance matrix not positive semi-definite (|k| > 1)")
 
     @classmethod
@@ -56,6 +60,14 @@ class MeshCircuit:
             ctl=line.ctl if include_ctl else 0.0,
             gm_neg=gm_neg,
         )
+
+    @classmethod
+    def stack(cls, circuits):
+        """One circuit whose fields are arrays over circuits, in order, along
+        the last axis: solve_two_port on it with w of shape (..., n) solves
+        circuit i at w[..., i].  The |k| <= 1 guard runs on every entry."""
+        return cls(**{f.name: np.array([getattr(c, f.name) for c in circuits])
+                      for f in fields(cls)})
 
 
 def solve_linear(a, b):
@@ -79,13 +91,19 @@ def solve_linear(a, b):
 def solve_two_port(circ: MeshCircuit, w) -> np.ndarray:
     """Full S-matrices from the nodal/mesh system at angular frequency w.
 
-    w may be a scalar, giving one (2, 2) matrix, or an array, giving a stack
-    of shape w.shape + (2, 2) from one stacked solve.  Unknowns are the port
-    node voltages, the branch current through the coupled segment, and the
-    ring loop current; each port is driven in turn behind z0 with the other
+    w and the circuit's fields broadcast against each other, and the result
+    has their broadcast shape + (2, 2), from one stacked solve: a scalar
+    circuit at a scalar w gives one (2, 2) matrix, at a grid one matrix per
+    point, and a stacked circuit (see MeshCircuit.stack) one per circuit,
+    or per circuit and point.  Each system is solved alone, so an entry is
+    the same whatever it is stacked with.  Unknowns are the port node
+    voltages, the branch current through the coupled segment, and the ring
+    loop current; each port is driven in turn behind z0 with the other
     port terminated, so reciprocity is an outcome rather than an assumption.
     """
     w = np.asarray(w, dtype=float)
+    shape = np.broadcast_shapes(w.shape, *(np.shape(getattr(circ, f.name))
+                                           for f in fields(circ)))
     z0 = circ.z0
     yc = 1j * w * circ.csrr - circ.gm_neg
     if np.any(yc == 0):
@@ -93,7 +111,7 @@ def solve_two_port(circ: MeshCircuit, w) -> np.ndarray:
     jw = 1j * w
 
     # rows: KCL at node 1, KCL at node 2, coupled-branch voltage, ring loop
-    a = np.zeros(w.shape + (4, 4), dtype=complex)
+    a = np.zeros(shape + (4, 4), dtype=complex)
     a[..., 0, 0] = a[..., 1, 1] = 1.0 / z0 + jw * circ.ctl / 2.0
     a[..., 0, 2] = a[..., 2, 0] = 1.0
     a[..., 1, 2] = a[..., 2, 1] = -1.0
@@ -102,7 +120,7 @@ def solve_two_port(circ: MeshCircuit, w) -> np.ndarray:
     a[..., 3, 2] = jw * circ.m
     a[..., 3, 3] = circ.r_srr + jw * circ.lsrr + 1.0 / yc
     # drive port 1, then port 2, with unit source voltage
-    b = np.zeros(w.shape + (4, 2), dtype=complex)
+    b = np.zeros(shape + (4, 2), dtype=complex)
     b[..., 0, 0] = b[..., 1, 1] = 1.0 / z0
     x = solve_linear(a, b)
     # S_ij = 2*V_i(drive j) - delta_ij

@@ -150,12 +150,39 @@ def coupling_ratio(srr: SrrParams, line: TransmissionLineSection) -> float:
     return line.beta_l(srr.w0) * srr.k**2 * srr.q_off
 
 
+# The impedance and two-port laws over plain ring values, which broadcast:
+# arrays with one entry per ring evaluate a stack of rings in one call, each
+# entry as the object-level functions below evaluate that ring alone.
+
+def branch_impedance(r, lsrr, csrr, w, gm_neg=0.0):
+    """srr_branch_impedance over values: series loss r, inductance lsrr and
+    capacitance csrr, with gm_neg across the capacitor."""
+    yc = 1j * w * csrr - gm_neg
+    return r + 1j * w * lsrr + 1.0 / yc
+
+
+def coupled_impedance(m, w, z_branch):
+    """reflected_impedance over values: (wM)^2 over the branch impedance."""
+    return (w * m) ** 2 / z_branch
+
+
+def with_line(z, w, ltl):
+    """A series impedance z plus the segment's own jwL_line."""
+    return z + 1j * w * ltl
+
+
+def series_s(z, z0):
+    """(S11, S21) of a series impedance z between z0 ports:
+    Z/(Z + 2*z0) and 2*z0/(Z + 2*z0)."""
+    denom = z + 2.0 * z0
+    return z / denom, 2.0 * z0 / denom
+
+
 def srr_branch_impedance(srr: SrrParams, w, gm_neg=0.0):
     """Impedance of the ring branch itself: series r, L and the capacitor,
     with an optional negative conductance gm_neg [S] across the capacitor
     (the small-signal footprint of a cross-coupled pair)."""
-    yc = 1j * w * srr.csrr - gm_neg
-    return srr.r_series() + 1j * w * srr.lsrr + 1.0 / yc
+    return branch_impedance(srr.r_series(), srr.lsrr, srr.csrr, w, gm_neg)
 
 
 def reflected_impedance(srr: SrrParams, line: TransmissionLineSection, w, gm_neg=0.0):
@@ -164,14 +191,13 @@ def reflected_impedance(srr: SrrParams, line: TransmissionLineSection, w, gm_neg
     Exact at every frequency; at resonance it is the real
     R' = coupling_ratio(srr, line) * z0.
     """
-    m = mutual_inductance(srr, line)
-    return (w * m) ** 2 / srr_branch_impedance(srr, w, gm_neg)
+    return coupled_impedance(mutual_inductance(srr, line), w, srr_branch_impedance(srr, w, gm_neg))
 
 
 def series_loading_impedance(srr: SrrParams, line: TransmissionLineSection, w, gm_neg=0.0):
     """Series impedance of the loaded line section: jwL_line plus the
     reflected resonator impedance.  k=0 degenerates to the bare jwL_line."""
-    return 1j * w * line.ltl + reflected_impedance(srr, line, w, gm_neg)
+    return with_line(reflected_impedance(srr, line, w, gm_neg), w, line.ltl)
 
 
 def s_parameters(
@@ -194,11 +220,9 @@ def s_parameters(
     freqs = np.asarray(freqs, dtype=float)
     if z0_ref is None:
         z0_ref = line.z0
-    z = reflected_impedance(srr, line, freqs, gm_neg)
-    if include_line:
-        z = z + 1j * freqs * line.ltl
-    denom = z + 2.0 * z0_ref
-    return TwoPortSweep(freqs=freqs, s11=z / denom, s21=2.0 * z0_ref / denom, z0_ref=z0_ref)
+    impedance = series_loading_impedance if include_line else reflected_impedance
+    s11, s21 = series_s(impedance(srr, line, freqs, gm_neg), z0_ref)
+    return TwoPortSweep(freqs=freqs, s11=s11, s21=s21, z0_ref=z0_ref)
 
 
 def auto_grid(w0: float, q: float, half_span: float, points_per_bandwidth: float) -> np.ndarray:

@@ -161,8 +161,7 @@ def _write_atomic(paths, write):
     temp file is removed and no path is touched, and an OSError is raised
     again naming the paths, not the temp file.  A path that is a directory
     is refused before the first rename, so several paths commit together
-    unless a rename itself fails part way; the commands that write two
-    files by two calls (noise, match, design) still commit them apart."""
+    unless a rename itself fails part way."""
     tmps = []
     try:
         with contextlib.ExitStack() as stack:
@@ -189,10 +188,17 @@ def _write_atomic(paths, write):
         raise
 
 
-def write_lines(path, lines):
-    """Text lines, each ended by a newline, written through a temp file
-    that is renamed into place."""
-    _write_atomic([path], lambda fh: fh.write(("\n".join(lines) + "\n").encode()))
+def write_text_files(files):
+    """files: a dict from path to its text lines, each line ended by a
+    newline; all of them are written by one _write_atomic call, so they
+    commit together."""
+    texts = [("\n".join(lines) + "\n").encode() for lines in files.values()]
+
+    def write(*handles):
+        for fh, text in zip(handles, texts):
+            fh.write(text)
+
+    _write_atomic(list(files), write)
 
 
 # per sweep file format: the separator and a row's columns, as indices into
@@ -277,24 +283,38 @@ def write_touchstone(path, sweep: TwoPortSweep):
     write_sweep(sweep, {"s2p": path})
 
 
-def write_noise_csv(path, results):
+def noise_csv_lines(results):
     """results: iterable of PhaseNoiseResult-like (offset_freq, ssb_dbchz,
     contributor)."""
     lines = [NOISE_COLUMNS]
     for r in results:
         lines.append(f"{fmt(r.offset_freq)},{r.contributor},{fmt(r.ssb_dbchz)}")
-    write_lines(path, lines)
+    return lines
 
 
-def write_table_csv(path, header, rows, comments=()):
+def table_csv_lines(header, rows, comments=()):
     """Generic CSV with optional leading '#' comment lines."""
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(v if isinstance(v, str) else fmt(v) for v in row))
-    write_lines(path, lines)
+    return lines
+
+
+def keyvalue_lines(pairs):
+    return [f"{key} = {val if isinstance(val, str) else fmt(val)}" for key, val in pairs]
+
+
+# one file each; the commands that write two files commit them together
+# through write_text_files
+
+def write_noise_csv(path, results):
+    write_text_files({path: noise_csv_lines(results)})
+
+
+def write_table_csv(path, header, rows, comments=()):
+    write_text_files({path: table_csv_lines(header, rows, comments)})
 
 
 def write_keyvalues(path, pairs):
-    write_lines(path, [f"{key} = {val if isinstance(val, str) else fmt(val)}"
-                       for key, val in pairs])
+    write_text_files({path: keyvalue_lines(pairs)})

@@ -28,7 +28,7 @@ def test_criterion_01_matched_coupling_anchor():
 
 
 def test_criterion_02_oracle_equivalence():
-    # analytic vs mesh complex S11 and S21 within 1e-12 across +/-3
+    # analytic vs mesh complex S11 and S21 within 1e-13 across +/-3
     # bandwidths, 100 passive + 100 stable active instances, under 20 s
     report(2, validate.run_check(validate.check_oracle_equivalence, Fixture()), budget=20.0)
 

@@ -867,6 +867,22 @@ class TestOutputDirectory:
         if old_csv is not None:
             assert (out / "sweep.csv").read_bytes() == old_csv
 
+    @pytest.mark.parametrize("command, first, second", [
+        ("noise", "phase_noise.csv", "pm_to_am.csv"),
+        ("match", "match_locus.csv", "s11_contours.csv"),
+        ("design", "design.txt", "design_report.txt"),
+    ], ids=["noise", "match", "design"])
+    def test_two_file_command_commits_neither_when_one_cannot_be_written(
+            self, tmp_path, capsys, command, first, second):
+        # a directory where the second file goes: the first is not written
+        out = tmp_path / "out"
+        (out / second).mkdir(parents=True)
+        config = write_config(tmp_path, DESIGN_CONFIG if command == "design" else REFERENCE_CONFIG)
+        assert main([command, "--config", config, "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == (f"config error: cannot write {out / first}, "
+                                           f"{out / second}: Is a directory\n")
+        assert [p.name for p in out.iterdir()] == [second]
+
 
 class TestOutputMode:
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -66,6 +67,43 @@ class TestMesh:
             pointwise = np.stack([solve_two_port(circ, float(w)) for w in grid])
             assert pointwise.shape == (len(grid), 2, 2)
             assert np.max(np.abs(stacked - pointwise)) <= 1e-15
+
+    def test_stacked_circuits_match_each_solved_alone(self, fx, rng):
+        # passive, active and with the line's shunt capacitance, each ring
+        # its own; a stack holds no circuit's numbers but its own
+        circuits, grids = [], []
+        for i in range(9):
+            w0 = 2 * math.pi * rng.uniform(50e9, 300e9)
+            lsrr = rng.uniform(20e-12, 200e-12)
+            srr = SrrParams(lsrr, 1.0 / (w0**2 * lsrr), rng.uniform(5, 200),
+                            rng.uniform(0.02, 0.25))
+            line = TransmissionLineSection.from_electrical(rng.uniform(40, 75),
+                                                           rng.uniform(0.05, 0.5), w0)
+            gm_neg = rng.uniform(0.3, 0.9) / srr.r_parallel() if i % 3 == 1 else 0.0
+            circuits.append(MeshCircuit.from_parts(srr, line, include_ctl=i % 3 == 2,
+                                                   gm_neg=gm_neg))
+            grids.append(w0 * np.linspace(0.97, 1.03, 31))
+        stack = MeshCircuit.stack(circuits)
+        assert stack.r_srr.shape == (9,)
+        at_w0 = solve_two_port(stack, np.array([g[15] for g in grids]))
+        on_grids = solve_two_port(stack, np.stack(grids, axis=-1))
+        assert at_w0.shape == (9, 2, 2) and on_grids.shape == (31, 9, 2, 2)
+        for i, circ in enumerate(circuits):
+            assert np.all(at_w0[i] == solve_two_port(circ, grids[i][15]))
+            assert np.all(on_grids[:, i] == solve_two_port(circ, grids[i]))
+        # one scalar w for every circuit of the stack
+        w = grids[0][0]
+        alone = np.stack([solve_two_port(c, w) for c in circuits])
+        assert np.all(solve_two_port(stack, w) == alone)
+
+    def test_stack_with_one_circuit_past_unit_coupling_is_refused(self, fx):
+        srr, line = matched_parts(fx)
+        good = MeshCircuit.from_parts(srr, line)
+        fields = {f.name: np.full(3, getattr(good, f.name)) for f in dataclasses.fields(good)}
+        assert MeshCircuit(**fields).m.shape == (3,)
+        fields["m"][1] = 1.0001 * math.sqrt(good.ltl * good.lsrr)
+        with pytest.raises(ValueError, match="positive semi-definite"):
+            MeshCircuit(**fields)
 
     def test_psd_inductance_guard(self, fx):
         with pytest.raises(ValueError, match="positive semi-definite"):

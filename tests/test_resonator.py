@@ -172,6 +172,38 @@ class TestSParameters:
         assert absorbed == pytest.approx(4.0 / 9.0, abs=1e-9)
 
 
+class TestValueForms:
+    def test_a_stack_of_rings_is_each_ring_bit_for_bit(self, rng):
+        # the value forms over arrays, one entry per ring, against the
+        # object-level laws ring by ring, passive and active
+        rings = []
+        for i in range(12):
+            w0 = 2 * math.pi * rng.uniform(50e9, 300e9)
+            lsrr = rng.uniform(20e-12, 200e-12)
+            srr = SrrParams(lsrr, 1.0 / (w0**2 * lsrr), rng.uniform(5, 200),
+                            rng.uniform(0.02, 0.25))
+            gm_neg = rng.uniform(0.3, 0.9) / srr.r_parallel() if i % 2 else 0.0
+            rings.append((srr, make_line(rng.uniform(40, 75), rng.uniform(0.05, 0.5), w0), gm_neg,
+                          w0 * np.linspace(0.95, 1.05, 41)))
+        w = np.stack([grid for _, _, _, grid in rings], axis=-1)  # ring i on column i
+        r, lsrr, csrr, m, ltl, z0, gm_neg = (np.array(v) for v in zip(*[
+            (s.r_series(), s.lsrr, s.csrr, rz.mutual_inductance(s, ln), ln.ltl, ln.z0, g)
+            for s, ln, g, _ in rings]))
+        z_branch = rz.branch_impedance(r, lsrr, csrr, w, gm_neg)
+        reflected = rz.coupled_impedance(m, w, z_branch)
+        loaded = rz.with_line(reflected, w, ltl)
+        s11, s21 = rz.series_s(reflected, z0)
+        s11_line, s21_line = rz.series_s(loaded, z0)
+        for i, (srr, line, g, grid) in enumerate(rings):
+            assert np.all(z_branch[:, i] == rz.srr_branch_impedance(srr, grid, g))
+            assert np.all(reflected[:, i] == rz.reflected_impedance(srr, line, grid, g))
+            assert np.all(loaded[:, i] == rz.series_loading_impedance(srr, line, grid, g))
+            sweep = rz.s_parameters(srr, line, grid, gm_neg=g)
+            assert np.all(s11[:, i] == sweep.s11) and np.all(s21[:, i] == sweep.s21)
+            sweep = rz.s_parameters(srr, line, grid, include_line=True, gm_neg=g)
+            assert np.all(s11_line[:, i] == sweep.s11) and np.all(s21_line[:, i] == sweep.s21)
+
+
 class TestOptimumCoupling:
     def test_arithmetic_inversion(self):
         # beta_l = 0.1 rad and k = 0.2 force Q = 1/(0.1 * 0.04) = 250

@@ -3,6 +3,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -148,3 +149,17 @@ class TestSensitivityAnchors:
         records = validate.check_sensitivity_anchors(seeded(), Fixture({"q_off": q_off}))
         (value, tol), = [(v, t) for metric, v, t in records if metric == "dS/dR boosted fd"]
         assert value <= tol
+
+
+def test_oracle_equivalence_solves_in_bounded_blocks():
+    # ORACLE_BLOCK = 20 circuits per stacked solve peak at 2.0 MB of traced
+    # memory (numpy 2.4); blocks of 50 peak at 4.7 MB, and all 200 circuits
+    # in one solve at 17 MB, which raised verify's peak RSS by 14 MB
+    tracemalloc.start()
+    try:
+        result = validate.run_check(validate.check_oracle_equivalence, Fixture())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak < 3 * 2**20
