@@ -228,8 +228,10 @@ def segmented_gm(theta, v_asrr, p: GmBlockParams):
 def _gauss_legendre(n: int):
     """Read-only n-point Gauss-Legendre (nodes, weights), built once per n:
     the eigenvalue solve behind them costs more than a cycle average."""
-    # numpy.polynomial is imported here, not at module level: the CLI
-    # imports this module and never integrates
+    # numpy.polynomial is imported here, not at module level: the bench
+    # runner and the tests import validate, and this module with it, without
+    # running it, and the runner's RSS is the floor of every child's peak
+    # RSS.  Loading it there would cost about 1 MB and 4-6 ms
     from numpy.polynomial.legendre import leggauss
 
     nodes, weights = leggauss(n)

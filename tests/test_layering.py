@@ -3,12 +3,13 @@ independent second route to every closed form.  The CLI's start-up
 imports stay lean: importing the package loads no module, each command
 loads only the modules it runs (no command but validate loads validate
 and oracle), neither importing the CLI nor a one-chunk sweep loads a
-thread pool and such a sweep starts no thread, and validate builds its
-pixel without loading the CLI.  Only the program entry touches the
-garbage collector, and the console script is that entry.  Every function
-the benchmark's tracer wraps exists, with the parameters its counters
-read.  Every public function has a caller outside the tests, and none
-takes a z0 beside the line that already holds one."""
+thread pool and such a sweep starts no thread, validate builds its
+pixel without loading the CLI, and it runs without loading numpy.random.
+Only the program entry touches the garbage collector, and the console
+script is that entry.  Every function the benchmark's tracer wraps
+exists, with the parameters its counters read.  Every public function
+has a caller outside the tests, and none takes a z0 beside the line that
+already holds one."""
 
 import ast
 import importlib
@@ -75,6 +76,23 @@ def test_cli_import_leaves_numpy_polynomial_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
     assert out == ["False", "True"]
+
+
+def test_validate_leaves_numpy_random_unloaded():
+    # the suite draws from Python's seeded generator, so neither importing
+    # validate nor running it loads numpy.random; importing it leaves the
+    # oracle's lazy numpy.polynomial out too, and the run shows the probe
+    # sees a lazily imported module
+    probe = ("import sys\n"
+             "from asrrkit import validate\n"
+             "loaded = lambda: [m in sys.modules for m in ('numpy.random', 'numpy.polynomial')]\n"
+             "print(*loaded())\n"
+             "assert all(r.passed for r in validate.run_all())\n"
+             "print(*loaded())\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(asrrkit.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["False", "False", "False", "True"]
 
 
 def test_cli_import_leaves_validate_and_oracle_unloaded():

@@ -3,6 +3,7 @@
 
 import json
 import math
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -53,12 +54,16 @@ class TestRunCheck:
         assert res.elapsed >= 0.0
 
     def test_seeded(self):
+        # each check draws from its own random.Random(seed), so the stream
+        # is Python's: uniform(a, b) is a + (b - a)*random()
         def check_draw(rng, fx):
-            return [("draw", rng.uniform(), 1.0)]
+            return [("draw", rng.uniform(0.0, 1.0), 1.0)]
 
         first = validate.run_check(check_draw, Fixture(), seed=5)
         again = validate.run_check(check_draw, Fixture(), seed=5)
+        assert first.error is None
         assert first.measurements == again.measurements
+        assert first.measurements == [("draw", random.Random(5).uniform(0.0, 1.0), 1.0)]
 
 
 class TestFixtureFromConfig:
