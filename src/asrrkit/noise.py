@@ -154,13 +154,12 @@ def flicker_phase_noise(ctx: NoiseContext, offset_freq: float) -> float:
     return 10.0 * math.log10(s_phi) if s_phi > 0.0 else -math.inf
 
 
-def input_phase_transfer(q_on_val: float, w0: float, offset) -> float:
+def input_phase_transfer(q_on_val: float, w0: float, offset):
     """Power gain from source phase noise to output phase noise,
     |1 + j*offset*2Q/w0|^2: unity in-band, rising past the bandwidth
-    corner at w0/(2Q)."""
-    x = np.asarray(offset) * 2.0 * q_on_val / w0
-    out = 1.0 + x * x
-    return float(out) if out.ndim == 0 else out
+    corner at w0/(2Q).  A float offset gives a float, an array an array."""
+    x = offset * 2.0 * q_on_val / w0
+    return 1.0 + x * x
 
 
 def pm_to_am_gain(srr: SrrParams, line: TransmissionLineSection, w_in, offset: float):

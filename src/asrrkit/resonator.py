@@ -156,7 +156,9 @@ def coupling_ratio(srr: SrrParams, line: TransmissionLineSection) -> float:
 
 def branch_impedance(r, lsrr, csrr, w, gm_neg=0.0):
     """srr_branch_impedance over values: series loss r, inductance lsrr and
-    capacitance csrr, with gm_neg across the capacitor."""
+    capacitance csrr, with an optional negative conductance gm_neg [S]
+    across the capacitor (the small-signal footprint of a cross-coupled
+    pair)."""
     yc = 1j * w * csrr - gm_neg
     return r + 1j * w * lsrr + 1.0 / yc
 
@@ -178,50 +180,33 @@ def series_s(z, z0):
     return z / denom, 2.0 * z0 / denom
 
 
-def srr_branch_impedance(srr: SrrParams, w, gm_neg=0.0):
-    """Impedance of the ring branch itself: series r, L and the capacitor,
-    with an optional negative conductance gm_neg [S] across the capacitor
-    (the small-signal footprint of a cross-coupled pair)."""
-    return branch_impedance(srr.r_series(), srr.lsrr, srr.csrr, w, gm_neg)
+def srr_branch_impedance(srr: SrrParams, w):
+    """Impedance of the ring branch itself: series r, L and the capacitor."""
+    return branch_impedance(srr.r_series(), srr.lsrr, srr.csrr, w)
 
 
-def reflected_impedance(srr: SrrParams, line: TransmissionLineSection, w, gm_neg=0.0):
+def reflected_impedance(srr: SrrParams, line: TransmissionLineSection, w):
     """Impedance the resonator reflects into the line: (wM)^2 / Z_branch.
 
     Exact at every frequency; at resonance it is the real
     R' = coupling_ratio(srr, line) * z0.
     """
-    return coupled_impedance(mutual_inductance(srr, line), w, srr_branch_impedance(srr, w, gm_neg))
+    return coupled_impedance(mutual_inductance(srr, line), w, srr_branch_impedance(srr, w))
 
 
-def series_loading_impedance(srr: SrrParams, line: TransmissionLineSection, w, gm_neg=0.0):
-    """Series impedance of the loaded line section: jwL_line plus the
-    reflected resonator impedance.  k=0 degenerates to the bare jwL_line."""
-    return with_line(reflected_impedance(srr, line, w, gm_neg), w, line.ltl)
-
-
-def s_parameters(
-    srr: SrrParams,
-    line: TransmissionLineSection,
-    freqs,
-    z0_ref=None,
-    include_line=False,
-    gm_neg=0.0,
-) -> TwoPortSweep:
+def s_parameters(srr: SrrParams, line: TransmissionLineSection, freqs, z0_ref=None) -> TwoPortSweep:
     """Two-port S-parameters of the loaded section inserted in a z0 system.
 
-    The inserted series impedance is the reflected resonator impedance; the
-    segment's own jwL_line is added when include_line is set (the default
-    isolates the resonator response, which is what matching and phase-slope
-    relations are written against).  S21 = 2*z0/(Z + 2*z0), S11 = Z/(Z + 2*z0).
-    The shunt capacitance of the segment is intentionally not part of this
-    analytic two-port; the mesh verifier supports it as an option.
+    The inserted series impedance is the reflected resonator impedance
+    alone, which is what matching and phase-slope relations are written
+    against: S21 = 2*z0/(Z + 2*z0), S11 = Z/(Z + 2*z0).  The segment's own
+    jwL_line (with_line), a gm_neg across the capacitor (branch_impedance)
+    and its shunt capacitance (the mesh's include_ctl) are not part of it.
     """
     freqs = np.asarray(freqs, dtype=float)
     if z0_ref is None:
         z0_ref = line.z0
-    impedance = series_loading_impedance if include_line else reflected_impedance
-    s11, s21 = series_s(impedance(srr, line, freqs, gm_neg), z0_ref)
+    s11, s21 = series_s(reflected_impedance(srr, line, freqs), z0_ref)
     return TwoPortSweep(freqs=freqs, s11=s11, s21=s21, z0_ref=z0_ref)
 
 

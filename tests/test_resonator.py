@@ -104,10 +104,13 @@ class TestCouplingRatio:
 
 
 class TestSeriesLoadingImpedance:
+    """The loaded section's series impedance: jwL_line plus the reflected
+    ring impedance, through with_line."""
+
     def test_zero_coupling_is_bare_line(self):
         srr, line, w0, _ = matched_instance()
         srr0 = SrrParams(srr.lsrr, srr.csrr, srr.q_off, 0.0)
-        z = rz.series_loading_impedance(srr0, line, w0)
+        z = rz.with_line(rz.reflected_impedance(srr0, line, w0), w0, line.ltl)
         assert z == pytest.approx(1j * w0 * line.ltl, rel=1e-12)
 
     @pytest.mark.filterwarnings("error")
@@ -129,7 +132,7 @@ class TestSeriesLoadingImpedance:
         srr, line, w0, _ = matched_instance()
         m2 = rz.mutual_inductance(srr, line) ** 2
         for w in np.linspace(0.9 * w0, 1.1 * w0, 101):
-            direct = rz.series_loading_impedance(srr, line, w)
+            direct = rz.with_line(rz.reflected_impedance(srr, line, w), w, line.ltl)
             w2m2 = w * w * m2
             y = (srr.r_series() / w2m2 + 1j * w * srr.lsrr / w2m2
                  + 1.0 / (1j * w * w2m2 * srr.csrr))
@@ -161,9 +164,11 @@ class TestSParameters:
             line = make_line(rng.uniform(40, 75), rng.uniform(0.05, 0.5), w0)
             span = 3 * w0 / srr.q_off
             grid = np.linspace(w0 - span, w0 + span, 101)
-            for include_line in (False, True):
-                sw = rz.s_parameters(srr, line, grid, include_line=include_line)
-                assert np.max(np.abs(sw.s11) ** 2 + np.abs(sw.s21) ** 2 - 1.0) <= 1e-9
+            sw = rz.s_parameters(srr, line, grid)
+            loaded = rz.series_s(rz.with_line(rz.reflected_impedance(srr, line, grid), grid,
+                                              line.ltl), line.z0)
+            for s11, s21 in ((sw.s11, sw.s21), loaded):
+                assert np.max(np.abs(s11) ** 2 + np.abs(s21) ** 2 - 1.0) <= 1e-9
 
     def test_energy_split_matched(self):
         srr, line, w0, z0 = matched_instance()
@@ -174,8 +179,9 @@ class TestSParameters:
 
 class TestValueForms:
     def test_a_stack_of_rings_is_each_ring_bit_for_bit(self, rng):
-        # the value forms over arrays, one entry per ring, against the
-        # object-level laws ring by ring, passive and active
+        # the value forms over arrays, one entry per ring, against the same
+        # forms ring by ring, passive and active, and against the
+        # object-level laws for the passive rings
         rings = []
         for i in range(12):
             w0 = 2 * math.pi * rng.uniform(50e9, 300e9)
@@ -195,13 +201,21 @@ class TestValueForms:
         s11, s21 = rz.series_s(reflected, z0)
         s11_line, s21_line = rz.series_s(loaded, z0)
         for i, (srr, line, g, grid) in enumerate(rings):
-            assert np.all(z_branch[:, i] == rz.srr_branch_impedance(srr, grid, g))
-            assert np.all(reflected[:, i] == rz.reflected_impedance(srr, line, grid, g))
-            assert np.all(loaded[:, i] == rz.series_loading_impedance(srr, line, grid, g))
-            sweep = rz.s_parameters(srr, line, grid, gm_neg=g)
-            assert np.all(s11[:, i] == sweep.s11) and np.all(s21[:, i] == sweep.s21)
-            sweep = rz.s_parameters(srr, line, grid, include_line=True, gm_neg=g)
-            assert np.all(s11_line[:, i] == sweep.s11) and np.all(s21_line[:, i] == sweep.s21)
+            z_one = rz.branch_impedance(srr.r_series(), srr.lsrr, srr.csrr, grid, g)
+            reflected_one = rz.coupled_impedance(rz.mutual_inductance(srr, line), grid, z_one)
+            loaded_one = rz.with_line(reflected_one, grid, line.ltl)
+            assert np.all(z_branch[:, i] == z_one)
+            assert np.all(reflected[:, i] == reflected_one)
+            assert np.all(loaded[:, i] == loaded_one)
+            one = rz.series_s(reflected_one, line.z0)
+            assert np.all(s11[:, i] == one[0]) and np.all(s21[:, i] == one[1])
+            one = rz.series_s(loaded_one, line.z0)
+            assert np.all(s11_line[:, i] == one[0]) and np.all(s21_line[:, i] == one[1])
+            if g == 0.0:
+                assert np.all(z_one == rz.srr_branch_impedance(srr, grid))
+                assert np.all(reflected_one == rz.reflected_impedance(srr, line, grid))
+                sweep = rz.s_parameters(srr, line, grid)
+                assert np.all(s11[:, i] == sweep.s11) and np.all(s21[:, i] == sweep.s21)
 
 
 class TestOptimumCoupling:
