@@ -26,11 +26,11 @@ MAX_BOOST = 1e8
 
 @dataclass(frozen=True)
 class GmBlockParams:
-    """Cross-coupled negative-gm block, symmetric NMOS/PMOS design."""
+    """Cross-coupled negative-gm block, symmetric NMOS/PMOS design: both
+    flavours share one slope and are self-biased at vdd/2."""
 
-    gm0: float  # small-signal transconductance per device, and the block's (gm_n + gm_p)/2 [S]
-    kn_wl: float  # NMOS gain factor K*(W/L) [A/V^2]
-    kp_wl: float  # PMOS gain factor K*(W/L) [A/V^2]
+    gm0: float  # small-signal transconductance per device, and the block's [S]
+    k_wl: float  # each device's gain factor K*(W/L), NMOS and PMOS alike [A/V^2]
     vdd: float  # supply voltage [V]
     vth: float  # threshold voltage [V]
     kf: float = 1e-10  # flicker noise coefficient [V^2]; placeholder until calibrated
@@ -38,7 +38,7 @@ class GmBlockParams:
     lam: float = 0.0  # channel-length modulation [1/V]
 
     def __post_init__(self):
-        check_positive(self, "gm0", "kn_wl", "kp_wl", "vdd", "vth", "kf", "gamma")
+        check_positive(self, "gm0", "k_wl", "vdd", "vth", "kf", "gamma")
         if not (self.lam >= 0 and math.isfinite(self.lam)):
             raise ValueError("lam must be non-negative and finite")
 
@@ -73,14 +73,14 @@ class AsrrState:
 
     @classmethod
     def from_targets(cls, f0, lsrr, q_off, *, line: TransmissionLineSection, q_on=None,
-                     gm0=None, k=None, c_asrr=None, vdd=1.0, vth=0.3, kn_wl=None, kp_wl=None,
+                     gm0=None, k=None, c_asrr=None, vdd=1.0, vth=0.3, k_wl=None,
                      **device) -> AsrrState:
         """The operating point of an active pixel at f0 [Hz] on line.
 
         Give the boost either as a target q_on above q_off or as the block's
         gm0.  The total capacitance c_asrr defaults to resonance with lsrr
         at f0; a q_on target holds at the ring's own resonance
-        1/sqrt(lsrr*c_asrr).  The device slopes default to
+        1/sqrt(lsrr*c_asrr).  The device slope k_wl defaults to
         gm0/(vdd/2 - vth), or 1e-3 A/V^2 without overdrive.  k defaults to
         the matched coupling beta_l*k^2*Q_on = 1 for the realized Q_on.
         Extra keywords (kf, gamma, lam) go to GmBlockParams.
@@ -98,10 +98,9 @@ class AsrrState:
         srr = SrrParams(lsrr=lsrr, csrr=c_asrr, q_off=q_off, k=0.0 if k is None else k)
         if gm0 is None:
             gm0 = gm_for_boost(q_off, q_on, srr.r_parallel())
-        kwl = gm0 / (vdd / 2.0 - vth) if vdd / 2.0 > vth else 1e-3
-        gm = GmBlockParams(gm0=gm0, kn_wl=kwl if kn_wl is None else kn_wl,
-                           kp_wl=kwl if kp_wl is None else kp_wl,
-                           vdd=vdd, vth=vth, **device)
+        if k_wl is None:
+            k_wl = gm0 / (vdd / 2.0 - vth) if vdd / 2.0 > vth else 1e-3
+        gm = GmBlockParams(gm0=gm0, k_wl=k_wl, vdd=vdd, vth=vth, **device)
         state = cls(srr=srr, gm=gm, line=line)
         if k is None:  # the boost does not depend on k; effective_srr() carries Q_on
             k = optimum_k_for_q(state.effective_srr().q_off, line, srr.w0)
@@ -199,8 +198,9 @@ def conduction_angle(v_asrr: float, vth: float) -> float:
     return math.acos(vth / v_asrr)
 
 
-def gm_avg_exact(v_asrr: float, p: GmBlockParams, kwl=None) -> float:
-    """Cycle-averaged device transconductance under a swing v_asrr [S].
+def gm_avg_exact(v_asrr: float, p: GmBlockParams) -> float:
+    """Cycle-averaged transconductance of each device, and so of the
+    symmetric block, under a swing v_asrr [S].
 
     Integrates the segmented square-law transconductance (saturation,
     triode, cutoff) over one cycle:
@@ -208,31 +208,23 @@ def gm_avg_exact(v_asrr: float, p: GmBlockParams, kwl=None) -> float:
     Valid up to swings around 3*vth, beyond which the segmented device
     model itself loses meaning.
     """
-    if kwl is None:
-        kwl = p.kn_wl
     thc = conduction_angle(v_asrr, p.vth)
     if thc == 0.0:
         return p.gm0
     return (
         p.gm0 * (math.pi - 2.0 * thc)
-        + kwl * ((p.vdd / 2.0) * thc - (v_asrr / 2.0) * math.sin(thc))
+        + p.k_wl * ((p.vdd / 2.0) * thc - (v_asrr / 2.0) * math.sin(thc))
     ) / math.pi
-
-
-def block_gm_avg(v_asrr: float, p: GmBlockParams) -> float:
-    """Compressed transconductance of the whole block: mean of the NMOS and
-    PMOS cycle averages."""
-    return 0.5 * (gm_avg_exact(v_asrr, p, p.kn_wl) + gm_avg_exact(v_asrr, p, p.kp_wl))
 
 
 def check_compression_domain(p: GmBlockParams):
     """Raise ValueError unless the block's averaged gm never rises above gm0:
-    (kn_wl + kp_wl)*(vdd - vth) <= 8*gm0, the domain q_on_nonlinear derives."""
-    k_sum_swing = (p.kn_wl + p.kp_wl) * (p.vdd - p.vth)
-    if k_sum_swing > 8.0 * p.gm0 * (1.0 + 1e-15):  # at vth = vdd/3 it can round one eps over
-        raise ValueError(f"compression needs (kn_wl + kp_wl)*(vdd - vth) <= 8*gm0, or the "
-                         f"averaged gm rises above gm0 (vth <= vdd/3 with the default slopes); "
-                         f"this block has {k_sum_swing:.6g} S > {8.0 * p.gm0:.6g} S")
+    k_wl*(vdd - vth) <= 4*gm0, the domain q_on_nonlinear derives."""
+    k_swing = p.k_wl * (p.vdd - p.vth)
+    if k_swing > 4.0 * p.gm0 * (1.0 + 1e-15):  # at vth = vdd/3 it can round one eps over
+        raise ValueError(f"compression needs k_wl*(vdd - vth) <= 4*gm0, or the "
+                         f"averaged gm rises above gm0 (vth <= vdd/3 with the default slope); "
+                         f"this block has {k_swing:.6g} S > {4.0 * p.gm0:.6g} S")
 
 
 def q_on_nonlinear(state: AsrrState, p_in: float):
@@ -240,20 +232,21 @@ def q_on_nonlinear(state: AsrrState, p_in: float):
     under gm compression.
 
     The swing V is the root of h(V) = V - swing(Q(V), p_in), with
-    Q(V) = Q_off/(1 - gm_avg(V)*R) and gm_avg the block's cycle average;
-    the absorbed fraction stays at the linear state's coupling ratio.
+    Q(V) = Q_off/(1 - gm_avg(V)*R) and gm_avg the block's cycle average
+    gm_avg_exact; the absorbed fraction stays at the linear state's
+    coupling ratio.
     A linear swing V_lin <= vth is the answer as it stands.  Otherwise
     h(vth) = vth - V_lin < 0 and, while gm_avg(V_lin) <= gm0,
     h(V_lin) >= 0: bisection on [vth, V_lin] runs until the midpoint
     equals an end, so V is the root to rounding.
 
-    The domain.  With theta = acos(vth/V) and K = (kn_wl + kp_wl)/2,
-    gm_avg(V) - gm0 = (theta/pi)*(K*(vdd - vth*tan(theta)/theta)/2 - 2*gm0),
+    The domain.  With theta = acos(vth/V),
+    gm_avg(V) - gm0 = (theta/pi)*(k_wl*(vdd - vth*tan(theta)/theta)/2 - 2*gm0),
     whose second factor falls from its theta -> 0 limit
-    K*(vdd - vth)/2 - 2*gm0.  So gm_avg never rises above gm0, and is
+    k_wl*(vdd - vth)/2 - 2*gm0.  So gm_avg never rises above gm0, and is
     non-increasing in V (h increasing, one root), exactly when
-    (kn_wl + kp_wl)*(vdd - vth) <= 8*gm0: vth <= vdd/3 with the default
-    slopes gm0/(vdd/2 - vth).  check_compression_domain raises ValueError
+    k_wl*(vdd - vth) <= 4*gm0: vth <= vdd/3 with the default slope
+    gm0/(vdd/2 - vth).  check_compression_domain raises ValueError
     for other blocks.
     """
     if p_in <= 0:
@@ -263,7 +256,7 @@ def q_on_nonlinear(state: AsrrState, p_in: float):
     r = state.srr.r_parallel()
 
     def q_of_v(v):
-        return state.srr.q_off / (1.0 - block_gm_avg(v, p) * r)
+        return state.srr.q_off / (1.0 - gm_avg_exact(v, p) * r)
 
     v_lin = asrr_voltage_swing(state, p_in)
     lo, hi = min(p.vth, v_lin), v_lin

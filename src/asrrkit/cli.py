@@ -65,7 +65,7 @@ CONFIG_KEYS = frozenset({
     "pm_am_offset",  # noise
     "f_lo", "f_hi", "delta_r_ref",  # snr and design
     "n_pixels", "il_budget", "snr_dc_target", "snr_dr_target", "kn", "kp", "kf_area",
-    "c_per_area", "l_srr_max", "cap_weight",  # design
+    "c_per_area", "l_srr_max",  # design
 })
 
 
@@ -286,7 +286,6 @@ def cmd_design(args, cfg):
         c_per_area=require(cfg, "c_per_area"),
         l_srr_max=require(cfg, "l_srr_max"),
         q_off=optional(cfg, "q_off", 10.0),
-        cap_weight=optional(cfg, "cap_weight", 1.0),
         flicker_band=_flicker_band(cfg),
     )
     try:

@@ -17,8 +17,8 @@ from .resonator import SrrParams, TransmissionLineSection, optimum_k_for_q, requ
 
 # optional config keys -> AsrrState.from_targets keywords; absent keys take
 # its defaults
-STATE_KEYS = {"k": "k", "c_asrr": "c_asrr", "vdd": "vdd", "vth": "vth", "kn_wl": "kn_wl",
-              "kp_wl": "kp_wl", "kf": "kf", "gamma": "gamma", "lambda": "lam"}
+STATE_KEYS = {"k": "k", "c_asrr": "c_asrr", "vdd": "vdd", "vth": "vth", "k_wl": "k_wl",
+              "kf": "kf", "gamma": "gamma", "lambda": "lam"}
 
 
 class ConfigError(ValueError):

@@ -58,18 +58,16 @@ class DesignSpec:
     vth: float  # [V]
     vdd: float  # [V]
     kf_area: float  # flicker coefficient scaling, kf = kf_area/(W*L) [V^2*m^2]
-    c_per_area: float  # device capacitance per gate area [F/m^2]
+    c_per_area: float  # effective ring-loading capacitance per gate area [F/m^2]
     l_srr_max: float  # resolution-driven inductance ceiling [H]
     q_off: float = 10.0  # technology-given unloaded quality factor
-    cap_weight: float = 1.0  # effective weighting of gate area into ring loading
     flicker_band: tuple = FLICKER_BAND  # [Hz]
 
     def __post_init__(self):
         if not 0.0 < self.il_budget < 1.0:
             raise ValueError("il_budget must lie in (0, 1)")
         check_positive(self, "f0", "snr_dc_target", "snr_dr_target", "delta_r_ref", "z0",
-                       "kn", "kp", "vth", "vdd", "kf_area", "c_per_area", "l_srr_max", "q_off",
-                       "cap_weight")
+                       "kn", "kp", "vth", "vdd", "kf_area", "c_per_area", "l_srr_max", "q_off")
         check_flicker_band(self.flicker_band)
         if not self.n_pixels >= 1:  # NaN fails too
             raise ValueError("n_pixels must be at least 1")
@@ -112,7 +110,7 @@ def _design_at(spec: DesignSpec, r_srr: float, q_on: float, k: float, w0: float,
     c_asrr = 1.0 / (w0 * w0 * l_srr)
     c_gm = (1.0 - _RING_CAP_SHARE) * c_asrr
     # two devices of each flavor load the ring; one effective area coefficient
-    gate_area = c_gm / (2.0 * spec.cap_weight * spec.c_per_area)
+    gate_area = c_gm / (2.0 * spec.c_per_area)
     kf_dev = spec.kf_area / gate_area
     band = spec.flicker_band
     if q_on > spec.q_off:

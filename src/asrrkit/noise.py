@@ -112,8 +112,8 @@ def flicker_sres_sensitivity(state: AsrrState) -> float:
 
     Chain: the resonator shorts the block at low frequency, so the four
     devices split one's gate noise v as (3/4, -1/4, -1/4, -1/4)*v, which
-    redistributes the block gm by (slope_n + slope_p)/8 with the device
-    slopes K(W/L)*(1 + lam*(vdd - vth)); the boosted loss responds as
+    redistributes the block gm by slope/4 with each device's slope
+    k_wl*(1 + lam*(vdd - vth)); the boosted loss responds as
     R^2/(1 - gm*R)^2, and the phase slope to it as LS*C.
     """
     return alpha_flicker(state) * state.srr.lsrr * q_on(state) ** 2
@@ -122,8 +122,8 @@ def flicker_sres_sensitivity(state: AsrrState) -> float:
 def supply_sres_sensitivity(state: AsrrState) -> float:
     """Phase-slope sensitivity to supply noise [s/(rad*V)]: twice the
     flicker one.  A supply wiggle v moves the internal nodes by v/2, which
-    shifts the block gm by (slope_n + slope_p)/4 * v, twice the
-    (slope_n + slope_p)/8 * v of one device's gate noise."""
+    shifts the block gm by slope/2 * v, twice the slope/4 * v of one
+    device's gate noise."""
     return 2.0 * flicker_sres_sensitivity(state)
 
 
@@ -196,12 +196,12 @@ def flicker_rms(kf: float, band) -> float:
 
 
 def alpha_flicker(state: AsrrState) -> float:
-    """Flicker sensitivity parameter (LS/8)*(Kn*(W/L) + Kp*(W/L))*(1 +
-    lam*(vdd - vth)), LS at state.rho: the devices' summed gm slope to
-    their gate voltage, biased at vdd/2, with channel-length modulation."""
+    """Flicker sensitivity parameter (LS/4)*k_wl*(1 + lam*(vdd - vth)), LS
+    at state.rho: LS/8 times the NMOS and PMOS devices' summed gm slope
+    2*k_wl*(1 + lam*(vdd - vth)) to their gate voltage, biased at vdd/2,
+    with channel-length modulation."""
     p = state.gm
-    return ((loss_slope_factor(state.rho) / 8.0) * (p.kn_wl + p.kp_wl)
-            * (1.0 + p.lam * (p.vdd - p.vth)))
+    return (loss_slope_factor(state.rho) / 4.0) * p.k_wl * (1.0 + p.lam * (p.vdd - p.vth))
 
 
 def snr_delta_c(state: AsrrState, kf: float, band) -> float:

@@ -216,10 +216,10 @@ def segmented_gm(theta, v_asrr, p: GmBlockParams):
     drain-source voltage in triode, zero in cutoff.  Region boundaries at
     sin(theta) = +/- vth/v_asrr."""
     s = np.sin(theta)
-    gm = p.gm0 + p.kn_wl * (v_asrr / 2.0) * s
+    gm = p.gm0 + p.k_wl * (v_asrr / 2.0) * s
     if v_asrr > p.vth:
         edge = p.vth / v_asrr
-        gm = np.where(s > edge, p.kn_wl * (p.vdd / 2.0 - (v_asrr / 2.0) * s), gm)
+        gm = np.where(s > edge, p.k_wl * (p.vdd / 2.0 - (v_asrr / 2.0) * s), gm)
         gm = np.where(s < -edge, 0.0, gm)
     return gm
 

@@ -321,8 +321,11 @@ def detection_band(w0: float, q_on: float):
 
     Band edges are where the slope of the linearized output phase changes
     sign; closed form of the quartic in w:
-    w = w0*sqrt((2 + 1/Q^2 +/- (1/Q)*sqrt(4 + 1/Q^2))/2), with
-    bandwidth ~ w0/Q for large Q.
+    w = w0*sqrt((2 + 1/Q^2 +/- (1/Q)*sqrt(4 + 1/Q^2))/2).  The edges'
+    product is w0^2, so (w_hi - w_lo)^2 = w0^2*(2 + 1/Q^2) - 2*w0^2 and
+    the bandwidth is exactly w0/Q.  It is formed as
+    (w_hi^2 - w_lo^2)/(w_hi + w_lo), not as the difference of two edges
+    near w0, which would cancel about log10(Q) digits.
     """
     if q_on <= 1.0:
         raise ValueError("detection band needs q_on > 1")
@@ -330,7 +333,7 @@ def detection_band(w0: float, q_on: float):
     half = (1.0 / q_on) * math.sqrt(4.0 + a)
     w_hi = w0 * math.sqrt((2.0 + a + half) / 2.0)
     w_lo = w0 * math.sqrt((2.0 + a - half) / 2.0)
-    return w_lo, w_hi, w_hi - w_lo
+    return w_lo, w_hi, w0 * w0 * half / (w_hi + w_lo)
 
 
 def detection_phase(srr: SrrParams, line: TransmissionLineSection, w):

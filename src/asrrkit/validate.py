@@ -397,11 +397,9 @@ def check_detection_band(rng, fx: Fixture) -> list[Record]:
         if len(roots) < 2:
             raise ValueError(f"extrema not bracketed at Q={q}")
         worst_edge = max(worst_edge, abs(roots[0] - w_lo) / w0, abs(roots[-1] - w_hi) / w0)
-        worst_bw = max(worst_bw, abs(bw * q / w0 - 1.0) * (8.0 * q * q))
-    # worst 8.2e-5: bw is a difference of two edges near w0, so its rounding
-    # is about eps*Q, which the 8Q^2 scale lifts at a bench pixel's Q
+        worst_bw = max(worst_bw, abs(bw * q / w0 - 1.0))
     return [("edge error/w0", worst_edge, 1e-4),
-            ("bw-law error*8Q^2", worst_bw, 1e-2)]
+            ("bw-law error", worst_bw, 1e-13)]  # worst 4.4e-16
 
 
 def check_nonlinear_gm(rng, fx: Fixture) -> list[Record]:
@@ -436,9 +434,9 @@ def check_noise_laws(rng, fx: Fixture) -> list[Record]:
     phase-noise transfers, and the flicker RMS against the oracle's
     quadrature of kf/f over the default band and five seeded ones, each
     one to eight decades wide from f_lo in [0.01, 100] Hz."""
-    kwl = fx.state.gm.kn_wl  # device geometry fixed, bias tunes the boost
-    st1 = fx.at_q(5.0 * fx.q_base, kn_wl=kwl, kp_wl=kwl).state
-    st2 = fx.at_q(10.0 * fx.q_base, kn_wl=kwl, kp_wl=kwl).state
+    kwl = fx.state.gm.k_wl  # device geometry fixed, bias tunes the boost
+    st1 = fx.at_q(5.0 * fx.q_base, k_wl=kwl).state
+    st2 = fx.at_q(10.0 * fx.q_base, k_wl=kwl).state
     q1, q2 = active.q_on(st1), active.q_on(st2)
     r_fl = noise.flicker_sres_sensitivity(st2) / noise.flicker_sres_sensitivity(st1)
     r_sp = noise.supply_sres_sensitivity(st2) / noise.supply_sres_sensitivity(st1)

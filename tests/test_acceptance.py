@@ -47,22 +47,22 @@ def test_criterion_04_phase_slope_law():
 
 def test_criterion_05_detection_band():
     # closed-form band edges vs numeric slope roots within 1e-4*w0 for
-    # Q >= 20; bandwidth law error below 1/(8Q^2)
+    # Q >= 20; bandwidth w0/Q to 1e-13 relative
     report(5, validate.run_check(validate.check_detection_band, Fixture()))
 
 
 def test_criterion_06_nonlinear_gm():
     # cycle-average vs Gauss-Legendre quadrature within 1e-12 on
-    # [0, 3vth]; segmented shortcut within 5% at 4vth; compressed Q
-    # linear below the compression power within 1e-12 and never rising
-    # with power by more than 1e-12 relative
+    # [0, 3vth]; compressed Q linear below the compression power within
+    # 1e-12 and never rising with power by more than 1e-12 relative
     report(6, validate.run_check(validate.check_nonlinear_gm, Fixture()))
 
 
 def test_criterion_07_noise_laws():
     # Q^2 sensitivity scaling, 6.02 dB per detuning doubling, -10 dB per
-    # offset decade, dB-for-dB carrier tracking, unity/2x transfer points,
-    # all to 1e-9; the flicker RMS against a quadrature of kf/f to 1e-13
+    # offset decade, dB-for-dB carrier tracking to 1e-11; Q^2 scaling and
+    # the unity/2x transfer points to 1e-13; the flicker RMS against a
+    # quadrature of kf/f to 1e-13
     report(7, validate.run_check(validate.check_noise_laws, Fixture()))
 
 
@@ -82,7 +82,7 @@ def test_criterion_09_snr_detuning_invariance():
 def test_criterion_10_design_roundtrip():
     # synthesize -> re-analyze reproduces SNRs to 1e-12, and a spec whose
     # targets lower the ring loss lands its binding SNR on target to 1e-12;
-    # matched locus to 1e-9; gm*R = 1 - 10/54 to 1e-12; infeasible
+    # matched locus to 1e-13; gm*R = 1 - 10/54 to 1e-12; infeasible
     # coupling produces a named structured failure
     report(10, validate.run_check(validate.check_design_roundtrip, Fixture()))
 

@@ -47,7 +47,7 @@ class TestBoost:
         for gm0 in (math.nextafter(1.0 / r, math.inf), 1.5 / r):
             with pytest.raises(active.OscillationError, match="oscillation"):
                 with_gm0(st, gm0)
-        bad_gm = GmBlockParams(gm0=1.1 / r, kn_wl=1e-3, kp_wl=1e-3, vdd=1.0, vth=0.3)
+        bad_gm = GmBlockParams(gm0=1.1 / r, k_wl=1e-3, vdd=1.0, vth=0.3)
         with pytest.raises(ValueError, match="oscillation"):
             AsrrState(srr=st.srr, gm=bad_gm, line=st.line)
 
@@ -285,7 +285,7 @@ class TestNonlinearQ:
         p_lin = active.linear_power_limit(st)
         for p_in in np.geomspace(1.5 * p_lin, 30 * p_lin, 9):
             def h(v):
-                q = st.srr.q_off / (1.0 - active.block_gm_avg(v, st.gm) * r)
+                q = st.srr.q_off / (1.0 - active.gm_avg_exact(v, st.gm) * r)
                 return v - active.asrr_voltage_swing(st, p_in, q=q)
 
             _, v = active.q_on_nonlinear(st, p_in)
@@ -297,16 +297,16 @@ class TestNonlinearQ:
 
     @pytest.mark.parametrize("vth", [0.34, 0.4, 0.45])
     def test_gm_rising_above_gm0_refused(self, fx, vth):
-        # default slopes gm0/(vdd/2 - vth): the averaged gm rises above gm0
+        # default slope gm0/(vdd/2 - vth): the averaged gm rises above gm0
         # for vth > vdd/3, and the bracket [vth, V_lin] no longer holds
         st = Fixture({"vth": vth}).state
         for p_in in (0.5, 10.0):
-            with pytest.raises(ValueError, match=re.escape("(kn_wl + kp_wl)*(vdd - vth) <= 8*gm0")):
+            with pytest.raises(ValueError, match=re.escape("k_wl*(vdd - vth) <= 4*gm0")):
                 active.q_on_nonlinear(st, p_in * active.linear_power_limit(st))
 
     @pytest.mark.parametrize("vdd, q_on", [(1.0, 54.0), (3.3, 1e5)])
     def test_vth_at_a_third_of_vdd_accepted(self, fx, vdd, q_on):
-        # at vdd = 3.3 V the default slopes put the condition one rounding over
+        # at vdd = 3.3 V the default slope puts the condition one rounding over
         st = Fixture({"vdd": vdd, "vth": vdd / 3, "q_on": q_on}).state
         p_lin = active.linear_power_limit(st)
         qs = [active.q_on_nonlinear(st, p)[0] for p in np.geomspace(0.1 * p_lin, 50 * p_lin, 30)]
@@ -332,14 +332,14 @@ class TestArgumentGuards:
 
     def test_gm_params_validation(self):
         with pytest.raises(ValueError, match="vth"):
-            GmBlockParams(gm0=1e-3, kn_wl=1e-3, kp_wl=1e-3, vdd=1.0, vth=-0.3)
+            GmBlockParams(gm0=1e-3, k_wl=1e-3, vdd=1.0, vth=-0.3)
         with pytest.raises(ValueError, match="lam"):
-            GmBlockParams(gm0=1e-3, kn_wl=1e-3, kp_wl=1e-3, vdd=1.0, vth=0.3, lam=-0.1)
+            GmBlockParams(gm0=1e-3, k_wl=1e-3, vdd=1.0, vth=0.3, lam=-0.1)
 
-    @pytest.mark.parametrize("name", ["gm0", "kn_wl", "vdd", "vth", "kf", "lam"])
+    @pytest.mark.parametrize("name", ["gm0", "k_wl", "vdd", "vth", "kf", "lam"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_gm_params_reject_non_finite(self, name, bad):
-        good = dict(gm0=1e-3, kn_wl=1e-3, kp_wl=1e-3, vdd=1.0, vth=0.3)
+        good = dict(gm0=1e-3, k_wl=1e-3, vdd=1.0, vth=0.3)
         with pytest.raises(ValueError, match=name):
             GmBlockParams(**{**good, name: bad})
 
@@ -374,8 +374,8 @@ class TestFromTargets:
         c_total = 1.0 / ((2 * math.pi * fx.cfg["f0"]) ** 2 * fx.cfg["lsrr"])
         # the ring holds the total capacitance; the block has no share to set
         assert st.srr.csrr == c_total
-        # no overdrive (vdd/2 <= vth): the device slopes fall back to 1e-3
-        assert st.gm.kn_wl == st.gm.kp_wl == 1e-3
+        # no overdrive (vdd/2 <= vth): the device slope falls back to 1e-3
+        assert st.gm.k_wl == 1e-3
         with pytest.raises(TypeError, match="c_gm"):
             AsrrState.from_targets(*targets(fx), line=fx.line, q_on=54.0, k=0.2,
                                    c_gm=0.3 * c_total)

@@ -222,11 +222,11 @@ class TestNonlin:
 
     @pytest.mark.parametrize("vth", ["340 mV", "400 mV", "450 mV"])
     def test_gm_rising_above_gm0_refused(self, tmp_path, capsys, vth):
-        # the default slopes make the averaged gm rise above gm0 for vth > vdd/3
+        # the default slope makes the averaged gm rise above gm0 for vth > vdd/3
         cfg = write_config(tmp_path, REFERENCE_CONFIG + f"vth = {vth}\n")
         out = tmp_path / "out"
         assert main(["nonlin", "--config", cfg, "--out", str(out), "--quiet"]) == 1
-        assert "(kn_wl + kp_wl)*(vdd - vth) <= 8*gm0" in capsys.readouterr().err
+        assert "k_wl*(vdd - vth) <= 4*gm0" in capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
 
 
@@ -401,7 +401,7 @@ class TestMatchedCommands:
                                                         / (rho + 2.0) ** 2), rel=1e-11)
                 continue
             values = dict(ln.split(" = ") for ln in (out / "snr.txt").read_text().splitlines())
-            alpha = resonator.loss_slope_factor(rho) / 8.0 * (state.gm.kn_wl + state.gm.kp_wl)
+            alpha = resonator.loss_slope_factor(rho) / 4.0 * state.gm.k_wl
             v_rms = noise.flicker_rms(state.gm.kf, noise.FLICKER_BAND)
             snr_c = resonator.phase_slope_factor(rho) / (4.0 * alpha * v_rms * r_on)
             snr_r = (resonator.loss_slope_factor(rho) / 4.0
@@ -492,7 +492,7 @@ class TestValidateCmd:
         ("k = 1.5", "coupling coefficient k must satisfy 0 <= k < 1"),
         ("q_on = 8", "q_on (8) must exceed q_off (10)"),
         ("beta_l = 0.001", "matching Q=54 needs k=4.303 >= 1"),
-        ("vth = 400 mV", "compression needs (kn_wl + kp_wl)*(vdd - vth) <= 8*gm0"),
+        ("vth = 400 mV", "compression needs k_wl*(vdd - vth) <= 4*gm0"),
         ("q_on = 20000", "validate checks Q_on up to 10000"),
     ])
     def test_bad_fixture_value_is_config_error(self, tmp_path, capsys, line, message):
@@ -669,7 +669,7 @@ KEY_EFFECTS = {
     "k": ("sweep", "0.2"), "z0": ("sweep", "60 ohm"), "beta_l": ("match", "0.4 rad"),
     "q_off": ("snr", "12"), "q_on": ("snr", "60"), "gm0": ("snr", "1 mS"),
     "vdd": ("snr", "1.2 V"), "vth": ("snr", "250 mV"),
-    "kn_wl": ("snr", "2 mA/V^2"), "kp_wl": ("snr", "2 mA/V^2"), "kf": ("snr", "2e-10"),
+    "k_wl": ("snr", "2 mA/V^2"), "kf": ("snr", "2e-10"),
     "f_lo": ("snr", "0.1 Hz"), "f_hi": ("snr", "10 kHz"), "delta_r_ref": ("snr", "2 ohm"),
     "gamma": ("noise", "2"), "lambda": ("noise", "0.5"), "p_in": ("noise", "20 uW"),
     "temperature": ("noise", "300 K"), "delta_f_s": ("noise", "40 MHz"),
@@ -681,7 +681,7 @@ KEY_EFFECTS = {
     "snr_dc_target": ("design", "2000"), "snr_dr_target": ("design", "40"),
     "kn": ("design", "300 uA/V^2"), "kp": ("design", "300 uA/V^2"),
     "kf_area": ("design", "5e-23"), "c_per_area": ("design", "0.02"),
-    "l_srr_max": ("design", "50 pH"), "cap_weight": ("design", "0.5"),
+    "l_srr_max": ("design", "50 pH"),
 }
 
 
@@ -697,7 +697,7 @@ class TestConfigKeys:
         assert not list(tmp_path.glob("*.txt"))
 
     OSCILLATING_CONFIG = (REFERENCE_CONFIG.replace("lsrr = 54.12456 pH", "lsrr = 100 pH")
-                          .replace("q_on = 54", "gm0 = 1.2 mS") + "kn_wl = 2 mA/V^2\n")
+                          .replace("q_on = 54", "gm0 = 1.2 mS") + "k_wl = 2 mA/V^2\n")
 
     def test_validate_and_snr_refuse_one_oscillating_pixel(self, tmp_path, capsys):
         # gm0*R = 1.5: validate checks the pixel snr builds, so both refuse it
@@ -710,7 +710,7 @@ class TestConfigKeys:
 
     def test_validate_checks_the_state_snr_reports(self, tmp_path, monkeypatch):
         text = (REFERENCE_CONFIG.replace("lsrr = 54.12456 pH", "lsrr = 60 pH")
-                .replace("q_on = 54", "gm0 = 1 mS") + "c_asrr = 12 fF\nkn_wl = 2 mA/V^2\n")
+                .replace("q_on = 54", "gm0 = 1 mS") + "c_asrr = 12 fF\nk_wl = 2 mA/V^2\n")
         cfg = write_config(tmp_path, text)
         states = {}
         real_snr, real_check = noise.snr_delta_c, validate.run_check
@@ -797,7 +797,8 @@ class TestConfigKeys:
         assert set(KEY_EFFECTS) == cli.CONFIG_KEYS
 
     @pytest.mark.parametrize("line", ["c_gm = 3.5 fF", "ltl = 14 pH", "ctl = 5.6 fF",
-                                      "length = 30 um", "csrr = 12 fF"])
+                                      "length = 30 um", "csrr = 12 fF", "kn_wl = 2 mA/V^2",
+                                      "kp_wl = 2 mA/V^2", "cap_weight = 0.5"])
     def test_removed_keys_are_refused_by_name(self, tmp_path, capsys, line):
         cfg = write_config(tmp_path, REFERENCE_CONFIG + line + "\n")
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1

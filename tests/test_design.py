@@ -56,7 +56,7 @@ class TestSynthesize:
         assert result.wl_ratio_n == pytest.approx(
             result.gm_required / (spec.kn * overdrive), rel=1e-12)
         assert result.gate_area == pytest.approx(
-            result.c_gm / (2 * spec.cap_weight * spec.c_per_area), rel=1e-12)
+            result.c_gm / (2 * spec.c_per_area), rel=1e-12)
         assert result.w_n == pytest.approx(
             math.sqrt(result.wl_ratio_n * result.gate_area), rel=1e-12)
         assert result.w_n / result.l_n == pytest.approx(result.wl_ratio_n, rel=1e-9)

@@ -171,10 +171,10 @@ def test_line_section_refuses_bad_draws():
 
 def test_gm_block_refuses_bad_draws():
     rng = np.random.default_rng(20260505)
-    positive = ("gm0", "kn_wl", "kp_wl", "vdd", "vth", "kf", "gamma")
+    positive = ("gm0", "k_wl", "vdd", "vth", "kf", "gamma")
     for _ in range(DRAWS):
-        valid = dict(gm0=rng.uniform(1e-4, 1e-1), kn_wl=rng.uniform(1e-4, 1e-1),
-                     kp_wl=rng.uniform(1e-4, 1e-1), vdd=rng.uniform(0.5, 3.0),
+        valid = dict(gm0=rng.uniform(1e-4, 1e-1), k_wl=rng.uniform(1e-4, 1e-1),
+                     vdd=rng.uniform(0.5, 3.0),
                      vth=rng.uniform(0.1, 0.6), kf=10.0 ** rng.uniform(-14, -8), gamma=rng.uniform(0.5, 3.0),
                      lam=rng.uniform(0.0, 0.5))
         refuses(rng, GmBlockParams, valid, positive, {"lam": bad_nonnegative})
@@ -206,7 +206,7 @@ def test_from_targets_refuses_bad_draws():
 def test_design_spec_refuses_bad_draws():
     rng = np.random.default_rng(20260507)
     positive = ("f0", "snr_dc_target", "snr_dr_target", "delta_r_ref", "z0", "kn", "kp", "vth",
-                "vdd", "kf_area", "c_per_area", "l_srr_max", "q_off", "cap_weight")
+                "vdd", "kf_area", "c_per_area", "l_srr_max", "q_off")
     for _ in range(DRAWS):
         valid = dict(f0=rng.uniform(50e9, 300e9), n_pixels=int(rng.integers(1, 64)),
                      il_budget=rng.uniform(0.01, 0.99), snr_dc_target=rng.uniform(1, 1e4),
@@ -215,7 +215,7 @@ def test_design_spec_refuses_bad_draws():
                      kp=rng.uniform(1e-5, 1e-3), vth=rng.uniform(0.1, 0.6),
                      vdd=rng.uniform(0.8, 2.0), kf_area=10.0 ** rng.uniform(-25, -21),
                      c_per_area=rng.uniform(1e-3, 0.05), l_srr_max=rng.uniform(20e-12, 200e-12),
-                     q_off=rng.uniform(5, 30), cap_weight=rng.uniform(0.1, 2.0))
+                     q_off=rng.uniform(5, 30))
         refuses(rng, DesignSpec, valid, positive, {
             "il_budget": lambda r: [math.nan, math.inf, 0.0, 1.0, -r.uniform(0, 1),
                                     1.0 + r.uniform(0, 1)][r.integers(6)],

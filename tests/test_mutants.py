@@ -19,12 +19,13 @@ from asrrkit import validate  # loads every module that defines or binds a law
 MUTANTS = [
     ("resonator", "phase_slope_factor", 1.003),
     ("resonator", "reflected_amplitude", 1.0005),
-    ("resonator", "detection_band", 1 + 2e-5),
+    ("resonator", "detection_band", 1 + 1e-12),
     ("resonator", "loss_slope_factor", 1.005),
     ("resonator", "absorbed_power_fraction", 1.01),
     ("resonator", "transmitted_power_fraction", 1.2),
     ("active", "asrr_voltage_swing", 1.001),
     ("active", "linear_power_limit", 1.01),
+    ("active", "gm_avg_exact", 1.001),
     ("noise", "white_output_noise_density", 2.23),
     ("noise", "detected_power", 0.9),
     ("noise", "supply_sres_sensitivity", 1.5),

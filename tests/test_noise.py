@@ -14,7 +14,7 @@ def device_slopes(st):
     """K(W/L)*(1 + lam*(vdd - vth)) summed over the NMOS and PMOS: the
     devices' gm slope to their gate voltage, biased at vdd/2."""
     p = st.gm
-    return (p.kn_wl + p.kp_wl) * (1 + p.lam * (p.vdd - p.vth))
+    return 2 * p.k_wl * (1 + p.lam * (p.vdd - p.vth))
 
 
 def with_lam(st, lam):
@@ -31,8 +31,8 @@ def make_ctx(fx, **kw):
 class TestWhiteNoise:
     def test_scales_linearly_with_q(self, fx):
         # fixed device (gm0, gamma), quality factor moved by the ring loss
-        kwl = fx.state.gm.kn_wl
-        st1 = fx.at_q(30.0, kn_wl=kwl, kp_wl=kwl).state
+        kwl = fx.state.gm.k_wl
+        st1 = fx.at_q(30.0, k_wl=kwl).state
         gm_fixed = st1.gm
         st2_srr = SrrParams(st1.srr.lsrr, st1.srr.csrr, st1.srr.q_off / 2, st1.srr.k)
         import dataclasses
@@ -93,31 +93,31 @@ class TestWhiteNoise:
         assert noise.detected_power(ctx) / ctx.p_in == pytest.approx(4 / 9, rel=1e-12)
 
     def test_ssb_rises_with_q(self, fx):
-        kwl = fx.state.gm.kn_wl
+        kwl = fx.state.gm.k_wl
         vals = [noise.white_ssb_phase_noise(
-                    make_ctx(fx, state=fx.at_q(q, kn_wl=kwl, kp_wl=kwl).state))
+                    make_ctx(fx, state=fx.at_q(q, k_wl=kwl).state))
                 for q in (20.0, 54.0, 150.0)]
         assert vals[0] < vals[1] < vals[2]
 
 
 class TestSlopeSensitivities:
     def test_flicker_quadratic_in_q(self, fx):
-        kwl = fx.state.gm.kn_wl
-        s50 = noise.flicker_sres_sensitivity(fx.at_q(50.0, kn_wl=kwl, kp_wl=kwl).state)
-        s100 = noise.flicker_sres_sensitivity(fx.at_q(100.0, kn_wl=kwl, kp_wl=kwl).state)
+        kwl = fx.state.gm.k_wl
+        s50 = noise.flicker_sres_sensitivity(fx.at_q(50.0, k_wl=kwl).state)
+        s100 = noise.flicker_sres_sensitivity(fx.at_q(100.0, k_wl=kwl).state)
         assert s100 / s50 == pytest.approx(4.0, abs=1e-9)
 
     def test_supply_quadratic_in_q(self, fx):
-        kwl = fx.state.gm.kn_wl
-        s50 = noise.supply_sres_sensitivity(fx.at_q(50.0, kn_wl=kwl, kp_wl=kwl).state)
-        s100 = noise.supply_sres_sensitivity(fx.at_q(100.0, kn_wl=kwl, kp_wl=kwl).state)
+        kwl = fx.state.gm.k_wl
+        s50 = noise.supply_sres_sensitivity(fx.at_q(50.0, k_wl=kwl).state)
+        s100 = noise.supply_sres_sensitivity(fx.at_q(100.0, k_wl=kwl).state)
         assert s100 / s50 == pytest.approx(4.0, abs=1e-9)
 
     def test_scales_with_device_slopes(self, fx):
         import dataclasses
 
         st = fx.state
-        doubled = dataclasses.replace(st.gm, kn_wl=2 * st.gm.kn_wl, kp_wl=2 * st.gm.kp_wl)
+        doubled = dataclasses.replace(st.gm, k_wl=2 * st.gm.k_wl)
         st2 = dataclasses.replace(st, gm=doubled)
         assert noise.flicker_sres_sensitivity(st2) \
             == pytest.approx(2 * noise.flicker_sres_sensitivity(st), rel=1e-12)
@@ -128,7 +128,7 @@ class TestSlopeSensitivities:
         st = fx.state
         assert st.gm.lam == 0.0
         chain = (resonator.loss_slope_factor(st.rho) / 2 * st.srr.lsrr * active.q_on(st) ** 2
-                 * (st.gm.kn_wl / 2 + st.gm.kp_wl / 2))
+                 * st.gm.k_wl)
         assert noise.supply_sres_sensitivity(st) == pytest.approx(chain, rel=1e-12)
 
     def test_supply_to_flicker_prefactor_ratio(self, fx):
@@ -160,7 +160,7 @@ class TestSlopeSensitivities:
         factor_vgs = 1 + 0.1 * (st.gm.vdd - st.gm.vth)
         factor_vdd = (0.5 + 0.05 * (st.gm.vdd - st.gm.vth)) / 0.5
         assert device_slopes(st_lam) == pytest.approx(
-            (st.gm.kn_wl + st.gm.kp_wl) * factor_vgs, rel=1e-12)
+            2 * st.gm.k_wl * factor_vgs, rel=1e-12)
         assert noise.alpha_flicker(st_lam) == pytest.approx(
             noise.alpha_flicker(st) * factor_vgs, rel=1e-12)
         assert noise.flicker_sres_sensitivity(st_lam) == pytest.approx(
