@@ -16,18 +16,18 @@ e = floor(log10|x|), into [1e11, 1e12).  That power of ten is an exact
 double, so the one rounding moves the product by at most 2**-53 of it,
 under 1.2e-4.  The nearest integer to the product is then the 12-digit
 significand ``%`` would round to, unless the product lies within 1e-3 of
-a half-integer.  The digits go into place through a table of the ``%g``
-layouts, one row per (exponent, trailing zeros, sign).  Everything else
+a half-integer.  The digits go into place through a table of the 552
+``%g`` layouts, one per (exponent, trailing zeros).  Everything else
 falls back to ``%``, one value at a time: zeros, nan, infinities,
 magnitudes outside that window (subnormals among them) and the near-ties,
 which include every exact tie, where ``%`` rounds half to even.
 
-The kernel's cells are NUL-padded S20 values, and each file's rows are
-assembled and packed from them in numpy (see ``write_sweep``), so no bytes
-object is made per cell, no row is joined in Python, and the packing runs
-in numpy calls that release the GIL.  The kernel's tables are built whole
-on the first sweep write and are read-only, so the chunk jobs on the
-pool's threads share nothing that any thread writes.
+The kernel's cells are 21 bytes: a sign byte ('-' or NUL), the digits and
+literals, NUL padding and a separator slot.  Each file's rows are one take
+of the cells, with separators in the slots and the NULs dropped, in numpy
+calls that release the GIL: no bytes object per cell, no join in Python.
+The kernel's tables are built once, on the writing thread, and read-only,
+so the chunk jobs on the pool's threads share nothing any thread writes.
 """
 
 from __future__ import annotations
@@ -55,43 +55,42 @@ def fmt(x: float) -> str:
 # is then an exact double, both as a factor (e <= 11) and as a divisor
 _EXP_MIN, _EXP_MAX = -11, 33
 # the bytes a %g layout takes from outside the digits: NUL pads a cell, and
-# the last NUL makes a row of digits and literals whole uint32 words
+# the last, the value's sign ('-' or NUL), makes a row whole uint32 words
 _LITERALS = b"\0-.e+0123456789\0"
-_KEYS = (_EXP_MAX + 2 - _EXP_MIN) * 12 * 2  # (exponent, trailing zeros, sign)
-_CELL = 20  # bytes per formatted cell: "-1.23456789012e-308" is 19
+_KEYS = (_EXP_MAX + 2 - _EXP_MIN) * 12  # (exponent, trailing zeros)
+_CELL = 21  # "-1.23456789012e-308" is 19 bytes; the last is the separator's slot
 # each literal character's place in a row of the kernel: 12 plus its first
 # index in _LITERALS
 _LITERAL_INDEX = {chr(c): 12 + i for i, c in enumerate(_LITERALS[:-1])}
 
 
-def _layout(exp, nd, neg):
+def _layout(exp, nd):
     """Where each byte of a %.12g cell comes from, for a value with decimal
-    exponent exp, nd significant digits and sign neg: an index 0-11 into its
-    12 digits, or 12 plus an index into _LITERALS."""
+    exponent exp and nd significant digits, the sign's byte first: an index
+    0-11 into its 12 digits, or 12 plus an index into _LITERALS."""
     if -4 <= exp < 12:  # %g's fixed notation
         point = max(exp + 1, 0)
         whole, frac = list(range(point)), list(range(point, nd))
         places = (whole or ["0"]) + (["."] + ["0"] * (-exp - 1) + frac if frac else [])
     else:
         places = [0] + (["."] + list(range(1, nd)) if nd > 1 else []) + list(f"e{exp:+03d}")
-    places = ["-"] * neg + places + ["\0"] * (_CELL - neg - len(places))
+    places = [12 + len(_LITERALS) - 1] + places + ["\0"] * (_CELL - 1 - len(places))
     return [p if isinstance(p, int) else _LITERAL_INDEX[p] for p in places]
 
 
 @functools.cache
 def _tables():
-    """The kernel's tables, built on the first sweep write and read-only, so
-    that calls on any thread share them: each 4-digit group's ASCII bytes as
-    one uint32 and its trailing zero count, the factors and divisors
-    10**(11 - e), and the layout of every key
-    ((exponent - _EXP_MIN)*12 + trailing zeros)*2 + sign."""
+    """The kernel's tables, built once, on the writing thread, and read-only:
+    each 4-digit group's ASCII bytes as one uint32 and its trailing zero
+    count, the factors and divisors 10**(11 - e), and the layout of every
+    key (exponent - _EXP_MIN)*12 + trailing zeros."""
     groups = np.arange(10_000)
     digits4 = (groups[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
     zeros4 = sum(groups % 10**k == 0 for k in range(1, 5))
     shifts = range(11 - _EXP_MAX, 12 - _EXP_MIN)
     scale = np.array([[float(10 ** max(s, 0)), float(10 ** max(-s, 0))] for s in shifts])
-    layouts = np.array([_layout(k // 24 + _EXP_MIN, 12 - k // 2 % 12, k % 2)
-                        for k in range(_KEYS)], np.intp)
+    layouts = np.array([_layout(k // 12 + _EXP_MIN, 12 - k % 12) for k in range(_KEYS)],
+                       np.intp)
     tables = digits4.view(np.uint32).ravel(), zeros4, scale, layouts
     for table in tables:
         table.flags.writeable = False
@@ -104,9 +103,10 @@ def _format_each(values):
 
 
 def _format_12g(values) -> np.ndarray:
-    """b"%.12g" % v for every double v of values, as an S20 array of the
-    same shape (NUL-padded; .tolist() strips the padding).  See the module
-    docstring for why the fast path is exact and what falls back."""
+    """An S21 array of values' shape whose cells' non-NUL bytes are
+    b"%.12g" % v, for each double v, laid out as the module docstring says;
+    the NULs are the writer's to drop.  See there too why the fast path is
+    exact and what falls back."""
     digits4, zeros4, scale, layouts = _tables()
     values = np.asarray(values, dtype=float)
     x = values.ravel()
@@ -137,13 +137,14 @@ def _format_12g(values) -> np.ndarray:
     tz = zeros4[lo]
     z = np.flatnonzero(lo == 0)
     tz[z] += zeros4[mid[z]] + (mid[z] == 0) * zeros4[hi[z]]
-    key = ((e - _EXP_MIN) * 12 + tz) * 2 + np.signbit(x)
+    key = (e - _EXP_MIN) * 12 + tz
     key[~fast] = 0
-    # one row per value: its 12 digit bytes, then _LITERALS
+    # one row per value: its 12 digit bytes, then _LITERALS with its sign
     n, width = x.size, 12 + len(_LITERALS)
     src = np.empty((n, width // 4), np.uint32)
     src[:, 0], src[:, 1], src[:, 2] = digits4[hi], digits4[mid], digits4[lo]
     src[:, 3:] = np.frombuffer(_LITERALS, np.uint32)
+    src.view(np.uint8)[np.signbit(x), -1] = ord("-")
     index = layouts.take(key, axis=0)
     index += np.arange(0, n * width, width)[:, None]
     cells = src.view(np.uint8).ravel().take(index).view(f"S{_CELL}").ravel()
@@ -212,15 +213,14 @@ def write_sweep(sweep: TwoPortSweep, paths):
     "s2p") to file path, in one pass.  Rows go out CHUNK_ROWS at a time.
     One job turns a chunk into each file's bytes: each column is formatted
     once by _format_12g, however many files and layouts name it; each
-    file's cells are copied into a (rows, columns, 21) byte buffer whose
-    last byte per cell is the separator, or the newline after a row's last
-    cell; and the cells' NUL padding is dropped by a boolean mask.  A pool
-    with one thread per usable core runs the jobs, at most one more than
-    there are threads in flight, and this thread writes their bytes in
-    chunk order, so memory stays at that many chunks' text however long
-    the sweep is.  A sweep of one chunk runs its job here and starts no
-    thread.  On a failure the pending jobs are cancelled and no file is
-    touched."""
+    file's rows are one take of its columns' cells, the separators and
+    newlines go into the cells' last bytes, and a boolean mask drops the
+    NULs.  This thread builds the kernel's tables, then a pool with one
+    thread per usable core runs the jobs, at most one more than there are
+    threads in flight, and this thread writes their bytes in chunk order,
+    so memory stays at that many chunks' text however long the sweep is.
+    A sweep of one chunk runs its job here and starts no thread.  On a
+    failure the pending jobs are cancelled and no file is touched."""
     headers = {"csv": SWEEP_COLUMNS, "s2p": f"# Hz S RI R {fmt(sweep.z0_ref)}"}
     columns = [sweep.freqs_hz, sweep.s11.real, sweep.s11.imag, sweep.s21.real, sweep.s21.imag]
     if "csv" in paths:
@@ -233,12 +233,10 @@ def write_sweep(sweep: TwoPortSweep, paths):
         cells = cells.view(np.uint8).reshape(*cells.shape, _CELL)
         packed = []
         for sep, layout in layouts:
-            rows = np.empty((len(cells), len(layout), _CELL + 1), np.uint8)
-            rows[:, :, :_CELL] = cells.take(layout, axis=1)
-            rows[:, :, _CELL] = ord(sep)
-            rows[:, -1, _CELL] = ord("\n")
-            flat = rows.ravel()
-            packed.append(flat[flat != 0])
+            rows = cells.take(layout, axis=1)
+            rows[:, :, -1] = ord(sep)
+            rows[:, -1, -1] = ord("\n")
+            packed.append(rows[rows != 0])
         return packed
 
     def write(*handles):
@@ -249,6 +247,7 @@ def write_sweep(sweep: TwoPortSweep, paths):
             for fh, data in zip(handles, packed):
                 fh.write(data)
 
+        _tables()  # once, on this thread, so that no two jobs build them
         if len(starts) <= 1:
             for i in starts:
                 emit(pack(i))

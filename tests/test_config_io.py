@@ -369,30 +369,47 @@ class TestParallelWriter:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert len(results) == len(threads)
-        assert all(cells.tolist() == expect for cells in results)
+        assert all(cell_bytes(cells) == expect for cells in results)
+
+    def test_kernel_tables_are_built_once_on_the_writing_thread(self, tmp_path, monkeypatch):
+        build_tables, builds = sweepio._tables.__wrapped__, []
+
+        def recorded_build():
+            builds.append(threading.get_ident())
+            return build_tables()
+
+        # a cold cache, as in a new process
+        monkeypatch.setattr(sweepio, "_tables", functools.cache(recorded_build))
+        workers = len(os.sched_getaffinity(0))
+        write_sweep(late_key_sweep(2 * workers + 2), {"csv": tmp_path / "s.csv"})
+        assert builds == [threading.get_ident()]
+        assert len(sweepio._tables()[3]) == 552
 
     def test_failing_job_reaches_the_caller_and_stops_the_pool(self, tmp_path, monkeypatch):
-        # at most workers + 1 chunks are in flight: while the first job
+        # at most workers + 1 chunks are in flight: while chunk 0's job
         # sleeps, the idle threads start no chunk past that window, and once
-        # the third fails no more than workers + 3 of the sweep's chunks start
+        # chunk 2's job fails no more than workers + 3 of the sweep's chunks
+        # start.  A job is known by its chunk's first frequency, not by the
+        # order in which the jobs reach the kernel
         paths = old_sweep_files(tmp_path)
         workers = len(os.sched_getaffinity(0))
         sweep = late_key_sweep(2 * workers + 4)
+        chunk_of = {f: i for i, f in enumerate(sweep.freqs_hz[::CHUNK_ROWS].tolist())}
         real_format_12g, lock = sweepio._format_12g, threading.Lock()
         started, started_while_first_slept = [], []
 
-        def first_call_slow_third_fails(values):
+        def chunk_0_slow_chunk_2_fails(values):
+            chunk = chunk_of[values[0, 0]]
             with lock:
-                started.append(values)
-                call = len(started)
-            if call == 1:
+                started.append(chunk)
+            if chunk == 0:
                 time.sleep(0.2)
                 started_while_first_slept.append(len(started))
-            if call == 3:
+            if chunk == 2:
                 raise RuntimeError("third chunk")
             return real_format_12g(values)
 
-        monkeypatch.setattr(sweepio, "_format_12g", first_call_slow_third_fails)
+        monkeypatch.setattr(sweepio, "_format_12g", chunk_0_slow_chunk_2_fails)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="third chunk"):
             write_sweep(sweep, paths)
@@ -424,6 +441,15 @@ def kernel_cases(rng):
     return np.concatenate([values, -values])
 
 
+def cell_bytes(cells):
+    """The kernel's cells as bytes, each with its leading NUL (the sign byte
+    of a value that is not negative) and its trailing NULs stripped.  The
+    last byte of every cell, the writer's separator slot, is NUL."""
+    assert cells.dtype == f"S{sweepio._CELL}"
+    assert not cells.view(np.uint8).reshape(-1, sweepio._CELL)[:, -1].any()
+    return [cell.removeprefix(b"\0") for cell in cells.ravel().tolist()]
+
+
 def every_layout_key():
     """One value per layout key of the kernel: each decimal exponent it
     scales, 1 to 12 significant digits (12 to 0 trailing zeros) and either
@@ -438,12 +464,14 @@ def test_kernel_writes_the_bytes_of_percent_12g(monkeypatch):
     values = kernel_cases(np.random.default_rng(2024))
     assert values.size >= 1_000_000
     fallbacks = count_fallbacks(monkeypatch)
-    got = sweepio._format_12g(values.reshape(2, -1)).ravel().tolist()
-    assert got == [b"%.12g" % v for v in values.tolist()]
+    cells = sweepio._format_12g(values.reshape(2, -1))
+    assert cells.shape == (2, values.size // 2)
+    assert cell_bytes(cells) == [b"%.12g" % v for v in values.tolist()]
     # both paths ran: most values on the numpy path, the rest through %
     assert 0 < sum(fallbacks) < values.size / 2
-    # every (exponent, trailing zeros, sign) layout, each on the numpy path
+    # every (exponent, trailing zeros) layout with either sign, each on the
+    # numpy path
     keyed = every_layout_key()
     fallbacks.clear()
-    assert sweepio._format_12g(keyed).tolist() == [b"%.12g" % v for v in keyed.tolist()]
+    assert cell_bytes(sweepio._format_12g(keyed)) == [b"%.12g" % v for v in keyed.tolist()]
     assert not fallbacks
