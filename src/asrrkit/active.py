@@ -248,6 +248,10 @@ def q_on_nonlinear(state: AsrrState, p_in: float):
     k_wl*(vdd - vth) <= 4*gm0: vth <= vdd/3 with the default slope
     gm0/(vdd/2 - vth).  check_compression_domain raises ValueError
     for other blocks.
+
+    Past the swing where gm_avg turns negative (about 1.56 V, near
+    p_in = 27*(Q_on/Q_off)*linear_power_limit, with the default vdd and
+    vth), Q falls below Q_off, which the block cannot do: ValueError.
     """
     if p_in <= 0:
         raise ValueError("p_in must be positive")
@@ -265,4 +269,9 @@ def q_on_nonlinear(state: AsrrState, p_in: float):
             lo = mid
         else:
             hi = mid
-    return q_of_v(hi), hi
+    q = q_of_v(hi)
+    if q < state.srr.q_off:
+        raise ValueError(f"p_in = {p_in:g} W drives the swing to {hi:g} V, where the "
+                         f"compressed Q {q:.12g} falls below q_off = {state.srr.q_off:g}: "
+                         f"the block's averaged gm would be negative")
+    return q, hi

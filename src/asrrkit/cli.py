@@ -38,9 +38,9 @@ from . import __version__, active, resonator
 from .config import STATE_KEYS, ConfigError, Pixel, optional, parse_config_file, require
 from .resonator import require_positive
 from .sweepio import (
+    NOISE_COLUMNS,
     fmt,
     keyvalue_lines,
-    noise_csv_lines,
     table_csv_lines,
     write_keyvalues,
     write_sweep,
@@ -197,7 +197,6 @@ def cmd_noise(args, cfg):
         delta_omega_s=2.0 * math.pi * optional(cfg, "delta_f_s", 20e6),
     )
     q, w0 = active.q_on(state), state.srr.w0
-    results = []
     offset_min = optional(cfg, "offset_min", 100.0)
     offset_max = optional(cfg, "offset_max", 1e8)
     require_positive(offset_min=offset_min, offset_max=offset_max)
@@ -211,15 +210,20 @@ def cmd_noise(args, cfg):
             raise ConfigError(f"supply_psd needs a nonzero delta_f_s: at delta_f_s = "
                               f"{ctx.delta_omega_s / (2.0 * math.pi):g} Hz the supply row "
                               f"is {supply:g} dBc/Hz")
+    noise_rows = []  # (offset_hz, contributor, ssb_dbch)
     for off in offsets:
-        results.append(noise.PhaseNoiseResult(off, white, "white"))
-        # the flicker notch bottoms out at the white level, not at -inf
-        results.append(noise.PhaseNoiseResult(
-            off, max(noise.flicker_phase_noise(ctx, off), white), "flicker"))
         gain_db = 10.0 * math.log10(noise.input_phase_transfer(q, w0, 2 * math.pi * off))
-        results.append(noise.PhaseNoiseResult(off, gain_db, "input"))
+        # the flicker notch bottoms out at the white level, not at -inf
+        noise_rows += [(off, "white", white),
+                       (off, "flicker", max(noise.flicker_phase_noise(ctx, off), white)),
+                       (off, "input", gain_db)]
         if supply_psd is not None:
-            results.append(noise.PhaseNoiseResult(off, supply, "supply"))
+            noise_rows.append((off, "supply", supply))
+    # an extreme offset or delta_f_s overflows a level
+    for off, contributor, level in noise_rows:
+        if not math.isfinite(level):
+            raise ConfigError(f"the {contributor} phase noise at offset {off:g} Hz is "
+                              f"{level:g} dBc/Hz; every level must be finite")
 
     # PM-to-AM conversion at the carrier detunings j*w0/(20*Q_on), computed
     # before either file is written, so that a failure leaves neither
@@ -236,7 +240,7 @@ def cmd_noise(args, cfg):
     out = _outdir(args)
     noise_path = os.path.join(out, "phase_noise.csv")
     pm_path = os.path.join(out, "pm_to_am.csv")
-    write_text_files({noise_path: noise_csv_lines(results),
+    write_text_files({noise_path: table_csv_lines(NOISE_COLUMNS, noise_rows),
                       pm_path: table_csv_lines(("detune_hz", "conversion_db"), rows)})
     _say(args, f"wrote {noise_path}, {pm_path}")
     return EXIT_OK

@@ -61,19 +61,6 @@ class NoiseContext:
             raise ValueError("delta_omega_s must be finite")
 
 
-@dataclass(frozen=True)
-class PhaseNoiseResult:
-    offset_freq: float  # [Hz]
-    ssb_dbchz: float
-    contributor: str  # white | flicker | supply | input
-
-    def __post_init__(self):
-        if self.contributor not in ("white", "flicker", "supply", "input"):
-            raise ValueError(f"unknown contributor {self.contributor!r}")
-        if not math.isfinite(self.ssb_dbchz):
-            raise ValueError("ssb must be finite")
-
-
 def white_output_noise_density(ctx: NoiseContext) -> float:
     """Output voltage noise density from device channel noise [V^2/Hz].
 

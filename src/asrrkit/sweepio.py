@@ -43,7 +43,7 @@ import numpy as np
 from .resonator import TwoPortSweep
 
 SWEEP_COLUMNS = "freq_hz,re_s11,im_s11,re_s21,im_s21,mag_s21_db,phase_s21_deg"
-NOISE_COLUMNS = "offset_hz,contributor,ssb_dbch"
+NOISE_COLUMNS = ("offset_hz", "contributor", "ssb_dbch")
 CHUNK_ROWS = 4096  # rows formatted and written per step of write_sweep
 
 
@@ -282,15 +282,6 @@ def write_touchstone(path, sweep: TwoPortSweep):
     write_sweep(sweep, {"s2p": path})
 
 
-def noise_csv_lines(results):
-    """results: iterable of PhaseNoiseResult-like (offset_freq, ssb_dbchz,
-    contributor)."""
-    lines = [NOISE_COLUMNS]
-    for r in results:
-        lines.append(f"{fmt(r.offset_freq)},{r.contributor},{fmt(r.ssb_dbchz)}")
-    return lines
-
-
 def table_csv_lines(header, rows, comments=()):
     """Generic CSV with optional leading '#' comment lines."""
     lines = [f"# {c}" for c in comments]
@@ -308,7 +299,8 @@ def keyvalue_lines(pairs):
 # through write_text_files
 
 def write_noise_csv(path, results):
-    write_text_files({path: noise_csv_lines(results)})
+    """results: (offset_hz, contributor, ssb_dbch) rows."""
+    write_text_files({path: table_csv_lines(NOISE_COLUMNS, results)})
 
 
 def write_table_csv(path, header, rows, comments=()):

@@ -36,6 +36,7 @@ Q_ON_MAX = 1e4
 # detection-band check a pixel: on the reference (q_base = q_off = 10)
 # Q_on = 20, 50, 100 and 250
 Q_LADDER = (2.0, 5.0, 10.0, 25.0)
+NONLIN_DRIVE_MAX = 30.0  # nonlinear-gm's top drive / p_in_lin, nonlin's default
 Record = tuple[str, float, float]  # (metric, value, tol)
 # A tol commented "worst X" is 100 X rounded up to a power of ten (1e-12
 # for X = 0), X the worst value over seeds 1-60, 7129031 and SEED and over
@@ -417,7 +418,7 @@ def check_nonlinear_gm(rng, fx: Fixture) -> list[Record]:
     q_lin = active.q_on(state)
     worst_lin = 0.0
     qs = []
-    for p_in in np.geomspace(0.01 * p_lin, 30.0 * p_lin, 25):
+    for p_in in np.geomspace(0.01 * p_lin, NONLIN_DRIVE_MAX * p_lin, 25):
         q_nl, v = active.q_on_nonlinear(state, p_in)
         qs.append(q_nl)
         if p_in <= p_lin:
@@ -658,10 +659,15 @@ def run_check(fn, fx: Fixture, seed: int = SEED) -> CheckResult:
 def run_all(config: dict | None = None, seed: int = SEED) -> list[CheckResult]:
     """Every check on the pixel of config over the reference one.  A pixel
     that cannot be built, whose block lies outside the domain of the
-    compression law the suite checks, or whose Q_on is above Q_ON_MAX,
-    raises ValueError before any check runs."""
+    compression law the suite checks (over nonlinear-gm's drives too), or
+    whose Q_on is above Q_ON_MAX, raises ValueError before any check runs."""
     fx = Fixture(config)
     active.check_compression_domain(fx.state.gm)
+    try:  # a boost under about 1.1 compresses Q below q_off by this drive
+        active.q_on_nonlinear(fx.state, NONLIN_DRIVE_MAX * active.linear_power_limit(fx.state))
+    except ValueError as exc:
+        raise ValueError(f"nonlinear-gm drives the pixel to {NONLIN_DRIVE_MAX:g} x "
+                         f"p_in_lin: {exc}") from None
     q = active.q_on(fx.state)
     if not q <= Q_ON_MAX:
         raise ValueError(f"validate checks Q_on up to {Q_ON_MAX:g}, where pm-to-am's mesh "

@@ -295,6 +295,20 @@ class TestNonlinearQ:
             # h changes sign between v and the next double below it
             assert h(math.nextafter(v, 0.0)) < 0.0 <= h(v)
 
+    def test_q_below_q_off_refused(self, fx):
+        # the averaged gm turns negative near V = 1.56 V, about 146 x p_lin
+        # on the reference pixel: a Q at q_off is still the block's, one
+        # below it is not
+        st = fx.state
+        p_lin = active.linear_power_limit(st)
+        q_nl, v = active.q_on_nonlinear(st, 145 * p_lin)
+        assert st.srr.q_off <= q_nl < active.q_on(st) and 1.5 < v < 1.57
+        for p_in in (147 * p_lin, 1.0):
+            with pytest.raises(ValueError, match=r"p_in = .* W drives the swing to .* V, "
+                                                 r"where the compressed Q .* falls below "
+                                                 r"q_off = 10"):
+                active.q_on_nonlinear(st, p_in)
+
     @pytest.mark.parametrize("vth", [0.34, 0.4, 0.45])
     def test_gm_rising_above_gm0_refused(self, fx, vth):
         # default slope gm0/(vdd/2 - vth): the averaged gm rises above gm0

@@ -1,10 +1,8 @@
 import ast
 import hashlib
-import importlib.util
 import math
 import os
 import stat
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +218,16 @@ class TestNonlin:
         below = data[:, 0] <= p_lin
         assert np.allclose(q[below], q[0], rtol=1e-6)
 
+    def test_drive_past_the_negative_gm_swing_refused(self, tmp_path, capsys):
+        # past about 146 x p_in_lin on this pixel the averaged gm turns
+        # negative, and the root's Q (5.59 and 1.58 here) falls below q_off
+        cfg = write_config(tmp_path, REFERENCE_CONFIG + "p_in_max = 1 W\np_in_points = 5\n")
+        out = tmp_path / "out"
+        assert main(["nonlin", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "p_in = " in err and "falls below q_off = 10" in err
+        assert not out.exists() or not list(out.iterdir())
+
     @pytest.mark.parametrize("vth", ["340 mV", "400 mV", "450 mV"])
     def test_gm_rising_above_gm0_refused(self, tmp_path, capsys, vth):
         # the default slope makes the averaged gm rise above gm0 for vth > vdd/3
@@ -243,6 +251,33 @@ class TestNoiseCmd:
         # conversion nulls towards the resonance
         mid = np.argmin(np.abs(data[:, 0]))
         assert data[mid, 1] < np.max(data[:, 1]) - 20
+
+    def test_rows_name_four_contributors_and_stay_finite(self, tmp_path):
+        cfg = write_config(tmp_path, REFERENCE_CONFIG + "supply_psd = 1e-12\n")
+        assert main(["noise", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        rows = [ln.split(",") for ln in (tmp_path / "phase_noise.csv").read_text().splitlines()]
+        assert rows[0] == ["offset_hz", "contributor", "ssb_dbch"]
+        levels = {(off, who): float(v) for off, who, v in rows[1:]}
+        assert len(levels) == len(rows) - 1 == 4 * 31
+        assert {who for _, who in levels} == {"white", "flicker", "input", "supply"}
+        assert all(math.isfinite(v) for v in levels.values())
+        flicker = {off: v for (off, who), v in levels.items() if who == "flicker"}
+        assert all(v >= levels[off, "white"] for off, v in flicker.items())
+        assert any(v > levels[off, "white"] for off, v in flicker.items())
+
+    @pytest.mark.parametrize("keys, message", [
+        ("offset_max = 1e300\n", "the input phase noise at offset"),
+        ("offset_min = 1e-300\noffset_max = 1e-290\ndelta_f_s = 1e100\n",
+         "the flicker phase noise at offset 1e-300 Hz is inf dBc/Hz"),
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # the overflow refused
+    def test_overflowing_level_refused(self, tmp_path, capsys, keys, message):
+        out = tmp_path / "out"
+        assert main(["noise", "--config", write_config(tmp_path, REFERENCE_CONFIG + keys),
+                     "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "every level must be finite" in err
+        assert not out.exists() or not list(out.iterdir())
 
     def test_flicker_notch_floors_at_white(self, tmp_path):
         # at zero detuning the flicker level is -inf; the table writes white
@@ -494,6 +529,8 @@ class TestValidateCmd:
         ("beta_l = 0.001", "matching Q=54 needs k=4.303 >= 1"),
         ("vth = 400 mV", "compression needs k_wl*(vdd - vth) <= 4*gm0"),
         ("q_on = 20000", "validate checks Q_on up to 10000"),
+        # a boost of 1.05 compresses Q below q_off inside nonlinear-gm's drives
+        ("q_on = 10.5", "nonlinear-gm drives the pixel to 30 x p_in_lin: p_in = "),
     ])
     def test_bad_fixture_value_is_config_error(self, tmp_path, capsys, line, message):
         cfg = write_config(tmp_path, line + "\n", name="bad.cfg")
@@ -560,13 +597,12 @@ class TestValidateCmd:
         assert main(["validate", "--config", cfg]) == 0
         assert "12/12 checks passed" in capsys.readouterr().out
 
-    def test_bench_pixels_of_seed_1_pass(self, tmp_path, monkeypatch, capsys):
+    def test_bench_pixels_of_seed_1_pass(self, tmp_path, bench_inputs, capsys):
         # the Q ladders of phase-slope-law, detection-band and noise-laws
         # are multiples of the pixel's q_off (or 1/beta_l if larger), so a
         # pixel with q_off above 20 is checked too
-        inputs = load_bench_inputs(monkeypatch)
-        texts = [text for _, text in inputs.cli_mix_pixels(1)]
-        texts.append(inputs.export_input(1).pixel.text)
+        texts = [text for _, text in bench_inputs.cli_mix_pixels(1)]
+        texts.append(bench_inputs.export_input(1).pixel.text)
         assert max(config.parse_config_text(text)["q_off"] for text in texts) > 20
         for i, text in enumerate(texts):
             cfg = write_config(tmp_path, text, name=f"pixel{i}.cfg")
@@ -626,13 +662,8 @@ BENCH_EXPORT_DIGESTS = {
 }
 
 
-def test_golden_digests_of_the_bench_export(tmp_path, monkeypatch):
-    path = Path(__file__).parents[1] / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
-    inputs = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, inputs)  # its dataclasses look it up there
-    spec.loader.exec_module(inputs)
-    export = inputs.export_input(1)
+def test_golden_digests_of_the_bench_export(tmp_path, bench_inputs):
+    export = bench_inputs.export_input(1)
     digests = output_digests(tmp_path, "sweep", export.pixel.text, "--format", "both",
                              "--grid", export.grid)
     assert digests == BENCH_EXPORT_DIGESTS
@@ -643,16 +674,6 @@ def test_golden_digest_of_each_sweep_format(tmp_path, fmt, name):
     # each --format writes exactly its one file, the same bytes as in "both"
     digests = output_digests(tmp_path, "sweep", REFERENCE_CONFIG, "--format", fmt)
     assert digests == {name: GOLDEN_DIGESTS["sweep"][name]}
-
-
-def load_bench_inputs(monkeypatch):
-    """bench/inputs.py, the module that draws the benchmark's pixels."""
-    path = Path(__file__).parents[1] / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
-    inputs = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, inputs)  # its dataclasses look it up there
-    spec.loader.exec_module(inputs)
-    return inputs
 
 
 # the pixel and synthesis keys together, as a full run config carries them
@@ -751,17 +772,16 @@ class TestConfigKeys:
         far = write_config(tmp_path, REFERENCE_CONFIG + "c_asrr = 5 fF\n", name="far.cfg")
         assert main(["snr", "--config", far, "--out", str(tmp_path / "far"), "--quiet"]) == 0
 
-    def test_sweep_ring_is_the_matched_state_ring(self, monkeypatch):
+    def test_sweep_ring_is_the_matched_state_ring(self, bench_inputs):
         # Pixel.ring of a boosted config is state.effective_srr(), and its
         # line's z0 the configured one, bit for bit, over the reference config and the bench's cli-mix and export
         # pixels of seeds 1-60 and 7129031.  Before the two were one, the
         # ring took Q as the configured q_on and 136 of these 245 rings
         # differed from the state's by up to 7 ulps in Q and 6 in k
-        inputs = load_bench_inputs(monkeypatch)
         texts = [REFERENCE_CONFIG]
         for seed in [*range(1, 61), 7129031]:
-            texts += [text for _, text in inputs.cli_mix_pixels(seed)]
-            texts.append(inputs.export_input(seed).pixel.text)
+            texts += [text for _, text in bench_inputs.cli_mix_pixels(seed)]
+            texts.append(bench_inputs.export_input(seed).pixel.text)
         assert len(texts) == 245
         for text in texts:
             cfg = config.parse_config_text(text)

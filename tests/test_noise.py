@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from asrrkit import active, noise, resonator, validate
-from asrrkit.noise import NoiseContext, PhaseNoiseResult
+from asrrkit.noise import NoiseContext
 from asrrkit.oracle import solve_linear
 from asrrkit.resonator import SrrParams
 
@@ -335,14 +335,6 @@ class TestSnr:
         st2 = dataclasses.replace(st, srr=srr2, gm=gm2)
         ratio = noise.snr_delta_r(st2, st.gm.kf, band, 1.0) / base
         assert ratio == pytest.approx((st.srr.r_parallel() / st2.srr.r_parallel()) ** 2, rel=1e-9)
-
-
-class TestResultRecord:
-    def test_contributor_validated(self):
-        with pytest.raises(ValueError, match="contributor"):
-            PhaseNoiseResult(1e3, -120.0, "cosmic")
-        with pytest.raises(ValueError, match="finite"):
-            PhaseNoiseResult(1e3, math.inf, "white")
 
 
 class TestContextGuards:
