@@ -131,8 +131,7 @@ def _random_matched(rng, rho=resonator.MATCHED_RHO):
     """A passive ring and its line drawn over the suite's ranges, with k set
     for the coupling ratio rho = beta_l*k^2*Q: matched by default.  Q and
     beta_l are drawn so that k stays below 0.6 at any rho."""
-    f0 = rng.uniform(50e9, 300e9)
-    w0 = 2.0 * math.pi * f0
+    w0 = 2.0 * math.pi * rng.uniform(50e9, 300e9)
     z0 = rng.uniform(40.0, 75.0)
     q = rng.uniform(max(20.0, 6.0 * rho), 300.0)
     beta_l = rng.uniform(max(0.08, 2.8 * rho / q), 0.5)
@@ -172,18 +171,22 @@ def check_matched_anchor(rng, fx: Fixture) -> list[Record]:
 ORACLE_BLOCK = 20
 
 
-def _loaded_impedance(cases, w):
-    """The series impedance of each case i, (srr, line, gm_neg), at
-    w[..., i]: the ring's branch with gm_neg across its capacitor, reflected
-    into the line, plus the line's own jwL_line, through the laws' value
-    forms, one call per law for the whole stack.  Also its port impedances."""
-    srrs, lines, gm_neg = zip(*cases)
-    r, lsrr, csrr = (np.array(v) for v in zip(*[(s.r_series(), s.lsrr, s.csrr) for s in srrs]))
-    m = np.array([resonator.mutual_inductance(s, ln) for s, ln in zip(srrs, lines)])
-    z = resonator.coupled_impedance(
-        m, w, resonator.branch_impedance(r, lsrr, csrr, w, np.array(gm_neg)))
-    return (resonator.with_line(z, w, np.array([ln.ltl for ln in lines])),
-            np.array([ln.z0 for ln in lines]))
+def _circuit_values(cases):
+    """The analytic route's values of (srr, line, gm_neg) cases, an array
+    each with one entry per case: r, L, C, M, L_line, z0 and gm_neg.  The
+    mesh route derives its own in from_parts, so a wrong M shows."""
+    return [np.array(v) for v in zip(*[
+        (srr.r_series(), srr.lsrr, srr.csrr, resonator.mutual_inductance(srr, line),
+         line.ltl, line.z0, gm_neg) for srr, line, gm_neg in cases])]
+
+
+def _loaded_impedance(values, w):
+    """The series impedance of ring i of _circuit_values at w[..., i]: its
+    branch with gm_neg across C, reflected into the line, plus jwL_line, one
+    value-form call per law for the whole stack; and its port impedances."""
+    r, lsrr, csrr, m, ltl, z0, gm_neg = values
+    z = resonator.coupled_impedance(m, w, resonator.branch_impedance(r, lsrr, csrr, w, gm_neg))
+    return resonator.with_line(z, w, ltl), z0
 
 
 def _mesh_stack(cases):
@@ -194,60 +197,54 @@ def _mesh_stack(cases):
 
 
 def check_oracle_equivalence(rng, fx: Fixture) -> list[Record]:
-    """Analytic S-parameters against the mesh solver, passive and active,
-    both routes evaluated ORACLE_BLOCK circuits at a time."""
-    worst = 0.0
-    cases, grids = [], []
-    for i in range(200):
-        f0 = rng.uniform(50e9, 300e9)
-        w0 = 2.0 * math.pi * f0
+    """Complex S11 and S21 of the analytic route (series_s of
+    _loaded_impedance) against the mesh solver's, for 100 passive and 100
+    active rings over +-3 bandwidths: all drawn first, then both routes
+    take ORACLE_BLOCK rings at a time on one broadcast grid."""
+    cases, edges = [], []
+    for active_case in [False] * 100 + [True] * 100:
+        w0 = 2.0 * math.pi * rng.uniform(50e9, 300e9)
         z0 = rng.uniform(40.0, 75.0)
         beta_l = rng.uniform(0.05, 0.5)
         lsrr = rng.uniform(20e-12, 200e-12)
         k = rng.uniform(0.02, 0.25)
-        active_case = i >= 100
-        q_off = rng.uniform(5.0, 30.0) if active_case else rng.uniform(5.0, 200.0)
+        q_off = rng.uniform(5.0, 30.0 if active_case else 200.0)
         srr = SrrParams(lsrr=lsrr, csrr=1.0 / (w0**2 * lsrr), q_off=q_off, k=k)
         line = TransmissionLineSection.from_electrical(z0, beta_l, w0)
-        gm_neg = 0.0
-        q_eff = q_off
-        if active_case:
-            loop = rng.uniform(0.3, 0.9)
-            gm_neg = loop / srr.r_parallel()
-            q_eff = q_off / (1.0 - loop)
-        span = 3.0 * w0 / q_eff
-        cases.append((srr, line, gm_neg))
-        grids.append(np.linspace(w0 - span, w0 + span, 121))
-        if len(cases) == ORACLE_BLOCK or i == 199:
-            freqs = np.stack(grids, axis=-1)  # (121, circuits)
-            s11, s21 = resonator.series_s(*_loaded_impedance(cases, freqs))
-            mesh = oracle.solve_two_port(_mesh_stack(cases), freqs)
-            worst = max(worst, float(np.max(np.abs(s11 - mesh[..., 0, 0]))),
-                        float(np.max(np.abs(s21 - mesh[..., 1, 0]))))
-            cases, grids = [], []
+        loop = rng.uniform(0.3, 0.9) if active_case else 0.0  # gm_neg * r_parallel
+        span = 3.0 * w0 / (q_off / (1.0 - loop))  # +-3 bandwidths of the boosted Q
+        cases.append((srr, line, loop / srr.r_parallel()))
+        edges.append((w0 - span, w0 + span))
+    worst = 0.0
+    for i in range(0, len(cases), ORACLE_BLOCK):
+        block = cases[i:i + ORACLE_BLOCK]
+        freqs = np.linspace(*np.array(edges[i:i + ORACLE_BLOCK]).T, 121)  # (121, rings)
+        s11, s21 = resonator.series_s(*_loaded_impedance(_circuit_values(block), freqs))
+        mesh = oracle.solve_two_port(_mesh_stack(block), freqs)
+        worst = max(worst, float(np.max(np.abs(s11 - mesh[..., 0, 0]))),
+                    float(np.max(np.abs(s21 - mesh[..., 1, 0]))))
     return [("max complex S11/S21 analytic vs mesh, 100 passive + 100 active", worst,
              1e-13)]  # worst 8.9e-16
 
 
 def check_mesh_properties(rng, fx: Fixture) -> list[Record]:
-    """Mesh solver reciprocity, passivity, closed-form agreement, and the
-    matched 4/9 absorbed-power split."""
+    """The mesh's reciprocity (S12 vs S21), passivity and S21 against the
+    analytic route's for 20 matched rings over +-3 bandwidths; the fixture's
+    matched 4/9 absorbed-power split; and off the locus the mesh's absorbed
+    share at resonance against absorbed_power_fraction."""
     draws = [_random_matched(rng) for _ in range(20)]
     cases = [(srr, line, 0.0) for srr, line, _ in draws]
-    # ring i on column i of w: 21 points over +-3 bandwidths
-    w = np.stack([np.linspace(w0 - 3.0 * w0 / srr.q_off, w0 + 3.0 * w0 / srr.q_off, 21)
-                  for srr, _, w0 in draws], axis=-1)
+    w0, q = np.array([(w0, srr.q_off) for srr, _, w0 in draws]).T
+    w = np.linspace(w0 - 3.0 * w0 / q, w0 + 3.0 * w0 / q, 21)  # ring i on column i
     s = oracle.solve_two_port(_mesh_stack(cases), w)
     s11, s12, s21 = s[..., 0, 0], s[..., 0, 1], s[..., 1, 0]
-    s21_closed = resonator.series_s(*_loaded_impedance(cases, w))[1]
+    s21_closed = resonator.series_s(*_loaded_impedance(_circuit_values(cases), w))[1]
     worst_recip = float(np.max(np.abs(s12 - s21)))
     worst_passive = float(np.max(np.abs(s11) ** 2 + np.abs(s21) ** 2 - 1.0))
     worst_closed = float(np.max(np.abs(s21 - s21_closed) / np.abs(s21_closed)))
     # energy split at resonance for the matched fixture
-    z = resonator.reflected_impedance(fx.ring, fx.line, fx.w0)
-    z0 = fx.line.z0
-    s11 = abs(z / (z + 2 * z0))
-    s21 = abs(2 * z0 / (z + 2 * z0))
+    s11, s21 = map(abs, resonator.series_s(
+        resonator.reflected_impedance(fx.ring, fx.line, fx.w0), fx.line.z0))
     split_err = abs((1.0 - s11**2 - s21**2) - 4.0 / 9.0)
     # off the locus: the share the ring absorbs at its resonance, read off
     # the mesh with the segment's own jwL_line taken off S21 as in
@@ -274,26 +271,28 @@ def check_mesh_properties(rng, fx: Fixture) -> list[Record]:
 
 
 def check_impedance_transform(rng, fx: Fixture) -> list[Record]:
-    """Direct rational impedance versus the transformed-admittance sum; and
-    at the ring's resonance that sum is the real R' = rho*z0 of the
-    coupling ratio, so the transform keeps the resonance."""
+    """The analytic route's direct impedance against the ring's r, L and C
+    referred into the line by (wM)^2 and summed as admittances, for 50
+    matched rings over w0 +-10%, both from one _circuit_values; and at each
+    resonance that sum against the real R' = rho*z0 of coupling_ratio, so
+    the transform keeps the resonance."""
     def transformed(w, r, lsrr, csrr, m2):
         # the ring's series r, L and C referred into the line by (w*M)^2
         w2m2 = w * w * m2
         return 1.0 / (r / w2m2 + 1j * w * lsrr / w2m2 + 1.0 / (1j * w * (w2m2 * csrr)))
 
     draws = [_random_matched(rng) for _ in range(50)]
-    values = [(srr.r_series(), srr.lsrr, srr.csrr, resonator.mutual_inductance(srr, line) ** 2)
-              for srr, line, _ in draws]
-    # ring i on column i of w
-    w = np.stack([np.linspace(0.9 * w0, 1.1 * w0, 41) for _, _, w0 in draws], axis=-1)
-    direct, _ = _loaded_impedance([(srr, line, 0.0) for srr, line, _ in draws], w)
-    ltl = np.array([line.ltl for _, line, _ in draws])
-    other = 1j * w * ltl + transformed(w, *(np.array(v) for v in zip(*values)))
+    values = _circuit_values([(srr, line, 0.0) for srr, line, _ in draws])
+    r, lsrr, csrr, m, ltl = values[:5]
+    m2 = np.array([mi**2 for mi in m.tolist()])  # squared as floats: numpy may round apart
+    w0 = np.array([w0 for _, _, w0 in draws])
+    w = np.linspace(0.9 * w0, 1.1 * w0, 41)  # ring i on column i
+    other = resonator.with_line(transformed(w, r, lsrr, csrr, m2), w, ltl)
+    direct = _loaded_impedance(values, w)[0]
     worst = float(np.max(np.abs(direct - other) / np.abs(direct)))
     # at the resonance in scalar arithmetic, which numpy would round differently
     worst_r = 0.0
-    for (srr, line, _), ring in zip(draws, values):
+    for (srr, line, _), ring in zip(draws, zip(*(v.tolist() for v in (r, lsrr, csrr, m2)))):
         r_rho = resonator.coupling_ratio(srr, line) * line.z0
         worst_r = max(worst_r, abs(transformed(srr.w0, *ring) - r_rho) / r_rho)
     return [("direct vs transformed", worst, 1e-10),  # worst 1.2e-13
