@@ -37,16 +37,8 @@ import numpy as np
 from . import __version__, active, resonator
 from .config import STATE_KEYS, ConfigError, Pixel, optional, parse_config_file, require
 from .resonator import require_positive
-from .sweepio import (
-    NOISE_COLUMNS,
-    fmt,
-    keyvalue_lines,
-    table_csv_lines,
-    write_keyvalues,
-    write_sweep,
-    write_table_csv,
-    write_text_files,
-)
+from .sweepio import (NOISE_COLUMNS, fmt, keyvalue_lines, table_csv_lines, write_sweep,
+                      write_text_files)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -81,6 +73,17 @@ def _outdir(args) -> str:
     except OSError as exc:
         raise ConfigError(f"cannot use output directory {out}: {exc.strerror}") from exc
     return out
+
+
+def _commit(args, files, note=None):
+    """Write files, a dict from file name to its text lines, into the output
+    directory as one commit, say so, and return EXIT_OK.  The directory is
+    made only once a command's rows exist, so a failure leaves no file."""
+    out = _outdir(args)
+    paths = {os.path.join(out, name): lines for name, lines in files.items()}
+    write_text_files(paths)
+    _say(args, f"wrote {', '.join(paths)}" + (f"; {note}" if note else ""))
+    return EXIT_OK
 
 
 def _count(key, n) -> int:
@@ -144,22 +147,17 @@ def cmd_match(args, cfg):
     line = Pixel(cfg).line
     w0 = 2.0 * math.pi * require(cfg, "f0")
     beta_l = line.beta_l(w0)
-    out = _outdir(args)
 
     def row(k, q):
         return k, q, 20.0 * math.log10(resonator.reflected_amplitude(beta_l * k**2 * q))
 
     header = ("k", "q_on", "s11_db_at_f0")
-    locus_path = os.path.join(out, "match_locus.csv")
-    contour_path = os.path.join(out, "s11_contours.csv")
-    write_text_files({
-        locus_path: table_csv_lines(header, [row(k, resonator.optimum_q_for_k(k, line, w0))
-                                             for k in np.linspace(0.02, 0.3, 57)]),
-        contour_path: table_csv_lines(header, [row(k, q) for k in np.linspace(0.02, 0.3, 29)
-                                               for q in np.geomspace(5.0, 500.0, 25)]),
+    return _commit(args, {
+        "match_locus.csv": table_csv_lines(header, [row(k, resonator.optimum_q_for_k(k, line, w0))
+                                                    for k in np.linspace(0.02, 0.3, 57)]),
+        "s11_contours.csv": table_csv_lines(header, [row(k, q) for k in np.linspace(0.02, 0.3, 29)
+                                                     for q in np.geomspace(5.0, 500.0, 25)]),
     })
-    _say(args, f"wrote {locus_path}, {contour_path}")
-    return EXIT_OK
 
 
 def cmd_nonlin(args, cfg):
@@ -174,16 +172,10 @@ def cmd_nonlin(args, cfg):
         v_lin = active.asrr_voltage_swing(state, p_in)
         q_nl, v_nl = active.q_on_nonlinear(state, p_in)
         rows.append((p_in, v_lin, v_nl, q_nl))
-    out = _outdir(args)
-    path = os.path.join(out, "nonlin.csv")
-    write_table_csv(
-        path,
-        ("p_in_w", "v_asrr_linear_v", "v_asrr_v", "q_on_nonlin"),
-        rows,
-        comments=(f"p_in_lin_w = {fmt(p_lin)}", f"q_on_linear = {fmt(active.q_on(state))}"),
-    )
-    _say(args, f"wrote {path}; p_in_lin = {p_lin:.3e} W")
-    return EXIT_OK
+    header = ("p_in_w", "v_asrr_linear_v", "v_asrr_v", "q_on_nonlin")
+    comments = (f"p_in_lin_w = {fmt(p_lin)}", f"q_on_linear = {fmt(active.q_on(state))}")
+    return _commit(args, {"nonlin.csv": table_csv_lines(header, rows, comments)},
+                   f"p_in_lin = {p_lin:.3e} W")
 
 
 def cmd_noise(args, cfg):
@@ -236,14 +228,8 @@ def cmd_noise(args, cfg):
     gains = noise.pm_to_am_gain(state.effective_srr(), state.line, w_in,
                                 2.0 * math.pi * pm_am_offset)
     rows = zip((w_in - w0) / (2 * math.pi), np.where(np.isfinite(gains), gains, -300.0))
-
-    out = _outdir(args)
-    noise_path = os.path.join(out, "phase_noise.csv")
-    pm_path = os.path.join(out, "pm_to_am.csv")
-    write_text_files({noise_path: table_csv_lines(NOISE_COLUMNS, noise_rows),
-                      pm_path: table_csv_lines(("detune_hz", "conversion_db"), rows)})
-    _say(args, f"wrote {noise_path}, {pm_path}")
-    return EXIT_OK
+    return _commit(args, {"phase_noise.csv": table_csv_lines(NOISE_COLUMNS, noise_rows),
+                          "pm_to_am.csv": table_csv_lines(("detune_hz", "conversion_db"), rows)})
 
 
 def cmd_snr(args, cfg):
@@ -251,22 +237,17 @@ def cmd_snr(args, cfg):
 
     state = Pixel(cfg).state
     band = _flicker_band(cfg)
-    kf = state.gm.kf
     delta_r_ref = optional(cfg, "delta_r_ref", 1.0)
     require_positive(delta_r_ref=delta_r_ref)
-    snr_c = noise.snr_delta_c(state, kf, band)
-    snr_r = noise.snr_delta_r(state, kf, band, delta_r_ref)
-    out = _outdir(args)
-    path = os.path.join(out, "snr.txt")
-    write_keyvalues(path, [
+    snr_c = noise.snr_delta_c(state, band)
+    snr_r = noise.snr_delta_r(state, band, delta_r_ref)
+    return _commit(args, {"snr.txt": keyvalue_lines([
         ("snr_delta_c", snr_c),
         ("snr_delta_r", snr_r),
         ("q_on", active.q_on(state)),
         ("r_asrr_ohm", active.boosted_resistance(state)),
         ("p_in_lin_w", active.linear_power_limit(state)),
-    ])
-    _say(args, f"wrote {path}; SNR_dC = {snr_c:.4g}, SNR_dR = {snr_r:.4g}")
-    return EXIT_OK
+    ])}, f"SNR_dC = {snr_c:.4g}, SNR_dR = {snr_r:.4g}")
 
 
 def cmd_design(args, cfg):
@@ -298,9 +279,6 @@ def cmd_design(args, cfg):
         print(f"infeasible: binding constraint = {exc.constraint}; {exc.detail}",
               file=sys.stderr)
         return EXIT_NUMERIC
-    out = _outdir(args)
-    machine = os.path.join(out, "design.txt")
-    report = os.path.join(out, "design_report.txt")
     lines = [
         "pixel design report",
         f"  coupling k          : {result.k:.4f}",
@@ -318,12 +296,10 @@ def cmd_design(args, cfg):
     ]
     for note in result.notes:
         lines.append(f"  note: {note}")
-    write_text_files({machine: keyvalue_lines([(f.name, getattr(result, f.name))
-                                               for f in dataclasses.fields(result)
-                                               if f.name != "notes"]),
-                      report: lines})
-    _say(args, f"wrote {machine}, {report}")
-    return EXIT_OK
+    return _commit(args, {"design.txt": keyvalue_lines([(f.name, getattr(result, f.name))
+                                                        for f in dataclasses.fields(result)
+                                                        if f.name != "notes"]),
+                          "design_report.txt": lines})
 
 
 def cmd_validate(args, cfg):

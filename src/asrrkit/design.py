@@ -118,8 +118,8 @@ def _design_at(spec: DesignSpec, r_srr: float, q_on: float, k: float, w0: float,
         state = AsrrState.from_targets(spec.f0, l_srr, spec.q_off, line=spec.line, gm0=gm, k=k,
                                        c_asrr=c_asrr, vdd=spec.vdd, vth=spec.vth, kf=kf_dev)
         alpha = alpha_flicker(state)
-        snr_dc = snr_delta_c(state, kf_dev, band)
-        snr_dr = snr_delta_r(state, kf_dev, band, spec.delta_r_ref)
+        snr_dc = snr_delta_c(state, band)
+        snr_dr = snr_delta_r(state, band, spec.delta_r_ref)
         p_in_lin = linear_power_limit(state)
     else:
         gm, alpha, snr_dc, snr_dr, p_in_lin = 0.0, 0.0, math.inf, math.inf, math.inf

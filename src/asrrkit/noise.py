@@ -191,20 +191,22 @@ def alpha_flicker(state: AsrrState) -> float:
     return (loss_slope_factor(state.rho) / 4.0) * p.k_wl * (1.0 + p.lam * (p.vdd - p.vth))
 
 
-def snr_delta_c(state: AsrrState, kf: float, band) -> float:
+def snr_delta_c(state: AsrrState, band) -> float:
     """Detection SNR for a capacitive sample shift against flicker noise:
-    1/((4/P) * alpha * v_rms * R_boosted), P at state.rho (4/P = 6 matched).
+    1/((4/P) * alpha * v_rms * R_boosted), P at state.rho (4/P = 6 matched),
+    v_rms from the block's own kf.
 
     The sample detuning cancels between signal and noise, so the result is
     independent of how far the resonance actually moves.
     """
     return 1.0 / ((4.0 / phase_slope_factor(state.rho)) * alpha_flicker(state)
-                  * flicker_rms(kf, band) * boosted_resistance(state))
+                  * flicker_rms(state.gm.kf, band) * boosted_resistance(state))
 
 
-def snr_delta_r(state: AsrrState, kf: float, band, delta_r: float) -> float:
+def snr_delta_r(state: AsrrState, band, delta_r: float) -> float:
     """Detection SNR for a loss sample shift delta_r against flicker noise:
     (LS/4)*delta_r/(alpha * v_rms * R_ring^2), LS at state.rho (LS/4 = 5/18
     matched).  Detuning-independent, like the capacitive case."""
     return ((loss_slope_factor(state.rho) / 4.0) * delta_r
-            / (alpha_flicker(state) * flicker_rms(kf, band) * state.srr.r_parallel() ** 2))
+            / (alpha_flicker(state) * flicker_rms(state.gm.kf, band)
+               * state.srr.r_parallel() ** 2))

@@ -390,8 +390,7 @@ def check_detection_band(rng, fx: Fixture) -> list[Record]:
         fxq = fx.at_q(q)
         w0 = fxq.w0
         w_lo, w_hi, bw = resonator.detection_band(w0, q)
-        span = 3.0 * w0 / q
-        grid = np.linspace(w0 - span, w0 + span, 601)
+        grid = resonator.auto_grid(w0, q, 3.0, 100.0)
         phase = resonator.detection_phase(fxq.ring, fxq.line, grid)
         roots = oracle.derivative_sign_roots(grid, phase)
         if len(roots) < 2:
@@ -525,9 +524,8 @@ def check_snr_invariance(rng, fx: Fixture) -> list[Record]:
     flicker phase-noise PSD carries the square of that same offset."""
     state = fx.state
     band = noise.FLICKER_BAND
-    kf = state.gm.kf
-    snr_c = noise.snr_delta_c(state, kf, band)
-    snr_r = noise.snr_delta_r(state, kf, band, 1.0)
+    snr_c = noise.snr_delta_c(state, band)
+    snr_r = noise.snr_delta_r(state, band, 1.0)
     # signal slopes: the matched phase slope per unit capacitive detuning,
     # and per ohm of ring loss the boosted-loss sensitivity referred to the
     # ring through dR_boosted/dR = (Q_on/Q_off)^2
@@ -535,7 +533,7 @@ def check_snr_invariance(rng, fx: Fixture) -> list[Record]:
     slope_r = resonator.phase_slope_vs_resistance(fx.ring, fx.line) \
         * (fx.ring.q_off / state.srr.q_off) ** 2
     # four-device flicker-driven slope wobble (amplitude weight 4)
-    v_rms = noise.flicker_rms(kf, band)
+    v_rms = noise.flicker_rms(state.gm.kf, band)
     wobble = 4.0 * v_rms * noise.flicker_sres_sensitivity(state)
     worst = 0.0
     psd_gaps = []
@@ -594,8 +592,8 @@ def check_design_roundtrip(rng, fx: Fixture) -> list[Record]:
             c_asrr=result.c_asrr, vdd=spec.vdd, vth=spec.vth, kf=result.kf_device,
         )
         band = spec.flicker_band
-        return (noise.snr_delta_c(state, result.kf_device, band),
-                noise.snr_delta_r(state, result.kf_device, band, spec.delta_r_ref))
+        return (noise.snr_delta_c(state, band),
+                noise.snr_delta_r(state, band, spec.delta_r_ref))
 
     spec = reference_design_spec()
     result = synthesize(spec)

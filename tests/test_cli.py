@@ -580,10 +580,10 @@ class TestValidateCmd:
         # rises by it, so snr-invariance holds
         band = noise.FLICKER_BAND
         plain, lam = validate.Fixture().state, validate.Fixture({"lambda": 0.5}).state
-        assert noise.snr_delta_c(lam, lam.gm.kf, band) == pytest.approx(
-            noise.snr_delta_c(plain, plain.gm.kf, band) / 1.35, rel=1e-12)
-        assert noise.snr_delta_r(lam, lam.gm.kf, band, 1.0) == pytest.approx(
-            noise.snr_delta_r(plain, plain.gm.kf, band, 1.0) / 1.35, rel=1e-12)
+        assert noise.snr_delta_c(lam, band) == pytest.approx(
+            noise.snr_delta_c(plain, band) / 1.35, rel=1e-12)
+        assert noise.snr_delta_r(lam, band, 1.0) == pytest.approx(
+            noise.snr_delta_r(plain, band, 1.0) / 1.35, rel=1e-12)
         cfg = write_config(tmp_path, REFERENCE_CONFIG + "lambda = 0.5\n")
         assert main(["validate", "--config", cfg]) == 0
         assert "12/12 checks passed" in capsys.readouterr().out

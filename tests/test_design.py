@@ -35,8 +35,8 @@ class TestSynthesize:
             c_asrr=result.c_asrr, vdd=spec.vdd, vth=spec.vth, kf=result.kf_device,
         )
         assert state.gm.gm0 == pytest.approx(result.gm_required, rel=1e-12)
-        snr_c = noise.snr_delta_c(state, result.kf_device, spec.flicker_band)
-        snr_r = noise.snr_delta_r(state, result.kf_device, spec.flicker_band, spec.delta_r_ref)
+        snr_c = noise.snr_delta_c(state, spec.flicker_band)
+        snr_r = noise.snr_delta_r(state, spec.flicker_band, spec.delta_r_ref)
         assert snr_c == pytest.approx(result.snr_dc, rel=1e-6)
         assert snr_r == pytest.approx(result.snr_dr, rel=1e-6)
         assert state.srr.w0 == pytest.approx(2 * math.pi * spec.f0, rel=1e-9)

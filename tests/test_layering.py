@@ -337,7 +337,8 @@ def test_no_public_api_takes_a_second_z0():
     # holds its line, so a z0 passed beside one is a second copy that can
     # disagree with it.  The two left bind the benchmark: bench/workloads.py
     # calls s_parameters(z0_ref=) and bench/inputs.py builds DesignSpec(z0=);
-    # they go with the next change to the benchmark
+    # they go with the next change to the benchmark.  Likewise a state holds
+    # its block's kf, so no kf is passed beside a state or context
     found = []
     for path in sorted(Path(asrrkit.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -348,7 +349,7 @@ def test_no_public_api_takes_a_second_z0():
                 names = {stmt.target.id for stmt in node.body if isinstance(stmt, ast.AnnAssign)}
             else:
                 continue
-            if (not node.name.startswith("_") and names & {"z0", "z0_ref"}
+            if (not node.name.startswith("_") and names & {"z0", "z0_ref", "kf"}
                     and names & {"line", "state", "ctx"}):
                 found.append(f"{path.stem}.{node.name}")
     assert sorted(found) == ["design.DesignSpec", "resonator.s_parameters"]

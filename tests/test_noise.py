@@ -308,8 +308,8 @@ class TestSnr:
         vals_c, vals_r = set(), set()
         for df in (1e6, 10e6, 100e6):
             _ = df  # the closed forms carry no detuning dependence at all
-            vals_c.add(noise.snr_delta_c(st, st.gm.kf, (1.0, 1e3)))
-            vals_r.add(noise.snr_delta_r(st, st.gm.kf, (1.0, 1e3), 1.0))
+            vals_c.add(noise.snr_delta_c(st, (1.0, 1e3)))
+            vals_r.add(noise.snr_delta_r(st, (1.0, 1e3), 1.0))
         assert len(vals_c) == 1 and len(vals_r) == 1
 
     def test_full_chain_recomputation(self, fx):
@@ -320,20 +320,20 @@ class TestSnr:
         s_res = resonator.output_phase_slope(fx.ring, fx.line)
         kf = st.gm.kf
         chain = s_res / (4 * noise.flicker_rms(kf, band) * noise.flicker_sres_sensitivity(st))
-        assert chain == pytest.approx(noise.snr_delta_c(st, kf, band), rel=1e-6)
+        assert chain == pytest.approx(noise.snr_delta_c(st, band), rel=1e-6)
 
     def test_loss_snr_scaling(self, fx):
         st = fx.state
         band = (1.0, 1e3)
-        base = noise.snr_delta_r(st, st.gm.kf, band, 1.0)
-        assert noise.snr_delta_r(st, st.gm.kf, band, 3.0) == pytest.approx(3 * base, rel=1e-12)
+        base = noise.snr_delta_r(st, band, 1.0)
+        assert noise.snr_delta_r(st, band, 3.0) == pytest.approx(3 * base, rel=1e-12)
         # inverse-square in the ring loss at fixed alpha and band
         import dataclasses
 
         srr2 = SrrParams(st.srr.lsrr * 2, st.srr.csrr, st.srr.q_off, st.srr.k)
         gm2 = dataclasses.replace(st.gm, gm0=st.gm.gm0 / 2.075)  # keep it stable
         st2 = dataclasses.replace(st, srr=srr2, gm=gm2)
-        ratio = noise.snr_delta_r(st2, st.gm.kf, band, 1.0) / base
+        ratio = noise.snr_delta_r(st2, band, 1.0) / base
         assert ratio == pytest.approx((st.srr.r_parallel() / st2.srr.r_parallel()) ** 2, rel=1e-9)
 
 
