@@ -28,6 +28,7 @@ if __name__ == "__main__":
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -182,32 +183,29 @@ def cmd_noise(args, cfg):
     from . import noise
 
     state = Pixel(cfg).state
-    ctx = noise.NoiseContext(
-        state=state,
-        p_in=optional(cfg, "p_in", 10e-6),
-        temperature=optional(cfg, "temperature", 290.0),
-        delta_omega_s=2.0 * math.pi * optional(cfg, "delta_f_s", 20e6),
-    )
+    delta_omega_s = 2.0 * math.pi * optional(cfg, "delta_f_s", 20e6)
     q, w0 = active.q_on(state), state.srr.w0
     offset_min = optional(cfg, "offset_min", 100.0)
     offset_max = optional(cfg, "offset_max", 1e8)
     require_positive(offset_min=offset_min, offset_max=offset_max)
     offsets = np.geomspace(offset_min, offset_max, 31)
-    white = noise.white_ssb_phase_noise(ctx)
+    white = noise.white_ssb_phase_noise(state, optional(cfg, "p_in", 10e-6),
+                                        optional(cfg, "temperature", noise.TEMPERATURE))
     supply_psd = optional(cfg, "supply_psd", None)  # off unless asked for
     if supply_psd is not None:
         require_positive(supply_psd=supply_psd)
-        supply = noise.supply_phase_noise(ctx, supply_psd)
+        supply = noise.supply_phase_noise(state, delta_omega_s, supply_psd)
         if not math.isfinite(supply):  # the supply row scales with delta_f_s**2
             raise ConfigError(f"supply_psd needs a nonzero delta_f_s: at delta_f_s = "
-                              f"{ctx.delta_omega_s / (2.0 * math.pi):g} Hz the supply row "
+                              f"{delta_omega_s / (2.0 * math.pi):g} Hz the supply row "
                               f"is {supply:g} dBc/Hz")
     noise_rows = []  # (offset_hz, contributor, ssb_dbch)
     for off in offsets:
         gain_db = 10.0 * math.log10(noise.input_phase_transfer(q, w0, 2 * math.pi * off))
+        flicker = noise.flicker_phase_noise(state, delta_omega_s, off)
         # the flicker notch bottoms out at the white level, not at -inf
         noise_rows += [(off, "white", white),
-                       (off, "flicker", max(noise.flicker_phase_noise(ctx, off), white)),
+                       (off, "flicker", max(flicker, white)),
                        (off, "input", gain_db)]
         if supply_psd is not None:
             noise_rows.append((off, "supply", supply))
@@ -339,6 +337,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # built at the first call, then shared by every main() of the process
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="asrrkit",

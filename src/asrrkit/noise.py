@@ -21,18 +21,19 @@ slope from alpha_flicker, whose channel-length modulation factor
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .active import AsrrState, boosted_resistance, q_on
 from .resonator import (MATCHED_RHO, SrrParams, TransmissionLineSection, absorbed_power_fraction,
-                        check_positive, loss_slope_factor, phase_slope_factor,
-                        reflected_impedance, srr_branch_impedance, transmitted_power_fraction)
+                        loss_slope_factor, phase_slope_factor, reflected_impedance,
+                        require_positive, srr_branch_impedance, transmitted_power_fraction)
 
 BOLTZMANN = 1.380649e-23  # [J/K]
 
 FLICKER_BAND = (1.0, 1e3)  # default flicker RMS integration band [Hz]
+
+TEMPERATURE = 290.0  # default device noise temperature [K]
 
 WHITE_LOCUS_TOL = 1e-6  # largest |rho - 1| the white noise density accepts
 
@@ -45,24 +46,9 @@ def check_flicker_band(band):
                          f"f_hi = {f_hi:g} Hz")
 
 
-@dataclass(frozen=True)
-class NoiseContext:
-    """Operating point for the noise budget of one pixel; the ports are
-    referenced to the z0 of the state's line."""
-
-    state: AsrrState
-    p_in: float  # incident carrier power [W]
-    temperature: float = 290.0  # [K]
-    delta_omega_s: float = 0.0  # sample-induced resonance offset [rad/s]
-
-    def __post_init__(self):
-        check_positive(self, "temperature", "p_in")
-        if not math.isfinite(self.delta_omega_s):
-            raise ValueError("delta_omega_s must be finite")
-
-
-def white_output_noise_density(ctx: NoiseContext) -> float:
-    """Output voltage noise density from device channel noise [V^2/Hz].
+def white_output_noise_density(state: AsrrState, temperature: float) -> float:
+    """Output voltage noise density from device channel noise [V^2/Hz] at
+    the device temperature [K].
 
     The four devices' differential noise acts like a single device's
     current density 4kT*gamma*gm across the resonator; referring it into
@@ -70,27 +56,29 @@ def white_output_noise_density(ctx: NoiseContext) -> float:
     (A/4) * Q_on * w0 * L * z0 * (4kT*gamma*gm), A/4 = 1/9.  Derived on the
     matched locus only, so a state off it raises ValueError.
     """
-    st = ctx.state
-    off_locus = abs(st.rho - MATCHED_RHO)
+    require_positive(temperature=temperature)
+    off_locus = abs(state.rho - MATCHED_RHO)
     if not off_locus <= WHITE_LOCUS_TOL:
-        raise ValueError(f"k = {st.srr.k:g} is off the matched locus: |beta_l*k^2*q_on - 1| = "
+        raise ValueError(f"k = {state.srr.k:g} is off the matched locus: |beta_l*k^2*q_on - 1| = "
                          f"{off_locus:.3g}; the white noise density assumes matched coupling")
-    i2 = 4.0 * BOLTZMANN * ctx.temperature * st.gm.gamma * st.gm.gm0
-    return ((absorbed_power_fraction(st.rho) / 4.0) * q_on(st) * st.srr.w0 * st.srr.lsrr
-            * st.line.z0 * i2)
+    i2 = 4.0 * BOLTZMANN * temperature * state.gm.gamma * state.gm.gm0
+    return ((absorbed_power_fraction(state.rho) / 4.0) * q_on(state) * state.srr.w0
+            * state.srr.lsrr * state.line.z0 * i2)
 
 
-def detected_power(ctx: NoiseContext) -> float:
-    """Carrier power reaching the detector, |S21(w0)|^2 * p_in = T(rho) * p_in;
-    4/9 of the input (-3.52 dB) for a matched pixel."""
-    return transmitted_power_fraction(ctx.state.rho) * ctx.p_in
+def detected_power(state: AsrrState, p_in: float) -> float:
+    """Carrier power reaching the detector from an incident p_in [W],
+    |S21(w0)|^2 * p_in = T(rho) * p_in; 4/9 of the input (-3.52 dB) for a
+    matched pixel."""
+    require_positive(p_in=p_in)
+    return transmitted_power_fraction(state.rho) * p_in
 
 
-def white_ssb_phase_noise(ctx: NoiseContext) -> float:
+def white_ssb_phase_noise(state: AsrrState, p_in: float, temperature: float) -> float:
     """SSB phase noise from white noise [dBc/Hz]: half the additive noise
     power (the PM share) over the detected carrier power in z0."""
-    v2 = white_output_noise_density(ctx)
-    return 10.0 * math.log10(0.5 * v2 / (ctx.state.line.z0 * detected_power(ctx)))
+    v2 = white_output_noise_density(state, temperature)
+    return 10.0 * math.log10(0.5 * v2 / (state.line.z0 * detected_power(state, p_in)))
 
 
 def flicker_sres_sensitivity(state: AsrrState) -> float:
@@ -114,31 +102,37 @@ def supply_sres_sensitivity(state: AsrrState) -> float:
     return 2.0 * flicker_sres_sensitivity(state)
 
 
-def supply_phase_noise(ctx: NoiseContext, supply_psd: float) -> float:
+def _detuned_dbc(s_phi_per_dw2: float, delta_omega_s: float) -> float:
+    """10*log10(s_phi_per_dw2 * delta_omega_s^2) [dBc/Hz] at a finite
+    sample-induced resonance offset [rad/s]; -inf at zero detuning."""
+    if not math.isfinite(delta_omega_s):
+        raise ValueError("delta_omega_s must be finite")
+    s_phi = s_phi_per_dw2 * delta_omega_s**2
+    return 10.0 * math.log10(s_phi) if s_phi > 0.0 else -math.inf
+
+
+def supply_phase_noise(state: AsrrState, delta_omega_s: float, supply_psd: float) -> float:
     """SSB phase noise from a supply voltage PSD [V^2/Hz] at the block,
     [dBc/Hz]: (dS/dv_dd)^2 * psd * delta_omega_s^2 in the phase domain.
 
     With a clean external regulator this sits far below the device noise;
     it is not part of any default budget and must be asked for explicitly.
     """
-    if supply_psd < 0:
-        raise ValueError("supply PSD must be non-negative")
-    s_phi = supply_sres_sensitivity(ctx.state) ** 2 * supply_psd * ctx.delta_omega_s**2
-    return 10.0 * math.log10(s_phi) if s_phi > 0.0 else -math.inf
+    if not 0.0 <= supply_psd < math.inf:
+        raise ValueError(f"supply_psd must be non-negative and finite, got {supply_psd!r}")
+    return _detuned_dbc(supply_sres_sensitivity(state) ** 2 * supply_psd, delta_omega_s)
 
 
-def flicker_phase_noise(ctx: NoiseContext, offset_freq: float) -> float:
+def flicker_phase_noise(state: AsrrState, delta_omega_s: float, offset_freq: float) -> float:
     """SSB phase noise from the four devices' flicker noise [dBc/Hz].
 
     S_phi = 4 * (dS/dv)^2 * (kf/offset) * delta_omega_s^2 -- quadratic in
     the sample-induced detuning, so it notches at resonance: -inf at zero
     detuning.
     """
-    if offset_freq <= 0:
-        raise ValueError("offset frequency must be positive")
-    dsdv = flicker_sres_sensitivity(ctx.state)
-    s_phi = 4.0 * dsdv**2 * (ctx.state.gm.kf / offset_freq) * ctx.delta_omega_s**2
-    return 10.0 * math.log10(s_phi) if s_phi > 0.0 else -math.inf
+    require_positive(offset_freq=offset_freq)
+    dsdv = flicker_sres_sensitivity(state)
+    return _detuned_dbc(4.0 * dsdv**2 * (state.gm.kf / offset_freq), delta_omega_s)
 
 
 def input_phase_transfer(q_on_val: float, w0: float, offset):
@@ -162,8 +156,9 @@ def pm_to_am_gain(srr: SrrParams, line: TransmissionLineSection, w_in, offset: f
     Z' = 2wM^2/Z_b - (wM)^2*Z_b'/Z_b^2 = Z*(2/w - Z_b'/Z_b) and
     Z_b' = jL - jC/yc^2 (yc = jwC).  Returns -inf where the slope vanishes:
     the null at the |S21| extremum, which the (wM)^2 factor puts just off
-    the ring's resonance.
+    the ring's resonance.  The offset [rad/s] must be positive and finite.
     """
+    require_positive(offset=offset)
     w = np.asarray(w_in, dtype=float)
     z = reflected_impedance(srr, line, w)
     yc = 1j * w * srr.csrr

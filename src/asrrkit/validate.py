@@ -443,16 +443,14 @@ def check_noise_laws(rng, fx: Fixture) -> list[Record]:
     err_fl = abs(r_fl / qq - 1.0)
     err_sp = abs(r_sp / qq - 1.0)
 
-    ctx = noise.NoiseContext(state=st2, p_in=10e-6,
-                             delta_omega_s=2.0 * math.pi * 20e6)
-    ctx2 = replace(ctx, delta_omega_s=2.0 * ctx.delta_omega_s)
-    d_double = noise.flicker_phase_noise(ctx2, 1e3) - noise.flicker_phase_noise(ctx, 1e3)
-    err_double = abs(d_double - 10.0 * math.log10(4.0))
-    d_decade = noise.flicker_phase_noise(ctx, 1e4) - noise.flicker_phase_noise(ctx, 1e3)
-    err_decade = abs(d_decade + 10.0)
+    dw, p_in, temp = 2.0 * math.pi * 20e6, 10e-6, noise.TEMPERATURE
+    flicker_1k = noise.flicker_phase_noise(st2, dw, 1e3)
+    err_double = abs(noise.flicker_phase_noise(st2, 2.0 * dw, 1e3) - flicker_1k
+                     - 10.0 * math.log10(4.0))
+    err_decade = abs(noise.flicker_phase_noise(st2, dw, 1e4) - flicker_1k + 10.0)
 
-    err_carrier = abs(noise.white_ssb_phase_noise(replace(ctx, p_in=ctx.p_in / 2.0))
-                      - noise.white_ssb_phase_noise(ctx) - 10.0 * math.log10(2.0))
+    err_carrier = abs(noise.white_ssb_phase_noise(st2, p_in / 2.0, temp)
+                      - noise.white_ssb_phase_noise(st2, p_in, temp) - 10.0 * math.log10(2.0))
 
     kf = fx.state.gm.kf
     worst_rms = 0.0
@@ -538,13 +536,11 @@ def check_snr_invariance(rng, fx: Fixture) -> list[Record]:
     worst = 0.0
     psd_gaps = []
     for df in (1e6, 10e6, 100e6):
-        ctx = noise.NoiseContext(state=state, p_in=10e-6,
-                                 delta_omega_s=2.0 * math.pi * df)
-        dw = ctx.delta_omega_s
+        dw = 2.0 * math.pi * df
         noise_phase = wobble * dw
         worst = max(worst, abs(slope_c * dw / noise_phase / snr_c - 1.0),
                     abs(slope_r * dw / noise_phase / snr_r - 1.0))
-        psd_gaps.append(noise.flicker_phase_noise(ctx, 1e3) - 20.0 * math.log10(noise_phase))
+        psd_gaps.append(noise.flicker_phase_noise(state, dw, 1e3) - 20.0 * math.log10(noise_phase))
     spread = max(psd_gaps) - min(psd_gaps)
     # and the direct identity 1/(6 a v R)
     ident = 1.0 / (6.0 * noise.alpha_flicker(state) * v_rms * active.boosted_resistance(state))

@@ -957,3 +957,23 @@ class TestUsage:
     def test_match_needs_config(self, tmp_path, capsys):
         assert main(["match", "--out", str(tmp_path), "--quiet"]) == 1
         assert "'match' needs --config" in capsys.readouterr().err
+
+    def test_calls_share_one_parser_and_keep_their_own_arguments(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        parsers = []
+        parse_args = cli._Parser.parse_args
+
+        def recording(parser, *a, **kw):
+            parsers.append(parser)
+            return parse_args(parser, *a, **kw)
+
+        monkeypatch.setattr(cli._Parser, "parse_args", recording)
+        cfg = write_config(tmp_path)
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["sweep", "--config", cfg, "--out", str(first), "--format", "both"]) == 0
+        assert "wrote" in capsys.readouterr().out
+        assert main(["sweep", "--config", cfg, "--out", str(second), "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+        assert sorted(p.name for p in first.iterdir()) == ["sweep.csv", "sweep.s2p"]
+        assert [p.name for p in second.iterdir()] == ["sweep.csv"]

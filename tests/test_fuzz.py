@@ -2,15 +2,16 @@
 constructors.  Every draw comes from numpy.random.default_rng with a fixed
 seed, so a failure names a reproducible case."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from asrrkit import noise
 from asrrkit.active import MAX_BOOST, AsrrState, GmBlockParams, q_on
 from asrrkit.config import ConfigError, parse_config_text, parse_quantity
 from asrrkit.design import DesignSpec, InfeasibleDesignError, synthesize
-from asrrkit.noise import NoiseContext
 from asrrkit.resonator import SrrParams, TransmissionLineSection
 
 DRAWS = 1000
@@ -225,16 +226,42 @@ def test_design_spec_refuses_bad_draws():
         })
 
 
+def draw_matched_state(rng):
+    """A state on the matched locus beta_l*k^2*Q_on = 1, the white noise
+    density's domain, at a drawn coupling k."""
+    f0, q_off = rng.uniform(50e9, 300e9), rng.uniform(5.0, 30.0)
+    q_on = q_off * rng.uniform(1.1, 10.0)
+    line = TransmissionLineSection.from_electrical(
+        rng.uniform(40.0, 75.0), 1.0 / (rng.uniform(0.02, 0.25) ** 2 * q_on), 2.0 * math.pi * f0)
+    return AsrrState.from_targets(f0, rng.uniform(20e-12, 200e-12), q_off, line=line, q_on=q_on)
+
+
 def test_noise_context_refuses_bad_draws():
+    # each noise law takes, after the state, only the inputs it reads: a bad
+    # draw of one input is refused by name by every law that reads it
     rng = np.random.default_rng(20260508)
-    states = [draw_state(rng) for _ in range(8)]
+    states = [draw_matched_state(rng) for _ in range(8)]
+    laws = [noise.white_output_noise_density, noise.detected_power, noise.white_ssb_phase_noise,
+            noise.flicker_phase_noise, noise.supply_phase_noise]
+    reads = {law: tuple(inspect.signature(law).parameters)[1:] for law in laws}
+    bad_draws = {
+        "p_in": bad_value, "temperature": bad_value, "offset_freq": bad_value,
+        "delta_omega_s": lambda r: [math.nan, math.inf, -math.inf][r.integers(3)],
+        "supply_psd": lambda r: bad_value(r, allow_zero=True),
+    }
     for _ in range(DRAWS):
-        valid = dict(state=states[rng.integers(len(states))],
-                     p_in=10.0 ** rng.uniform(-9, -3), temperature=rng.uniform(4, 400),
-                     delta_omega_s=rng.normal() * 1e9)
-        refuses(rng, NoiseContext, valid, ("p_in", "temperature"), {
-            "delta_omega_s": lambda r: [math.nan, math.inf, -math.inf][r.integers(3)],
-        })
+        state = states[rng.integers(len(states))]
+        valid = dict(p_in=10.0 ** rng.uniform(-9, -3), temperature=rng.uniform(4, 400),
+                     delta_omega_s=rng.normal() * 1e9, offset_freq=10.0 ** rng.uniform(0, 8),
+                     supply_psd=10.0 ** rng.uniform(-24, -12))
+        name = sorted(bad_draws)[rng.integers(len(bad_draws))]
+        bad = bad_draws[name](rng)
+        for law in laws:
+            inputs = {key: valid[key] for key in reads[law]}
+            law(state, **inputs)
+            if name in inputs:
+                with pytest.raises(ValueError, match=name):
+                    law(state, **{**inputs, name: bad})
 
 
 def test_boost_is_built_exactly_or_refused_by_name():

@@ -333,12 +333,12 @@ def _is_dataclass(node):
 
 
 def test_no_public_api_takes_a_second_z0():
-    # a line keeps the z0 it was built from, and a state or noise context
-    # holds its line, so a z0 passed beside one is a second copy that can
-    # disagree with it.  The two left bind the benchmark: bench/workloads.py
+    # a line keeps the z0 it was built from, and a state holds its line, so
+    # a z0 passed beside one is a second copy that can disagree with it.
+    # The two left bind the benchmark: bench/workloads.py
     # calls s_parameters(z0_ref=) and bench/inputs.py builds DesignSpec(z0=);
     # they go with the next change to the benchmark.  Likewise a state holds
-    # its block's kf, so no kf is passed beside a state or context
+    # its block's kf, so no kf is passed beside a state
     found = []
     for path in sorted(Path(asrrkit.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -350,7 +350,7 @@ def test_no_public_api_takes_a_second_z0():
             else:
                 continue
             if (not node.name.startswith("_") and names & {"z0", "z0_ref", "kf"}
-                    and names & {"line", "state", "ctx"}):
+                    and names & {"line", "state"}):
                 found.append(f"{path.stem}.{node.name}")
     assert sorted(found) == ["design.DesignSpec", "resonator.s_parameters"]
 

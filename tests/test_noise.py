@@ -1,11 +1,11 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from asrrkit import active, noise, resonator, validate
-from asrrkit.noise import NoiseContext
 from asrrkit.oracle import solve_linear
 from asrrkit.resonator import SrrParams
 
@@ -21,11 +21,9 @@ def with_lam(st, lam):
     return dataclasses.replace(st, gm=dataclasses.replace(st.gm, lam=lam))
 
 
-def make_ctx(fx, **kw):
-    defaults = dict(state=fx.state, p_in=10e-6,
-                    delta_omega_s=2 * math.pi * 20e6)
-    defaults.update(kw)
-    return NoiseContext(**defaults)
+P_IN = 10e-6  # incident carrier power [W]
+T = noise.TEMPERATURE
+DW = 2 * math.pi * 20e6  # sample-induced resonance offset [rad/s]
 
 
 class TestWhiteNoise:
@@ -42,25 +40,21 @@ class TestWhiteNoise:
         # k back on the matched locus at the new Q_on, the density's domain
         k2 = resonator.optimum_k_for_q(active.q_on(st2), st2.line, st2.srr.w0)
         st2 = dataclasses.replace(st2, srr=dataclasses.replace(st2_srr, k=k2))
-        ctx1 = make_ctx(fx, state=st1)
-        ctx2 = make_ctx(fx, state=st2)
-        ratio = noise.white_output_noise_density(ctx2) / noise.white_output_noise_density(ctx1)
+        ratio = noise.white_output_noise_density(st2, T) / noise.white_output_noise_density(st1, T)
         assert ratio == pytest.approx(active.q_on(st2) / active.q_on(st1), rel=1e-12)
 
     def test_vanishes_without_active_noise(self, fx):
-        ctx_hot = make_ctx(fx)
         import dataclasses
 
         cold_gm = dataclasses.replace(fx.state.gm, gamma=1e-20)
-        ctx_cold = make_ctx(fx, state=dataclasses.replace(fx.state, gm=cold_gm))
-        assert noise.white_output_noise_density(ctx_cold) \
-            == pytest.approx(noise.white_output_noise_density(ctx_hot) * 1e-20, rel=1e-9)
+        cold = dataclasses.replace(fx.state, gm=cold_gm)
+        assert noise.white_output_noise_density(cold, T) \
+            == pytest.approx(noise.white_output_noise_density(fx.state, T) * 1e-20, rel=1e-9)
 
     def test_against_mesh_injection(self, fx):
         # inject a unit current across the line-referred resonator and
         # compute the transfer to the termination from a nodal solve
         st = fx.state
-        ctx = make_ctx(fx, state=st)
         line = fx.line
         z0 = fx.line.z0
         z_res = resonator.coupling_ratio(fx.ring, line) * z0  # real R' at resonance
@@ -76,26 +70,23 @@ class TestWhiteNoise:
         transfer_v2_per_i2 = abs(v2) ** 2  # |V_out|^2 per unit injected current^2
         # current density referred into the line picks up R_boost/z0
         i2_referred = active.boosted_resistance(st) / z0
-        i2_device = 4 * noise.BOLTZMANN * ctx.temperature * st.gm.gamma * st.gm.gm0
+        i2_device = 4 * noise.BOLTZMANN * T * st.gm.gamma * st.gm.gm0
         v2_out = transfer_v2_per_i2 * i2_referred * i2_device
-        assert v2_out == pytest.approx(noise.white_output_noise_density(ctx), rel=0.01)
+        assert v2_out == pytest.approx(noise.white_output_noise_density(st, T), rel=0.01)
         # one ninth of the injected current reaches the termination
         assert abs(v2 / z0) ** 2 == pytest.approx(1.0 / 9.0, rel=0.01)
 
     def test_ssb_tracks_carrier(self, fx):
-        ctx = make_ctx(fx)
-        ctx_half = make_ctx(fx, p_in=ctx.p_in / 2)
-        diff = noise.white_ssb_phase_noise(ctx_half) - noise.white_ssb_phase_noise(ctx)
+        diff = (noise.white_ssb_phase_noise(fx.state, P_IN / 2, T)
+                - noise.white_ssb_phase_noise(fx.state, P_IN, T))
         assert diff == pytest.approx(10 * math.log10(2.0), abs=1e-9)
 
     def test_detected_power_fraction(self, fx):
-        ctx = make_ctx(fx)
-        assert noise.detected_power(ctx) / ctx.p_in == pytest.approx(4 / 9, rel=1e-12)
+        assert noise.detected_power(fx.state, P_IN) / P_IN == pytest.approx(4 / 9, rel=1e-12)
 
     def test_ssb_rises_with_q(self, fx):
         kwl = fx.state.gm.k_wl
-        vals = [noise.white_ssb_phase_noise(
-                    make_ctx(fx, state=fx.at_q(q, k_wl=kwl).state))
+        vals = [noise.white_ssb_phase_noise(fx.at_q(q, k_wl=kwl).state, P_IN, T)
                 for q in (20.0, 54.0, 150.0)]
         assert vals[0] < vals[1] < vals[2]
 
@@ -187,33 +178,29 @@ class TestSlopeSensitivities:
 
 class TestFlickerPhaseNoise:
     def test_notch_is_minus_inf_at_zero_detuning(self, fx):
-        assert noise.flicker_phase_noise(make_ctx(fx, delta_omega_s=0.0), 1e3) == -math.inf
+        assert noise.flicker_phase_noise(fx.state, 0.0, 1e3) == -math.inf
 
     def test_six_db_per_detuning_doubling(self, fx):
-        ctx1 = make_ctx(fx)
-        ctx2 = make_ctx(fx, delta_omega_s=2 * ctx1.delta_omega_s)
-        diff = noise.flicker_phase_noise(ctx2, 1e3) - noise.flicker_phase_noise(ctx1, 1e3)
+        diff = (noise.flicker_phase_noise(fx.state, 2 * DW, 1e3)
+                - noise.flicker_phase_noise(fx.state, DW, 1e3))
         assert diff == pytest.approx(10 * math.log10(4.0), abs=1e-9)
 
     def test_ten_db_per_offset_decade(self, fx):
-        ctx = make_ctx(fx)
-        diff = noise.flicker_phase_noise(ctx, 1e4) - noise.flicker_phase_noise(ctx, 1e3)
+        diff = (noise.flicker_phase_noise(fx.state, DW, 1e4)
+                - noise.flicker_phase_noise(fx.state, DW, 1e3))
         assert diff == pytest.approx(-10.0, abs=1e-9)
 
 
 class TestSupplyPhaseNoise:
     def test_quadratic_in_psd_and_detuning(self, fx):
-        ctx = make_ctx(fx)
-        base = noise.supply_phase_noise(ctx, 1e-18)
-        assert noise.supply_phase_noise(ctx, 4e-18) - base == pytest.approx(
+        base = noise.supply_phase_noise(fx.state, DW, 1e-18)
+        assert noise.supply_phase_noise(fx.state, DW, 4e-18) - base == pytest.approx(
             10 * math.log10(4.0), abs=1e-9)
-        ctx2 = make_ctx(fx, delta_omega_s=2 * ctx.delta_omega_s)
-        assert noise.supply_phase_noise(ctx2, 1e-18) - base == pytest.approx(
+        assert noise.supply_phase_noise(fx.state, 2 * DW, 1e-18) - base == pytest.approx(
             10 * math.log10(4.0), abs=1e-9)
 
     def test_notch_at_resonance(self, fx):
-        ctx = make_ctx(fx, delta_omega_s=0.0)
-        assert noise.supply_phase_noise(ctx, 1e-18) == -math.inf
+        assert noise.supply_phase_noise(fx.state, 0.0, 1e-18) == -math.inf
 
 
 class TestInputPhaseTransfer:
@@ -337,24 +324,40 @@ class TestSnr:
         assert ratio == pytest.approx((st.srr.r_parallel() / st2.srr.r_parallel()) ** 2, rel=1e-9)
 
 
+NOISE_LAWS = (noise.white_output_noise_density, noise.detected_power,
+              noise.white_ssb_phase_noise, noise.flicker_phase_noise, noise.supply_phase_noise)
+# a valid value of every input a noise law reads after the state
+VALID = dict(temperature=T, p_in=P_IN, delta_omega_s=DW, offset_freq=1e3, supply_psd=1e-18)
+
+
+def refused_by_every_law_reading(state, field, bad):
+    """Each noise law that takes field refuses the bad value by name."""
+    readers = 0
+    for law in NOISE_LAWS:
+        inputs = {name: VALID[name] for name in list(inspect.signature(law).parameters)[1:]}
+        if field in inputs:
+            readers += 1
+            with pytest.raises(ValueError, match=field):
+                law(state, **{**inputs, field: bad})
+    assert readers
+
+
 class TestContextGuards:
     def test_context_validation(self, fx):
-        with pytest.raises(ValueError, match="temperature"):
-            make_ctx(fx, temperature=0.0)
-        with pytest.raises(ValueError, match="p_in"):
-            make_ctx(fx, p_in=0.0)
+        refused_by_every_law_reading(fx.state, "temperature", 0.0)
+        refused_by_every_law_reading(fx.state, "p_in", 0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["temperature", "p_in", "delta_omega_s"])
     def test_context_rejects_non_finite(self, fx, field, bad):
-        with pytest.raises(ValueError, match=field):
-            make_ctx(fx, **{field: bad})
+        refused_by_every_law_reading(fx.state, field, bad)
 
     def test_bad_offsets_rejected(self, fx):
-        ctx = make_ctx(fx)
-        with pytest.raises(ValueError, match="offset"):
-            noise.flicker_phase_noise(ctx, 0.0)
-        with pytest.raises(ValueError, match="PSD"):
-            noise.supply_phase_noise(ctx, -1e-18)
+        for bad in (0.0, -1e3, math.nan, math.inf):
+            refused_by_every_law_reading(fx.state, "offset_freq", bad)
+            with pytest.raises(ValueError, match="offset"):
+                noise.pm_to_am_gain(fx.ring, fx.line, fx.w0, bad)
+        for bad in (-1e-18, math.nan, math.inf):
+            refused_by_every_law_reading(fx.state, "supply_psd", bad)
         with pytest.raises(ValueError, match="band"):
             noise.flicker_rms(1e-10, (0.0, 1e3))
