@@ -36,8 +36,7 @@ import sys
 import numpy as np
 
 from . import __version__, active, resonator
-from .config import STATE_KEYS, ConfigError, Pixel, optional, parse_config_file, require
-from .resonator import require_positive
+from .config import KEYS, ConfigError, Pixel, parse_config_file, read
 from .sweepio import (NOISE_COLUMNS, fmt, keyvalue_lines, table_csv_lines, write_sweep,
                       write_text_files)
 
@@ -46,21 +45,6 @@ EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 
 GRID_POINTS_PER_BANDWIDTH = 100  # keeps spacing <= w0/(100*Q)
-
-# every key some command reads, so that one config can serve all of them;
-# any other key is refused as a likely typo
-CONFIG_KEYS = frozenset({
-    "f0", "lsrr", "q_off", "q_on", "gm0", "k",  # pixel
-    "z0", "beta_l",  # line
-    *STATE_KEYS,  # active block
-    "p_in_min", "p_in_max", "p_in_points",  # nonlin
-    "p_in", "temperature", "delta_f_s", "offset_min", "offset_max", "supply_psd",
-    "pm_am_offset",  # noise
-    "f_lo", "f_hi", "delta_r_ref",  # snr and design
-    "n_pixels", "il_budget", "snr_dc_target", "snr_dr_target", "kn", "kp", "kf_area",
-    "c_per_area", "l_srr_max",  # design
-})
-
 
 def _say(args, msg):
     if not args.quiet:
@@ -85,20 +69,6 @@ def _commit(args, files, note=None):
     write_text_files(paths)
     _say(args, f"wrote {', '.join(paths)}" + (f"; {note}" if note else ""))
     return EXIT_OK
-
-
-def _count(key, n) -> int:
-    """The value n of a config key that counts something, refused unless a
-    positive integer."""
-    if not (n >= 1 and n == int(n)):
-        raise ConfigError(f"{key} must be a positive integer, got {n:g}")
-    return int(n)
-
-
-def _flicker_band(cfg) -> tuple[float, float]:
-    from .noise import FLICKER_BAND
-
-    return optional(cfg, "f_lo", FLICKER_BAND[0]), optional(cfg, "f_hi", FLICKER_BAND[1])
 
 
 def _grid(args, w0, q) -> np.ndarray:
@@ -146,7 +116,7 @@ def cmd_match(args, cfg):
     """|S11| at f0 over coupling k and boosted Q: the matched locus and a
     contour grid, both read off the coupling ratio rho = beta_l*k^2*Q."""
     line = Pixel(cfg).line
-    w0 = 2.0 * math.pi * require(cfg, "f0")
+    w0 = 2.0 * math.pi * read(cfg, "f0")
     beta_l = line.beta_l(w0)
 
     def row(k, q):
@@ -164,12 +134,9 @@ def cmd_match(args, cfg):
 def cmd_nonlin(args, cfg):
     state = Pixel(cfg).state
     p_lin = active.linear_power_limit(state)
-    p_lo = optional(cfg, "p_in_min", 0.01 * p_lin)
-    p_hi = optional(cfg, "p_in_max", 30.0 * p_lin)
-    require_positive(p_in_min=p_lo, p_in_max=p_hi)
-    n = _count("p_in_points", optional(cfg, "p_in_points", 41))
     rows = []
-    for p_in in np.geomspace(p_lo, p_hi, n):
+    for p_in in np.geomspace(read(cfg, "p_in_min") or 0.01 * p_lin,
+                             read(cfg, "p_in_max") or 30.0 * p_lin, read(cfg, "p_in_points")):
         v_lin = active.asrr_voltage_swing(state, p_in)
         q_nl, v_nl = active.q_on_nonlinear(state, p_in)
         rows.append((p_in, v_lin, v_nl, q_nl))
@@ -183,17 +150,12 @@ def cmd_noise(args, cfg):
     from . import noise
 
     state = Pixel(cfg).state
-    delta_omega_s = 2.0 * math.pi * optional(cfg, "delta_f_s", 20e6)
+    delta_omega_s = 2.0 * math.pi * read(cfg, "delta_f_s")
     q, w0 = active.q_on(state), state.srr.w0
-    offset_min = optional(cfg, "offset_min", 100.0)
-    offset_max = optional(cfg, "offset_max", 1e8)
-    require_positive(offset_min=offset_min, offset_max=offset_max)
-    offsets = np.geomspace(offset_min, offset_max, 31)
-    white = noise.white_ssb_phase_noise(state, optional(cfg, "p_in", 10e-6),
-                                        optional(cfg, "temperature", noise.TEMPERATURE))
-    supply_psd = optional(cfg, "supply_psd", None)  # off unless asked for
+    offsets = np.geomspace(read(cfg, "offset_min"), read(cfg, "offset_max"), 31)
+    white = noise.white_ssb_phase_noise(state, read(cfg, "p_in"), read(cfg, "temperature"))
+    supply_psd = read(cfg, "supply_psd")  # off unless asked for
     if supply_psd is not None:
-        require_positive(supply_psd=supply_psd)
         supply = noise.supply_phase_noise(state, delta_omega_s, supply_psd)
         if not math.isfinite(supply):  # the supply row scales with delta_f_s**2
             raise ConfigError(f"supply_psd needs a nonzero delta_f_s: at delta_f_s = "
@@ -217,14 +179,12 @@ def cmd_noise(args, cfg):
 
     # PM-to-AM conversion at the carrier detunings j*w0/(20*Q_on), computed
     # before either file is written, so that a failure leaves neither
-    pm_am_offset = optional(cfg, "pm_am_offset", 1e6)
-    require_positive(pm_am_offset=pm_am_offset)
     w_in = w0 + np.arange(-39, 40) * (w0 / (20.0 * q))
     if not np.all(np.diff(w_in) > 0):
         raise ConfigError(f"Q = {q:g} is too high for the PM-to-AM table: its rows "
                           f"w0 + j*w0/(20*Q) are not distinct doubles")
     gains = noise.pm_to_am_gain(state.effective_srr(), state.line, w_in,
-                                2.0 * math.pi * pm_am_offset)
+                                2.0 * math.pi * read(cfg, "pm_am_offset"))
     rows = zip((w_in - w0) / (2 * math.pi), np.where(np.isfinite(gains), gains, -300.0))
     return _commit(args, {"phase_noise.csv": table_csv_lines(NOISE_COLUMNS, noise_rows),
                           "pm_to_am.csv": table_csv_lines(("detune_hz", "conversion_db"), rows)})
@@ -234,11 +194,9 @@ def cmd_snr(args, cfg):
     from . import noise
 
     state = Pixel(cfg).state
-    band = _flicker_band(cfg)
-    delta_r_ref = optional(cfg, "delta_r_ref", 1.0)
-    require_positive(delta_r_ref=delta_r_ref)
+    band = read(cfg, "f_lo"), read(cfg, "f_hi")
     snr_c = noise.snr_delta_c(state, band)
-    snr_r = noise.snr_delta_r(state, band, delta_r_ref)
+    snr_r = noise.snr_delta_r(state, band, read(cfg, "delta_r_ref"))
     return _commit(args, {"snr.txt": keyvalue_lines([
         ("snr_delta_c", snr_c),
         ("snr_delta_r", snr_r),
@@ -252,31 +210,22 @@ def cmd_design(args, cfg):
     from .design import DesignSpec, InfeasibleDesignError, synthesize
 
     line = Pixel(cfg).line
-    spec = DesignSpec(
-        f0=require(cfg, "f0"),
-        n_pixels=_count("n_pixels", optional(cfg, "n_pixels", 1)),
-        il_budget=require(cfg, "il_budget"),
-        snr_dc_target=require(cfg, "snr_dc_target"),
-        snr_dr_target=require(cfg, "snr_dr_target"),
-        delta_r_ref=optional(cfg, "delta_r_ref", 1.0),
-        z0=line.z0,
-        line=line,
-        kn=require(cfg, "kn"),
-        kp=require(cfg, "kp"),
-        vth=require(cfg, "vth"),
-        vdd=require(cfg, "vdd"),
-        kf_area=require(cfg, "kf_area"),
-        c_per_area=require(cfg, "c_per_area"),
-        l_srr_max=require(cfg, "l_srr_max"),
-        q_off=optional(cfg, "q_off", 10.0),
-        flicker_band=_flicker_band(cfg),
-    )
+    # every field but the line and the band is the config key of its name
+    spec = DesignSpec(line=line, flicker_band=(read(cfg, "f_lo"), read(cfg, "f_hi")),
+                      **{f.name: read(cfg, f.name) for f in dataclasses.fields(DesignSpec)
+                         if f.name in KEYS})
     try:
         result = synthesize(spec)
     except InfeasibleDesignError as exc:
         print(f"infeasible: binding constraint = {exc.constraint}; {exc.detail}",
               file=sys.stderr)
         return EXIT_NUMERIC
+    values = [(f.name, getattr(result, f.name)) for f in dataclasses.fields(result)
+              if f.name != "notes"]
+    overflowed = [name for name, value in values if not math.isfinite(value)]
+    if overflowed:
+        raise ConfigError(f"design {', '.join(overflowed)} must be finite: the synthesis "
+                          f"overflows on this config")
     lines = [
         "pixel design report",
         f"  coupling k          : {result.k:.4f}",
@@ -294,10 +243,7 @@ def cmd_design(args, cfg):
     ]
     for note in result.notes:
         lines.append(f"  note: {note}")
-    return _commit(args, {"design.txt": keyvalue_lines([(f.name, getattr(result, f.name))
-                                                        for f in dataclasses.fields(result)
-                                                        if f.name != "notes"]),
-                          "design_report.txt": lines})
+    return _commit(args, {"design.txt": keyvalue_lines(values), "design_report.txt": lines})
 
 
 def cmd_validate(args, cfg):
@@ -371,7 +317,7 @@ def main(argv=None) -> int:
     try:
         if args.config:
             cfg = parse_config_file(args.config)
-            unknown = sorted(set(cfg) - CONFIG_KEYS)
+            unknown = sorted(set(cfg) - KEYS.keys())
             if unknown:
                 raise ConfigError(f"unknown config key {', '.join(map(repr, unknown))}")
             if "q_on" in cfg and "gm0" in cfg:

@@ -1,9 +1,10 @@
-"""Flat key-value run configs with unit-suffixed values, and the pixel
-one config describes.
+"""Flat key-value run configs with unit-suffixed values, the one table of
+the keys they may hold, and the pixel one config describes.
 
 One assignment per line, '#' comments, values like `f0 = 200 GHz` or
 `lsrr = 54.1 pH`; everything normalizes to SI.  Bare numbers are taken
-as already-SI.
+as already-SI.  Every value a command uses is read through read(), which
+applies the key's default and bounds from KEYS.
 """
 
 from __future__ import annotations
@@ -11,14 +12,56 @@ from __future__ import annotations
 import math
 import re
 from functools import cached_property
+from typing import NamedTuple
 
-from .active import AsrrState
-from .resonator import SrrParams, TransmissionLineSection, optimum_k_for_q, require_positive
+from .active import FLICKER_BAND, TEMPERATURE, AsrrState, GmBlockParams
+from .resonator import SrrParams, TransmissionLineSection, optimum_k_for_q
 
-# optional config keys -> AsrrState.from_targets keywords; absent keys take
-# its defaults
-STATE_KEYS = {"k": "k", "c_asrr": "c_asrr", "vdd": "vdd", "vth": "vth", "k_wl": "k_wl",
-              "kf": "kf", "gamma": "gamma", "lambda": "lam"}
+REQUIRED = "required"  # a default: the key must be given
+POSITIVE = math.ulp(0.0)  # a lower bound: the least positive double, so "> 0"
+CAP = 1e100  # every upper bound but a count's: 2*pi*x and its square stay finite
+
+
+class Key(NamedTuple):
+    """A config key: its default, a value or REQUIRED or None (absent: the
+    reader derives the value, or the feature stays off; an int default
+    makes the key a count); the least and greatest values accepted; and
+    the AsrrState.from_targets keyword it sets, if any."""
+
+    default: float | str | None
+    lo: float = POSITIVE
+    hi: float = CAP
+    state: str | None = None
+
+
+_TARGETS = AsrrState.from_targets.__kwdefaults__  # its vdd and vth defaults
+
+# every key some command reads, so that one config can serve all of them;
+# any other key is refused as a likely typo
+KEYS = {
+    # the line, the ring and its boost (q_on or gm0)
+    "f0": Key(REQUIRED, state="f0"), "lsrr": Key(REQUIRED, state="lsrr"),
+    "q_off": Key(10.0, state="q_off"), "q_on": Key(None, state="q_on"),
+    "gm0": Key(None, state="gm0"), "k": Key(None, lo=0.0, state="k"),
+    "c_asrr": Key(None, state="c_asrr"), "z0": Key(50.0), "beta_l": Key(REQUIRED),
+    # the active block
+    "vdd": Key(_TARGETS["vdd"], state="vdd"), "vth": Key(_TARGETS["vth"], state="vth"),
+    "k_wl": Key(None, state="k_wl"), "kf": Key(GmBlockParams.kf, state="kf"),
+    "gamma": Key(GmBlockParams.gamma, state="gamma"),
+    "lambda": Key(GmBlockParams.lam, lo=0.0, state="lam"),
+    # nonlin
+    "p_in_min": Key(None), "p_in_max": Key(None), "p_in_points": Key(41, lo=1, hi=1e6),
+    # noise
+    "p_in": Key(10e-6), "temperature": Key(TEMPERATURE), "delta_f_s": Key(20e6, lo=-CAP),
+    "offset_min": Key(100.0), "offset_max": Key(1e8), "supply_psd": Key(None),
+    "pm_am_offset": Key(1e6),
+    # snr and design
+    "f_lo": Key(FLICKER_BAND[0]), "f_hi": Key(FLICKER_BAND[1]), "delta_r_ref": Key(1.0),
+    # design
+    "n_pixels": Key(1, lo=1), "il_budget": Key(REQUIRED), "snr_dc_target": Key(REQUIRED),
+    "snr_dr_target": Key(REQUIRED), "kn": Key(REQUIRED), "kp": Key(REQUIRED),
+    "kf_area": Key(REQUIRED), "c_per_area": Key(REQUIRED), "l_srr_max": Key(REQUIRED),
+}
 
 
 class ConfigError(ValueError):
@@ -90,22 +133,29 @@ def parse_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
-def require(cfg: dict, key: str) -> float:
+def read(cfg: dict, key: str):
+    """cfg's value of key, else the key's default: a float, an int for a
+    count, or None for an absent key.  A missing required key, or a value
+    not numeric or outside the key's bounds, is a ConfigError that names
+    the key."""
+    default, lo, hi, _ = KEYS[key]
     if key not in cfg:
-        raise ConfigError(f"missing required config key {key!r}")
+        if default is REQUIRED:
+            raise ConfigError(f"missing required config key {key!r}")
+        return default
     value = cfg[key]
     if not isinstance(value, (int, float)):
         raise ConfigError(f"config key {key!r} must be numeric, got {value!r}")
-    return float(value)
-
-
-def optional(cfg: dict, key: str, default):
-    value = cfg.get(key, default)
-    if value is None:
-        return None
-    if not isinstance(value, (int, float)):
-        raise ConfigError(f"config key {key!r} must be numeric, got {value!r}")
-    return float(value)
+    count = isinstance(default, int)
+    if value > hi:
+        need = f"at most {hi:g}"
+    elif count and not (value >= lo and value == int(value)):
+        need = "a positive integer"
+    elif not value >= lo:  # NaN too
+        need = "positive and finite" if lo == POSITIVE else f"at least {lo:g}"
+    else:
+        return int(value) if count else float(value)
+    raise ConfigError(f"{key} must be {need}, got {value!r}")
 
 
 class Pixel:
@@ -117,18 +167,14 @@ class Pixel:
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
-        f0, beta_l, z0 = require(cfg, "f0"), require(cfg, "beta_l"), optional(cfg, "z0", 50.0)
-        require_positive(f0=f0, z0=z0, beta_l=beta_l)
+        f0, beta_l, z0 = read(cfg, "f0"), read(cfg, "beta_l"), read(cfg, "z0")
         self.line = TransmissionLineSection.from_electrical(z0, beta_l, 2.0 * math.pi * f0)
 
     @cached_property
     def state(self) -> AsrrState:
         """The active pixel: q_off boosted by gm0 or to q_on."""
-        cfg = self.cfg
-        boost = {"gm0": require(cfg, "gm0")} if "gm0" in cfg else {"q_on": require(cfg, "q_on")}
-        extra = {arg: require(cfg, key) for key, arg in STATE_KEYS.items() if key in cfg}
-        return AsrrState.from_targets(require(cfg, "f0"), require(cfg, "lsrr"),
-                                      require(cfg, "q_off"), line=self.line, **boost, **extra)
+        targets = {key.state: read(self.cfg, name) for name, key in KEYS.items() if key.state}
+        return AsrrState.from_targets(line=self.line, **targets)
 
     @cached_property
     def ring(self) -> SrrParams:
@@ -139,10 +185,10 @@ class Pixel:
         cfg = self.cfg
         if "q_on" in cfg or "gm0" in cfg:
             return self.state.effective_srr()
-        w0 = 2.0 * math.pi * require(cfg, "f0")
-        lsrr, q_off = require(cfg, "lsrr"), require(cfg, "q_off")
-        c_asrr = optional(cfg, "c_asrr", 1.0 / (w0 * w0 * lsrr))
-        k = optional(cfg, "k", None)
+        w0 = 2.0 * math.pi * read(cfg, "f0")
+        lsrr, q_off = read(cfg, "lsrr"), read(cfg, "q_off")
+        c_asrr = read(cfg, "c_asrr") or 1.0 / (w0 * w0 * lsrr)
+        k = read(cfg, "k")
         if k is None:
             k = optimum_k_for_q(q_off, self.line, 1.0 / math.sqrt(lsrr * c_asrr))
         return SrrParams(lsrr=lsrr, csrr=c_asrr, q_off=q_off, k=k)

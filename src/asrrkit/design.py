@@ -60,7 +60,7 @@ class DesignSpec:
     kf_area: float  # flicker coefficient scaling, kf = kf_area/(W*L) [V^2*m^2]
     c_per_area: float  # effective ring-loading capacitance per gate area [F/m^2]
     l_srr_max: float  # resolution-driven inductance ceiling [H]
-    q_off: float = 10.0  # technology-given unloaded quality factor
+    q_off: float  # technology-given unloaded quality factor
     flicker_band: tuple = FLICKER_BAND  # [Hz]
 
     def __post_init__(self):

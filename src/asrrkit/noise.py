@@ -24,16 +24,12 @@ import math
 
 import numpy as np
 
-from .active import AsrrState, boosted_resistance, q_on
+from .active import FLICKER_BAND, TEMPERATURE, AsrrState, boosted_resistance, q_on
 from .resonator import (MATCHED_RHO, SrrParams, TransmissionLineSection, absorbed_power_fraction,
                         loss_slope_factor, phase_slope_factor, reflected_impedance,
                         require_positive, srr_branch_impedance, transmitted_power_fraction)
 
 BOLTZMANN = 1.380649e-23  # [J/K]
-
-FLICKER_BAND = (1.0, 1e3)  # default flicker RMS integration band [Hz]
-
-TEMPERATURE = 290.0  # default device noise temperature [K]
 
 WHITE_LOCUS_TOL = 1e-6  # largest |rho - 1| the white noise density accepts
 

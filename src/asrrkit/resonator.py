@@ -66,9 +66,12 @@ class TransmissionLineSection:
         length at a given angular frequency."""
         if beta_l <= 0 or z0 <= 0 or w <= 0:
             raise ValueError("z0, beta_l and w must be positive")
-        ltl = z0 * beta_l / w
-        ctl = beta_l / (z0 * w)
-        return cls(z0=float(z0), ltl=ltl, ctl=ctl, length=length)
+        section = cls(z0=float(z0), ltl=z0 * beta_l / w, ctl=beta_l / (z0 * w), length=length)
+        # ltl*ctl = (beta_l/w)^2 can fall below the doubles while each factor does not
+        if not math.isclose(section.beta_l(w), beta_l, rel_tol=1e-12):
+            raise ValueError(f"beta_l = {beta_l!r} rad at w = {w:g} rad/s is past what the "
+                             f"section holds: its ltl*ctl gives back {section.beta_l(w)!r} rad")
+        return section
 
 
 @dataclass(frozen=True)

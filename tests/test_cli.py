@@ -1,9 +1,9 @@
-import ast
 import hashlib
 import math
 import os
+import re
 import stat
-from pathlib import Path
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +24,8 @@ q_on = 54
 z0 = 50 ohm
 beta_l = 0.35 rad
 """
+
+COMMANDS = ("sweep", "match", "nonlin", "noise", "snr", "design")  # all but validate
 
 
 def write_config(tmp_path, text=REFERENCE_CONFIG, name="pixel.cfg"):
@@ -202,6 +204,21 @@ class TestMatch:
         assert (tmp_path / "s11_contours.csv").exists()
 
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_line_too_short_for_its_section_is_refused_by_name(self, tmp_path, capsys, command):
+        # (beta_l/w)^2 = ltl*ctl falls below the doubles at beta_l = 1e-150:
+        # refused by name before numpy divides by its zero electrical length
+        cfg = write_config(tmp_path, FULL_CONFIG.replace("beta_l = 0.35 rad", "beta_l = 1e-150"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: beta_l = 1e-150 rad at w = 1.25664e+12 rad/s is "
+                              "past what the section holds") and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestNonlin:
     def test_table_and_marker(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -266,7 +283,8 @@ class TestNoiseCmd:
         assert any(v > levels[off, "white"] for off, v in flicker.items())
 
     @pytest.mark.parametrize("keys, message", [
-        ("offset_max = 1e300\n", "the input phase noise at offset"),
+        # past offset_max's bound, refused by name before anything overflows
+        ("offset_max = 1e300\n", "config error: offset_max must be at most 1e+100, got 1e+300"),
         ("offset_min = 1e-300\noffset_max = 1e-290\ndelta_f_s = 1e100\n",
          "the flicker phase noise at offset 1e-300 Hz is inf dBc/Hz"),
     ])
@@ -276,7 +294,7 @@ class TestNoiseCmd:
         assert main(["noise", "--config", write_config(tmp_path, REFERENCE_CONFIG + keys),
                      "--out", str(out), "--quiet"]) == 1
         err = capsys.readouterr().err
-        assert message in err and "every level must be finite" in err
+        assert message in err and err.count("\n") == 1
         assert not out.exists() or not list(out.iterdir())
 
     def test_flicker_notch_floors_at_white(self, tmp_path):
@@ -392,6 +410,16 @@ class TestDesignCmd:
                            name="tight.cfg")
         assert main(["design", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
         assert "boost limit" in capsys.readouterr().err
+
+    def test_non_finite_design_is_refused_by_field(self, tmp_path, capsys):
+        # at f0 = 1e-100 Hz the device widths overflow; no row of inf is written
+        cfg = write_config(tmp_path, DESIGN_CONFIG.replace("f0 = 200 GHz", "f0 = 1e-100"),
+                           name="slow.cfg")
+        out = tmp_path / "out"
+        assert main(["design", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == ("config error: design w_n, w_p must be finite: "
+                                           "the synthesis overflows on this config\n")
+        assert not out.exists()
 
     def test_budget_allowing_unit_coupling_exits_2(self, tmp_path, capsys):
         # the budget allows k >= 1, so it cannot bind: infeasible by name,
@@ -681,6 +709,15 @@ FULL_CONFIG = REFERENCE_CONFIG + "".join(
     line + "\n" for line in DESIGN_CONFIG.splitlines()
     if line.split("=")[0].strip() not in ("f0", "z0", "beta_l", "q_off"))
 
+
+def full_config_with(key, value):
+    """FULL_CONFIG with key set to value, the boost given one way."""
+    lines = {line.split("=")[0].strip(): line for line in FULL_CONFIG.splitlines() if line}
+    lines[key] = f"{key} = {value}"
+    if key == "gm0":
+        del lines["q_on"]
+    return "\n".join(lines.values()) + "\n"
+
 # for each accepted key: a command that reads it, and a valid value that
 # differs from FULL_CONFIG's or the command's default.  A matched pixel's
 # response depends on z0 only through the Touchstone reference impedance,
@@ -796,25 +833,20 @@ class TestConfigKeys:
         cfg = write_config(tmp_path, FULL_CONFIG)
         assert main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
 
-    @pytest.mark.parametrize("key", sorted(cli.CONFIG_KEYS))
+    @pytest.mark.parametrize("key", sorted(config.KEYS))
     def test_every_key_changes_an_output(self, tmp_path, key):
         # no accepted key is a no-op: one valid value of it changes the bytes
         # a command that reads it writes, against the full run config
         command, value = KEY_EFFECTS[key]
-        base = {line.split("=")[0].strip(): line for line in FULL_CONFIG.splitlines() if line}
-        changed = {**base, key: f"{key} = {value}"}
-        if key == "gm0":
-            del changed["q_on"]  # the boost is given one way
         digests = []
-        for name, lines in (("before", base), ("after", changed)):
+        for name, text in (("before", FULL_CONFIG), ("after", full_config_with(key, value))):
             (tmp_path / name).mkdir()
-            digests.append(output_digests(tmp_path / name, command,
-                                          "\n".join(lines.values()) + "\n",
+            digests.append(output_digests(tmp_path / name, command, text,
                                           *(["--format", "both"] if command == "sweep" else [])))
         assert digests[0] != digests[1]
 
     def test_every_key_has_an_effect_listed(self):
-        assert set(KEY_EFFECTS) == cli.CONFIG_KEYS
+        assert set(KEY_EFFECTS) == set(config.KEYS)
 
     @pytest.mark.parametrize("line", ["c_gm = 3.5 fF", "ltl = 14 pH", "ctl = 5.6 fF",
                                       "length = 30 um", "csrr = 12 fF", "kn_wl = 2 mA/V^2",
@@ -826,24 +858,92 @@ class TestConfigKeys:
         assert f"unknown config key '{key}'" in capsys.readouterr().err
         assert not list(tmp_path.glob("sweep.*"))
 
-    def test_accepted_keys_are_the_keys_read(self):
-        # every key a command or the pixel they and validate share reads is
-        # accepted, and nothing else; the keys read through a loop are those
-        # of STATE_KEYS.  A key read with a default has one default wherever
-        # it is read.
-        read = set(config.STATE_KEYS)
-        defaults = {}
-        for module in (cli, config):
-            for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
-                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                        and node.func.id in ("require", "optional")
-                        and isinstance(node.args[1], ast.Constant)):
-                    read.add(node.args[1].value)
-                    if node.func.id == "optional":
-                        defaults.setdefault(node.args[1].value, set()).add(
-                            ast.unparse(node.args[2]))
-        assert read == cli.CONFIG_KEYS
-        assert {key: d for key, d in defaults.items() if len(d) > 1} == {}
+
+@pytest.fixture(scope="module")
+def readers(tmp_path_factory):
+    """For each config key, the commands that read it on FULL_CONFIG."""
+    read_by = {key: [] for key in config.KEYS}
+    tmp = tmp_path_factory.mktemp("readers")
+    cfg = write_config(tmp, FULL_CONFIG)
+    for command in COMMANDS:
+        def recording(values, key, read=config.read, command=command):
+            if command not in read_by[key]:
+                read_by[key].append(command)
+            return read(values, key)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(config, "read", recording)
+            patch.setattr(cli, "read", recording)
+            assert main([command, "--config", cfg, "--out", str(tmp / command), "--quiet"]) == 0
+    return read_by
+
+
+def written_numbers(out):
+    """Every number in the files of directory out."""
+    numbers = []
+    for path in out.iterdir() if out.exists() else ():
+        for token in re.split(r"[\s,=:]+", path.read_text()):
+            try:
+                numbers.append(float(token))
+            except ValueError:
+                pass
+    return numbers
+
+
+class TestKeyBounds:
+    """Each key's bounds from config.KEYS, under each command that reads it."""
+
+    def test_every_key_is_read(self, readers):
+        assert [key for key, commands in readers.items() if not commands] == []
+
+    # p_in_points's bound is 1e6 rows of nonlin: about 40 s, 460 MB of peak
+    # memory and a 56 MB table, too much for this suite, so only its
+    # refusals past the bounds run here
+    @pytest.mark.parametrize("key", sorted(set(config.KEYS) - {"p_in_points"}))
+    def test_key_at_its_upper_bound_runs_clean(self, tmp_path, capsys, readers, key):
+        # each command runs, refuses the pixel or finds it infeasible, with
+        # no numpy warning and no non-finite number in a file
+        cfg = write_config(tmp_path, full_config_with(key, repr(config.KEYS[key].hi)))
+        for command in readers[key]:
+            out = tmp_path / command
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main([command, "--config", cfg, "--out", str(out), "--quiet",
+                             *(["--format", "both"] if command == "sweep" else [])])
+            assert code in (0, 1, 2) and caught == [], (command, capsys.readouterr().err)
+            numbers = written_numbers(out)
+            assert all(map(math.isfinite, numbers)) and (numbers or code), command
+            assert "Warning" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bound", ["lo", "hi"])
+    @pytest.mark.parametrize("key", sorted(config.KEYS))
+    def test_key_past_its_bound_is_refused_by_name(self, tmp_path, capsys, readers, key, bound):
+        limit = getattr(config.KEYS[key], bound)
+        past = math.nextafter(limit, math.inf if bound == "hi" else -math.inf)
+        cfg = write_config(tmp_path, full_config_with(key, repr(past)))
+        for command in readers[key]:
+            out = tmp_path / command
+            assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {key} must be ") and err.count("\n") == 1
+            assert err.endswith(f", got {past!r}\n") and not out.exists()
+
+    @pytest.mark.parametrize("command, line", [
+        ("noise", "pm_am_offset = 2.8e307"),  # wrote rows of about +5939 dB
+        ("noise", "offset_max = 1e300"),  # a numpy overflow warning, then a refusal
+        ("noise", "delta_f_s = 1e200"),  # an OverflowError, exit 2
+        ("match", "beta_l = 1e200"),  # 782 NaN cells
+        ("noise", "lsrr = 1e150"),  # every PM-to-AM row the -300 placeholder
+    ])
+    def test_overflowing_configs_are_refused_by_name(self, tmp_path, capsys, command, line):
+        key = line.split(" = ")[0]
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, REFERENCE_CONFIG + line + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {key} must be at most 1e+100")
+        assert not out.exists()
 
 
 class TestOutputDirectory:

@@ -1,6 +1,7 @@
 import functools
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from asrrkit import sweepio
-from asrrkit.config import ConfigError, parse_config_text, parse_quantity, require
+from asrrkit.config import KEYS, ConfigError, parse_config_text, parse_quantity, read
 from asrrkit.resonator import TwoPortSweep, s_parameters
 from asrrkit.sweepio import (
     CHUNK_ROWS,
@@ -78,13 +79,28 @@ class TestConfigText:
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_text("f0 200 GHz")
 
-    def test_require(self):
-        cfg = parse_config_text("a = 1\nb = text")
-        assert require(cfg, "a") == 1.0
-        with pytest.raises(ConfigError, match="missing"):
-            require(cfg, "zz")
-        with pytest.raises(ConfigError, match="numeric"):
-            require(cfg, "b")
+    def test_read_applies_the_key_table(self):
+        cfg = parse_config_text("f0 = 1\nlsrr = text\nq_on = 0\nk = 0\np_in_points = 2.5\n"
+                                "offset_max = 1e101\nn_pixels = 3")
+        assert read(cfg, "f0") == 1.0 and read(cfg, "k") == 0.0
+        assert read(cfg, "n_pixels") == 3 and isinstance(read(cfg, "n_pixels"), int)
+        # a default, written once in the table, or None for an absent key
+        assert read(cfg, "q_off") == KEYS["q_off"].default == 10.0
+        assert read(cfg, "c_asrr") is None
+        for key, message in [("beta_l", "missing required config key 'beta_l'"),
+                             ("lsrr", "config key 'lsrr' must be numeric"),
+                             ("q_on", "q_on must be positive and finite, got 0.0"),
+                             ("p_in_points", "p_in_points must be a positive integer"),
+                             ("offset_max", "offset_max must be at most 1e+100, got 1e+101")]:
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                read(cfg, key)
+        with pytest.raises(KeyError):
+            read(cfg, "zz")  # a key outside the table is no key
+
+    def test_every_default_lies_inside_its_bounds(self):
+        for key, (default, lo, hi, _) in KEYS.items():
+            if isinstance(default, (int, float)):
+                assert lo <= default <= hi, key
 
 
 @pytest.fixture
