@@ -23,12 +23,6 @@ from .resonator import (SrrParams, TransmissionLineSection, absorbed_power_fract
 # 1 - gm*R, which keeps too few digits beyond this.
 MAX_BOOST = 1e8
 
-# the noise laws' defaults, here so that the config table reads them
-# without loading noise
-FLICKER_BAND = (1.0, 1e3)  # default flicker RMS integration band [Hz]
-
-TEMPERATURE = 290.0  # default device noise temperature [K]
-
 
 @dataclass(frozen=True)
 class GmBlockParams:

@@ -222,7 +222,10 @@ def cmd_design(args, cfg):
         return EXIT_NUMERIC
     values = [(f.name, getattr(result, f.name)) for f in dataclasses.fields(result)
               if f.name != "notes"]
-    overflowed = [name for name, value in values if not math.isfinite(value)]
+    # with no block (gm_required = 0) both SNRs and the linear input power are infinite
+    unbounded = ("snr_dc", "snr_dr", "p_in_lin") if result.gm_required == 0 else ()
+    overflowed = [name for name, value in values
+                  if not (math.isfinite(value) or name in unbounded)]
     if overflowed:
         raise ConfigError(f"design {', '.join(overflowed)} must be finite: the synthesis "
                           f"overflows on this config")

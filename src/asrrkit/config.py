@@ -14,22 +14,22 @@ import re
 from functools import cached_property
 from typing import NamedTuple
 
-from .active import FLICKER_BAND, TEMPERATURE, AsrrState, GmBlockParams
+from .active import AsrrState, GmBlockParams
 from .resonator import SrrParams, TransmissionLineSection, optimum_k_for_q
 
 REQUIRED = "required"  # a default: the key must be given
-POSITIVE = math.ulp(0.0)  # a lower bound: the least positive double, so "> 0"
 CAP = 1e100  # every upper bound but a count's: 2*pi*x and its square stay finite
 
 
 class Key(NamedTuple):
     """A config key: its default, a value or REQUIRED or None (absent: the
     reader derives the value, or the feature stays off; an int default
-    makes the key a count); the least and greatest values accepted; and
-    the AsrrState.from_targets keyword it sets, if any."""
+    makes the key a count, a positive integer); the least value accepted,
+    or None for any positive value; the greatest value accepted; and the
+    AsrrState.from_targets keyword it sets, if any."""
 
     default: float | str | None
-    lo: float = POSITIVE
+    lo: float | None = None
     hi: float = CAP
     state: str | None = None
 
@@ -50,15 +50,15 @@ KEYS = {
     "gamma": Key(GmBlockParams.gamma, state="gamma"),
     "lambda": Key(GmBlockParams.lam, lo=0.0, state="lam"),
     # nonlin
-    "p_in_min": Key(None), "p_in_max": Key(None), "p_in_points": Key(41, lo=1, hi=1e6),
+    "p_in_min": Key(None), "p_in_max": Key(None), "p_in_points": Key(41, hi=1e6),
     # noise
-    "p_in": Key(10e-6), "temperature": Key(TEMPERATURE), "delta_f_s": Key(20e6, lo=-CAP),
+    "p_in": Key(10e-6), "temperature": Key(290.0), "delta_f_s": Key(20e6, lo=-CAP),
     "offset_min": Key(100.0), "offset_max": Key(1e8), "supply_psd": Key(None),
     "pm_am_offset": Key(1e6),
-    # snr and design
-    "f_lo": Key(FLICKER_BAND[0]), "f_hi": Key(FLICKER_BAND[1]), "delta_r_ref": Key(1.0),
+    # snr and design: the flicker RMS band and the reference loss shift
+    "f_lo": Key(1.0), "f_hi": Key(1e3), "delta_r_ref": Key(1.0),
     # design
-    "n_pixels": Key(1, lo=1), "il_budget": Key(REQUIRED), "snr_dc_target": Key(REQUIRED),
+    "n_pixels": Key(1), "il_budget": Key(REQUIRED), "snr_dc_target": Key(REQUIRED),
     "snr_dr_target": Key(REQUIRED), "kn": Key(REQUIRED), "kp": Key(REQUIRED),
     "kf_area": Key(REQUIRED), "c_per_area": Key(REQUIRED), "l_srr_max": Key(REQUIRED),
 }
@@ -149,10 +149,10 @@ def read(cfg: dict, key: str):
     count = isinstance(default, int)
     if value > hi:
         need = f"at most {hi:g}"
-    elif count and not (value >= lo and value == int(value)):
+    elif count and not (value > 0 and value == int(value)):
         need = "a positive integer"
-    elif not value >= lo:  # NaN too
-        need = "positive and finite" if lo == POSITIVE else f"at least {lo:g}"
+    elif not (value > 0 if lo is None else value >= lo):  # NaN too
+        need = "positive and finite" if lo is None else f"at least {lo:g}"
     else:
         return int(value) if count else float(value)
     raise ConfigError(f"{key} must be {need}, got {value!r}")

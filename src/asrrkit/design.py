@@ -21,8 +21,8 @@ from .resonator import (
     optimum_q_for_k,
 )
 from .active import MAX_BOOST, AsrrState, gm_for_boost, linear_power_limit
-from .noise import (FLICKER_BAND, alpha_flicker, check_flicker_band, flicker_rms, snr_delta_c,
-                    snr_delta_r)
+from .config import KEYS
+from .noise import alpha_flicker, check_flicker_band, flicker_rms, snr_delta_c, snr_delta_r
 
 # the deepest accepted loss reduction: 200 quarterings of the ceiling value
 _SHRINK_FLOOR = 4.0**-200
@@ -61,7 +61,7 @@ class DesignSpec:
     c_per_area: float  # effective ring-loading capacitance per gate area [F/m^2]
     l_srr_max: float  # resolution-driven inductance ceiling [H]
     q_off: float  # technology-given unloaded quality factor
-    flicker_band: tuple = FLICKER_BAND  # [Hz]
+    flicker_band: tuple = (KEYS["f_lo"].default, KEYS["f_hi"].default)  # [Hz]
 
     def __post_init__(self):
         if not 0.0 < self.il_budget < 1.0:

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .active import FLICKER_BAND, TEMPERATURE, AsrrState, boosted_resistance, q_on
+from .active import AsrrState, boosted_resistance, q_on
 from .resonator import (MATCHED_RHO, SrrParams, TransmissionLineSection, absorbed_power_fraction,
                         loss_slope_factor, phase_slope_factor, reflected_impedance,
                         require_positive, srr_branch_impedance, transmitted_power_fraction)

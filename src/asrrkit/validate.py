@@ -21,7 +21,7 @@ import numpy as np
 
 from . import active, noise, oracle, resonator
 from .active import AsrrState
-from .config import Pixel, parse_config_text
+from .config import KEYS, Pixel, parse_config_text
 from .design import DesignSpec, InfeasibleDesignError, synthesize
 from .resonator import SrrParams, TransmissionLineSection
 
@@ -443,7 +443,7 @@ def check_noise_laws(rng, fx: Fixture) -> list[Record]:
     err_fl = abs(r_fl / qq - 1.0)
     err_sp = abs(r_sp / qq - 1.0)
 
-    dw, p_in, temp = 2.0 * math.pi * 20e6, 10e-6, noise.TEMPERATURE
+    dw, p_in, temp = 2.0 * math.pi * 20e6, 10e-6, KEYS["temperature"].default
     flicker_1k = noise.flicker_phase_noise(st2, dw, 1e3)
     err_double = abs(noise.flicker_phase_noise(st2, 2.0 * dw, 1e3) - flicker_1k
                      - 10.0 * math.log10(4.0))
@@ -455,7 +455,8 @@ def check_noise_laws(rng, fx: Fixture) -> list[Record]:
     kf = fx.state.gm.kf
     worst_rms = 0.0
     f_los = [10.0 ** rng.uniform(-2.0, 2.0) for _ in range(5)]
-    bands = [noise.FLICKER_BAND] + [(f, f * 10.0 ** rng.uniform(1.0, 8.0)) for f in f_los]
+    bands = [(KEYS["f_lo"].default, KEYS["f_hi"].default)]
+    bands += [(f, f * 10.0 ** rng.uniform(1.0, 8.0)) for f in f_los]
     for band in bands:
         quad = math.sqrt(oracle.flicker_power(kf, band))
         worst_rms = max(worst_rms, abs(noise.flicker_rms(kf, band) / quad - 1.0))
@@ -521,7 +522,7 @@ def check_snr_invariance(rng, fx: Fixture) -> list[Record]:
     offset) alike, so both SNR formulas hold at every detuning, and the
     flicker phase-noise PSD carries the square of that same offset."""
     state = fx.state
-    band = noise.FLICKER_BAND
+    band = KEYS["f_lo"].default, KEYS["f_hi"].default
     snr_c = noise.snr_delta_c(state, band)
     snr_r = noise.snr_delta_r(state, band, 1.0)
     # signal slopes: the matched phase slope per unit capacitive detuning,

@@ -28,6 +28,9 @@ beta_l = 0.35 rad
 COMMANDS = ("sweep", "match", "nonlin", "noise", "snr", "design")  # all but validate
 
 
+BAND = config.read({}, "f_lo"), config.read({}, "f_hi")  # the default flicker band
+
+
 def write_config(tmp_path, text=REFERENCE_CONFIG, name="pixel.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -421,6 +424,26 @@ class TestDesignCmd:
                                            "the synthesis overflows on this config\n")
         assert not out.exists()
 
+    def test_loose_budget_writes_its_unboosted_design(self, tmp_path, capsys):
+        # the spec of test_design.py's loose-budget case: matched at q_off
+        # with no block, so both SNRs and the linear input power are
+        # infinite on purpose and the design is written, not refused
+        loose = DESIGN_CONFIG
+        for old, new in [("il_budget = 0.08474576", "il_budget = 0.6"),
+                         ("snr_dc_target = 500", "snr_dc_target = 1e-6"),
+                         ("snr_dr_target = 10", "snr_dr_target = 1e-9"),
+                         ("beta_l = 0.35 rad", "beta_l = 2 rad"), ("q_off = 10", "q_off = 15"),
+                         ("l_srr_max = 54.12456 pH", "l_srr_max = 1.353114 pH")]:
+            loose = loose.replace(old, new)
+        cfg = write_config(tmp_path, loose, name="loose.cfg")
+        out = tmp_path / "out"
+        assert main(["design", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        values = dict(ln.split(" = ") for ln in (out / "design.txt").read_text().splitlines())
+        assert values["q_on"] == "15" and values["gm_required"] == "0"
+        assert [values[name] for name in ("snr_dc", "snr_dr", "p_in_lin")] == ["inf"] * 3
+        assert "loss budget loose" in (out / "design_report.txt").read_text()
+
     def test_budget_allowing_unit_coupling_exits_2(self, tmp_path, capsys):
         # the budget allows k >= 1, so it cannot bind: infeasible by name,
         # not a config error
@@ -465,7 +488,7 @@ class TestMatchedCommands:
                 continue
             values = dict(ln.split(" = ") for ln in (out / "snr.txt").read_text().splitlines())
             alpha = resonator.loss_slope_factor(rho) / 4.0 * state.gm.k_wl
-            v_rms = noise.flicker_rms(state.gm.kf, noise.FLICKER_BAND)
+            v_rms = noise.flicker_rms(state.gm.kf, BAND)
             snr_c = resonator.phase_slope_factor(rho) / (4.0 * alpha * v_rms * r_on)
             snr_r = (resonator.loss_slope_factor(rho) / 4.0
                      / (alpha * v_rms * state.srr.r_parallel() ** 2))
@@ -606,7 +629,7 @@ class TestValidateCmd:
         # lambda scales the devices' gm slope by 1 + lambda*(vdd - vth), 1.35
         # at lambda = 0.5: both SNRs fall by it, as the flicker phase noise
         # rises by it, so snr-invariance holds
-        band = noise.FLICKER_BAND
+        band = BAND
         plain, lam = validate.Fixture().state, validate.Fixture({"lambda": 0.5}).state
         assert noise.snr_delta_c(lam, band) == pytest.approx(
             noise.snr_delta_c(plain, band) / 1.35, rel=1e-12)
@@ -919,7 +942,10 @@ class TestKeyBounds:
     @pytest.mark.parametrize("key", sorted(config.KEYS))
     def test_key_past_its_bound_is_refused_by_name(self, tmp_path, capsys, readers, key, bound):
         limit = getattr(config.KEYS[key], bound)
-        past = math.nextafter(limit, math.inf if bound == "hi" else -math.inf)
+        if limit is None:  # no lower bound but "positive": zero is the first value refused
+            past = 0.0
+        else:
+            past = math.nextafter(limit, math.inf if bound == "hi" else -math.inf)
         cfg = write_config(tmp_path, full_config_with(key, repr(past)))
         for command in readers[key]:
             out = tmp_path / command

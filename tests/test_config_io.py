@@ -100,7 +100,7 @@ class TestConfigText:
     def test_every_default_lies_inside_its_bounds(self):
         for key, (default, lo, hi, _) in KEYS.items():
             if isinstance(default, (int, float)):
-                assert lo <= default <= hi, key
+                assert (default > 0 if lo is None else lo <= default) and default <= hi, key
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from asrrkit import active, noise, resonator, validate
+from asrrkit import active, config, noise, resonator, validate
 from asrrkit.oracle import solve_linear
 from asrrkit.resonator import SrrParams
 
@@ -22,7 +22,7 @@ def with_lam(st, lam):
 
 
 P_IN = 10e-6  # incident carrier power [W]
-T = noise.TEMPERATURE
+T = config.KEYS["temperature"].default
 DW = 2 * math.pi * 20e6  # sample-induced resonance offset [rad/s]
 
 
