@@ -1,5 +1,5 @@
 """Actively Q-boosted resonator: negative-transconductance loading,
-sample-induced response, large-signal compression and the nonlinear
+sample-induced resonance shift, large-signal compression and the nonlinear
 quality factor.
 
 The cross-coupled block partially cancels the ring loss: the parallel loss
@@ -16,8 +16,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .resonator import (SrrParams, TransmissionLineSection, absorbed_power_fraction,
-                        check_positive, coupling_ratio, loss_slope_factor, optimum_k_for_q,
-                        phase_slope_factor, require_positive)
+                        check_positive, coupling_ratio, optimum_k_for_q, require_positive)
 
 # Largest boost Q_on/Q_off a state accepts: the boost is carried as
 # 1 - gm*R, which keeps too few digits beyond this.
@@ -129,41 +128,13 @@ def q_on(state: AsrrState) -> float:
     return state.srr.q_off / (1.0 - state.gm.gm0 * state.srr.r_parallel())
 
 
-def loss_amplification(state: AsrrState, delta_r: float) -> float:
-    """Boosted-resistance shift for a ring-loss shift delta_r: the Q-boost
-    ratio squared amplifies it."""
-    return (q_on(state) / state.srr.q_off) ** 2 * delta_r
-
-
-@dataclass(frozen=True)
-class SampleResponse:
-    d_w0: float  # resonance shift [rad/s]
-    d_phase_slope: float  # phase-slope shift [s/rad]
-    d_phase_freq: float  # output phase shift via the resonance move [rad]
-    d_phase_slope_term: float  # output phase shift via the slope change [rad]
-
-
-def sample_response(state: AsrrState, delta_c: float, delta_r: float) -> SampleResponse:
-    """First-order pixel response to a sample that shifts the ring's
-    capacitance by delta_c [F] and its parallel loss by delta_r [ohm],
-    either sign; non-finite shifts raise ValueError.
-
-    d_w0 = -dC/(2C) * w0; the slope shift is LS*C*(Q_on/Q_off)^2*dR; the
-    output-phase terms are (P/2)*Q_on*(dC/C) and (LS/2)*(Q_on/Q_off)^2*w0*dR*dC;
-    LS and P are the loss- and phase-slope factors at state.rho, 10/9 and
-    2/3 matched.  Valid for |dC| << C.
-    """
-    if not (math.isfinite(delta_c) and math.isfinite(delta_r)):
-        raise ValueError("sample shifts must be finite")
-    c = state.srr.csrr
-    w0 = state.srr.w0
-    loss_slope = loss_slope_factor(state.rho)
-    d_r_boosted = loss_amplification(state, delta_r)
-    d_w0 = -delta_c / (2.0 * c) * w0
-    d_slope = loss_slope * c * d_r_boosted
-    d_phase_freq = (q_on(state) / (2.0 / phase_slope_factor(state.rho))) * (delta_c / c)
-    d_phase_slope_term = (loss_slope / 2.0) * w0 * d_r_boosted * delta_c
-    return SampleResponse(d_w0, d_slope, d_phase_freq, d_phase_slope_term)
+def resonance_shift(state: AsrrState, delta_c: float) -> float:
+    """First-order resonance shift -dC/(2C) * w0 [rad/s] for a sample that
+    shifts the ring's capacitance by delta_c [F], either sign; a non-finite
+    shift raises ValueError.  Valid for |dC| << C."""
+    if not math.isfinite(delta_c):
+        raise ValueError(f"delta_c must be finite, got {delta_c!r}")
+    return -delta_c / (2.0 * state.srr.csrr) * state.srr.w0
 
 
 def asrr_voltage_swing(state: AsrrState, p_in: float, q=None) -> float:

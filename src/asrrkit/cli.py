@@ -152,7 +152,9 @@ def cmd_noise(args, cfg):
     state = Pixel(cfg).state
     delta_omega_s = 2.0 * math.pi * read(cfg, "delta_f_s")
     q, w0 = active.q_on(state), state.srr.w0
-    offsets = np.geomspace(read(cfg, "offset_min"), read(cfg, "offset_max"), 31)
+    # Python floats: an extreme offset overflows a level to inf without a
+    # numpy warning, and the finite check below refuses it
+    offsets = np.geomspace(read(cfg, "offset_min"), read(cfg, "offset_max"), 31).tolist()
     white = noise.white_ssb_phase_noise(state, read(cfg, "p_in"), read(cfg, "temperature"))
     supply_psd = read(cfg, "supply_psd")  # off unless asked for
     if supply_psd is not None:

@@ -158,7 +158,7 @@ def pm_to_am_gain(srr: SrrParams, line: TransmissionLineSection, w_in, offset: f
     w = np.asarray(w_in, dtype=float)
     z = reflected_impedance(srr, line, w)
     yc = 1j * w * srr.csrr
-    dz = z * (2.0 / w - (1j * srr.lsrr - 1j * srr.csrr / yc**2) / srr_branch_impedance(srr, w))
+    dz = z * (2.0 / w - (1j * srr.lsrr - 1j * srr.csrr / yc / yc) / srr_branch_impedance(srr, w))
     d = z + 2.0 * line.z0
     with np.errstate(divide="ignore"):
         out = 20.0 * np.log10(np.abs(np.real(np.conj(d) * dz)) * offset / np.abs(d) ** 2)

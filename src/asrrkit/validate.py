@@ -310,7 +310,7 @@ def check_sensitivity_anchors(rng, fx: Fixture) -> list[Record]:
         return abs(val - ref) / abs(ref)
 
     # resonance shift per unit capacitance, against a numeric phase-zero root
-    slope = active.sample_response(state, 1e-18, 0.0).d_w0 / 1e-18
+    slope = active.resonance_shift(state, 1e-18) / 1e-18
     dc = 1e-3 * srr0.csrr
     fd = (_numeric_resonance(replace(srr0, csrr=srr0.csrr + dc), line, w0 * 0.9995)
           - _numeric_resonance(replace(srr0, csrr=srr0.csrr - dc), line, w0 * 1.0005)
@@ -341,7 +341,8 @@ def check_sensitivity_anchors(rng, fx: Fixture) -> list[Record]:
                     for srr, ln, _ in _random_off_locus(rng))
     records = [
         ("dw0/dC anchor", rel(slope, -5.35e25), 0.02),
-        ("dw0/dC fd", rel(slope, fd), 0.01),
+        # worst 6.3e-7: the difference's truncation (5/8)(dC/C)^2
+        ("dw0/dC fd", rel(slope, fd), 1e-4),
         ("dS/dR passive anchor", rel(anal_passive, 13e-15), 0.02),
         ("dS/dR passive fd", rel(fd_passive, anal_passive), 0.01),
         ("dS/dR boosted anchor", rel(anal_boost, 380e-15), 0.02),

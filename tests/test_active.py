@@ -8,7 +8,7 @@ import pytest
 from asrrkit import active
 from asrrkit.active import AsrrState, GmBlockParams
 from asrrkit.oracle import MeshCircuit, brent, time_avg_gm
-from asrrkit.resonator import MATCHED_RHO, SrrParams, absorbed_power_fraction, coupling_ratio
+from asrrkit.resonator import MATCHED_RHO, absorbed_power_fraction, coupling_ratio
 from asrrkit.validate import Fixture
 
 
@@ -60,69 +60,10 @@ class TestBoost:
                 with_gm0(st, loop / r)
 
 
-class TestLossAmplification:
-    def test_passive_limit(self, fx):
-        st = fx.at_q(fx.cfg["q_off"] * (1 + 1e-12)).state
-        assert active.loss_amplification(st, 1.0) == pytest.approx(1.0, rel=1e-9)
-
-    def test_reference_ratio(self, fx):
-        st = fx.state
-        assert active.loss_amplification(st, 1.0) == pytest.approx((54 / 10) ** 2, rel=1e-9)
-        assert active.loss_amplification(st, 1.0) == pytest.approx(29.16, rel=1e-6)
-
-    def test_against_derivative_of_boost(self, fx):
-        # d R_boost / d R_ring at fixed gm equals the squared boost ratio
-        st = fx.state
-        gm0 = st.gm.gm0
-        r0 = st.srr.r_parallel()
-        d = 1e-5
-
-        def boosted(r):
-            return r / (1.0 - gm0 * r)
-
-        fd = (boosted(r0 * (1 + d)) - boosted(r0 * (1 - d))) / (2 * d * r0)
-        assert fd == pytest.approx(active.loss_amplification(st, 1.0), rel=1e-3)
-
-
-class TestSampleResponse:
+class TestResonanceShift:
     def test_resonance_shift_anchor(self, fx):
         # dw0/dC = -w0/(2C) = -5.37e25 rad/(s F) for the 200 GHz pixel
-        st = fx.state
-        resp = active.sample_response(st, 1e-18, 0.0)
-        assert resp.d_w0 / 1e-18 == pytest.approx(-5.35e25, rel=0.02)
-
-    def test_slope_shift_anchors(self, fx):
-        st = fx.state
-        resp = active.sample_response(st, 0.0, 1.0)
-        # passive prefactor (10/9)*C = 13e-15, boosted by (54/10)^2 to 380e-15
-        assert resp.d_phase_slope / (54 / 10) ** 2 == pytest.approx(13e-15, rel=0.02)
-        assert resp.d_phase_slope == pytest.approx(380e-15, rel=0.02)
-
-    def test_phase_terms(self, fx):
-        st = fx.state
-        dc, dr = 1e-17, 2.0
-        resp = active.sample_response(st, dc, dr)
-        q = active.q_on(st)
-        assert resp.d_phase_freq == pytest.approx(q / 3 * dc / st.srr.csrr, rel=1e-12)
-        assert resp.d_phase_slope_term == pytest.approx(
-            (5 / 9) * (q / st.srr.q_off) ** 2 * st.srr.w0 * dr * dc, rel=1e-12
-        )
-
-    def test_phase_term_against_full_model(self, fx):
-        # capacitive shift of 1e-3 C: phase change of S21 at the original
-        # resonance matches (Q/3)(dC/C) within 2%
-        st = fx.state
-        line = fx.line
-        z0 = fx.line.z0
-        dc = 1e-3 * fx.ring.csrr
-        srr0 = fx.ring
-        srr_p = SrrParams(srr0.lsrr, srr0.csrr + dc, srr0.q_off, srr0.k)
-        from asrrkit.resonator import reflected_impedance
-
-        phase0 = -np.angle(reflected_impedance(srr0, line, fx.w0) + 2 * z0)
-        phase1 = -np.angle(reflected_impedance(srr_p, line, fx.w0) + 2 * z0)
-        predicted = active.sample_response(st, dc, 0.0).d_phase_freq
-        assert phase1 - phase0 == pytest.approx(predicted, rel=0.02)
+        assert active.resonance_shift(fx.state, 1e-18) / 1e-18 == pytest.approx(-5.35e25, rel=0.02)
 
 
 class TestVoltageSwing:
@@ -330,9 +271,9 @@ class TestNonlinearQ:
 
 class TestArgumentGuards:
     def test_sample_delta_must_be_finite(self, fx):
-        for shifts in ((math.nan, 0.0), (0.0, math.inf)):
-            with pytest.raises(ValueError, match="sample shifts must be finite"):
-                active.sample_response(fx.state, *shifts)
+        for delta_c in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="delta_c must be finite"):
+                active.resonance_shift(fx.state, delta_c)
 
     def test_negative_power_rejected(self, fx):
         with pytest.raises(ValueError, match="p_in"):

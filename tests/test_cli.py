@@ -291,7 +291,7 @@ class TestNoiseCmd:
         ("offset_min = 1e-300\noffset_max = 1e-290\ndelta_f_s = 1e100\n",
          "the flicker phase noise at offset 1e-300 Hz is inf dBc/Hz"),
     ])
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # the overflow refused
+    @pytest.mark.filterwarnings("error")  # the level overflows without a numpy warning
     def test_overflowing_level_refused(self, tmp_path, capsys, keys, message):
         out = tmp_path / "out"
         assert main(["noise", "--config", write_config(tmp_path, REFERENCE_CONFIG + keys),
@@ -919,14 +919,12 @@ class TestKeyBounds:
     def test_every_key_is_read(self, readers):
         assert [key for key, commands in readers.items() if not commands] == []
 
-    # p_in_points's bound is 1e6 rows of nonlin: about 40 s, 460 MB of peak
-    # memory and a 56 MB table, too much for this suite, so only its
-    # refusals past the bounds run here
-    @pytest.mark.parametrize("key", sorted(set(config.KEYS) - {"p_in_points"}))
-    def test_key_at_its_upper_bound_runs_clean(self, tmp_path, capsys, readers, key):
-        # each command runs, refuses the pixel or finds it infeasible, with
-        # no numpy warning and no non-finite number in a file
-        cfg = write_config(tmp_path, full_config_with(key, repr(config.KEYS[key].hi)))
+    @staticmethod
+    def runs_clean(tmp_path, capsys, readers, key, value):
+        """Each command that reads key runs with it at value, refuses the
+        pixel or finds it infeasible, with no numpy warning and no
+        non-finite number in a file."""
+        cfg = write_config(tmp_path, full_config_with(key, repr(value)))
         for command in readers[key]:
             out = tmp_path / command
             with warnings.catch_warnings(record=True) as caught:
@@ -937,6 +935,20 @@ class TestKeyBounds:
             numbers = written_numbers(out)
             assert all(map(math.isfinite, numbers)) and (numbers or code), command
             assert "Warning" not in capsys.readouterr().err
+
+    # p_in_points's bound is 1e6 rows of nonlin: about 40 s, 460 MB of peak
+    # memory and a 56 MB table, too much for this suite, so only its
+    # refusals past the bounds run here
+    @pytest.mark.parametrize("key", sorted(set(config.KEYS) - {"p_in_points"}))
+    def test_key_at_its_upper_bound_runs_clean(self, tmp_path, capsys, readers, key):
+        self.runs_clean(tmp_path, capsys, readers, key, config.KEYS[key].hi)
+
+    @pytest.mark.parametrize("key", sorted(config.KEYS))
+    def test_key_at_its_lower_bound_runs_clean(self, tmp_path, capsys, readers, key):
+        # the least value read accepts: lo, a count's 1, or 1e-300 for "positive"
+        default, lo = config.KEYS[key][:2]
+        low = 1 if isinstance(default, int) else 1e-300 if lo is None else lo
+        self.runs_clean(tmp_path, capsys, readers, key, low)
 
     @pytest.mark.parametrize("bound", ["lo", "hi"])
     @pytest.mark.parametrize("key", sorted(config.KEYS))

@@ -30,6 +30,7 @@ MUTANTS = [
     ("active", "asrr_voltage_swing", 1.001),
     ("active", "linear_power_limit", 1.01),
     ("active", "gm_avg_exact", 1.001),
+    ("active", "resonance_shift", 1.003),
     ("noise", "white_output_noise_density", 2.23),
     ("noise", "detected_power", 0.9),
     ("noise", "supply_sres_sensitivity", 1.5),
@@ -58,6 +59,7 @@ THRESHOLDS = {
     "flicker_rms": 1e-12,  # noise-laws
     "reflected_amplitude": 1e-11,  # design-roundtrip
     "loss_slope_factor": 1e-5,  # sensitivity-anchors
+    "resonance_shift": 1e-3,  # sensitivity-anchors
 }
 KILLED = [(module, law) for module, law, _ in MUTANTS if law not in SURVIVORS]
 
