@@ -144,7 +144,7 @@ def asrr_voltage_swing(state: AsrrState, p_in: float, q=None) -> float:
     incident power, 4/9 matched, so V = sqrt(2 * A * w0 * L * Q * p_in).
     q overrides the boosted quality factor (compressed operation).
     """
-    if p_in < 0:
+    if not p_in >= 0:
         raise ValueError("p_in must be non-negative")
     q_val = q_on(state) if q is None else q
     r_asrr = state.srr.w0 * state.srr.lsrr * q_val
@@ -162,7 +162,7 @@ def linear_power_limit(state: AsrrState) -> float:
 def conduction_angle(v_asrr: float, vth: float) -> float:
     """Half-angle of the triode excursion per half cycle [rad]: zero until
     the swing exceeds vth, then arccos(vth/v)."""
-    if v_asrr < 0:
+    if not v_asrr >= 0:
         raise ValueError("v_asrr must be non-negative")
     if v_asrr <= vth:
         return 0.0
@@ -224,7 +224,7 @@ def q_on_nonlinear(state: AsrrState, p_in: float):
     p_in = 27*(Q_on/Q_off)*linear_power_limit, with the default vdd and
     vth), Q falls below Q_off, which the block cannot do: ValueError.
     """
-    if p_in <= 0:
+    if not p_in > 0:
         raise ValueError("p_in must be positive")
     p = state.gm
     check_compression_domain(p)

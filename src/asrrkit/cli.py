@@ -36,7 +36,7 @@ import sys
 import numpy as np
 
 from . import __version__, active, resonator
-from .config import KEYS, ConfigError, Pixel, parse_config_file, read
+from .config import DRIVE_SPAN, KEYS, ConfigError, Pixel, parse_config_file, read
 from .sweepio import (NOISE_COLUMNS, fmt, keyvalue_lines, table_csv_lines, write_sweep,
                       write_text_files)
 
@@ -44,29 +44,26 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 
-GRID_POINTS_PER_BANDWIDTH = 100  # keeps spacing <= w0/(100*Q)
 
 def _say(args, msg):
     if not args.quiet:
         print(msg)
 
 
-def _outdir(args) -> str:
+def _commit(args, files, note=None, write=None):
+    """Write files, a dict from file name to what write takes for it, into
+    the output directory as one commit by write(a dict from path to that),
+    say so, and return EXIT_OK.  write defaults to write_text_files, which
+    takes text lines, looked up at the call so that a wrapper of the module
+    name sees it.  The directory is made only once a command's rows exist,
+    so a failure leaves no file."""
     out = args.out or os.environ.get("ASRRKIT_OUT") or "."
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot use output directory {out}: {exc.strerror}") from exc
-    return out
-
-
-def _commit(args, files, note=None):
-    """Write files, a dict from file name to its text lines, into the output
-    directory as one commit, say so, and return EXIT_OK.  The directory is
-    made only once a command's rows exist, so a failure leaves no file."""
-    out = _outdir(args)
-    paths = {os.path.join(out, name): lines for name, lines in files.items()}
-    write_text_files(paths)
+    paths = {os.path.join(out, name): value for name, value in files.items()}
+    (write or write_text_files)(paths)
     _say(args, f"wrote {', '.join(paths)}" + (f"; {note}" if note else ""))
     return EXIT_OK
 
@@ -85,7 +82,7 @@ def _grid(args, w0, q) -> np.ndarray:
             raise ConfigError("grid needs 0 < START < STOP and N >= 2")
         return 2.0 * np.pi * np.linspace(f_lo, f_hi, n)
     try:
-        return resonator.auto_grid(w0, q, 3.0, GRID_POINTS_PER_BANDWIDTH)
+        return resonator.auto_grid(w0, q)
     except ValueError as exc:
         raise ConfigError(f"{exc}; give sweep a --grid") from None
 
@@ -97,10 +94,6 @@ def cmd_sweep(args, cfg):
     sweep = resonator.s_parameters(srr, pixel.line, grid)
     if not (np.all(np.isfinite(sweep.s11)) and np.all(np.isfinite(sweep.s21))):
         raise ConfigError("sweep S-parameters must be finite: the model overflows on this grid")
-    out = _outdir(args)
-    paths = {kind: os.path.join(out, f"sweep.{kind}")
-             for kind in ("csv", "s2p") if args.format in (kind, "both")}
-    write_sweep(sweep, paths)
     if grid[0] <= srr.w0 <= grid[-1]:
         i0 = int(np.argmin(np.abs(grid - srr.w0)))
         s21_db = 20.0 * math.log10(abs(sweep.s21[i0]))
@@ -108,8 +101,9 @@ def cmd_sweep(args, cfg):
     else:
         at_ring = (f"ring resonance {srr.w0 / 2 / math.pi:g} Hz is outside the grid "
                    f"{grid[0] / 2 / math.pi:g}..{grid[-1] / 2 / math.pi:g} Hz")
-    _say(args, f"wrote {', '.join(paths.values())}; {at_ring}")
-    return EXIT_OK
+    kinds = {f"sweep.{kind}": kind for kind in ("csv", "s2p") if args.format in (kind, "both")}
+    return _commit(args, kinds, at_ring, write=lambda paths: write_sweep(
+        sweep, {kind: path for path, kind in paths.items()}))
 
 
 def cmd_match(args, cfg):
@@ -135,8 +129,9 @@ def cmd_nonlin(args, cfg):
     state = Pixel(cfg).state
     p_lin = active.linear_power_limit(state)
     rows = []
-    for p_in in np.geomspace(read(cfg, "p_in_min") or 0.01 * p_lin,
-                             read(cfg, "p_in_max") or 30.0 * p_lin, read(cfg, "p_in_points")):
+    lo, hi = DRIVE_SPAN
+    for p_in in np.geomspace(read(cfg, "p_in_min") or lo * p_lin,
+                             read(cfg, "p_in_max") or hi * p_lin, read(cfg, "p_in_points")):
         v_lin = active.asrr_voltage_swing(state, p_in)
         q_nl, v_nl = active.q_on_nonlinear(state, p_in)
         rows.append((p_in, v_lin, v_nl, q_nl))

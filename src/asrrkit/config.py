@@ -34,6 +34,10 @@ class Key(NamedTuple):
     state: str | None = None
 
 
+# nonlin's default drives, in units of the pixel's linear_power_limit: the
+# span validate's nonlinear-gm check drives too
+DRIVE_SPAN = (0.01, 30.0)
+
 _TARGETS = AsrrState.from_targets.__kwdefaults__  # its vdd and vth defaults
 
 # every key some command reads, so that one config can serve all of them;
@@ -49,7 +53,7 @@ KEYS = {
     "k_wl": Key(None, state="k_wl"), "kf": Key(GmBlockParams.kf, state="kf"),
     "gamma": Key(GmBlockParams.gamma, state="gamma"),
     "lambda": Key(GmBlockParams.lam, lo=0.0, state="lam"),
-    # nonlin
+    # nonlin: absent p_in_min and p_in_max span DRIVE_SPAN
     "p_in_min": Key(None), "p_in_max": Key(None), "p_in_points": Key(41, hi=1e6),
     # noise
     "p_in": Key(10e-6), "temperature": Key(290.0), "delta_f_s": Key(20e6, lo=-CAP),

@@ -24,7 +24,8 @@ from .active import MAX_BOOST, AsrrState, gm_for_boost, linear_power_limit
 from .config import KEYS
 from .noise import alpha_flicker, check_flicker_band, flicker_rms, snr_delta_c, snr_delta_r
 
-# the deepest accepted loss reduction: 200 quarterings of the ceiling value
+# the deepest accepted loss reduction: a closed-form shrink of the ceiling
+# loss below it is refused as "snr targets"
 _SHRINK_FLOOR = 4.0**-200
 
 # vanishing intrinsic share kept so downstream models see a finite ring

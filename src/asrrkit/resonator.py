@@ -213,19 +213,19 @@ def s_parameters(srr: SrrParams, line: TransmissionLineSection, freqs, z0_ref=No
     return TwoPortSweep(freqs=freqs, s11=s11, s21=s21, z0_ref=z0_ref)
 
 
-def auto_grid(w0: float, q: float, half_span: float, points_per_bandwidth: float) -> np.ndarray:
-    """Grid of 2*round(half_span*points_per_bandwidth) + 1 points symmetric
-    about w0: half_span bandwidths w0/q either side, so its spacing is
-    w0/(points_per_bandwidth * q) when half_span*points_per_bandwidth is
-    whole.  A q whose step falls below the spacing of doubles across the
-    grid is refused: its points would not stay distinct."""
-    span = half_span * w0 / q
+def auto_grid(w0: float, q: float, points_per_bandwidth: float = 100.0) -> np.ndarray:
+    """The automatic grid: three bandwidths w0/q either side of w0 in
+    2*round(3*points_per_bandwidth) + 1 points, so its spacing is
+    w0/(points_per_bandwidth * q) when 3*points_per_bandwidth is whole: 601
+    points by default.  A q whose step falls below the spacing of doubles
+    across the grid is refused: its points would not stay distinct."""
+    span = 3.0 * w0 / q
     step = w0 / (points_per_bandwidth * q)
     if not step >= math.ulp(w0 + span):
         raise ValueError(f"Q = {q:g} is too high for an automatic grid: its step "
                          f"w0/({points_per_bandwidth:g}*Q) = {step:.3g} rad/s is below the "
                          f"spacing of doubles at w0, {math.ulp(w0 + span):.3g} rad/s")
-    return np.linspace(w0 - span, w0 + span, 2 * round(half_span * points_per_bandwidth) + 1)
+    return np.linspace(w0 - span, w0 + span, 2 * round(3.0 * points_per_bandwidth) + 1)
 
 
 def optimum_q_for_k(k: float, line: TransmissionLineSection, w0: float) -> float:
@@ -238,8 +238,7 @@ def optimum_q_for_k(k: float, line: TransmissionLineSection, w0: float) -> float
 
 def optimum_k_for_q(q_on: float, line: TransmissionLineSection, w0: float) -> float:
     """Coupling coefficient that matches the given boosted quality factor."""
-    if q_on <= 0:
-        raise ValueError("q_on must be positive")
+    require_positive(q_on=q_on)
     k = 1.0 / math.sqrt(line.beta_l(w0) * q_on)
     if k >= 1.0:
         raise ValueError(f"coupling unrealizable: matching Q={q_on:g} needs k={k:.3f} >= 1")
@@ -254,7 +253,7 @@ def array_insertion_loss(n: int, srr: SrrParams, line: TransmissionLineSection) 
     Linear superposition of single-pixel losses; cascading effects between
     pixels are not modeled.
     """
-    if n < 0:
+    if not n >= 0:
         raise ValueError("pixel count must be non-negative")
     return n * reflected_amplitude(coupling_ratio(srr, line))
 
@@ -266,11 +265,9 @@ def k_max_for_il(
     insertion loss within the budget (amplitude fraction)."""
     if not 0.0 < il_budget < 1.0:
         raise ValueError("il_budget must lie in (0, 1)")
-    if n < 1:
+    if not n >= 1:
         raise ValueError("need at least one pixel")
     per_pixel = il_budget / n
-    if per_pixel >= 1.0:
-        raise ValueError("per-pixel loss budget must be below 1")
     r_off = 2.0 * line.z0 * per_pixel / (1.0 - per_pixel)
     return math.sqrt(r_off / (w0 * q_off * line.ltl))
 
@@ -330,7 +327,7 @@ def detection_band(w0: float, q_on: float):
     (w_hi^2 - w_lo^2)/(w_hi + w_lo), not as the difference of two edges
     near w0, which would cancel about log10(Q) digits.
     """
-    if q_on <= 1.0:
+    if not q_on > 1.0:
         raise ValueError("detection band needs q_on > 1")
     a = 1.0 / (q_on * q_on)
     half = (1.0 / q_on) * math.sqrt(4.0 + a)

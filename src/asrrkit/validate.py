@@ -21,7 +21,7 @@ import numpy as np
 
 from . import active, noise, oracle, resonator
 from .active import AsrrState
-from .config import KEYS, Pixel, parse_config_text
+from .config import DRIVE_SPAN, KEYS, Pixel, parse_config_text
 from .design import DesignSpec, InfeasibleDesignError, synthesize
 from .resonator import SrrParams, TransmissionLineSection
 
@@ -36,7 +36,6 @@ Q_ON_MAX = 1e4
 # detection-band check a pixel: on the reference (q_base = q_off = 10)
 # Q_on = 20, 50, 100 and 250
 Q_LADDER = (2.0, 5.0, 10.0, 25.0)
-NONLIN_DRIVE_MAX = 30.0  # nonlinear-gm's top drive / p_in_lin, nonlin's default
 Record = tuple[str, float, float]  # (metric, value, tol)
 # A tol commented "worst X" is 100 X rounded up to a power of ten (1e-12
 # for X = 0), X the worst value over seeds 1-60, 7129031 and SEED and over
@@ -154,10 +153,8 @@ def check_matched_anchor(rng, fx: Fixture) -> list[Record]:
     cases = [(fx.ring, fx.line, fx.w0)]
     cases += [_random_matched(rng) for _ in range(100)]
     for srr, line, w0 in cases:
-        z0 = line.z0
-        z = resonator.reflected_impedance(srr, line, w0)
-        s11 = abs(z / (z + 2.0 * z0))
-        s21_db = 20.0 * math.log10(abs(2.0 * z0 / (z + 2.0 * z0)))
+        s11, s21 = resonator.series_s(resonator.reflected_impedance(srr, line, w0), line.z0)
+        s11, s21_db = abs(s11), 20.0 * math.log10(abs(s21))
         worst_s11 = max(worst_s11, abs(s11 - 1.0 / 3.0))
         worst_s21 = max(worst_s21, abs(s21_db - TWO_THIRDS_DB))
     return [("max ||S11|-1/3|", worst_s11, 1e-13),  # worst 2.8e-16
@@ -391,7 +388,7 @@ def check_detection_band(rng, fx: Fixture) -> list[Record]:
         fxq = fx.at_q(q)
         w0 = fxq.w0
         w_lo, w_hi, bw = resonator.detection_band(w0, q)
-        grid = resonator.auto_grid(w0, q, 3.0, 100.0)
+        grid = resonator.auto_grid(w0, q)
         phase = resonator.detection_phase(fxq.ring, fxq.line, grid)
         roots = oracle.derivative_sign_roots(grid, phase)
         if len(roots) < 2:
@@ -417,7 +414,7 @@ def check_nonlinear_gm(rng, fx: Fixture) -> list[Record]:
     q_lin = active.q_on(state)
     worst_lin = 0.0
     qs = []
-    for p_in in np.geomspace(0.01 * p_lin, NONLIN_DRIVE_MAX * p_lin, 25):
+    for p_in in np.geomspace(DRIVE_SPAN[0] * p_lin, DRIVE_SPAN[1] * p_lin, 25):
         q_nl, v = active.q_on_nonlinear(state, p_in)
         qs.append(q_nl)
         if p_in <= p_lin:
@@ -444,7 +441,8 @@ def check_noise_laws(rng, fx: Fixture) -> list[Record]:
     err_fl = abs(r_fl / qq - 1.0)
     err_sp = abs(r_sp / qq - 1.0)
 
-    dw, p_in, temp = 2.0 * math.pi * 20e6, 10e-6, KEYS["temperature"].default
+    dw = 2.0 * math.pi * KEYS["delta_f_s"].default
+    p_in, temp = KEYS["p_in"].default, KEYS["temperature"].default
     flicker_1k = noise.flicker_phase_noise(st2, dw, 1e3)
     err_double = abs(noise.flicker_phase_noise(st2, 2.0 * dw, 1e3) - flicker_1k
                      - 10.0 * math.log10(4.0))
@@ -489,7 +487,7 @@ def check_pm_to_am(rng, fx: Fixture) -> list[Record]:
     """
     srr, line, w0 = fx.ring, fx.line, fx.w0
     circ = oracle.MeshCircuit.from_parts(srr, line)
-    grid = resonator.auto_grid(w0, srr.q_off, 3.0, 200.0)
+    grid = resonator.auto_grid(w0, srr.q_off, 200.0)
     step, h, offset = grid[1] - grid[0], 1e-4 * w0 / srr.q_off, 2.0 * math.pi * 1e6
     w = np.stack([grid - h, grid + h], axis=1).ravel()  # increasing: h << step
     mesh = np.abs(1.0 / (1.0 / oracle.sweep_two_port(circ, w).s21
@@ -525,7 +523,7 @@ def check_snr_invariance(rng, fx: Fixture) -> list[Record]:
     state = fx.state
     band = KEYS["f_lo"].default, KEYS["f_hi"].default
     snr_c = noise.snr_delta_c(state, band)
-    snr_r = noise.snr_delta_r(state, band, 1.0)
+    snr_r = noise.snr_delta_r(state, band, KEYS["delta_r_ref"].default)
     # signal slopes: the matched phase slope per unit capacitive detuning,
     # and per ohm of ring loss the boosted-loss sensitivity referred to the
     # ring through dR_boosted/dR = (Q_on/Q_off)^2
@@ -565,7 +563,7 @@ def reference_design_spec() -> DesignSpec:
         il_budget=resonator.array_insertion_loss(1, unboosted, fx.line),
         snr_dc_target=500.0,
         snr_dr_target=10.0,
-        delta_r_ref=1.0,
+        delta_r_ref=KEYS["delta_r_ref"].default,
         z0=fx.line.z0,
         line=fx.line,
         kn=250e-6,
@@ -658,10 +656,10 @@ def run_all(config: dict | None = None, seed: int = SEED) -> list[CheckResult]:
     whose Q_on is above Q_ON_MAX, raises ValueError before any check runs."""
     fx = Fixture(config)
     active.check_compression_domain(fx.state.gm)
-    try:  # a boost under about 1.1 compresses Q below q_off by this drive
-        active.q_on_nonlinear(fx.state, NONLIN_DRIVE_MAX * active.linear_power_limit(fx.state))
+    try:  # a boost under about 1.1 compresses Q below q_off by nonlin's top drive
+        active.q_on_nonlinear(fx.state, DRIVE_SPAN[1] * active.linear_power_limit(fx.state))
     except ValueError as exc:
-        raise ValueError(f"nonlinear-gm drives the pixel to {NONLIN_DRIVE_MAX:g} x "
+        raise ValueError(f"nonlinear-gm drives the pixel to {DRIVE_SPAN[1]:g} x "
                          f"p_in_lin: {exc}") from None
     q = active.q_on(fx.state)
     if not q <= Q_ON_MAX:

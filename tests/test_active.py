@@ -8,7 +8,8 @@ import pytest
 from asrrkit import active
 from asrrkit.active import AsrrState, GmBlockParams
 from asrrkit.oracle import MeshCircuit, brent, time_avg_gm
-from asrrkit.resonator import MATCHED_RHO, absorbed_power_fraction, coupling_ratio
+from asrrkit.resonator import (MATCHED_RHO, absorbed_power_fraction, array_insertion_loss,
+                               coupling_ratio, detection_band, k_max_for_il, optimum_k_for_q)
 from asrrkit.validate import Fixture
 
 
@@ -284,6 +285,25 @@ class TestArgumentGuards:
     def test_negative_swing_rejected(self):
         with pytest.raises(ValueError, match="v_asrr"):
             active.conduction_angle(-0.1, 0.3)
+
+    @pytest.mark.parametrize("law, message", [
+        (lambda fx: optimum_k_for_q(math.nan, fx.line, fx.w0), "q_on must be positive"),
+        (lambda fx: optimum_k_for_q(math.inf, fx.line, fx.w0), "q_on must be positive"),
+        (lambda fx: detection_band(fx.w0, math.nan), "q_on > 1"),
+        (lambda fx: array_insertion_loss(math.nan, fx.ring, fx.line), "pixel count"),
+        (lambda fx: k_max_for_il(0.1, math.nan, fx.line, fx.q_off, fx.w0), "at least one pixel"),
+        (lambda fx: active.asrr_voltage_swing(fx.state, math.nan), "p_in"),
+        (lambda fx: active.conduction_angle(math.nan, 0.3), "v_asrr"),
+        (lambda fx: active.gm_avg_exact(math.nan, fx.state.gm), "v_asrr"),
+        (lambda fx: active.q_on_nonlinear(fx.state, math.nan), "p_in"),
+    ], ids=["optimum_k_for_q-nan", "optimum_k_for_q-inf", "detection_band", "array_insertion_loss",
+            "k_max_for_il", "asrr_voltage_swing", "conduction_angle", "gm_avg_exact",
+            "q_on_nonlinear"])
+    def test_nan_fails_each_law_guard(self, fx, law, message):
+        # a bare x < 0 guard lets NaN through to a NaN result; an infinite
+        # q_on would match at k = 0
+        with pytest.raises(ValueError, match=message):
+            law(fx)
 
     def test_gm_params_validation(self):
         with pytest.raises(ValueError, match="vth"):

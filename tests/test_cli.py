@@ -789,6 +789,14 @@ class TestConfigKeys:
             assert "oscillation: loop gain >= 1" in err and "ignores" not in err
         assert not (tmp_path / "snr.txt").exists()
 
+    @pytest.mark.parametrize("q_on, code", [("10.5", 1), ("11", 1), ("11.5", 0), ("54", 0)])
+    def test_nonlin_and_validate_refuse_the_same_boosts(self, tmp_path, q_on, code):
+        # validate drives nonlinear-gm up to nonlin's default top drive, so a
+        # boost that drive compresses below q_off is refused by both or neither
+        cfg = write_config(tmp_path, REFERENCE_CONFIG.replace("q_on = 54", f"q_on = {q_on}"))
+        assert [main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"])
+                for command in ("nonlin", "validate")] == [code, code]
+
     def test_validate_checks_the_state_snr_reports(self, tmp_path, monkeypatch):
         text = (REFERENCE_CONFIG.replace("lsrr = 54.12456 pH", "lsrr = 60 pH")
                 .replace("q_on = 54", "gm0 = 1 mS") + "c_asrr = 12 fF\nk_wl = 2 mA/V^2\n")
