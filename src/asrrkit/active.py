@@ -164,6 +164,7 @@ def conduction_angle(v_asrr: float, vth: float) -> float:
     the swing exceeds vth, then arccos(vth/v)."""
     if not v_asrr >= 0:
         raise ValueError("v_asrr must be non-negative")
+    require_positive(vth=vth)
     if v_asrr <= vth:
         return 0.0
     return math.acos(vth / v_asrr)

@@ -204,15 +204,10 @@ def cmd_snr(args, cfg):
 
 
 def cmd_design(args, cfg):
-    from .design import DesignSpec, InfeasibleDesignError, synthesize
+    from .design import InfeasibleDesignError, synthesize
 
-    line = Pixel(cfg).line
-    # every field but the line and the band is the config key of its name
-    spec = DesignSpec(line=line, flicker_band=(read(cfg, "f_lo"), read(cfg, "f_hi")),
-                      **{f.name: read(cfg, f.name) for f in dataclasses.fields(DesignSpec)
-                         if f.name in KEYS})
     try:
-        result = synthesize(spec)
+        result = synthesize(Pixel(cfg).spec)
     except InfeasibleDesignError as exc:
         print(f"infeasible: binding constraint = {exc.constraint}; {exc.detail}",
               file=sys.stderr)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -165,9 +166,9 @@ def read(cfg: dict, key: str):
 class Pixel:
     """The pixel a config describes, built this one way by every command
     and by the validation suite: the host line at f0 from z0 and beta_l,
-    which keeps the z0 every port is referenced to.  The ring and the active state
-    are built when first read, so a command that needs only the line reads
-    no pixel keys."""
+    which keeps the z0 every port is referenced to.  The ring, the active
+    state and the design spec are built when first read, so a command that
+    needs only the line reads no pixel keys."""
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
@@ -179,6 +180,17 @@ class Pixel:
         """The active pixel: q_off boosted by gm0 or to q_on."""
         targets = {key.state: read(self.cfg, name) for name, key in KEYS.items() if key.state}
         return AsrrState.from_targets(line=self.line, **targets)
+
+    @cached_property
+    def spec(self):
+        """The design.DesignSpec to synthesize: every field but the line and
+        the flicker band (f_lo, f_hi) is the config key of its name."""
+        from .design import DesignSpec  # design reads KEYS, so it loads after this module
+
+        cfg = self.cfg
+        return DesignSpec(line=self.line, flicker_band=(read(cfg, "f_lo"), read(cfg, "f_hi")),
+                          **{f.name: read(cfg, f.name) for f in fields(DesignSpec)
+                             if f.name in KEYS})
 
     @cached_property
     def ring(self) -> SrrParams:

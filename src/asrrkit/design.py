@@ -52,7 +52,7 @@ class DesignSpec:
     snr_dc_target: float  # SNR target for capacitive shifts
     snr_dr_target: float  # SNR target for loss shifts
     delta_r_ref: float  # reference loss shift for the SNR target [ohm]
-    z0: float  # line impedance [ohm]
+    z0: float  # line impedance [ohm]: line.z0, the only value accepted
     line: TransmissionLineSection
     kn: float  # NMOS gain factor K [A/V^2] at unit W/L
     kp: float  # PMOS gain factor K [A/V^2] at unit W/L
@@ -69,6 +69,8 @@ class DesignSpec:
             raise ValueError("il_budget must lie in (0, 1)")
         check_positive(self, "f0", "snr_dc_target", "snr_dr_target", "delta_r_ref", "z0",
                        "kn", "kp", "vth", "vdd", "kf_area", "c_per_area", "l_srr_max", "q_off")
+        if self.z0 != self.line.z0:
+            raise ValueError(f"z0 = {self.z0!r} differs from the line's z0 = {self.line.z0!r}")
         check_flicker_band(self.flicker_band)
         if not self.n_pixels >= 1:  # NaN fails too
             raise ValueError("n_pixels must be at least 1")

@@ -219,6 +219,7 @@ def auto_grid(w0: float, q: float, points_per_bandwidth: float = 100.0) -> np.nd
     w0/(points_per_bandwidth * q) when 3*points_per_bandwidth is whole: 601
     points by default.  A q whose step falls below the spacing of doubles
     across the grid is refused: its points would not stay distinct."""
+    require_positive(w0=w0, q=q)
     span = 3.0 * w0 / q
     step = w0 / (points_per_bandwidth * q)
     if not step >= math.ulp(w0 + span):
@@ -233,12 +234,13 @@ def optimum_q_for_k(k: float, line: TransmissionLineSection, w0: float) -> float
     the given coupling: beta_l * k^2 * Q = 1."""
     if not 0.0 < k < 1.0:
         raise ValueError("k must lie in (0, 1)")
+    require_positive(w0=w0)
     return 1.0 / (line.beta_l(w0) * k * k)
 
 
 def optimum_k_for_q(q_on: float, line: TransmissionLineSection, w0: float) -> float:
     """Coupling coefficient that matches the given boosted quality factor."""
-    require_positive(q_on=q_on)
+    require_positive(q_on=q_on, w0=w0)
     k = 1.0 / math.sqrt(line.beta_l(w0) * q_on)
     if k >= 1.0:
         raise ValueError(f"coupling unrealizable: matching Q={q_on:g} needs k={k:.3f} >= 1")
@@ -267,6 +269,7 @@ def k_max_for_il(
         raise ValueError("il_budget must lie in (0, 1)")
     if not n >= 1:
         raise ValueError("need at least one pixel")
+    require_positive(q_off=q_off, w0=w0)
     per_pixel = il_budget / n
     r_off = 2.0 * line.z0 * per_pixel / (1.0 - per_pixel)
     return math.sqrt(r_off / (w0 * q_off * line.ltl))
@@ -329,6 +332,7 @@ def detection_band(w0: float, q_on: float):
     """
     if not q_on > 1.0:
         raise ValueError("detection band needs q_on > 1")
+    require_positive(w0=w0)
     a = 1.0 / (q_on * q_on)
     half = (1.0 / q_on) * math.sqrt(4.0 + a)
     w_hi = w0 * math.sqrt((2.0 + a + half) / 2.0)

@@ -553,28 +553,15 @@ def check_snr_invariance(rng, fx: Fixture) -> list[Record]:
 
 
 def reference_design_spec() -> DesignSpec:
-    """A spec whose synthesis lands on the reference pixel (Q 10 -> 54)."""
+    """A spec whose synthesis lands on the reference pixel (Q 10 -> 54): its
+    loss budget and inductance ceiling are the unboosted ring's own."""
     fx = Fixture()
-    state = fx.state
-    unboosted = state.srr
-    return DesignSpec(
-        f0=fx.cfg["f0"],
-        n_pixels=1,
-        il_budget=resonator.array_insertion_loss(1, unboosted, fx.line),
-        snr_dc_target=500.0,
-        snr_dr_target=10.0,
-        delta_r_ref=KEYS["delta_r_ref"].default,
-        z0=fx.line.z0,
-        line=fx.line,
-        kn=250e-6,
-        kp=250e-6,
-        vth=state.gm.vth,
-        vdd=state.gm.vdd,
-        kf_area=3.9e-23,
-        c_per_area=0.015,
-        l_srr_max=unboosted.lsrr,
-        q_off=unboosted.q_off,
-    )
+    return Fixture({
+        "snr_dc_target": 500.0, "snr_dr_target": 10.0, "kn": 250e-6, "kp": 250e-6,
+        "kf_area": 3.9e-23, "c_per_area": 0.015,
+        "il_budget": resonator.array_insertion_loss(1, fx.state.srr, fx.line),
+        "l_srr_max": fx.state.srr.lsrr,
+    }).spec
 
 
 def check_design_roundtrip(rng, fx: Fixture) -> list[Record]:

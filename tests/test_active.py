@@ -9,7 +9,8 @@ from asrrkit import active
 from asrrkit.active import AsrrState, GmBlockParams
 from asrrkit.oracle import MeshCircuit, brent, time_avg_gm
 from asrrkit.resonator import (MATCHED_RHO, absorbed_power_fraction, array_insertion_loss,
-                               coupling_ratio, detection_band, k_max_for_il, optimum_k_for_q)
+                               auto_grid, coupling_ratio, detection_band, k_max_for_il,
+                               optimum_k_for_q, optimum_q_for_k)
 from asrrkit.validate import Fixture
 
 
@@ -296,12 +297,25 @@ class TestArgumentGuards:
         (lambda fx: active.conduction_angle(math.nan, 0.3), "v_asrr"),
         (lambda fx: active.gm_avg_exact(math.nan, fx.state.gm), "v_asrr"),
         (lambda fx: active.q_on_nonlinear(fx.state, math.nan), "p_in"),
+        # the laws' other arguments: w0, q_off and vth
+        (lambda fx: detection_band(math.nan, 54.0), "w0 must be positive"),
+        (lambda fx: detection_band(-1e12, 54.0), "w0 must be positive"),
+        (lambda fx: k_max_for_il(0.1, 1, fx.line, math.nan, fx.w0), "q_off must be positive"),
+        (lambda fx: k_max_for_il(0.1, 1, fx.line, fx.q_off, math.nan), "w0 must be positive"),
+        (lambda fx: optimum_k_for_q(54.0, fx.line, math.nan), "w0 must be positive"),
+        (lambda fx: optimum_q_for_k(0.2, fx.line, math.nan), "w0 must be positive"),
+        (lambda fx: active.conduction_angle(0.5, math.nan), "vth must be positive"),
+        (lambda fx: auto_grid(math.nan, 54.0), "w0 must be positive"),
+        (lambda fx: auto_grid(fx.w0, math.nan), "q must be positive"),
     ], ids=["optimum_k_for_q-nan", "optimum_k_for_q-inf", "detection_band", "array_insertion_loss",
             "k_max_for_il", "asrr_voltage_swing", "conduction_angle", "gm_avg_exact",
-            "q_on_nonlinear"])
+            "q_on_nonlinear", "detection_band-w0-nan", "detection_band-w0-negative",
+            "k_max_for_il-q_off", "k_max_for_il-w0", "optimum_k_for_q-w0", "optimum_q_for_k-w0",
+            "conduction_angle-vth", "auto_grid-w0", "auto_grid-q"])
     def test_nan_fails_each_law_guard(self, fx, law, message):
         # a bare x < 0 guard lets NaN through to a NaN result; an infinite
-        # q_on would match at k = 0
+        # q_on would match at k = 0; auto_grid names a NaN w0 or q before
+        # its spacing test would blame the Q
         with pytest.raises(ValueError, match=message):
             law(fx)
 

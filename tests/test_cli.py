@@ -114,6 +114,9 @@ class TestSweep:
         ("nan:1e9:3", "--grid START must be finite"), ("-inf:1e9:3", "--grid START must be finite"),
         # finite bounds, but (w*M)^2 overflows at 1e300 Hz
         ("1e9:1e300:3", "sweep S-parameters must be finite"),
+        # finite, but not a grid: descending, one point, from zero, empty span
+        *((grid, "grid needs 0 < START < STOP and N >= 2")
+          for grid in ("2e11:1e11:11", "1e11:2e11:1", "0:1e11:11", "1e11:1e11:5")),
     ])
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_grid_that_would_write_non_finite_rows_is_refused(self, tmp_path, capsys, grid,

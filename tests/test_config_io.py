@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import os
@@ -12,6 +13,7 @@ import pytest
 
 from asrrkit import sweepio
 from asrrkit.config import KEYS, ConfigError, parse_config_text, parse_quantity, read
+from asrrkit.design import DesignSpec
 from asrrkit.resonator import TwoPortSweep, s_parameters
 from asrrkit.sweepio import (
     CHUNK_ROWS,
@@ -101,6 +103,12 @@ class TestConfigText:
         for key, (default, lo, hi, _) in KEYS.items():
             if isinstance(default, (int, float)):
                 assert (default > 0 if lo is None else lo <= default) and default <= hi, key
+
+    def test_every_design_spec_field_but_line_and_band_is_a_key(self):
+        # Pixel.spec reads each by its key name: a field with no key would
+        # reach `asrrkit design` as a TypeError traceback
+        names = {f.name for f in dataclasses.fields(DesignSpec)} - {"line", "flicker_band"}
+        assert names - KEYS.keys() == set()
 
 
 @pytest.fixture

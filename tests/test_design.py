@@ -198,6 +198,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             dataclasses.replace(spec, n_pixels=0)
 
+    def test_z0_other_than_the_lines_rejected(self, spec):
+        # nothing reads spec.z0 beside its line's, so a second value is refused
+        with pytest.raises(ValueError, match=r"z0 = 75\.0 differs from the line's z0 = 50\.0"):
+            dataclasses.replace(spec, z0=75.0)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("name", ["f0", "il_budget", "snr_dc_target", "kn", "vdd",
                                       "l_srr_max", "q_off"])

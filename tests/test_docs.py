@@ -1,5 +1,6 @@
-"""The README's library quick start runs against the package as it is, and
-its table of config keys is config.KEYS."""
+"""The README's library quick start runs against the package as it is, its
+table of config keys is config.KEYS, and its example config is the
+reference one."""
 
 import os
 import re
@@ -8,7 +9,9 @@ import sys
 from pathlib import Path
 
 import asrrkit
-from asrrkit.config import KEYS, REQUIRED
+from asrrkit.config import KEYS, REQUIRED, parse_config_text
+from asrrkit.validate import REFERENCE_CONFIG
+from test_cli import REFERENCE_CONFIG as CLI_REFERENCE_CONFIG
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -31,3 +34,11 @@ def test_readme_key_table_is_the_config_table():
     expect = {key: "absent" if default is None else default if default is REQUIRED
               else f"{default:g}" for key, (default, *_) in KEYS.items()}
     assert rows == expect
+
+
+def test_example_configs_are_the_reference_config():
+    # the README's example and the CLI tests' config are copies of
+    # validate's, which the suite checks
+    (example,) = re.findall(r"^```ini\n(.*?)^```", README.read_text(), re.S | re.M)
+    assert parse_config_text(example) == REFERENCE_CONFIG
+    assert parse_config_text(CLI_REFERENCE_CONFIG) == REFERENCE_CONFIG

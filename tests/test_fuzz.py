@@ -209,10 +209,11 @@ def test_design_spec_refuses_bad_draws():
     positive = ("f0", "snr_dc_target", "snr_dr_target", "delta_r_ref", "z0", "kn", "kp", "vth",
                 "vdd", "kf_area", "c_per_area", "l_srr_max", "q_off")
     for _ in range(DRAWS):
+        line = draw_line(rng)  # the spec's z0 is its line's
         valid = dict(f0=rng.uniform(50e9, 300e9), n_pixels=int(rng.integers(1, 64)),
                      il_budget=rng.uniform(0.01, 0.99), snr_dc_target=rng.uniform(1, 1e4),
                      snr_dr_target=rng.uniform(1, 1e3), delta_r_ref=rng.uniform(0.1, 10),
-                     z0=rng.uniform(40, 75), line=draw_line(rng), kn=rng.uniform(1e-5, 1e-3),
+                     z0=line.z0, line=line, kn=rng.uniform(1e-5, 1e-3),
                      kp=rng.uniform(1e-5, 1e-3), vth=rng.uniform(0.1, 0.6),
                      vdd=rng.uniform(0.8, 2.0), kf_area=10.0 ** rng.uniform(-25, -21),
                      c_per_area=rng.uniform(1e-3, 0.05), l_srr_max=rng.uniform(20e-12, 200e-12),
@@ -285,10 +286,11 @@ def test_boost_is_built_exactly_or_refused_by_name():
                 AsrrState.from_targets(**build)
     built = refused = 0
     for _ in range(DRAWS // 4):
+        line = draw_line(rng)
         spec = DesignSpec(f0=rng.uniform(50e9, 300e9), n_pixels=1,
                           il_budget=10.0 ** rng.uniform(-25.0, -3.0), snr_dc_target=1e-9,
-                          snr_dr_target=1e-9, delta_r_ref=1.0, z0=rng.uniform(40, 75),
-                          line=draw_line(rng), kn=250e-6, kp=250e-6, vth=0.3, vdd=1.0,
+                          snr_dr_target=1e-9, delta_r_ref=1.0, z0=line.z0,
+                          line=line, kn=250e-6, kp=250e-6, vth=0.3, vdd=1.0,
                           kf_area=3.9e-23, c_per_area=0.015,
                           l_srr_max=rng.uniform(20e-12, 200e-12), q_off=rng.uniform(5, 30))
         try:

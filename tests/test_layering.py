@@ -368,8 +368,9 @@ def test_no_public_api_takes_a_second_z0():
     # a z0 passed beside one is a second copy that can disagree with it.
     # The two left bind the benchmark: bench/workloads.py
     # calls s_parameters(z0_ref=) and bench/inputs.py builds DesignSpec(z0=);
-    # they go with the next change to the benchmark.  Likewise a state holds
-    # its block's kf, so no kf is passed beside a state
+    # they go with the next change to the benchmark.  Until then DesignSpec
+    # refuses a z0 other than its line's.  Likewise a state holds its
+    # block's kf, so no kf is passed beside a state
     found = []
     for path in sorted(Path(asrrkit.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
