@@ -154,9 +154,18 @@ def asrr_voltage_swing(state: AsrrState, p_in: float, q=None) -> float:
 
 def linear_power_limit(state: AsrrState) -> float:
     """Input power at which the swing reaches vth and compression starts:
-    (1/(2A)) * vth^2 / (w0 * L * Q_on) [W], A at state.rho, 4/9 matched."""
-    return ((1.0 / (2.0 * absorbed_power_fraction(state.rho))) * state.gm.vth**2
-            / (state.srr.w0 * state.srr.lsrr * q_on(state)))
+    (1/(2A)) * vth^2 / (w0 * L * Q_on) [W], A at state.rho, 4/9 matched.
+    A decoupled ring (rho = 0) absorbs no power and has no such limit, and
+    a limit that is not a finite number is refused."""
+    if state.rho == 0:
+        raise ValueError(f"k = {state.srr.k:g} decouples the ring from the line: no input "
+                         f"power reaches it, so it has no linear power limit")
+    p_lin = ((1.0 / (2.0 * absorbed_power_fraction(state.rho))) * state.gm.vth**2
+             / (state.srr.w0 * state.srr.lsrr * q_on(state)))
+    if not math.isfinite(p_lin):
+        raise ValueError(f"the linear power limit is {p_lin:g} W: it must be finite, and "
+                         f"this config overflows it")
+    return p_lin
 
 
 def conduction_angle(v_asrr: float, vth: float) -> float:

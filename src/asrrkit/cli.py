@@ -258,14 +258,14 @@ def cmd_validate(args, cfg):
     return EXIT_OK
 
 
-COMMANDS = {
-    "sweep": cmd_sweep,
-    "match": cmd_match,
-    "nonlin": cmd_nonlin,
-    "noise": cmd_noise,
-    "snr": cmd_snr,
-    "design": cmd_design,
-    "validate": cmd_validate,
+COMMANDS = {  # name: (command, help line)
+    "sweep": (cmd_sweep, "S-parameter sweep of a configured pixel (CSV / Touchstone)"),
+    "match": (cmd_match, "optimum coupling locus and S11 contours"),
+    "nonlin": (cmd_nonlin, "swing and quality factor versus input power"),
+    "noise": (cmd_noise, "phase-noise breakdown and PM-to-AM conversion"),
+    "snr": (cmd_snr, "detection SNR figures"),
+    "design": (cmd_design, "synthesize a pixel from targets"),
+    "validate": (cmd_validate, "run the full analytic-vs-numeric check suite"),
 }
 
 
@@ -287,15 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("sweep", "S-parameter sweep of a configured pixel (CSV / Touchstone)"),
-        ("match", "optimum coupling locus and S11 contours"),
-        ("nonlin", "swing and quality factor versus input power"),
-        ("noise", "phase-noise breakdown and PM-to-AM conversion"),
-        ("snr", "detection SNR figures"),
-        ("design", "synthesize a pixel from targets"),
-        ("validate", "run the full analytic-vs-numeric check suite"),
-    ):
+    for name, (_, doc) in COMMANDS.items():
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", help="flat key-value config file")
         p.add_argument("--out", help="output directory (default $ASRRKIT_OUT or '.')")
@@ -319,7 +311,7 @@ def main(argv=None) -> int:
                 raise ConfigError("config gives both 'q_on' and 'gm0': give the boost one way")
         elif args.command != "validate":
             raise ConfigError(f"'{args.command}' needs --config")
-        return COMMANDS[args.command](args, cfg)
+        return COMMANDS[args.command][0](args, cfg)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

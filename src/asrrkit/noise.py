@@ -26,8 +26,8 @@ import numpy as np
 
 from .active import AsrrState, boosted_resistance, q_on
 from .resonator import (MATCHED_RHO, SrrParams, TransmissionLineSection, absorbed_power_fraction,
-                        loss_slope_factor, phase_slope_factor, reflected_impedance,
-                        require_positive, srr_branch_impedance, transmitted_power_fraction)
+                        branch_impedance, loss_slope_factor, phase_slope_factor,
+                        reflected_impedance, require_positive, transmitted_power_fraction)
 
 BOLTZMANN = 1.380649e-23  # [J/K]
 
@@ -158,7 +158,8 @@ def pm_to_am_gain(srr: SrrParams, line: TransmissionLineSection, w_in, offset: f
     w = np.asarray(w_in, dtype=float)
     z = reflected_impedance(srr, line, w)
     yc = 1j * w * srr.csrr
-    dz = z * (2.0 / w - (1j * srr.lsrr - 1j * srr.csrr / yc / yc) / srr_branch_impedance(srr, w))
+    z_b = branch_impedance(srr.r_series(), srr.lsrr, srr.csrr, w)
+    dz = z * (2.0 / w - (1j * srr.lsrr - 1j * srr.csrr / yc / yc) / z_b)
     d = z + 2.0 * line.z0
     with np.errstate(divide="ignore"):
         out = 20.0 * np.log10(np.abs(np.real(np.conj(d) * dz)) * offset / np.abs(d) ** 2)
@@ -182,22 +183,36 @@ def alpha_flicker(state: AsrrState) -> float:
     return (loss_slope_factor(state.rho) / 4.0) * p.k_wl * (1.0 + p.lam * (p.vdd - p.vth))
 
 
+def _snr(name: str, signal: float, noise: float) -> float:
+    """signal/noise, refused by name unless it is a finite number: a noise
+    term that underflows to zero, or a ratio that overflows."""
+    snr = signal / noise if noise else math.inf
+    if not math.isfinite(snr):
+        raise ValueError(f"{name} = {signal:.3g}/{noise:.3g} is {snr:g}: it must be finite, "
+                         f"and this config over- or underflows it")
+    return snr
+
+
 def snr_delta_c(state: AsrrState, band) -> float:
     """Detection SNR for a capacitive sample shift against flicker noise:
     1/((4/P) * alpha * v_rms * R_boosted), P at state.rho (4/P = 6 matched),
     v_rms from the block's own kf.
 
     The sample detuning cancels between signal and noise, so the result is
-    independent of how far the resonance actually moves.
+    independent of how far the resonance actually moves.  A decoupled ring
+    (rho = 0) moves no output phase and is refused.
     """
-    return 1.0 / ((4.0 / phase_slope_factor(state.rho)) * alpha_flicker(state)
-                  * flicker_rms(state.gm.kf, band) * boosted_resistance(state))
+    if state.rho == 0:
+        raise ValueError(f"k = {state.srr.k:g} decouples the ring from the line: "
+                         f"a sample shift moves no output phase, so SNR_dC is undefined")
+    return _snr("SNR_dC", 1.0, (4.0 / phase_slope_factor(state.rho)) * alpha_flicker(state)
+                * flicker_rms(state.gm.kf, band) * boosted_resistance(state))
 
 
 def snr_delta_r(state: AsrrState, band, delta_r: float) -> float:
     """Detection SNR for a loss sample shift delta_r against flicker noise:
     (LS/4)*delta_r/(alpha * v_rms * R_ring^2), LS at state.rho (LS/4 = 5/18
     matched).  Detuning-independent, like the capacitive case."""
-    return ((loss_slope_factor(state.rho) / 4.0) * delta_r
-            / (alpha_flicker(state) * flicker_rms(state.gm.kf, band)
-               * state.srr.r_parallel() ** 2))
+    return _snr("SNR_dR", (loss_slope_factor(state.rho) / 4.0) * delta_r,
+                alpha_flicker(state) * flicker_rms(state.gm.kf, band)
+                * state.srr.r_parallel() ** 2)

@@ -158,9 +158,9 @@ def coupling_ratio(srr: SrrParams, line: TransmissionLineSection) -> float:
 # entry as the object-level functions below evaluate that ring alone.
 
 def branch_impedance(r, lsrr, csrr, w, gm_neg=0.0):
-    """srr_branch_impedance over values: series loss r, inductance lsrr and
-    capacitance csrr, with an optional negative conductance gm_neg [S]
-    across the capacitor (the small-signal footprint of a cross-coupled
+    """The ring branch r + jwL + 1/(jwC - gm_neg): series loss r, inductance
+    lsrr and capacitance csrr, with an optional negative conductance gm_neg
+    [S] across the capacitor (the small-signal footprint of a cross-coupled
     pair)."""
     yc = 1j * w * csrr - gm_neg
     return r + 1j * w * lsrr + 1.0 / yc
@@ -171,21 +171,11 @@ def coupled_impedance(m, w, z_branch):
     return (w * m) ** 2 / z_branch
 
 
-def with_line(z, w, ltl):
-    """A series impedance z plus the segment's own jwL_line."""
-    return z + 1j * w * ltl
-
-
 def series_s(z, z0):
     """(S11, S21) of a series impedance z between z0 ports:
     Z/(Z + 2*z0) and 2*z0/(Z + 2*z0)."""
     denom = z + 2.0 * z0
     return z / denom, 2.0 * z0 / denom
-
-
-def srr_branch_impedance(srr: SrrParams, w):
-    """Impedance of the ring branch itself: series r, L and the capacitor."""
-    return branch_impedance(srr.r_series(), srr.lsrr, srr.csrr, w)
 
 
 def reflected_impedance(srr: SrrParams, line: TransmissionLineSection, w):
@@ -194,7 +184,8 @@ def reflected_impedance(srr: SrrParams, line: TransmissionLineSection, w):
     Exact at every frequency; at resonance it is the real
     R' = coupling_ratio(srr, line) * z0.
     """
-    return coupled_impedance(mutual_inductance(srr, line), w, srr_branch_impedance(srr, w))
+    return coupled_impedance(mutual_inductance(srr, line), w,
+                             branch_impedance(srr.r_series(), srr.lsrr, srr.csrr, w))
 
 
 def s_parameters(srr: SrrParams, line: TransmissionLineSection, freqs, z0_ref=None) -> TwoPortSweep:
@@ -203,8 +194,8 @@ def s_parameters(srr: SrrParams, line: TransmissionLineSection, freqs, z0_ref=No
     The inserted series impedance is the reflected resonator impedance
     alone, which is what matching and phase-slope relations are written
     against: S21 = 2*z0/(Z + 2*z0), S11 = Z/(Z + 2*z0).  The segment's own
-    jwL_line (with_line), a gm_neg across the capacitor (branch_impedance)
-    and its shunt capacitance (the mesh's include_ctl) are not part of it.
+    jwL_line, a gm_neg across the capacitor (branch_impedance) and its
+    shunt capacitance (the mesh's include_ctl) are not part of it.
     """
     freqs = np.asarray(freqs, dtype=float)
     if z0_ref is None:

@@ -183,7 +183,7 @@ def _loaded_impedance(values, w):
     value-form call per law for the whole stack; and its port impedances."""
     r, lsrr, csrr, m, ltl, z0, gm_neg = values
     z = resonator.coupled_impedance(m, w, resonator.branch_impedance(r, lsrr, csrr, w, gm_neg))
-    return resonator.with_line(z, w, ltl), z0
+    return z + 1j * w * ltl, z0
 
 
 def _mesh_stack(cases):
@@ -284,7 +284,7 @@ def check_impedance_transform(rng, fx: Fixture) -> list[Record]:
     m2 = np.array([mi**2 for mi in m.tolist()])  # squared as floats: numpy may round apart
     w0 = np.array([w0 for _, _, w0 in draws])
     w = np.linspace(0.9 * w0, 1.1 * w0, 41)  # ring i on column i
-    other = resonator.with_line(transformed(w, r, lsrr, csrr, m2), w, ltl)
+    other = transformed(w, r, lsrr, csrr, m2) + 1j * w * ltl
     direct = _loaded_impedance(values, w)[0]
     worst = float(np.max(np.abs(direct - other) / np.abs(direct)))
     # at the resonance in scalar arithmetic, which numpy would round differently
@@ -638,13 +638,15 @@ def run_check(fn, fx: Fixture, seed: int = SEED) -> CheckResult:
 
 def run_all(config: dict | None = None, seed: int = SEED) -> list[CheckResult]:
     """Every check on the pixel of config over the reference one.  A pixel
-    that cannot be built, whose block lies outside the domain of the
-    compression law the suite checks (over nonlinear-gm's drives too), or
-    whose Q_on is above Q_ON_MAX, raises ValueError before any check runs."""
+    that cannot be built, that has no finite linear power limit (a decoupled
+    ring has none), whose block lies outside the domain of the compression
+    law the suite checks (over nonlinear-gm's drives too), or whose Q_on is
+    above Q_ON_MAX, raises ValueError before any check runs."""
     fx = Fixture(config)
     active.check_compression_domain(fx.state.gm)
+    p_top = DRIVE_SPAN[1] * active.linear_power_limit(fx.state)
     try:  # a boost under about 1.1 compresses Q below q_off by nonlin's top drive
-        active.q_on_nonlinear(fx.state, DRIVE_SPAN[1] * active.linear_power_limit(fx.state))
+        active.q_on_nonlinear(fx.state, p_top)
     except ValueError as exc:
         raise ValueError(f"nonlinear-gm drives the pixel to {DRIVE_SPAN[1]:g} x "
                          f"p_in_lin: {exc}") from None

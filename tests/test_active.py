@@ -140,6 +140,16 @@ class TestLinearPowerLimit:
         ps = [active.linear_power_limit(fx.at_q(q).state) for q in (20, 54, 100, 250)]
         assert all(b < a for a, b in zip(ps, ps[1:]))
 
+    def test_decoupled_ring_is_refused_by_name(self, fx):
+        # rho = 0: the absorbed share A in 1/(2A) vanishes
+        with pytest.raises(ValueError, match=r"^k = 0 decouples the ring"):
+            active.linear_power_limit(fx.at_q(54.0, k=0.0).state)
+
+    def test_limit_that_is_not_finite_is_refused(self, fx):
+        # a ring of 1e-300 H at vth = 1e100 V: vth^2/(w0*L*Q_on) overflows
+        with pytest.raises(ValueError, match=r"^the linear power limit is inf W"):
+            active.linear_power_limit(fx.at_q(54.0, lsrr=1e-300, vth=1e100).state)
+
 
 class TestConductionAngle:
     def test_boundary(self):

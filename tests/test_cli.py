@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import random
 import re
 import stat
 import warnings
@@ -736,12 +737,13 @@ FULL_CONFIG = REFERENCE_CONFIG + "".join(
     if line.split("=")[0].strip() not in ("f0", "z0", "beta_l", "q_off"))
 
 
-def full_config_with(key, value):
-    """FULL_CONFIG with key set to value, the boost given one way."""
+def full_config_with(values):
+    """FULL_CONFIG with each key of values set to its text, the boost given
+    one way."""
     lines = {line.split("=")[0].strip(): line for line in FULL_CONFIG.splitlines() if line}
-    lines[key] = f"{key} = {value}"
-    if key == "gm0":
+    if "gm0" in values:
         del lines["q_on"]
+    lines.update((key, f"{key} = {value}") for key, value in values.items())
     return "\n".join(lines.values()) + "\n"
 
 # for each accepted key: a command that reads it, and a valid value that
@@ -873,7 +875,7 @@ class TestConfigKeys:
         # a command that reads it writes, against the full run config
         command, value = KEY_EFFECTS[key]
         digests = []
-        for name, text in (("before", FULL_CONFIG), ("after", full_config_with(key, value))):
+        for name, text in (("before", FULL_CONFIG), ("after", full_config_with({key: value}))):
             (tmp_path / name).mkdir()
             digests.append(output_digests(tmp_path / name, command, text,
                                           *(["--format", "both"] if command == "sweep" else [])))
@@ -912,6 +914,23 @@ def readers(tmp_path_factory):
     return read_by
 
 
+def lower_end(key):
+    """The least value read accepts for key: its lo, a count's 1, or 1e-300
+    for "positive"."""
+    default, lo = config.KEYS[key][:2]
+    return 1 if isinstance(default, int) else 1e-300 if lo is None else lo
+
+
+def sampled_key_pairs(count, seed):
+    """count seeded draws of two distinct keys, each at its lower or upper
+    end; p_in_points only at its lower one (its upper is 1e6 rows)."""
+    rng = random.Random(seed)
+    ends = {key: [lower_end(key)] + ([] if key == "p_in_points" else [config.KEYS[key].hi])
+            for key in sorted(config.KEYS)}
+    return [{key: rng.choice(ends[key]) for key in rng.sample(sorted(ends), 2)}
+            for _ in range(count)]
+
+
 def written_numbers(out):
     """Every number in the files of directory out."""
     numbers = []
@@ -931,35 +950,63 @@ class TestKeyBounds:
         assert [key for key, commands in readers.items() if not commands] == []
 
     @staticmethod
-    def runs_clean(tmp_path, capsys, readers, key, value):
-        """Each command that reads key runs with it at value, refuses the
-        pixel or finds it infeasible, with no numpy warning and no
-        non-finite number in a file."""
-        cfg = write_config(tmp_path, full_config_with(key, repr(value)))
-        for command in readers[key]:
-            out = tmp_path / command
+    def runs_clean(out, capsys, readers, values, bare_failure=False):
+        """Each command that reads a key of values runs with FULL_CONFIG's
+        keys set to them, refuses the pixel or finds it infeasible, with no
+        numpy warning, no non-finite number in a file and at most one stderr
+        line, which names the failure unless bare_failure allows a bare
+        `numerical failure:`."""
+        out.mkdir()
+        cfg = write_config(out, full_config_with({key: repr(v) for key, v in values.items()}))
+        for command in [c for c in COMMANDS if any(c in readers[key] for key in values)]:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                code = main([command, "--config", cfg, "--out", str(out), "--quiet",
+                code = main([command, "--config", cfg, "--out", str(out / command), "--quiet",
                              *(["--format", "both"] if command == "sweep" else [])])
-            assert code in (0, 1, 2) and caught == [], (command, capsys.readouterr().err)
-            numbers = written_numbers(out)
-            assert all(map(math.isfinite, numbers)) and (numbers or code), command
-            assert "Warning" not in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2) and caught == [], (command, values, err)
+            numbers = written_numbers(out / command)
+            assert all(map(math.isfinite, numbers)) and (numbers or code), (command, values)
+            assert "Warning" not in err and err.count("\n") <= 1, (command, values, err)
+            assert bare_failure or "numerical failure:" not in err, (command, values, err)
 
     # p_in_points's bound is 1e6 rows of nonlin: about 40 s, 460 MB of peak
     # memory and a 56 MB table, too much for this suite, so only its
     # refusals past the bounds run here
     @pytest.mark.parametrize("key", sorted(set(config.KEYS) - {"p_in_points"}))
     def test_key_at_its_upper_bound_runs_clean(self, tmp_path, capsys, readers, key):
-        self.runs_clean(tmp_path, capsys, readers, key, config.KEYS[key].hi)
+        self.runs_clean(tmp_path / "out", capsys, readers, {key: config.KEYS[key].hi})
 
     @pytest.mark.parametrize("key", sorted(config.KEYS))
     def test_key_at_its_lower_bound_runs_clean(self, tmp_path, capsys, readers, key):
-        # the least value read accepts: lo, a count's 1, or 1e-300 for "positive"
-        default, lo = config.KEYS[key][:2]
-        low = 1 if isinstance(default, int) else 1e-300 if lo is None else lo
-        self.runs_clean(tmp_path, capsys, readers, key, low)
+        self.runs_clean(tmp_path / "out", capsys, readers, {key: lower_end(key)})
+
+    # Pairs of keys at their ends, or near one.  Some pairs still stop with a
+    # bare division by zero inside a constructor (f0 and z0 both at 1e-300,
+    # say), so a pair may end in `numerical failure:`
+    @pytest.mark.parametrize("pairs", [
+        [{"k_wl": 1e-300, "kf": 1e-26}],  # wrote snr_delta_c = inf
+        [{"delta_r_ref": 1e100, "k_wl": 1e-300}],  # wrote snr_delta_r = inf
+        [{"delta_r_ref": 1e100, "gm0": 1e-300}],  # wrote snr_delta_r = inf
+        [{"lsrr": 1e-300, "lambda": 1e100}],  # wrote snr_delta_r = nan
+        [{"lsrr": 1e-300, "kf": 1e100}],  # wrote snr_delta_r = nan
+        [{"lsrr": 1e-300, "vth": 1e100}],  # a numpy warning in nonlin's drive span
+        sampled_key_pairs(200, seed=7129031),
+    ], ids=["k_wl-kf", "delta_r_ref-k_wl", "delta_r_ref-gm0", "lsrr-lambda", "lsrr-kf",
+            "lsrr-vth", "sampled"])
+    def test_key_pairs_at_their_ends_run_clean(self, tmp_path, capsys, readers, pairs):
+        for i, values in enumerate(pairs):
+            self.runs_clean(tmp_path / str(i), capsys, readers, values, bare_failure=True)
+
+    @pytest.mark.parametrize("command", ["nonlin", "snr", "validate"])
+    def test_decoupled_ring_is_refused_by_name(self, tmp_path, capsys, command):
+        # k = 0 is the key's own lower bound, where sweep writes a flat response
+        cfg = write_config(tmp_path, full_config_with({"k": "0"}))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: k = 0 decouples the ring") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("bound", ["lo", "hi"])
     @pytest.mark.parametrize("key", sorted(config.KEYS))
@@ -969,7 +1016,7 @@ class TestKeyBounds:
             past = 0.0
         else:
             past = math.nextafter(limit, math.inf if bound == "hi" else -math.inf)
-        cfg = write_config(tmp_path, full_config_with(key, repr(past)))
+        cfg = write_config(tmp_path, full_config_with({key: repr(past)}))
         for command in readers[key]:
             out = tmp_path / command
             assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1

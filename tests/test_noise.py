@@ -323,6 +323,21 @@ class TestSnr:
         ratio = noise.snr_delta_r(st2, band, 1.0) / base
         assert ratio == pytest.approx((st.srr.r_parallel() / st2.srr.r_parallel()) ** 2, rel=1e-9)
 
+    def test_decoupled_ring_is_refused_by_name(self, fx):
+        # rho = 0: the phase-slope factor P in 4/P vanishes
+        with pytest.raises(ValueError, match=r"^k = 0 decouples the ring"):
+            noise.snr_delta_c(fx.at_q(54.0, k=0.0).state, (1.0, 1e3))
+
+    def test_snr_that_is_not_finite_is_refused_by_name(self, fx):
+        def with_gm(**gm):
+            return dataclasses.replace(fx.state, gm=dataclasses.replace(fx.state.gm, **gm))
+
+        # the noise term underflows to zero, or the ratio overflows: inf either way
+        with pytest.raises(ValueError, match=r"^SNR_dC = .* must be finite"):
+            noise.snr_delta_c(with_gm(k_wl=1e-300, kf=1e-26), (1.0, 1e3))
+        with pytest.raises(ValueError, match=r"^SNR_dR = .* must be finite"):
+            noise.snr_delta_r(with_gm(k_wl=1e-300), (1.0, 1e3), 1e100)
+
 
 NOISE_LAWS = (noise.white_output_noise_density, noise.detected_power,
               noise.white_ssb_phase_noise, noise.flicker_phase_noise, noise.supply_phase_noise)
