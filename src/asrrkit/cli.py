@@ -36,7 +36,7 @@ import sys
 import numpy as np
 
 from . import __version__, active, resonator
-from .config import DRIVE_SPAN, KEYS, ConfigError, Pixel, parse_config_file, read
+from .config import DRIVE_SPAN, ConfigError, Pixel, parse_config_file, read
 from .sweepio import (NOISE_COLUMNS, fmt, keyvalue_lines, table_csv_lines, write_sweep,
                       write_text_files)
 
@@ -92,8 +92,6 @@ def cmd_sweep(args, cfg):
     srr = pixel.ring
     grid = _grid(args, srr.w0, srr.q_off)
     sweep = resonator.s_parameters(srr, pixel.line, grid)
-    if not (np.all(np.isfinite(sweep.s11)) and np.all(np.isfinite(sweep.s21))):
-        raise ConfigError("sweep S-parameters must be finite: the model overflows on this grid")
     if grid[0] <= srr.w0 <= grid[-1]:
         i0 = int(np.argmin(np.abs(grid - srr.w0)))
         s21_db = 20.0 * math.log10(abs(sweep.s21[i0]))
@@ -128,16 +126,19 @@ def cmd_match(args, cfg):
 def cmd_nonlin(args, cfg):
     state = Pixel(cfg).state
     p_lin = active.linear_power_limit(state)
-    rows = []
     lo, hi = DRIVE_SPAN
-    for p_in in np.geomspace(read(cfg, "p_in_min") or lo * p_lin,
-                             read(cfg, "p_in_max") or hi * p_lin, read(cfg, "p_in_points")):
-        v_lin = active.asrr_voltage_swing(state, p_in)
-        q_nl, v_nl = active.q_on_nonlinear(state, p_in)
-        rows.append((p_in, v_lin, v_nl, q_nl))
+    drives = np.geomspace(read(cfg, "p_in_min") or lo * p_lin,
+                          read(cfg, "p_in_max") or hi * p_lin, read(cfg, "p_in_points"))
+
+    def rows():  # made one at a time as table_csv_lines formats them: only the text is held
+        for p_in in drives:
+            v_lin = active.asrr_voltage_swing(state, p_in)
+            q_nl, v_nl = active.q_on_nonlinear(state, p_in)
+            yield p_in, v_lin, v_nl, q_nl
+
     header = ("p_in_w", "v_asrr_linear_v", "v_asrr_v", "q_on_nonlin")
     comments = (f"p_in_lin_w = {fmt(p_lin)}", f"q_on_linear = {fmt(active.q_on(state))}")
-    return _commit(args, {"nonlin.csv": table_csv_lines(header, rows, comments)},
+    return _commit(args, {"nonlin.csv": table_csv_lines(header, rows(), comments)},
                    f"p_in_lin = {p_lin:.3e} W")
 
 
@@ -214,13 +215,6 @@ def cmd_design(args, cfg):
         return EXIT_NUMERIC
     values = [(f.name, getattr(result, f.name)) for f in dataclasses.fields(result)
               if f.name != "notes"]
-    # with no block (gm_required = 0) both SNRs and the linear input power are infinite
-    unbounded = ("snr_dc", "snr_dr", "p_in_lin") if result.gm_required == 0 else ()
-    overflowed = [name for name, value in values
-                  if not (math.isfinite(value) or name in unbounded)]
-    if overflowed:
-        raise ConfigError(f"design {', '.join(overflowed)} must be finite: the synthesis "
-                          f"overflows on this config")
     lines = [
         "pixel design report",
         f"  coupling k          : {result.k:.4f}",
@@ -304,11 +298,6 @@ def main(argv=None) -> int:
     try:
         if args.config:
             cfg = parse_config_file(args.config)
-            unknown = sorted(set(cfg) - KEYS.keys())
-            if unknown:
-                raise ConfigError(f"unknown config key {', '.join(map(repr, unknown))}")
-            if "q_on" in cfg and "gm0" in cfg:
-                raise ConfigError("config gives both 'q_on' and 'gm0': give the boost one way")
         elif args.command != "validate":
             raise ConfigError(f"'{args.command}' needs --config")
         return COMMANDS[args.command][0](args, cfg)

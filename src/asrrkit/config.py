@@ -171,6 +171,11 @@ class Pixel:
     needs only the line reads no pixel keys."""
 
     def __init__(self, cfg: dict):
+        unknown = sorted(set(cfg) - KEYS.keys())
+        if unknown:
+            raise ConfigError(f"unknown config key {', '.join(map(repr, unknown))}")
+        if "q_on" in cfg and "gm0" in cfg:
+            raise ConfigError("config gives both 'q_on' and 'gm0': give the boost one way")
         self.cfg = cfg
         f0, beta_l, z0 = read(cfg, "f0"), read(cfg, "beta_l"), read(cfg, "z0")
         self.line = TransmissionLineSection.from_electrical(z0, beta_l, 2.0 * math.pi * f0)

@@ -169,7 +169,8 @@ def synthesize(spec: DesignSpec) -> DesignResult:
        dominating the ring loading;
     7. W and L from the two.
 
-    Raises InfeasibleDesignError naming the binding constraint.
+    Raises InfeasibleDesignError naming the binding constraint, and
+    ValueError naming the fields of a design that overflows.
     """
     w0 = 2.0 * math.pi * spec.f0
     k_max = k_max_for_il(spec.il_budget, spec.n_pixels, spec.line, spec.q_off, w0)
@@ -205,21 +206,27 @@ def synthesize(spec: DesignSpec) -> DesignResult:
         )
 
     r_cap = w0 * spec.q_off * spec.l_srr_max  # inductance ceiling in loss terms
-    ceiling = _design_at(spec, r_cap, q_on, k, w0, notes)
+    result = _design_at(spec, r_cap, q_on, k, w0, notes)  # the ceiling design
     # At fixed Q_on and k the gate area scales as 1/r, kf as r, alpha as 1/r
     # and R_boost as r, so SNR_dC ~ r^-1/2 and SNR_dR ~ r^-3/2: the loss
     # that puts the short SNR on its target follows from the ceiling design.
-    shrink = min(min(1.0, ceiling.snr_dc / spec.snr_dc_target) ** 2,
-                 min(1.0, ceiling.snr_dr / spec.snr_dr_target) ** (2.0 / 3.0))
+    shrink = min(min(1.0, result.snr_dc / spec.snr_dc_target) ** 2,
+                 min(1.0, result.snr_dr / spec.snr_dr_target) ** (2.0 / 3.0))
     if shrink < _SHRINK_FLOOR:
         raise InfeasibleDesignError(
             "snr targets", f"SNR targets need the ring loss scaled by {shrink:.3g}, "
             f"below the reach {_SHRINK_FLOOR:.3g}"
         )
-    if shrink == 1.0:
-        return ceiling  # the ceiling design meets the targets at least power
-    notes.append("ring loss lowered to meet the SNR targets")
-    return _design_at(spec, r_cap * shrink, q_on, k, w0, notes)
+    if shrink != 1.0:  # at 1 the ceiling design meets the targets at least power
+        notes.append("ring loss lowered to meet the SNR targets")
+        result = _design_at(spec, r_cap * shrink, q_on, k, w0, notes)
+    unbounded = ("snr_dc", "snr_dr", "p_in_lin") if result.gm_required == 0 else ()  # no block
+    overflowed = [name for name, value in vars(result).items()
+                  if name != "notes" and not (math.isfinite(value) or name in unbounded)]
+    if overflowed:
+        raise ValueError(f"design {', '.join(overflowed)} must be finite: the synthesis "
+                         f"overflows on this config")
+    return result
 
 
 def power_from_gm_slope(gm: float, vdd: float, vth: float) -> float:

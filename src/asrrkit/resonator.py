@@ -201,6 +201,8 @@ def s_parameters(srr: SrrParams, line: TransmissionLineSection, freqs, z0_ref=No
     if z0_ref is None:
         z0_ref = line.z0
     s11, s21 = series_s(reflected_impedance(srr, line, freqs), z0_ref)
+    if not (np.all(np.isfinite(s11)) and np.all(np.isfinite(s21))):
+        raise ValueError("sweep S-parameters must be finite: the model overflows on this grid")
     return TwoPortSweep(freqs=freqs, s11=s11, s21=s21, z0_ref=z0_ref)
 
 

@@ -640,8 +640,10 @@ def run_all(config: dict | None = None, seed: int = SEED) -> list[CheckResult]:
     """Every check on the pixel of config over the reference one.  A pixel
     that cannot be built, that has no finite linear power limit (a decoupled
     ring has none), whose block lies outside the domain of the compression
-    law the suite checks (over nonlinear-gm's drives too), or whose Q_on is
-    above Q_ON_MAX, raises ValueError before any check runs."""
+    law the suite checks (over nonlinear-gm's drives too), whose Q_on is
+    above Q_ON_MAX, or whose ring's dw0/dC = -w0/(2*C), which
+    sensitivity-anchors differences, overflows, raises ValueError before any
+    check runs."""
     fx = Fixture(config)
     active.check_compression_domain(fx.state.gm)
     p_top = DRIVE_SPAN[1] * active.linear_power_limit(fx.state)
@@ -655,4 +657,9 @@ def run_all(config: dict | None = None, seed: int = SEED) -> list[CheckResult]:
         raise ValueError(f"validate checks Q_on up to {Q_ON_MAX:g}, where pm-to-am's mesh "
                          f"difference still rounds within its tolerance; this pixel has "
                          f"q_on = {q!r}")
+    srr = fx.ring
+    if not math.isfinite(srr.w0 / (2.0 * srr.csrr)):
+        raise ValueError(f"validate checks rings whose dw0/dC = -w0/(2*C) is finite; this "
+                         f"pixel's ring has C = {srr.csrr:g} F and w0 = 1/sqrt(L*C) = "
+                         f"{srr.w0:.3g} rad/s, where dw0/dC overflows")
     return [run_check(fn, fx, seed) for fn in ALL_CHECKS]

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from asrrkit import active, cli, config, noise, resonator, validate
+from asrrkit import active, cli, config, design, noise, resonator, validate
 from asrrkit.active import AsrrState
 from asrrkit.cli import main
 from asrrkit.config import Pixel, parse_config_file
@@ -563,6 +563,42 @@ class TestOneBoost:
         assert not out.exists()
 
 
+def sweep_past_the_model(cfg):
+    """s_parameters of cfg's pixel on sweep's grid --grid=1e9:1e300:3."""
+    pixel = Pixel(cfg)
+    return resonator.s_parameters(pixel.ring, pixel.line, 2.0 * np.pi * np.linspace(1e9, 1e300, 3))
+
+
+class TestOneGate:
+    """A refusal the library makes reaches the CLI as it is: a command
+    prints the library's own line, and a library call refuses what the
+    command refuses."""
+
+    UNKNOWN_KEY = REFERENCE_CONFIG + "q_onn = 100\n"
+    BOTH_BOOSTS = TestOneBoost.GM0_CONFIG + "q_on = 54\n"
+
+    @pytest.mark.parametrize("command, text, options, call", [
+        ("match", UNKNOWN_KEY, (), Pixel),  # match reads only f0, z0 and beta_l
+        ("validate", UNKNOWN_KEY, (), validate.run_all),
+        ("snr", BOTH_BOOSTS, (), Pixel),
+        ("validate", BOTH_BOOSTS, (), validate.run_all),
+        ("sweep", REFERENCE_CONFIG, ("--grid=1e9:1e300:3",), sweep_past_the_model),
+        ("design", DESIGN_CONFIG.replace("f0 = 200 GHz", "f0 = 1e-100"), (),
+         lambda cfg: design.synthesize(Pixel(cfg).spec)),
+    ], ids=["unknown-key-pixel", "unknown-key-run_all", "both-boosts-pixel",
+            "both-boosts-run_all", "grid-s_parameters", "design-synthesize"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_command_prints_the_library_refusal(self, tmp_path, capsys, command, text, options,
+                                                 call):
+        cfg = write_config(tmp_path, text)
+        with pytest.raises(ValueError) as refused:
+            call(parse_config_file(cfg))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet", *options]) == 1
+        assert capsys.readouterr().err == f"config error: {refused.value}\n"
+        assert not out.exists()
+
+
 class TestValidateCmd:
     def test_default_fixture_passes(self, tmp_path, capsys):
         assert main(["validate", "--quiet"]) == 0
@@ -586,6 +622,10 @@ class TestValidateCmd:
         ("q_on = 20000", "validate checks Q_on up to 10000"),
         # a boost of 1.05 compresses Q below q_off inside nonlinear-gm's drives
         ("q_on = 10.5", "nonlinear-gm drives the pixel to 30 x p_in_lin: p_in = "),
+        # the ring's w0 = 1.4e155 rad/s: w0**2 and dw0/dC overflow, and the
+        # difference of sensitivity-anchors would warn
+        ("c_asrr = 1e-300", "C = 1e-300 F and w0 = 1/sqrt(L*C) = 1.36e+155 rad/s, "
+                            "where dw0/dC overflows"),
     ])
     def test_bad_fixture_value_is_config_error(self, tmp_path, capsys, line, message):
         cfg = write_config(tmp_path, line + "\n", name="bad.cfg")
