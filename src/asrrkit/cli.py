@@ -44,6 +44,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 
+# sweep holds every point's S-parameters before it writes them: 3e6 points
+# peak at 328 MB, so 1e7 need about 1 GB
+GRID_MAX_POINTS = 10**7
+
 
 def _say(args, msg):
     if not args.quiet:
@@ -80,6 +84,8 @@ def _grid(args, w0, q) -> np.ndarray:
                 raise ConfigError(f"--grid {name} must be finite, got {text!r}")
         if not (0 < f_lo < f_hi and n >= 2):
             raise ConfigError("grid needs 0 < START < STOP and N >= 2")
+        if n > GRID_MAX_POINTS:
+            raise ConfigError(f"--grid N must be at most {GRID_MAX_POINTS:g}, got {n}")
         return 2.0 * np.pi * np.linspace(f_lo, f_hi, n)
     try:
         return resonator.auto_grid(w0, q)

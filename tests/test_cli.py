@@ -4,6 +4,7 @@ import os
 import random
 import re
 import stat
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -118,14 +119,22 @@ class TestSweep:
         # finite, but not a grid: descending, one point, from zero, empty span
         *((grid, "grid needs 0 < START < STOP and N >= 2")
           for grid in ("2e11:1e11:11", "1e11:2e11:1", "0:1e11:11", "1e11:1e11:5")),
+        # one point past the cap, an 80 MB grid
+        ("190e9:210e9:10000001", "--grid N must be at most 1e+07, got 10000001"),
     ])
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_grid_that_would_write_non_finite_rows_is_refused(self, tmp_path, capsys, grid,
                                                                message):
+        # each refusal comes before the run allocates a large grid
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
-        assert main(["sweep", "--config", cfg, "--out", str(out), f"--grid={grid}",
-                     "--quiet"]) == 1
+        tracemalloc.start()
+        try:
+            assert main(["sweep", "--config", cfg, "--out", str(out), f"--grid={grid}",
+                         "--quiet"]) == 1
+            assert tracemalloc.get_traced_memory()[1] < 1e6
+        finally:
+            tracemalloc.stop()
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 

@@ -1,7 +1,7 @@
 """The five line-coupling laws of resonator.py, functions of the coupling
 ratio rho = R'/z0: their matched values, the general forms written on
-them, and the rule that keeps the matched-locus constants of active.py and
-noise.py coming from them."""
+them, the rule that keeps the matched-locus constants of active.py and
+noise.py coming from them, and each law of test_mutants.LAWS defined once."""
 
 import ast
 import math
@@ -16,14 +16,13 @@ from asrrkit.oracle import central_difference
 from asrrkit.resonator import (MATCHED_RHO, absorbed_power_fraction, loss_slope_factor,
                                phase_slope_factor, reflected_amplitude,
                                transmitted_power_fraction)
+from test_mutants import LAWS
 
 A = absorbed_power_fraction(MATCHED_RHO)
 T = transmitted_power_fraction(MATCHED_RHO)
 P = phase_slope_factor(MATCHED_RHO)
 LS = loss_slope_factor(MATCHED_RHO)
 S11 = reflected_amplitude(MATCHED_RHO)
-LAWS = ("absorbed_power_fraction", "transmitted_power_fraction", "phase_slope_factor",
-        "loss_slope_factor", "reflected_amplitude")
 
 
 def test_laws_at_the_matched_ratio_are_the_literals():
@@ -101,8 +100,11 @@ def test_laws_match_the_two_port_off_the_locus():
 
 
 def test_each_law_is_defined_once():
+    # each law in its row's module, the matched ratio in resonator.py
     package = Path(asrrkit.__file__).parent
-    homes = {law: [] for law in (*LAWS, "MATCHED_RHO")}
+    expect = {law: [f"{module}.py"] for law, (module, *_) in LAWS.items()}
+    expect["MATCHED_RHO"] = ["resonator.py"]
+    homes = {name: [] for name in expect}
     for path in package.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.FunctionDef) and node.name in homes:
@@ -111,7 +113,7 @@ def test_each_law_is_defined_once():
                 for target in node.targets:
                     if isinstance(target, ast.Name) and target.id in homes:
                         homes[target.id].append(path.name)
-    assert homes == {name: ["resonator.py"] for name in homes}
+    assert homes == expect
 
 
 def literal_ratios(source: str) -> list[str]:

@@ -1,6 +1,7 @@
 """The README's library quick start runs against the package as it is, its
-table of config keys is config.KEYS, and its example config is the
-reference one."""
+table of config keys is config.KEYS, its table of what validate sees of
+each law is test_mutants.LAWS, and its example config is the reference
+one."""
 
 import os
 import re
@@ -12,6 +13,7 @@ import asrrkit
 from asrrkit.config import KEYS, REQUIRED, parse_config_text
 from asrrkit.validate import REFERENCE_CONFIG
 from test_cli import REFERENCE_CONFIG as CLI_REFERENCE_CONFIG
+from test_mutants import LAWS
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -33,6 +35,17 @@ def test_readme_key_table_is_the_config_table():
     rows = dict(re.findall(r"^\| `(\w+)` \| ([^|]+?) \|", section, re.M))
     expect = {key: "absent" if default is None else default if default is REQUIRED
               else f"{default:g}" for key, (default, *_) in KEYS.items()}
+    assert rows == expect
+
+
+def test_readme_law_table_is_the_mutation_table():
+    # each row's law, the checks that fail at 1 +- 10 t and the threshold t
+    # as the mutation table holds them, a survivor's checks none
+    section = README.read_text().split("### What validate sees of each law\n")[1]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+?) \| ([^|]+?) \|$", section.split("\n## ")[0], re.M)
+    expect = [(law, ", ".join(f"`{check}`" for check in sorted(checks)) or "none",
+               "survivor" if threshold is None else f"{threshold:g}")
+              for law, (_, _, threshold, checks) in LAWS.items()]
     assert rows == expect
 
 
